@@ -30,7 +30,7 @@ from repro.registry.uddi import UDDIRegistry
 from repro.services.consumer import Consumer
 from repro.services.general import IntermediaryService
 from repro.services.invocation import InvocationEngine
-from repro.services.provider import Service
+from repro.services.provider import Service, TruthTable
 from repro.services.qos import QoSTaxonomy
 
 
@@ -121,20 +121,22 @@ class DirectSelectionScenario:
         self.engine = SelectionEngine(self.uddi, model, policy)
         self.invoker = InvocationEngine(taxonomy, rng=make_rng(rng))
         self.time = 0.0
+        self._truth = TruthTable(list(self.services.values()))
+        self._index = {sid: j for j, sid in enumerate(self._truth.ids)}
 
     def true_quality(self, service_id: EntityId, consumer: Consumer) -> float:
         """Ground-truth quality of a service for one consumer, now."""
-        service = self.services[service_id]
-        return service.true_overall(
+        _, quals = self._truth.row(
             self.time, consumer.preferences.weights, consumer.segment
         )
+        return quals[self._index[service_id]]
 
     def optimal_for(self, consumer: Consumer) -> EntityId:
         """The truly best service for *consumer* at the current time."""
-        return max(
-            self.services,
-            key=lambda sid: (self.true_quality(sid, consumer), sid),
+        best, _ = self._truth.row(
+            self.time, consumer.preferences.weights, consumer.segment
         )
+        return self._truth.ids[best]
 
     def run_round(self, result: ScenarioResult) -> None:
         accurate = 0

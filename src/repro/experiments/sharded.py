@@ -87,6 +87,7 @@ from repro.obs.recorder import Recorder
 from repro.obs.trace import TelemetrySnapshot
 from repro.p2p.hashing import stable_hash
 from repro.services.invocation import InvocationEngine
+from repro.services.provider import TruthTable
 from repro.sim.kernel import Simulator
 from repro.sim.network import MessageStats, Network, stats_from_snapshot
 from repro.store import EventStore
@@ -337,11 +338,12 @@ class ShardRuntime:
         self._service_home = [
             shard_of(sid, n_shards) for sid in self.service_ids
         ]
-        # Stable truth-cache key per consumer: heterogeneous worlds get
-        # one entry per distinct (weights, segment); homogeneous worlds
-        # collapse to n_segments entries per round.
+        # One truth row per distinct taste per round: heterogeneous
+        # worlds get one per (weights, segment); homogeneous worlds
+        # collapse to n_segments rows.
+        self._truth = TruthTable(self._services)
         self._truth_keys = [
-            (c.segment, tuple(sorted(c.preferences.weights.items())))
+            TruthTable.taste_key(c.preferences.weights, c.segment)
             for c in self.consumers
         ]
         self._policy_rngs = []
@@ -400,7 +402,6 @@ class ShardRuntime:
             r_local = state["round"]
             t = epoch_start + r_local * spec.round_length
             row = state["row"]
-            truth: Dict[Any, Tuple[int, List[float]]] = {}
             for k in range(n_own):
                 consumer = self.consumers[k]
                 rng = self._policy_rngs[k]
@@ -408,22 +409,12 @@ class ShardRuntime:
                     j = int(rng.integers(self._n_services))
                 else:
                     j = exploit
-                key = self._truth_keys[k]
-                cached = truth.get(key)
-                if cached is None:
-                    weights = consumer.preferences.weights
-                    segment = consumer.segment
-                    quals = [
-                        svc.true_overall(t, weights, segment)
-                        for svc in self._services
-                    ]
-                    best = max(
-                        range(self._n_services),
-                        key=lambda x: (quals[x], self.service_ids[x]),
-                    )
-                    cached = (best, quals)
-                    truth[key] = cached
-                best, quals = cached
+                best, quals = self._truth.row(
+                    t,
+                    consumer.preferences.weights,
+                    consumer.segment,
+                    self._truth_keys[k],
+                )
                 chosen_quality = quals[j]
                 optimal_quality = quals[best]
                 if (

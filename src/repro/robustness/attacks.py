@@ -29,15 +29,12 @@ from repro.common.records import Interaction
 from repro.services.consumer import Consumer, RatingStrategy
 
 
-def _all_low(facet_scores: Dict[str, float], level: float) -> Dict[str, float]:
-    if not facet_scores:
-        return {}
-    return {facet: level for facet in facet_scores}
+def _check_level(name: str, level: float) -> None:
+    if not 0.0 <= level <= 1.0:
+        raise ConfigurationError(f"{name} must be in [0, 1], got {level}")
 
 
-def _all_high(facet_scores: Dict[str, float], level: float) -> Dict[str, float]:
-    if not facet_scores:
-        return {}
+def _all_at(facet_scores: Dict[str, float], level: float) -> Dict[str, float]:
     return {facet: level for facet in facet_scores}
 
 
@@ -46,6 +43,7 @@ def badmouth_strategy(
     low: float = 0.05,
 ) -> RatingStrategy:
     """Report *victims* (every target when None) as terrible."""
+    _check_level("low", low)
     victim_set: Optional[Set[EntityId]] = (
         set(victims) if victims is not None else None
     )
@@ -56,7 +54,7 @@ def badmouth_strategy(
         facet_scores: Dict[str, float],
     ) -> Dict[str, float]:
         if victim_set is None or interaction.service in victim_set:
-            return _all_low(facet_scores, low)
+            return _all_at(facet_scores, low)
         return facet_scores
 
     return strategy
@@ -67,6 +65,7 @@ def ballot_stuffing_strategy(
     high: float = 0.95,
 ) -> RatingStrategy:
     """Report *allies* as excellent regardless of experience."""
+    _check_level("high", high)
     ally_set = set(allies)
     if not ally_set:
         raise ConfigurationError("ballot stuffing needs at least one ally")
@@ -80,7 +79,7 @@ def ballot_stuffing_strategy(
             # Even failed invocations of allies are praised.
             if not facet_scores:
                 return {"overall": high}
-            return _all_high(facet_scores, high)
+            return _all_at(facet_scores, high)
         return facet_scores
 
     return strategy
@@ -92,6 +91,8 @@ def collusion_strategy(
     low: float = 0.05,
 ) -> RatingStrategy:
     """The full ring: stuff allies, badmouth every competitor."""
+    _check_level("high", high)
+    _check_level("low", low)
     ally_set = set(allies)
     if not ally_set:
         raise ConfigurationError("collusion needs at least one ally")
@@ -104,8 +105,8 @@ def collusion_strategy(
         if interaction.service in ally_set:
             if not facet_scores:
                 return {"overall": high}
-            return _all_high(facet_scores, high)
-        return _all_low(facet_scores, low)
+            return _all_at(facet_scores, high)
+        return _all_at(facet_scores, low)
 
     return strategy
 

@@ -30,6 +30,7 @@ from repro.services.provider import (
     QualityBehavior,
     Service,
     StaticBehavior,
+    TruthTable,
 )
 from repro.services.consumer import (
     Consumer,
@@ -85,6 +86,7 @@ __all__ = [
     "ServiceDescription",
     "StaticBehavior",
     "ThirdPartyMonitor",
+    "TruthTable",
     "default_metrics",
     "honest_rating_strategy",
     "metric",

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Mapping, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
-from repro.common.mathutils import clamp, normalize_weights
+from repro.common.mathutils import normalize_weights
 from repro.common.randomness import RngLike, make_rng
 from repro.common.records import Feedback, Interaction
 from repro.services.qos import QoSTaxonomy
@@ -64,12 +64,21 @@ class PreferenceProfile:
 def quality_scores(
     interaction: Interaction, taxonomy: QoSTaxonomy
 ) -> Dict[str, float]:
-    """Normalize an interaction's raw observations into quality space."""
-    return {
-        name: taxonomy.get(name).normalize(raw)
-        for name, raw in interaction.observations.items()
-        if name in taxonomy
-    }
+    """Normalize an interaction's raw observations into quality space.
+
+    :meth:`~repro.services.qos.MetricDef.normalize` inlined over the
+    taxonomy's per-metric constants; metrics outside *taxonomy* are
+    skipped.
+    """
+    scales = taxonomy.scales
+    scores: Dict[str, float] = {}
+    for name, raw in interaction.observations.items():
+        scale = scales.get(name)
+        if scale is not None:
+            low, span, lower = scale
+            frac = max(0.0, min(1.0, (raw - low) / span))
+            scores[name] = 1.0 - frac if lower else frac
+    return scores
 
 
 #: A rating strategy maps (consumer, interaction, honest per-facet scores)
@@ -128,33 +137,27 @@ class Consumer:
 
         A failed invocation is rated 0 overall with no facet detail —
         there is nothing to differentiate when the call never returned.
+        Whatever the strategy files, on either branch, is clamped to
+        ``[0, 1]``.  The rating noise is one vector draw, which consumes
+        the stream exactly as one scalar draw per facet would.
         """
-        if not interaction.success:
-            honest: Dict[str, float] = {}
-            filed = self.rating_strategy(self, interaction, honest)
-            overall = self.preferences.overall(filed) if filed else 0.0
-            return Feedback(
-                rater=self.consumer_id,
-                target=interaction.service,
-                time=interaction.time,
-                rating=clamp(overall, 0.0, 1.0),
-                facet_ratings=filed,
-                interaction=interaction,
-            )
-        honest = quality_scores(interaction, taxonomy)
-        if self.rating_noise > 0:
+        honest: Dict[str, float] = (
+            quality_scores(interaction, taxonomy) if interaction.success else {}
+        )
+        if honest and self.rating_noise > 0:
+            noise = self._rng.normal(0.0, self.rating_noise, len(honest))
             honest = {
-                m: clamp(s + float(self._rng.normal(0.0, self.rating_noise)), 0.0, 1.0)
-                for m, s in honest.items()
+                m: max(0.0, min(1.0, s + e))
+                for (m, s), e in zip(honest.items(), noise.tolist())
             }
         filed = self.rating_strategy(self, interaction, dict(honest))
-        filed = {m: clamp(v, 0.0, 1.0) for m, v in filed.items()}
+        filed = {m: max(0.0, min(1.0, v)) for m, v in filed.items()}
         overall = self.preferences.overall(filed)
         return Feedback(
             rater=self.consumer_id,
             target=interaction.service,
             time=interaction.time,
-            rating=clamp(overall, 0.0, 1.0),
+            rating=max(0.0, min(1.0, overall)),
             facet_ratings=filed,
             interaction=interaction,
         )

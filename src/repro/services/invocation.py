@@ -97,14 +97,13 @@ class InvocationEngine:
         self.invocation_count += 1
         profile = service.profile_at(time)
         success = bool(self._rng.random() < profile.success_rate)
-        observations: Dict[str, float] = (
-            dict(profile.sample(self.taxonomy, self._rng, segment=segment))
-            if success
-            else {}
-        )
+        observations: Dict[str, float] = {}
         if success:
+            # ``sample`` returns a fresh dict, which the faults may edit
             observations, success = self._apply_faults(
-                service, time, observations
+                service,
+                time,
+                profile.sample(self.taxonomy, self._rng, segment=segment),
             )
         return Interaction(
             consumer=invoker,

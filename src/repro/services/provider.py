@@ -12,7 +12,15 @@ relates to the truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import (
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
@@ -165,6 +173,59 @@ class Service:
     ) -> float:
         """Ground-truth preference-weighted quality at *time*."""
         return self.profile_at(time).overall(weights, segment)
+
+
+class TruthTable:
+    """Ground truth over a fixed candidate list, one row per taste.
+
+    A row holds every candidate's :meth:`Service.true_overall` for one
+    consumer taste ``(segment, weights)`` at one simulation time, plus
+    the index of the truly best candidate under the ``(quality, id)``
+    tie-break.  Rows are filled on first use and dropped when the time
+    moves, so consumers that share a taste share one row per round.
+    """
+
+    def __init__(self, services: Sequence[Service]) -> None:
+        self.services = list(services)
+        self.ids = [s.service_id for s in self.services]
+        self._time: Optional[float] = None
+        self._rows: Dict[Hashable, Tuple[int, List[float]]] = {}
+
+    @staticmethod
+    def taste_key(
+        weights: Mapping[str, float], segment: Optional[int]
+    ) -> Hashable:
+        """The row key of one taste: equal tastes share a row."""
+        return (segment, tuple(sorted(weights.items())))
+
+    def row(
+        self,
+        time: float,
+        weights: Mapping[str, float],
+        segment: Optional[int],
+        key: Optional[Hashable] = None,
+    ) -> Tuple[int, List[float]]:
+        """``(best index, per-candidate quality)`` for one taste at *time*.
+
+        *key* is :meth:`taste_key` of the taste; callers that rate the
+        same consumers every round pass it precomputed.
+        """
+        if time != self._time:
+            self._rows = {}
+            self._time = time
+        if key is None:
+            key = self.taste_key(weights, segment)
+        row = self._rows.get(key)
+        if row is None:
+            quals = [
+                s.true_overall(time, weights, segment) for s in self.services
+            ]
+            best = max(
+                range(len(quals)), key=lambda j: (quals[j], self.ids[j])
+            )
+            row = (best, quals)
+            self._rows[key] = row
+        return row
 
 
 class Provider:

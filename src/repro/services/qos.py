@@ -127,6 +127,17 @@ class QoSTaxonomy:
             if m.name in self._by_name:
                 raise ConfigurationError(f"duplicate metric name: {m.name!r}")
             self._by_name[m.name] = m
+        #: per-metric ``(low, high - low, lower_is_better)``: the
+        #: constants of :meth:`MetricDef.normalize` / ``denormalize``,
+        #: for the per-invocation loops that inline them
+        self.scales: Dict[str, Tuple[float, float, bool]] = {
+            m.name: (
+                m.low,
+                m.high - m.low,
+                m.direction is Direction.LOWER_IS_BETTER,
+            )
+            for m in self._by_name.values()
+        }
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
@@ -323,9 +334,20 @@ class QoSProfile:
             raise ConfigurationError("noise must be non-negative")
         if not 0.0 <= self.success_rate <= 1.0:
             raise ConfigurationError("success_rate must be in [0, 1]")
+        # segment -> [true_quality(n, segment) for n in quality]; a
+        # profile is never mutated after construction
+        self._truth: Dict[Optional[int], List[float]] = {}
 
     def metrics(self) -> List[str]:
         return list(self.quality)
+
+    def _truth_vector(self, segment: Optional[int]) -> List[float]:
+        """Every metric's :meth:`true_quality` for *segment*, cached."""
+        vector = self._truth.get(segment)
+        if vector is None:
+            vector = [self.true_quality(n, segment) for n in self.quality]
+            self._truth[segment] = vector
+        return vector
 
     def true_quality(self, name: str, segment: Optional[int] = None) -> float:
         """True quality of metric *name* for a consumer in *segment*."""
@@ -341,21 +363,16 @@ class QoSProfile:
         segment: Optional[int] = None,
     ) -> float:
         """Preference-weighted true quality (uniform weights by default)."""
-        names = self.metrics()
-        if not names:
+        truth = self._truth_vector(segment)
+        if not truth:
             return 0.0
         if weights is None:
-            return sum(self.true_quality(n, segment) for n in names) / len(names)
-        total = sum(max(weights.get(n, 0.0), 0.0) for n in names)
+            return sum(truth) / len(truth)
+        w = [max(weights.get(n, 0.0), 0.0) for n in self.quality]
+        total = sum(w)
         if total <= 0:
-            return self.overall(None, segment)
-        return (
-            sum(
-                self.true_quality(n, segment) * max(weights.get(n, 0.0), 0.0)
-                for n in names
-            )
-            / total
-        )
+            return sum(truth) / len(truth)
+        return sum(q * x for q, x in zip(truth, w)) / total
 
     def sample(
         self,
@@ -363,13 +380,29 @@ class QoSProfile:
         rng: RngLike = None,
         segment: Optional[int] = None,
     ) -> Dict[str, float]:
-        """Draw one invocation's raw observations for every metric."""
-        gen = make_rng(rng)
+        """Draw one invocation's raw observations for every metric.
+
+        One vector draw of ``len(quality)`` normals consumes the stream
+        exactly as one scalar draw per metric would, and the per-metric
+        arithmetic is :meth:`MetricDef.denormalize` inlined, so the
+        observations are bit-identical to the scalar loop.
+        """
+        noise = make_rng(rng).normal(0.0, self.noise, len(self.quality))
+        scales = taxonomy.scales
         observations: Dict[str, float] = {}
-        for name in self.quality:
-            q = self.true_quality(name, segment)
-            noisy = clamp(q + float(gen.normal(0.0, self.noise)), 0.0, 1.0)
-            observations[name] = taxonomy.get(name).denormalize(noisy)
+        for name, q, e in zip(
+            self.quality, self._truth_vector(segment), noise.tolist()
+        ):
+            try:
+                low, span, lower = scales[name]
+            except KeyError:
+                raise UnknownEntityError(
+                    f"unknown QoS metric: {name!r}"
+                ) from None
+            noisy = max(0.0, min(1.0, q + e))
+            if lower:
+                noisy = 1.0 - noisy
+            observations[name] = low + noisy * span
         return observations
 
     def shifted(self, delta: float) -> "QoSProfile":

@@ -73,6 +73,22 @@ class TestCollusion:
         assert all(v == 0.05 for v in down.values())
 
 
+@pytest.mark.parametrize(
+    "factory, kwargs, name",
+    [
+        (badmouth_strategy, {"low": -0.1}, "low"),
+        (badmouth_strategy, {"low": 1.2}, "low"),
+        (ballot_stuffing_strategy, {"allies": ["s1"], "high": 1.5}, "high"),
+        (ballot_stuffing_strategy, {"allies": ["s1"], "high": -0.5}, "high"),
+        (collusion_strategy, {"allies": ["s1"], "high": 1.5}, "high"),
+        (collusion_strategy, {"allies": ["s1"], "low": -0.01}, "low"),
+    ],
+)
+def test_out_of_range_level_rejected(factory, kwargs, name):
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be in \[0, 1\]"):
+        factory(**kwargs)
+
+
 class TestComplementaryLiar:
     def test_inverts(self):
         strategy = complementary_liar_strategy()

@@ -118,6 +118,17 @@ class TestConsumer:
         fb = consumer.rate(make_interaction(), DEFAULT_METRICS)
         assert fb.rating == 0.0
 
+    @pytest.mark.parametrize("success", [True, False])
+    def test_out_of_range_filing_clamped_on_both_branches(self, success):
+        # A failed invocation used to skip the clamp and crash in Feedback.
+        def overshoot(consumer, interaction, facet_scores):
+            return {"overall": 1.5, "cost": -0.5}
+
+        consumer = Consumer("c0", rating_strategy=overshoot, rng=0)
+        fb = consumer.rate(make_interaction(success=success), DEFAULT_METRICS)
+        assert fb.facet_ratings == {"overall": 1.0, "cost": 0.0}
+        assert 0.0 <= fb.rating <= 1.0
+
     def test_rate_provider_retargets(self):
         consumer = Consumer("c0", rating_noise=0.0, rng=0)
         fb = consumer.rate(make_interaction(), DEFAULT_METRICS)

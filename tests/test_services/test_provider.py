@@ -12,6 +12,7 @@ from repro.services.provider import (
     Provider,
     Service,
     StaticBehavior,
+    TruthTable,
 )
 from repro.services.qos import QoSProfile
 
@@ -116,3 +117,59 @@ class TestProvider:
         provider.add_service(make_service())
         provider.remove_service("s0")
         assert provider.services == []
+
+
+def skewed_service(service_id, a, b, offset=0.0, behavior=None):
+    return Service(
+        description=ServiceDescription(
+            service=service_id, provider="p0", category="cat"
+        ),
+        profile=QoSProfile(
+            quality={"a": a, "b": b},
+            noise=0.0,
+            segment_offsets={"b": {1: offset}},
+        ),
+        behavior=behavior or StaticBehavior(),
+    )
+
+
+class TestTruthTable:
+    SERVICES = [
+        skewed_service("s0", 0.9, 0.2),
+        skewed_service("s1", 0.3, 0.8, offset=-0.5),
+        skewed_service("s2", 0.6, 0.6, behavior=DegradingBehavior(0.3, 50.0)),
+    ]
+
+    @pytest.mark.parametrize("time", [0.0, 60.0])
+    @pytest.mark.parametrize(
+        "weights, segment",
+        [
+            ({"a": 1.0}, 0),
+            ({"b": 1.0}, 0),
+            ({"b": 1.0}, 1),
+            ({"a": 0.5, "b": 0.5}, None),
+        ],
+    )
+    def test_rows_are_true_overall_per_taste(self, time, weights, segment):
+        table = TruthTable(self.SERVICES)
+        # fill other tastes first: a row must never answer for another
+        for w, seg in [({"a": 1.0}, 0), ({"b": 1.0}, 1)]:
+            table.row(time, w, seg)
+        best, quals = table.row(time, weights, segment)
+        assert quals == [
+            s.true_overall(time, weights, segment) for s in self.SERVICES
+        ]
+        ids = [s.service_id for s in self.SERVICES]
+        truth = dict(zip(ids, quals))
+        assert ids[best] == max(ids, key=lambda sid: (truth[sid], sid))
+
+    def test_time_change_drops_rows(self):
+        table = TruthTable(self.SERVICES)
+        before = table.row(0.0, {"a": 1.0}, 0)
+        after = table.row(60.0, {"a": 1.0}, 0)
+        assert before[1][2] != after[1][2]  # s2 degraded at t=50
+
+    def test_ties_break_on_larger_id(self):
+        twins = [make_service("s0"), make_service("s1")]
+        best, _ = TruthTable(twins).row(0.0, {"a": 1.0}, 0)
+        assert best == 1
