@@ -1,34 +1,36 @@
-"""Columnar store benchmark: vectorized kernels vs scalar replay.
+"""Columnar store benchmark: vectorized kernels vs the base score loop.
 
 The cost that matters is *cold* query answering — from raw events to a
-ranked batch.  The pre-columnar reference pays a per-row Python replay
-(``score_many_reference``, or the base-class score loop); the columnar
-kernel reduces the store's column arrays with bincount/lexsort.  Both
-paths read the same shared :class:`~repro.store.EventStore`, so a
-"cold" run here is a fresh model instance attached to a warm store.
+ranked batch.  The base-class score loop (the semantic ground truth)
+pays a per-row Python replay plus one ``score()`` call per candidate;
+the columnar kernel reduces the store's column arrays with
+bincount/lexsort.  Both paths read the same shared
+:class:`~repro.store.EventStore`, so a "cold" run here is a fresh model
+instance attached to a warm store.  The ``reference_ns`` field of each
+row times the base loop.
 
 Two scales, both written to the ``columnar`` section of
 ``BENCH_models.json``:
 
 * 10^3 events — every ported kernel must stay within a small tolerance
-  of its reference (the small-store regression guard; a noise margin
+  of the base loop (the small-store regression guard; a noise margin
   keeps shared-runner jitter from flaking the gate);
 * 10^6 events (``REPRO_BENCH_COLUMNAR_EVENTS`` overrides) — the
   headline gate: >= 5x on beta, sporas and histos.
 
-Parity is asserted before any timing: kernel == reference to 1e-9.
+Parity is asserted before any timing: kernel == base loop to 1e-9.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
+from benchmarks._bench import best_ns
 from repro.common.records import Feedback
 from repro.core.registry import default_registry
 from repro.models.base import ReputationModel
@@ -38,7 +40,7 @@ REGISTRY = default_registry(rng_seed=0)
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_models.json"
 
 #: models whose score_many is a columnar kernel over the shared store,
-#: with a lazy scalar-replay reference (cold-cloneable: all state
+#: with a lazy scalar replay behind score() (cold-cloneable: all state
 #: derives from the store rows)
 LAZY_COLUMNAR = [
     "beta", "ebay", "sporas", "histos", "peertrust", "wang_vassileva",
@@ -60,18 +62,6 @@ LARGE_REPEATS = 3
 #: constant overhead leaves a thin margin for some kernels — a real
 #: regression shows up well beyond 1.2x.
 SMALL_TOLERANCE = 1.2
-
-
-def _best_ns(fn: Callable[[], object], repeats: int) -> int:
-    best = None
-    for _ in range(repeats):
-        start = time.perf_counter_ns()
-        fn()
-        elapsed = time.perf_counter_ns() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    assert best is not None
-    return best
 
 
 def _build_store(n: int, n_raters: int, n_targets: int) -> EventStore:
@@ -102,17 +92,6 @@ def _cold_clone(name: str, store: EventStore) -> ReputationModel:
     return model
 
 
-def _reference_scores(
-    model: ReputationModel,
-    batch: List[str],
-    persp: str,
-    now: float,
-) -> List[float]:
-    if hasattr(model, "score_many_reference"):
-        return model.score_many_reference(batch, persp, now)
-    return ReputationModel.score_many(model, batch, persp, now)
-
-
 def _time_cold_paths(
     name: str,
     store: EventStore,
@@ -121,19 +100,21 @@ def _time_cold_paths(
     now: float,
     repeats: int,
 ) -> Tuple[int, int]:
-    """(reference ns, kernel ns), each on a fresh clone per repeat."""
-    check_ref = _reference_scores(_cold_clone(name, store), batch, persp, now)
-    check_kernel = _cold_clone(name, store).score_many(batch, persp, now)
-    assert check_kernel == pytest.approx(check_ref, abs=1e-9), (
-        f"{name}: columnar kernel diverges from the replay reference"
+    """(base loop ns, kernel ns), each on a fresh clone per repeat."""
+    check_loop = ReputationModel.score_many(
+        _cold_clone(name, store), batch, persp, now
     )
-    ref_ns = _best_ns(
-        lambda: _reference_scores(
+    check_kernel = _cold_clone(name, store).score_many(batch, persp, now)
+    assert check_kernel == pytest.approx(check_loop, abs=1e-9), (
+        f"{name}: columnar kernel diverges from the base score loop"
+    )
+    ref_ns = best_ns(
+        lambda: ReputationModel.score_many(
             _cold_clone(name, store), batch, persp, now
         ),
         repeats,
     )
-    kernel_ns = _best_ns(
+    kernel_ns = best_ns(
         lambda: _cold_clone(name, store).score_many(batch, persp, now),
         repeats,
     )
@@ -158,7 +139,7 @@ def _report_rows(report: Dict[str, Dict[str, object]]) -> List[List[object]]:
 
 
 def test_columnar_small_never_slower(table_printer):
-    """At 10^3 events the kernels must not lose to their references
+    """At 10^3 events the kernels must not lose to the base loop
     (modulo SMALL_TOLERANCE runner noise) — vectorization overhead has
     to pay for itself even on small stores."""
     store = _build_store(SMALL_EVENTS, n_raters=20, n_targets=BATCH_SIZE)
@@ -194,11 +175,11 @@ def test_columnar_small_never_slower(table_printer):
         kernel = model.score_many(batch, "r0", now)
         loop = ReputationModel.score_many(model, batch, "r0", now)
         assert kernel == pytest.approx(loop, abs=1e-9), name
-        ref_ns = _best_ns(
+        ref_ns = best_ns(
             lambda m=model: ReputationModel.score_many(m, batch, "r0", now),
             SMALL_REPEATS,
         )
-        kernel_ns = _best_ns(
+        kernel_ns = best_ns(
             lambda m=model: m.score_many(batch, "r0", now), SMALL_REPEATS
         )
         report[name] = {
@@ -219,7 +200,7 @@ def test_columnar_small_never_slower(table_printer):
     )
     table_printer(
         f"Columnar kernels at {SMALL_EVENTS} events (batch of {BATCH_SIZE})",
-        ["mechanism", "reference ns", "kernel ns", "speedup"],
+        ["mechanism", "base loop ns", "kernel ns", "speedup"],
         _report_rows(report),
     )
     slow = {
@@ -228,13 +209,13 @@ def test_columnar_small_never_slower(table_printer):
         if row["kernel_ns"] > row["reference_ns"] * SMALL_TOLERANCE
     }
     assert not slow, (
-        f"columnar kernel > {SMALL_TOLERANCE}x its reference at "
+        f"columnar kernel > {SMALL_TOLERANCE}x the base loop at "
         f"{SMALL_EVENTS} events: {slow}"
     )
 
 
 def test_columnar_large_speedup(table_printer):
-    """The headline gate: >= 5x over scalar replay at 10^6 events on
+    """The headline gate: >= 5x over the base loop at 10^6 events on
     the beta/sporas/histos kernels."""
     store = _build_store(LARGE_EVENTS, n_raters=4000, n_targets=1000)
     batch = [f"svc-{i}" for i in range(BATCH_SIZE)]
@@ -266,7 +247,7 @@ def test_columnar_large_speedup(table_printer):
     )
     table_printer(
         f"Columnar kernels at {LARGE_EVENTS} events (batch of {BATCH_SIZE})",
-        ["mechanism", "reference ns", "kernel ns", "speedup"],
+        ["mechanism", "base loop ns", "kernel ns", "speedup"],
         _report_rows(report),
     )
     for name in HEADLINE:

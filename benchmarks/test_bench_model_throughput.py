@@ -20,12 +20,12 @@ Two layers:
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 import pytest
 
+from benchmarks._bench import best_ns
 from repro.common.records import Feedback
 from repro.core.registry import default_registry
 from repro.models.base import ReputationModel
@@ -146,20 +146,6 @@ def test_bench_large_world_round(benchmark):
 # BENCH_models.json.
 # ---------------------------------------------------------------------------
 
-def _best_ns(fn: Callable[[], object], repeats: int = REPEATS) -> int:
-    """Minimum wall time of *fn* over *repeats* runs (ns) — the min is
-    the standard noise-robust estimator for micro-timings."""
-    best = None
-    for _ in range(repeats):
-        start = time.perf_counter_ns()
-        fn()
-        elapsed = time.perf_counter_ns() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    assert best is not None
-    return best
-
-
 def _has_batch_kernel(model: ReputationModel) -> bool:
     return type(model).score_many is not ReputationModel.score_many
 
@@ -237,30 +223,32 @@ def test_regression_batch_vs_naive(table_printer, wide_stream):
 
         # record: amortized over a burst of fresh feedback.
         recorder = _warmed(name, records)
-        record_ns = _best_ns(
-            lambda m=recorder: [m.record(f) for f in extras]
+        record_ns = best_ns(
+            lambda m=recorder: [m.record(f) for f in extras], REPEATS
         ) / len(extras)
 
         # warm scalar score / per-candidate loop / batched call, all on
         # one instance with no interleaved feedback (steady-state query).
         scorer = _warmed(name, records)
         scorer.score(batch[0], perspective, now)  # warm any lazy cache
-        score_ns = _best_ns(
-            lambda m=scorer: m.score(batch[0], perspective, now)
+        score_ns = best_ns(
+            lambda m=scorer: m.score(batch[0], perspective, now), REPEATS
         )
-        loop_ns = _best_ns(
+        loop_ns = best_ns(
             lambda m=scorer: ReputationModel.score_many(
                 m, batch, perspective, now
-            )
+            ),
+            REPEATS,
         )
-        batch_ns = _best_ns(
-            lambda m=scorer: m.score_many(batch, perspective, now)
+        batch_ns = best_ns(
+            lambda m=scorer: m.score_many(batch, perspective, now), REPEATS
         )
 
         # naive path on its own instance (graph models mutate caches).
         naive_model = _warmed(name, records)
-        naive_ns = _best_ns(
-            lambda m=naive_model: _naive_scores(m, batch, perspective, now)
+        naive_ns = best_ns(
+            lambda m=naive_model: _naive_scores(m, batch, perspective, now),
+            REPEATS,
         )
 
         report[name] = {
@@ -376,8 +364,8 @@ def test_obs_disabled_recorder_overhead(table_printer, wide_stream):
     instrumented_ns = None
     bare_ns = None
     for _ in range(REPEATS):
-        b = _best_ns(bare, repeats=1)
-        i = _best_ns(instrumented, repeats=1)
+        b = best_ns(bare, repeats=1)
+        i = best_ns(instrumented, repeats=1)
         bare_ns = b if bare_ns is None else min(bare_ns, b)
         instrumented_ns = (
             i if instrumented_ns is None else min(instrumented_ns, i)

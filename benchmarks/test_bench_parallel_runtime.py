@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Dict, List
 
+from benchmarks._bench import best_ns
 from repro.core.registry import default_registry
 from repro.experiments.harness import (
     SelectionOutcome,
@@ -93,18 +93,6 @@ def run_serial_harness() -> List[SelectionOutcome]:
     return outcomes
 
 
-def _best_ns(fn: Callable[[], object], repeats: int = REPEATS) -> int:
-    best = None
-    for _ in range(repeats):
-        start = time.perf_counter_ns()
-        fn()
-        elapsed = time.perf_counter_ns() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    assert best is not None
-    return best
-
-
 def _same_outcomes(
     pooled: List[SelectionOutcome], serial: List[SelectionOutcome]
 ) -> bool:
@@ -143,11 +131,11 @@ def test_parallel_runtime_regression(table_printer):
         )
 
     # -- timings ------------------------------------------------------
-    serial_ns = _best_ns(run_serial_harness)
-    pool1_ns = _best_ns(lambda: run_trials(specs, max_workers=1))
+    serial_ns = best_ns(run_serial_harness, REPEATS)
+    pool1_ns = best_ns(lambda: run_trials(specs, max_workers=1), REPEATS)
     pool_rows: Dict[int, Dict[str, object]] = {}
     for workers in worker_counts:
-        wall_ns = _best_ns(
+        wall_ns = best_ns(
             lambda w=workers: run_trials(specs, max_workers=w),
             repeats=POOL_REPEATS,
         )

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.experiments.sharded import (
     PROCESS,
@@ -70,18 +69,6 @@ def _spec(n_consumers: int) -> ShardedRunSpec:
         rounds_per_epoch=ROUNDS_PER_EPOCH,
         world_params=params,
     )
-
-
-def _best_ns(fn: Callable[[], object], repeats: int = REPEATS) -> int:
-    best = None
-    for _ in range(repeats):
-        start = time.perf_counter_ns()
-        fn()
-        elapsed = time.perf_counter_ns() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    assert best is not None
-    return best
 
 
 def test_shard_runtime_regression(table_printer):

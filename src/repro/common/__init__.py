@@ -9,6 +9,7 @@ from repro.common.errors import (
     ReproError,
     RegistryError,
     RoutingError,
+    ShardWorkerError,
     SimulationError,
     UnknownEntityError,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "ReproError",
     "RoutingError",
     "SeedSequenceFactory",
+    "ShardWorkerError",
     "SimulationError",
     "UNIT_SCALE",
     "UnknownEntityError",

@@ -296,10 +296,6 @@ def picklable(*objects: Any) -> bool:
     return True
 
 
-#: Backwards-compatible private alias (pre-sharding name).
-_picklable = picklable
-
-
 def default_chunksize(n_items: int, workers: int) -> int:
     """Chunks sized for ~4 dispatches per worker — large enough to
     amortize IPC, small enough to keep the pool load-balanced."""
@@ -322,7 +318,7 @@ def parallel_map(
     """
     items = list(items)
     workers = min(int(max_workers), len(items))
-    if workers <= 1 or not _picklable(fn, items):
+    if workers <= 1 or not picklable(fn, items):
         return [fn(item) for item in items]
     if chunksize is None:
         chunksize = default_chunksize(len(items), workers)
@@ -389,7 +385,7 @@ def run_trials(
     """
     specs = list(specs)
     workers = min(int(max_workers), len(specs))
-    pooled = workers > 1 and _picklable(run_trial, specs)
+    pooled = workers > 1 and picklable(run_trial, specs)
     if chunksize is None:
         chunksize = default_chunksize(len(specs), max(1, workers))
     start = time.perf_counter_ns()

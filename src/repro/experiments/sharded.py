@@ -69,7 +69,11 @@ from typing import (
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError, UnknownEntityError
+from repro.common.errors import (
+    ConfigurationError,
+    ShardWorkerError,
+    UnknownEntityError,
+)
 from repro.common.ids import EntityId
 from repro.common.records import Feedback
 from repro.common.simtime import from_ticks, to_ticks
@@ -207,6 +211,11 @@ class ShardedRunSpec:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigurationError(
                 f"epsilon must be in [0, 1]: {self.epsilon}"
+            )
+        if self.optimality_tolerance < 0:
+            raise ConfigurationError(
+                "optimality_tolerance must be >= 0: "
+                f"{self.optimality_tolerance}"
             )
 
     @property
@@ -692,24 +701,28 @@ def _worker_main(
             else:
                 raise ConfigurationError(f"unknown command: {command!r}")
     except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        # Grandfathered: best-effort error forwarding on an already-dying
-        # worker.  If the pipe itself is gone there is nobody left to
-        # tell; the coordinator sees the broken pipe and raises anyway.
-        except Exception:  # reprolint: disable=R011
-            pass
+        # If the pipe is already gone this send raises too; the
+        # coordinator then sees the closed pipe in _expect instead.
+        conn.send(("error", traceback.format_exc()))
+        raise
     finally:
         conn.close()
 
 
-def _expect(conn: Any, tag: str) -> Any:
-    message = conn.recv()
+def _expect(conn: Any, shard: int, tag: str) -> Any:
+    """The payload of shard *shard*'s next message, which must be *tag*;
+    every failure surfaces as a :class:`ShardWorkerError`."""
+    try:
+        message = conn.recv()
+    except (EOFError, OSError) as exc:
+        raise ShardWorkerError(
+            shard, tag, f"worker pipe closed ({type(exc).__name__})"
+        ) from exc
     if message[0] == "error":
-        raise RuntimeError(f"shard worker failed:\n{message[1]}")
+        raise ShardWorkerError(shard, tag, f"worker raised:\n{message[1]}")
     if message[0] != tag:
-        raise RuntimeError(
-            f"protocol error: expected {tag!r}, got {message[0]!r}"
+        raise ShardWorkerError(
+            shard, tag, f"protocol error: got {message[0]!r}"
         )
     return message[1]
 
@@ -797,18 +810,24 @@ def _run_process(
             child.close()
             processes.append(process)
             conns.append(parent)
-        consumers_per_shard = [_expect(conn, "ready") for conn in conns]
+        consumers_per_shard = [
+            _expect(conn, s, "ready") for s, conn in enumerate(conns)
+        ]
         for epoch in range(spec.epochs):
             scores = coordinator.epoch_scores(epoch)
             for conn in conns:
                 conn.send(("epoch", epoch, scores))
             # Receiving in shard order is deadlock-free: every worker
             # computes independently and blocks only on its own pipe.
-            deltas = [_expect(conn, "delta") for conn in conns]
+            deltas = [
+                _expect(conn, s, "delta") for s, conn in enumerate(conns)
+            ]
             coordinator.apply(epoch, deltas)
         for conn in conns:
             conn.send(("stats",))
-        shard_snapshots = [_expect(conn, "stats") for conn in conns]
+        shard_snapshots = [
+            _expect(conn, s, "stats") for s, conn in enumerate(conns)
+        ]
         for conn in conns:
             conn.send(("stop",))
         return consumers_per_shard, shard_snapshots

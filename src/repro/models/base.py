@@ -83,20 +83,17 @@ class ReputationModel(abc.ABC):
     ) -> List[float]:
         """Scores for *targets*, in order.
 
-        Three paths coexist, fastest first, and the property suites pin
-        them together to 1e-9 under any record/query interleaving:
+        Two paths coexist, and the parity suites pin them together to
+        1e-9 under any record/query interleaving:
 
         1. **columnar kernel** — store-backed models override this with
            numpy reductions (bincount/lexsort) over the shared
            :class:`~repro.store.EventStore` snapshot, cached per store
            version;
-        2. **scalar reference** — ported models keep their pre-columnar
-           python batch path as ``score_many_reference`` (and some
-           kernels fall back to it when their vectorization
-           preconditions fail, e.g. Sporas with coupled rater/target
-           sets);
-        3. **base loop** — this default, one :meth:`score` call per
-           target, the semantic ground truth.
+        2. **base loop** — this default, one :meth:`score` call per
+           target, the semantic ground truth.  Kernels whose
+           vectorization preconditions fail call it directly (Sporas
+           with coupled rater/target sets).
         """
         return [self.score(t, perspective, now) for t in targets]
 

@@ -117,29 +117,6 @@ class BetaReputation(ReputationModel):
         b = beta + self.prior_beta
         return a / (a + b)
 
-    def score_many_reference(
-        self,
-        targets: Sequence[EntityId],
-        perspective: Optional[EntityId] = None,
-        now: Optional[float] = None,
-    ) -> List[float]:
-        """The pre-columnar batched path (hoisted gathers over the
-        replayed scalar state) — kept as the parity/bench reference."""
-        self._advance()
-        evidence = self._evidence
-        code = self._store.entities.code
-        prior_alpha = self.prior_alpha
-        prior_beta = self.prior_beta
-        zero = (0.0, 0.0)
-        out: List[float] = []
-        append = out.append
-        for target in targets:
-            alpha, beta = evidence.get(code(target), zero)
-            a = alpha + prior_alpha
-            b = beta + prior_beta
-            append(a / (a + b))
-        return out
-
     # -- columnar kernel -----------------------------------------------
     def _kernel_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Dense per-code (alpha, beta) mass reduced from the store

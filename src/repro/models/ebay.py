@@ -177,25 +177,6 @@ class EbayModel(ReputationModel):
         # Laplace smoothing: no evidence scores 0.5.
         return (positives + 1.0) / (positives + negatives + 2.0)
 
-    def score_many_reference(
-        self,
-        targets: Sequence[EntityId],
-        perspective: Optional[EntityId] = None,
-        now: Optional[float] = None,
-    ) -> List[float]:
-        """The pre-columnar batched path (hoisted gathers over the
-        replayed running totals) — kept as the parity/bench reference."""
-        self._advance()
-        totals = self._totals
-        code = self._store.entities.code
-        zero = (0, 0, 0)
-        out: List[float] = []
-        append = out.append
-        for target in targets:
-            positives, negatives, _total = totals.get(code(target), zero)
-            append((positives + 1.0) / (positives + negatives + 2.0))
-        return out
-
     # -- columnar kernel -----------------------------------------------
     def _kernel_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Dense per-code (positives, negatives) counts reduced from the

@@ -229,29 +229,14 @@ class PeerTrustModel(ReputationModel):
         return 1.0 - math.sqrt(squared)
 
     def _credibility(
-        self,
-        evaluator: Optional[int],
-        rater: int,
-        depth: int,
-        memo: Optional[Dict[Tuple[int, int], float]] = None,
+        self, evaluator: Optional[int], rater: int, depth: int
     ) -> float:
-        """Cr of *rater*; *memo* (one per batch query) caches values
-        across the candidate set — credibility depends on the rater,
-        not on which target is being scored."""
-        if memo is not None:
-            key = (rater, depth)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
+        """Cr of *rater*: PSM similarity, or TVM's depth-damped trust."""
         if self.credibility is CredibilityMeasure.PSM:
-            value = max(0.0, self._similarity(evaluator, rater))
-        elif depth <= 0:
-            value = 0.5
-        else:
-            value = self._trust(rater, evaluator, depth - 1, memo)
-        if memo is not None:
-            memo[(rater, depth)] = value
-        return value
+            return max(0.0, self._similarity(evaluator, rater))
+        if depth <= 0:
+            return 0.5
+        return self._trust(rater, evaluator, depth - 1)
 
     # -- the metric --------------------------------------------------------
     def community_context(self, peer: EntityId) -> float:
@@ -261,11 +246,7 @@ class PeerTrustModel(ReputationModel):
         return filed / (filed + 5.0)
 
     def _trust(
-        self,
-        target: int,
-        perspective: Optional[int],
-        depth: int,
-        memo: Optional[Dict[Tuple[int, int], float]] = None,
+        self, target: int, perspective: Optional[int], depth: int
     ) -> float:
         transactions = self._tx.get(target, [])
         recent = sorted(transactions, key=lambda t: t[3])[-self.window:]
@@ -275,7 +256,7 @@ class PeerTrustModel(ReputationModel):
             numerator = 0.0
             denominator = 0.0
             for rater, satisfaction, context, _time in recent:
-                cr = self._credibility(perspective, rater, depth, memo)
+                cr = self._credibility(perspective, rater, depth)
                 weight = cr * context
                 numerator += satisfaction * weight
                 denominator += weight
@@ -300,26 +281,6 @@ class PeerTrustModel(ReputationModel):
             None if perspective is None else code(perspective),
             self.tvm_depth,
         )
-
-    def score_many_reference(
-        self,
-        targets: Sequence[EntityId],
-        perspective: Optional[EntityId] = None,
-        now: Optional[float] = None,
-    ) -> List[float]:
-        """The pre-columnar batched path: per-target scalar trust with
-        one shared credibility memo — kept as the parity/bench
-        reference.  (PSM similarity and the TVM recursion depend on the
-        rater being weighed, not on the candidate being scored, so one
-        memo serves the whole candidate set.)"""
-        self._advance()
-        code = self._store.entities.code
-        persp = None if perspective is None else code(perspective)
-        memo: Dict[Tuple[int, int], float] = {}
-        return [
-            self._trust(code(t), persp, self.tvm_depth, memo)
-            for t in targets
-        ]
 
     # -- columnar kernel ---------------------------------------------------
     def _base_arrays(self) -> Dict[str, np.ndarray]:

@@ -24,7 +24,8 @@ entity is both a rater and a target (the common web-service shape —
 consumers rate services), every rater weight is the newcomer floor and
 the per-target recursions are independent, so the kernel runs them as
 vectorized *rounds* — round k applies every target's k-th rating at
-once.  Coupled streams fall back to the exact scalar replay.
+once.  Coupled streams fall back to the base :meth:`score` loop over
+the exact scalar replay.
 """
 
 from __future__ import annotations
@@ -164,22 +165,6 @@ class SporasModel(ReputationModel):
     ) -> float:
         return self.reputation(target) / self.d
 
-    def score_many_reference(
-        self,
-        targets: Sequence[EntityId],
-        perspective: Optional[EntityId] = None,
-        now: Optional[float] = None,
-    ) -> List[float]:
-        """The pre-columnar batched path (hoisted gathers over the
-        replayed recursion state) — kept as the parity/bench reference."""
-        self._advance()
-        reputation = self._reputation
-        code = self._store.entities.code
-        d = self.d
-        return [
-            reputation.get(code(target), 0.0) / d for target in targets
-        ]
-
     # -- columnar kernel -----------------------------------------------
     def _kernel_array(self) -> Optional[np.ndarray]:
         """Dense per-code reputations from the vectorized-rounds kernel,
@@ -244,10 +229,10 @@ class SporasModel(ReputationModel):
         now: Optional[float] = None,
     ) -> List[float]:
         """Batch reputations from the rounds kernel (gather + divide);
-        coupled streams use the scalar-replay reference instead."""
+        coupled streams fall back to the base :meth:`score` loop."""
         state = self._kernel_array()
         if state is None:
-            return self.score_many_reference(targets, perspective, now)
+            return super().score_many(targets, perspective, now)
         codes = self._store.entities.codes(targets)
         known = codes >= 0
         safe = np.where(known, codes, 0)

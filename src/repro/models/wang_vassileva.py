@@ -301,78 +301,6 @@ class WangVassilevaModel(ReputationModel):
         own_weight = own_evidence / (own_evidence + 2.0)
         return own_weight * own + (1.0 - own_weight) * pooled
 
-    def score_many_reference(
-        self,
-        targets: Sequence[EntityId],
-        perspective: Optional[EntityId] = None,
-        now: Optional[float] = None,
-    ) -> List[float]:
-        """The pre-columnar batched path: one sweep over the (agent,
-        partner) models sharing the rater-credibility weights — kept as
-        the parity/bench reference."""
-        if not targets:
-            return []
-        self._advance()
-        code = self._store.entities.code
-        target_codes = [code(t) for t in targets]
-        if perspective is None:
-            wanted = set(target_codes)
-            sums: Dict[int, float] = {}
-            counts: Dict[int, int] = {}
-            for partners in self._models.values():
-                for target, model in partners.items():
-                    if target in wanted:
-                        sums[target] = sums.get(target, 0.0) + (
-                            self._provider_trust(model)
-                        )
-                        counts[target] = counts.get(target, 0) + 1
-            return [
-                sums[t] / counts[t] if counts.get(t) else 0.5
-                for t in target_codes
-            ]
-        persp = code(perspective)
-        persp_models = self._models.get(persp, {})
-        rater_memo: Dict[int, float] = {}
-        wanted = set(target_codes)
-        pooled_total: Dict[int, float] = {}
-        pooled_weight: Dict[int, float] = {}
-        for other, partners in self._models.items():
-            if other == persp:
-                continue
-            weight: Optional[float] = None
-            for target, model in partners.items():
-                if target not in wanted:
-                    continue
-                if weight is None:
-                    weight = rater_memo.get(other)
-                    if weight is None:
-                        weight = self._rater_weight(persp, other)
-                        rater_memo[other] = weight
-                opinion = self._provider_trust(model)
-                pooled_total[target] = (
-                    pooled_total.get(target, 0.0) + weight * opinion
-                )
-                pooled_weight[target] = (
-                    pooled_weight.get(target, 0.0) + weight
-                )
-        results: List[float] = []
-        for target in target_codes:
-            model = persp_models.get(target)
-            own = self._provider_trust(model)
-            weight_sum = pooled_weight.get(target, 0.0)
-            if weight_sum <= 0:
-                results.append(own)
-                continue
-            pooled = pooled_total[target] / weight_sum
-            own_evidence = (
-                model.overall.satisfied + model.overall.unsatisfied
-                if model
-                else 0.0
-            )
-            own_weight = own_evidence / (own_evidence + 2.0)
-            results.append(own_weight * own + (1.0 - own_weight) * pooled)
-        return results
-
     # -- columnar kernel -------------------------------------------------------
     def _pair_arrays(self) -> Dict[str, np.ndarray]:
         """Per-(rater, target) posteriors over the pair universe (store

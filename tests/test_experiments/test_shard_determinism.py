@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import io
+import multiprocessing as mp
+import os
 
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ShardWorkerError
 from repro.experiments.sharded import (
     PROCESS,
     SERIAL,
@@ -150,6 +152,32 @@ class TestProcessMode:
             )
 
 
+def _dying_shard_world(seed, consumer_indices=None, **params):
+    """Builds normally, except in the worker process of shard 1 of 2,
+    which exits without a word (a crash the worker cannot report)."""
+    if (
+        mp.parent_process() is not None
+        and consumer_indices
+        and shard_of(shard_consumer_id(consumer_indices[0]), 2) == 1
+    ):
+        os._exit(3)
+    return make_shard_world(
+        seed=seed, consumer_indices=consumer_indices, **params
+    )
+
+
+class TestWorkerFailure:
+    def test_dead_worker_names_its_shard(self):
+        register_shard_world_builder(
+            "dying-shard-world", _dying_shard_world, overwrite=True
+        )
+        spec = _spec(5, world="dying-shard-world")
+        with pytest.raises(ShardWorkerError, match="shard 1") as info:
+            run_sharded_experiment(spec, shards=2, mode=PROCESS)
+        assert info.value.shard == 1
+        assert info.value.expected == "ready"
+
+
 class TestDispatchAccounting:
     def test_silent_shards_count_in_load_imbalance(self):
         # 1 consumer over 4 shards: three shards never receive a
@@ -184,6 +212,8 @@ class TestSpecValidation:
             ShardedRunSpec(rounds_per_epoch=0)
         with pytest.raises(ConfigurationError):
             ShardedRunSpec(epsilon=1.5)
+        with pytest.raises(ConfigurationError, match="optimality_tolerance"):
+            ShardedRunSpec(optimality_tolerance=-1.0)
         with pytest.raises(ConfigurationError):
             run_sharded_experiment(ShardedRunSpec(), shards=0)
         with pytest.raises(ConfigurationError):
