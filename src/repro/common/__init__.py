@@ -9,9 +9,9 @@ from repro.common.errors import (
     ReproError,
     RegistryError,
     RoutingError,
-    ShardWorkerError,
     SimulationError,
     UnknownEntityError,
+    WorkerError,
 )
 from repro.common.ids import EntityId, IdFactory
 from repro.common.mathutils import (
@@ -44,10 +44,10 @@ __all__ = [
     "ReproError",
     "RoutingError",
     "SeedSequenceFactory",
-    "ShardWorkerError",
     "SimulationError",
     "UNIT_SCALE",
     "UnknownEntityError",
+    "WorkerError",
     "clamp",
     "cosine_similarity",
     "exponential_decay",

@@ -38,18 +38,18 @@ class RoutingError(ReproError):
     """A P2P overlay could not route a message to a responsible node."""
 
 
-class ShardWorkerError(ReproError, RuntimeError):
-    """A shard worker process raised, died or broke protocol.
+class WorkerError(ReproError, RuntimeError):
+    """A worker process raised, died or broke protocol.
 
-    Names the shard and the message the coordinator was waiting for.
-    Inherits from :class:`RuntimeError`, which sharded runs raised for
-    worker failures before this type existed.
+    Names the worker's role and index and the message the coordinator
+    was waiting for.  Inherits from :class:`RuntimeError`, which
+    sharded runs raised for worker failures before this type existed.
     """
 
-    def __init__(self, shard: int, expected: str, cause: str) -> None:
+    def __init__(self, role: str, worker: int, expected: str, cause: str) -> None:
         super().__init__(
-            f"shard {shard} worker failed while the coordinator awaited "
+            f"{role} {worker} worker failed while the coordinator awaited "
             f"{expected!r}: {cause}"
         )
-        self.shard = shard
+        self.worker = worker
         self.expected = expected

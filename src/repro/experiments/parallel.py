@@ -1,4 +1,4 @@
-"""Deterministic process-pool fan-out for replications and sweeps.
+"""Deterministic process fan-out for replications, sweeps and shards.
 
 The experiments behind the paper's claims are embarrassingly parallel:
 every (replication seed × sweep point × model) trial builds its own
@@ -16,29 +16,33 @@ Three design rules enforce it:
   depend on which process runs it.
 * **Scheduling-independent seeds.**  Trial seeds come from
   :meth:`~repro.common.randomness.SeedSequenceFactory.spawn`, which is
-  a pure function of (base seed, label).  Chunking, worker count, and
+  a pure function of (base seed, label).  Worker count and
   completion order cannot perturb any trial's RNG streams.
-* **Canonical merge order.**  Results are always returned in spec
-  order (``ProcessPoolExecutor.map`` preserves input order), so the
-  caller sees the same list the serial loop would have produced.
+* **Canonical merge order.**  Worker *i* of *n* runs ``specs[i::n]``
+  and the slices interleave back into spec order, so the caller sees
+  the same list the serial loop would have produced.
 
-``max_workers=1`` (the default) runs a plain in-process loop — the
-zero-dependency fallback — as does any batch whose function or items
-fail a pickling pre-check (e.g. world params closing over lambdas).
+:class:`WorkerGroup` is the one process runtime, shared with
+:mod:`repro.experiments.sharded`.  ``max_workers=1`` (the default)
+runs in-process, as does any batch whose function or items fail a
+pickling pre-check (e.g. world params closing over lambdas).
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -46,7 +50,11 @@ from typing import (
     Tuple,
 )
 
-from repro.common.errors import ConfigurationError, UnknownEntityError
+from repro.common.errors import (
+    ConfigurationError,
+    UnknownEntityError,
+    WorkerError,
+)
 from repro.common.randomness import SeedSequenceFactory
 from repro.experiments.harness import (
     SelectionOutcome,
@@ -182,6 +190,10 @@ class TrialSpec:
     label: str = ""
     telemetry: bool = False
 
+    def __post_init__(self) -> None:
+        if self.rounds < 1:
+            raise ConfigurationError(f"rounds must be >= 1: {self.rounds}")
+
 
 @dataclass
 class TrialResult:
@@ -272,13 +284,12 @@ def jobs_from_env(default: int = 1) -> int:
         return max(1, default)
     if raw.lower() in {"0", "auto"}:
         return max(1, os.cpu_count() or 1)
-    try:
-        value = int(raw)
-    except ValueError:
+    if not raw.isdecimal():
         raise ConfigurationError(
-            f"{JOBS_ENV} must be an integer or 'auto', got {raw!r}"
-        ) from None
-    return max(1, value)
+            f"{JOBS_ENV} must be a non-negative integer or 'auto', "
+            f"got {raw!r}"
+        )
+    return max(1, int(raw))
 
 
 def picklable(*objects: Any) -> bool:
@@ -296,17 +307,144 @@ def picklable(*objects: Any) -> bool:
     return True
 
 
-def default_chunksize(n_items: int, workers: int) -> int:
-    """Chunks sized for ~4 dispatches per worker — large enough to
-    amortize IPC, small enough to keep the pool load-balanced."""
-    return max(1, -(-n_items // (workers * 4)))
+def _serve(conn: Any, factory: Callable[[int], Any], index: int) -> None:
+    """One worker process: build once, then answer calls."""
+    try:
+        worker = factory(index)
+        conn.send(("ready", None))
+        while True:  # until the coordinator terminates this process
+            method, args = conn.recv()
+            conn.send((method, getattr(worker, method)(*args)))
+    except BaseException:
+        # If the pipe is already gone this send raises too; the
+        # coordinator then sees the closed pipe instead.
+        conn.send(("error", traceback.format_exc()))
+        raise
+    finally:
+        conn.close()
+
+
+class WorkerGroup:
+    """*n* stateful workers behind one ordered-message protocol.
+
+    Worker *i* is built once as ``factory(i)``; :meth:`call` runs one
+    method on every worker and returns the replies in worker order.
+    With ``processes=False`` the same objects run in-process, so the
+    serial fallback and process mode share one loop.  In process mode
+    each worker is an ``mp.Process`` + ``mp.Pipe`` pair, and every
+    failure raises :class:`~repro.common.errors.WorkerError` naming
+    *role*, the worker index and the awaited reply.
+    """
+
+    def __init__(
+        self, factory: Callable[[int], Any], n: int, role: str, processes: bool
+    ) -> None:
+        self.role = role
+        self._local: Optional[List[Any]] = None
+        self._conns: List[Any] = []
+        self._processes: List[Any] = []
+        if not processes:
+            self._local = [factory(i) for i in range(n)]
+            return
+        try:
+            for i in range(n):
+                parent, child = mp.Pipe()
+                process = mp.Process(
+                    target=_serve, args=(child, factory, i), daemon=True
+                )
+                process.start()
+                child.close()
+                self._processes.append(process)
+                self._conns.append(parent)
+            for i in range(n):
+                self._receive(i, "ready")
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "WorkerGroup":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+    def call(self, method: str, *args: Any) -> List[Any]:
+        """``getattr(worker, method)(*args)`` on every worker, in order."""
+        if self._local is not None:
+            return [getattr(worker, method)(*args) for worker in self._local]
+        for i in range(len(self._conns)):
+            with self._pipe(i, method) as conn:
+                conn.send((method, args))
+        # Receiving in worker order is deadlock-free: every worker
+        # computes independently and blocks only on its own pipe.
+        return [self._receive(i, method) for i in range(len(self._conns))]
+
+    def close(self) -> None:
+        """Stop the worker processes with SIGTERM: after a run each is
+        idle in ``recv``, and after a failure the run is abandoned."""
+        for process in self._processes:
+            process.terminate()
+            process.join(timeout=5)
+        for conn in self._conns:
+            conn.close()
+
+    @contextmanager
+    def _pipe(self, index: int, expected: str) -> Iterator[Any]:
+        try:
+            yield self._conns[index]
+        except (EOFError, OSError) as exc:
+            raise WorkerError(
+                self.role, index, expected,
+                f"worker pipe closed ({type(exc).__name__})",
+            ) from exc
+
+    def _receive(self, index: int, expected: str) -> Any:
+        with self._pipe(index, expected) as conn:
+            tag, payload = conn.recv()
+        if tag == "error":
+            raise WorkerError(
+                self.role, index, expected, f"worker raised:\n{payload}"
+            )
+        if tag != expected:
+            raise WorkerError(
+                self.role, index, expected, f"protocol error: got {tag!r}"
+            )
+        return payload
+
+
+@dataclass
+class _Slice:
+    """One trial worker's share of a batch: *fn* over *items*."""
+
+    fn: Callable[[Any], Any]
+    items: List[Any]
+
+    def run(self) -> List[Any]:
+        return [self.fn(item) for item in self.items]
+
+
+def _fan_out(
+    fn: Callable[[Any], Any], items: List[Any], max_workers: int
+) -> Tuple[List[Any], int]:
+    """``[fn(x) for x in items]`` on up to *max_workers* processes, plus
+    the number of workers used (1 means in-process)."""
+    workers = min(int(max_workers), len(items))
+    pooled = workers > 1 and picklable(fn, items)
+    workers = workers if pooled else 1
+    # Worker i is built as shares[i], which maps fn over items[i::workers].
+    shares = [_Slice(fn, items[i::workers]) for i in range(workers)]
+    with WorkerGroup(shares.__getitem__, workers, "slice", pooled) as group:
+        slices = group.call("run")
+    results: List[Any] = [None] * len(items)
+    for i, chunk in enumerate(slices):
+        results[i::workers] = chunk
+    return results, workers
 
 
 def parallel_map(
     fn: Callable[[Any], Any],
     items: Iterable[Any],
     max_workers: int = 1,
-    chunksize: Optional[int] = None,
 ) -> List[Any]:
     """Ordered ``map(fn, items)`` over a process pool.
 
@@ -316,14 +454,7 @@ def parallel_map(
     pickling pre-check (lambdas, closures, live RNGs...) — so callers
     never need a serial code path of their own.
     """
-    items = list(items)
-    workers = min(int(max_workers), len(items))
-    if workers <= 1 or not picklable(fn, items):
-        return [fn(item) for item in items]
-    if chunksize is None:
-        chunksize = default_chunksize(len(items), workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+    return _fan_out(fn, list(items), max_workers)[0]
 
 
 @dataclass
@@ -334,7 +465,6 @@ class TrialRunReport:
     wall_ns: int
     workers: int
     mode: str
-    chunksize: int
 
     @property
     def outcomes(self) -> List[SelectionOutcome]:
@@ -375,32 +505,22 @@ class TrialRunReport:
 def run_trials(
     specs: Sequence[TrialSpec],
     max_workers: int = 1,
-    chunksize: Optional[int] = None,
 ) -> TrialRunReport:
     """Execute *specs* and merge results in canonical (spec) order.
 
-    The parallel==serial contract: for any ``max_workers`` and any
-    ``chunksize``, the returned outcomes are identical to
-    ``[run_trial(s) for s in specs]`` — exact replay, not tolerance.
+    The parallel==serial contract: for any ``max_workers``, the
+    returned outcomes are identical to ``[run_trial(s) for s in
+    specs]`` — exact replay, not tolerance.  An exception raised inside
+    a pooled trial arrives as :class:`~repro.common.errors.WorkerError`
+    carrying the remote traceback; in-process runs raise it as is.
     """
-    specs = list(specs)
-    workers = min(int(max_workers), len(specs))
-    pooled = workers > 1 and picklable(run_trial, specs)
-    if chunksize is None:
-        chunksize = default_chunksize(len(specs), max(1, workers))
     start = time.perf_counter_ns()
-    if pooled:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, specs, chunksize=chunksize))
-    else:
-        results = [run_trial(spec) for spec in specs]
-    wall_ns = time.perf_counter_ns() - start
+    results, workers = _fan_out(run_trial, list(specs), max_workers)
     return TrialRunReport(
         results=results,
-        wall_ns=wall_ns,
-        workers=workers if pooled else 1,
-        mode=PROCESS_POOL if pooled else SERIAL,
-        chunksize=chunksize,
+        wall_ns=time.perf_counter_ns() - start,
+        workers=workers,
+        mode=PROCESS_POOL if workers > 1 else SERIAL,
     )
 
 
@@ -454,7 +574,6 @@ def run_replications(
     attack: Optional[AttackSpec] = None,
     rate_providers: bool = False,
     max_workers: int = 1,
-    chunksize: Optional[int] = None,
     telemetry: bool = False,
 ) -> TrialRunReport:
     """Fan *replications* seeded trials of *model* across the pool."""
@@ -469,7 +588,7 @@ def run_replications(
         rate_providers=rate_providers,
         telemetry=telemetry,
     )
-    return run_trials(specs, max_workers=max_workers, chunksize=chunksize)
+    return run_trials(specs, max_workers=max_workers)
 
 
 def sweep_specs(
@@ -531,7 +650,6 @@ def run_sweep(
     attack: Optional[AttackSpec] = None,
     rate_providers: bool = False,
     max_workers: int = 1,
-    chunksize: Optional[int] = None,
     telemetry: bool = False,
 ) -> TrialRunReport:
     """Sweep a world parameter across models, fanned out over the pool."""
@@ -548,7 +666,7 @@ def run_sweep(
         rate_providers=rate_providers,
         telemetry=telemetry,
     )
-    return run_trials(specs, max_workers=max_workers, chunksize=chunksize)
+    return run_trials(specs, max_workers=max_workers)
 
 
 def group_sweep(

@@ -52,10 +52,9 @@ separate :class:`ShardDispatchReport`.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time as _time
-import traceback
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -69,16 +68,12 @@ from typing import (
 
 import numpy as np
 
-from repro.common.errors import (
-    ConfigurationError,
-    ShardWorkerError,
-    UnknownEntityError,
-)
+from repro.common.errors import ConfigurationError, UnknownEntityError
 from repro.common.ids import EntityId
 from repro.common.records import Feedback
 from repro.common.simtime import from_ticks, to_ticks
 from repro.core.scenarios import ScenarioResult
-from repro.experiments.parallel import picklable
+from repro.experiments.parallel import WorkerGroup, picklable
 from repro.experiments.workloads import (
     World,
     make_shard_world,
@@ -483,9 +478,9 @@ class ShardRuntime:
             home_counts=home_counts,
         )
 
-    def finalize(self) -> Dict[str, Any]:
-        """The shard's metrics snapshot (net.* traffic + fig2 ledger)."""
-        return self.network.metrics.snapshot()
+    def finalize(self) -> Tuple[int, Dict[str, Any]]:
+        """Consumer count and metrics snapshot (net.* traffic + fig2)."""
+        return len(self.owned), self.network.metrics.snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +605,12 @@ class _Coordinator:
     def finish(
         self,
         mode: str,
-        consumers_per_shard: List[int],
-        shard_snapshots: List[Dict[str, Any]],
+        finals: Sequence[Tuple[int, Dict[str, Any]]],
         wall_ns: int,
     ) -> ShardedRunReport:
+        """The report, given each shard's ``finalize()`` in shard order."""
         spec = self.spec
+        shard_snapshots = [snapshot for _, snapshot in finals]
         n_consumers = spec.n_consumers
         regrets = (
             np.concatenate(self._regret_chunks)
@@ -657,7 +653,7 @@ class _Coordinator:
             shards=self.shards,
             mode=mode,
             wall_ns=wall_ns,
-            consumers_per_shard=consumers_per_shard,
+            consumers_per_shard=[count for count, _ in finals],
             rows_per_shard=list(self._rows_per_shard),
             cross_shard_rows=self._cross_rows,
             load_imbalance=feedback_stats.load_imbalance(),
@@ -675,56 +671,6 @@ class _Coordinator:
             telemetry=telemetry,
             dispatch=dispatch,
         )
-
-
-# ---------------------------------------------------------------------------
-# Worker protocol
-# ---------------------------------------------------------------------------
-
-
-def _worker_main(
-    conn: Any, spec: ShardedRunSpec, shard_index: int, n_shards: int
-) -> None:
-    """One shard process: build once, then serve epochs over the pipe."""
-    try:
-        runtime = ShardRuntime(spec, shard_index, n_shards)
-        conn.send(("ready", len(runtime.owned)))
-        while True:
-            message = conn.recv()
-            command = message[0]
-            if command == "epoch":
-                conn.send(("delta", runtime.run_epoch(message[1], message[2])))
-            elif command == "stats":
-                conn.send(("stats", runtime.finalize()))
-            elif command == "stop":
-                return
-            else:
-                raise ConfigurationError(f"unknown command: {command!r}")
-    except BaseException:
-        # If the pipe is already gone this send raises too; the
-        # coordinator then sees the closed pipe in _expect instead.
-        conn.send(("error", traceback.format_exc()))
-        raise
-    finally:
-        conn.close()
-
-
-def _expect(conn: Any, shard: int, tag: str) -> Any:
-    """The payload of shard *shard*'s next message, which must be *tag*;
-    every failure surfaces as a :class:`ShardWorkerError`."""
-    try:
-        message = conn.recv()
-    except (EOFError, OSError) as exc:
-        raise ShardWorkerError(
-            shard, tag, f"worker pipe closed ({type(exc).__name__})"
-        ) from exc
-    if message[0] == "error":
-        raise ShardWorkerError(shard, tag, f"worker raised:\n{message[1]}")
-    if message[0] != tag:
-        raise ShardWorkerError(
-            shard, tag, f"protocol error: got {message[0]!r}"
-        )
-    return message[1]
 
 
 # ---------------------------------------------------------------------------
@@ -763,79 +709,11 @@ def run_sharded_experiment(
     use_pool = shards > 1 and mode != SERIAL and can_pickle
     coordinator = _Coordinator(spec, shards)
     start_ns = _time.perf_counter_ns()
-    if use_pool:
-        consumers_per_shard, shard_snapshots = _run_process(
-            spec, shards, coordinator
-        )
-        mode_used = PROCESS
-    else:
-        consumers_per_shard, shard_snapshots = _run_serial(
-            spec, shards, coordinator
-        )
-        mode_used = SERIAL
-    wall_ns = _time.perf_counter_ns() - start_ns
-    return coordinator.finish(
-        mode_used, consumers_per_shard, shard_snapshots, wall_ns
-    )
-
-
-def _run_serial(
-    spec: ShardedRunSpec, shards: int, coordinator: _Coordinator
-) -> Tuple[List[int], List[Dict[str, Any]]]:
-    runtimes = [ShardRuntime(spec, s, shards) for s in range(shards)]
-    for epoch in range(spec.epochs):
-        scores = coordinator.epoch_scores(epoch)
-        deltas = [runtime.run_epoch(epoch, scores) for runtime in runtimes]
-        coordinator.apply(epoch, deltas)
-    return (
-        [len(runtime.owned) for runtime in runtimes],
-        [runtime.finalize() for runtime in runtimes],
-    )
-
-
-def _run_process(
-    spec: ShardedRunSpec, shards: int, coordinator: _Coordinator
-) -> Tuple[List[int], List[Dict[str, Any]]]:
-    processes: List[mp.Process] = []
-    conns: List[Any] = []
-    try:
-        for s in range(shards):
-            parent, child = mp.Pipe()
-            process = mp.Process(
-                target=_worker_main,
-                args=(child, spec, s, shards),
-                daemon=True,
-            )
-            process.start()
-            child.close()
-            processes.append(process)
-            conns.append(parent)
-        consumers_per_shard = [
-            _expect(conn, s, "ready") for s, conn in enumerate(conns)
-        ]
+    factory = partial(ShardRuntime, spec, n_shards=shards)
+    with WorkerGroup(factory, shards, "shard", use_pool) as group:
         for epoch in range(spec.epochs):
             scores = coordinator.epoch_scores(epoch)
-            for conn in conns:
-                conn.send(("epoch", epoch, scores))
-            # Receiving in shard order is deadlock-free: every worker
-            # computes independently and blocks only on its own pipe.
-            deltas = [
-                _expect(conn, s, "delta") for s, conn in enumerate(conns)
-            ]
-            coordinator.apply(epoch, deltas)
-        for conn in conns:
-            conn.send(("stats",))
-        shard_snapshots = [
-            _expect(conn, s, "stats") for s, conn in enumerate(conns)
-        ]
-        for conn in conns:
-            conn.send(("stop",))
-        return consumers_per_shard, shard_snapshots
-    finally:
-        for conn in conns:
-            conn.close()
-        for process in processes:
-            process.join(timeout=30)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
+            coordinator.apply(epoch, group.call("run_epoch", epoch, scores))
+        finals = group.call("finalize")
+    wall_ns = _time.perf_counter_ns() - start_ns
+    return coordinator.finish(PROCESS if use_pool else SERIAL, finals, wall_ns)

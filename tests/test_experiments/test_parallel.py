@@ -1,4 +1,4 @@
-"""Tests for the deterministic process-pool experiment runtime.
+"""Tests for the deterministic process experiment runtime.
 
 The load-bearing property: ``parallel == serial``, exactly.  The
 hypothesis suite replays the same spec list through a 4-worker pool,
@@ -10,13 +10,19 @@ and a graph model (eigentrust).
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ConfigurationError, UnknownEntityError
+from repro.common.errors import (
+    ConfigurationError,
+    UnknownEntityError,
+    WorkerError,
+)
 from repro.common.randomness import SeedSequenceFactory
 from repro.core.registry import default_registry
 from repro.experiments.harness import run_selection_experiment
@@ -53,6 +59,20 @@ def _lenient_builder(seed=0, _probe=None, **kwargs):
 
 
 register_world_builder("lenient-test-world", _lenient_builder, overwrite=True)
+
+#: The trial seed whose world build kills its worker process.
+DYING_SEED = 5
+
+
+def _dying_builder(seed=0, **kwargs):
+    """Builds normally, except for :data:`DYING_SEED` in a worker
+    process, which exits without a word (a crash it cannot report)."""
+    if seed == DYING_SEED and mp.parent_process() is not None:
+        os._exit(3)
+    return make_world(seed=seed, **kwargs)
+
+
+register_world_builder("dying-test-world", _dying_builder, overwrite=True)
 
 
 def assert_outcomes_equal(lhs, rhs, tol: float = 1e-12) -> None:
@@ -101,6 +121,10 @@ class TestTaskProtocol:
             world_builder("not-a-world")
         with pytest.raises(UnknownEntityError):
             AttackSpec("not-an-attack").build()
+
+    def test_rounds_must_be_positive(self):
+        with pytest.raises(ConfigurationError, match="rounds"):
+            TrialSpec(model="beta", seed=0, rounds=0)
 
     def test_world_builder_registration(self):
         def tiny(seed=0, **kwargs):
@@ -164,9 +188,11 @@ class TestDeterminism:
         specs = replication_specs(
             "beta", 5, base_seed=11, rounds=3, world_params=SMALL_WORLD
         )
-        fine = run_trials(specs, max_workers=3, chunksize=1)
-        coarse = run_trials(specs, max_workers=3, chunksize=len(specs))
-        assert_outcomes_equal(fine.outcomes, coarse.outcomes)
+        # 2 and 3 workers split the 5 specs into different slices.
+        two = run_trials(specs, max_workers=2)
+        three = run_trials(specs, max_workers=3)
+        assert (two.workers, three.workers) == (2, 3)
+        assert_outcomes_equal(two.outcomes, three.outcomes)
 
     def test_results_merge_in_spec_order(self):
         specs = replication_specs(
@@ -252,6 +278,23 @@ class TestPool:
         report = run_trials(specs, max_workers=4)
         assert report.mode == SERIAL  # nothing to fan out
 
+    def test_dead_worker_names_itself(self):
+        # Worker 1 of 2 runs specs[1::2], i.e. the dying seed alone.
+        specs = [
+            TrialSpec(
+                model="beta",
+                seed=seed,
+                rounds=2,
+                world="dying-test-world",
+                world_params=dict(SMALL_WORLD),
+            )
+            for seed in (4, DYING_SEED, 6)
+        ]
+        with pytest.raises(WorkerError, match="slice 1") as info:
+            run_trials(specs, max_workers=2)
+        assert info.value.worker == 1
+        assert info.value.expected == "run"
+
     def test_run_sweep_and_grouping(self):
         report = run_sweep(
             ["beta"],
@@ -290,6 +333,7 @@ class TestJobsFromEnv:
         assert jobs_from_env() == max(1, os.cpu_count() or 1)
 
     def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.raises(ConfigurationError):
-            jobs_from_env()
+        for raw in ("many", "-4"):
+            monkeypatch.setenv("REPRO_JOBS", raw)
+            with pytest.raises(ConfigurationError, match="REPRO_JOBS"):
+                jobs_from_env()

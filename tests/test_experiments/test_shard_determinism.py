@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.common.errors import ConfigurationError, ShardWorkerError
+from repro.common.errors import ConfigurationError, WorkerError
 from repro.experiments.sharded import (
     PROCESS,
     SERIAL,
@@ -172,9 +172,9 @@ class TestWorkerFailure:
             "dying-shard-world", _dying_shard_world, overwrite=True
         )
         spec = _spec(5, world="dying-shard-world")
-        with pytest.raises(ShardWorkerError, match="shard 1") as info:
+        with pytest.raises(WorkerError, match="shard 1") as info:
             run_sharded_experiment(spec, shards=2, mode=PROCESS)
-        assert info.value.shard == 1
+        assert info.value.worker == 1
         assert info.value.expected == "ready"
 
 

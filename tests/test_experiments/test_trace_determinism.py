@@ -81,9 +81,11 @@ class TestByteIdenticalTraces:
             world_params=SMALL_WORLD,
             telemetry=True,
         )
-        fine = run_trials(specs, max_workers=3, chunksize=1)
-        coarse = run_trials(specs, max_workers=3, chunksize=len(specs))
-        assert export_bytes(fine) == export_bytes(coarse)
+        # 2 and 3 workers split the 5 specs into different slices.
+        two = run_trials(specs, max_workers=2)
+        three = run_trials(specs, max_workers=3)
+        assert (two.workers, three.workers) == (2, 3)
+        assert export_bytes(two) == export_bytes(three)
 
     def test_rerun_is_byte_identical(self):
         kwargs = dict(
