@@ -10,8 +10,9 @@ equality on scores.  This package checks them statically:
 
     python -m repro.analysis src/repro
 
-Rules R001-R011 are catalogued in DESIGN.md §10, along with the
-``# reprolint: disable=R00x`` suppression and baseline workflow.
+The rules are catalogued in DESIGN.md §10 (and by ``--list-rules``),
+along with the ``# reprolint: disable=R00x`` suppression and baseline
+workflow.
 R009-R011 run on the interprocedural dataflow engine in
 :mod:`repro.analysis.flow` (per-function summaries composed over the
 project call graph to a fixpoint).

@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "reprolint: AST-based determinism & contract linter for "
-            "the reputation stack (rules R001-R007, see DESIGN.md §10)"
+            "the reputation stack (rules: --list-rules, DESIGN.md §10)"
         ),
     )
     parser.add_argument(

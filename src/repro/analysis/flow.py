@@ -1,6 +1,6 @@
 """Interprocedural dataflow over the shared :class:`Project`.
 
-The per-module rules (R001-R008) see one file at a time, so a helper
+The per-module rules (DESIGN.md §10) see one file at a time, so a helper
 that draws from an ambient RNG two calls away from a canonical sink —
 or that mutates an epoch-frozen snapshot view it received as a
 parameter — sails through untouched.  This module closes that gap with
@@ -29,8 +29,9 @@ hard-coded here: the engine takes a :class:`FlowPolicy` so the
 machinery stays reusable (and unit-testable) independent of the
 repro-specific vocabulary in ``rules/taint.py``.
 
-The analysis is deliberately conservative and branch-insensitive, in
-the same spirit as R002/R007's scope inference: a name counts as
+The analysis is deliberately conservative and branch-insensitive, like
+the set inference below (which R002 shares, so the rule and ``ORDER``
+taint give one answer to "is this a set?"): a name counts as
 tainted/frozen if *any* binding in the scope makes it one, calls that
 cannot be resolved propagate the union of their argument taints, and
 subscripts of frozen arrays are treated as fresh copies (numpy basic
@@ -446,6 +447,214 @@ class MutationEvent:
 
 
 # ---------------------------------------------------------------------------
+# Set inference (shared with R002)
+# ---------------------------------------------------------------------------
+
+_SET_METHODS = {
+    "union",
+    "intersection",
+    "difference",
+    "symmetric_difference",
+}
+
+
+def _annotation_kind(ann: Optional[ast.AST]) -> Optional[str]:
+    """'set' / 'dict_of_set' / None from a type annotation node."""
+    if ann is None:
+        return None
+    if isinstance(ann, ast.Name):
+        return "set" if ann.id in {"set", "frozenset"} else None
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        try:
+            return _annotation_kind(
+                ast.parse(ann.value, mode="eval").body
+            )
+        except SyntaxError:
+            return None
+    if isinstance(ann, ast.Subscript):
+        base = ann.value
+        base_name = base.attr if isinstance(base, ast.Attribute) else (
+            base.id if isinstance(base, ast.Name) else ""
+        )
+        if base_name in {"Set", "FrozenSet", "set", "frozenset"}:
+            return "set"
+        if base_name in {"Dict", "dict", "DefaultDict", "defaultdict"}:
+            sl = ann.slice
+            if isinstance(sl, ast.Tuple) and len(sl.elts) == 2:
+                if _annotation_kind(sl.elts[1]) == "set":
+                    return "dict_of_set"
+    return None
+
+
+class _AttrTypes:
+    """Instance-attribute kinds for one class: name -> 'set'/'dict_of_set'."""
+
+    def __init__(self, cls: ast.ClassDef) -> None:
+        self.kinds: Dict[str, str] = {}
+        for stmt in cls.body:
+            if (
+                isinstance(stmt, ast.FunctionDef)
+                and stmt.name == "__init__"
+            ):
+                for node in ast.walk(stmt):
+                    self._harvest(node)
+
+    def _harvest(self, node: ast.AST) -> None:
+        target: Optional[ast.AST] = None
+        kind: Optional[str] = None
+        if isinstance(node, ast.AnnAssign):
+            target = node.target
+            kind = _annotation_kind(node.annotation)
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if _is_set_literalish(node.value):
+                kind = "set"
+        if (
+            kind is not None
+            and isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"
+        ):
+            self.kinds[target.attr] = kind
+
+
+def _is_set_literalish(node: ast.AST) -> bool:
+    """Expressions that construct a set regardless of context."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id in {"set", "frozenset"}
+    return False
+
+
+class _ScopeInference:
+    """Branch-insensitive set inference for one function (or module) body.
+
+    Over-approximates: a name counts as a set if *any* binding in the
+    scope makes it one.  Suppression comments handle the rare false
+    positive; missing a genuine unordered iteration is the worse error.
+    """
+
+    def __init__(
+        self,
+        body: List[ast.stmt],
+        attr_types: Dict[str, str],
+        params: Optional[ast.arguments] = None,
+        seed: Optional[Set[str]] = None,
+    ) -> None:
+        self.attr_types = attr_types
+        self.set_names: Set[str] = set(seed or ())
+        if params is not None:
+            for arg in (
+                list(params.posonlyargs)
+                + list(params.args)
+                + list(params.kwonlyargs)
+            ):
+                if _annotation_kind(arg.annotation) == "set":
+                    self.set_names.add(arg.arg)
+        # Fixed-point over local bindings: `a = set(); b = a` needs two
+        # passes when bindings appear out of order.
+        for _ in range(2):
+            before = len(self.set_names)
+            for stmt in body:
+                for node in ast.walk(stmt):
+                    self._bind(node)
+            if len(self.set_names) == before:
+                break
+
+    def _bind(self, node: ast.AST) -> None:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and self.is_set(node.value):
+                self.set_names.add(target.id)
+        elif isinstance(node, ast.AnnAssign):
+            if (
+                isinstance(node.target, ast.Name)
+                and _annotation_kind(node.annotation) == "set"
+            ):
+                self.set_names.add(node.target.id)
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            self._bind_loop(node.target, node.iter)
+
+    def _bind_loop(self, target: ast.AST, source: ast.AST) -> None:
+        """Loop targets drawn from Dict[..., Set[...]] values are sets."""
+        view = _dict_view_call(source)
+        if view is None:
+            return
+        method, receiver = view
+        if self._receiver_kind(receiver) != "dict_of_set":
+            return
+        if method == "values" and isinstance(target, ast.Name):
+            self.set_names.add(target.id)
+        elif (
+            method == "items"
+            and isinstance(target, ast.Tuple)
+            and len(target.elts) == 2
+            and isinstance(target.elts[1], ast.Name)
+        ):
+            self.set_names.add(target.elts[1].id)
+
+    def _receiver_kind(self, node: ast.AST) -> Optional[str]:
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            return self.attr_types.get(node.attr)
+        return None
+
+    def is_set(self, node: ast.AST) -> bool:
+        """Whether *node* statically evaluates to a set/frozenset."""
+        if _is_set_literalish(node):
+            return True
+        if isinstance(node, ast.Name):
+            return node.id in self.set_names
+        if isinstance(node, ast.Attribute):
+            return self._receiver_kind(node) == "set"
+        if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+        ):
+            return self.is_set(node.left) or self.is_set(node.right)
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in _SET_METHODS
+                and self.is_set(func.value)
+            ):
+                return True
+            # self._attr.get(k, set()) / .setdefault(k, set())
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in {"get", "setdefault"}
+            ):
+                if self._receiver_kind(func.value) == "dict_of_set":
+                    return True
+                if len(node.args) >= 2 and _is_set_literalish(
+                    node.args[1]
+                ):
+                    return True
+        if isinstance(node, ast.Subscript):
+            return self._receiver_kind(node.value) == "dict_of_set"
+        return False
+
+
+def _dict_view_call(
+    node: ast.AST,
+) -> Optional[Tuple[str, ast.AST]]:
+    """(method, receiver) for ``X.keys()/.values()/.items()`` calls."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"keys", "values", "items"}
+        and not node.args
+        and not node.keywords
+    ):
+        return node.func.attr, node.func.value
+    return None
+
+
+# ---------------------------------------------------------------------------
 # The per-scope abstract interpreter
 # ---------------------------------------------------------------------------
 
@@ -495,7 +704,9 @@ class _ScopeFlow:
         self.taint_events: List[TaintEvent] = []
         self.mutation_events: List[MutationEvent] = []
         self._seed_params()
-        self._set_names = self._infer_sets()
+        self._sets = _ScopeInference(
+            self.body, {}, fn.node.args if fn is not None else None
+        )
         self._run()
 
     # -- setup ---------------------------------------------------------
@@ -522,13 +733,6 @@ class _ScopeFlow:
         return (
             list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
         )
-
-    def _infer_sets(self) -> Set[str]:
-        """Names statically known to be sets (for ORDER taint)."""
-        from repro.analysis.rules.determinism import _ScopeInference
-
-        params = self.fn.node.args if self.fn is not None else None
-        return _ScopeInference(list(self.body), {}, params).set_names
 
     # -- driver --------------------------------------------------------
 
@@ -656,7 +860,7 @@ class _ScopeFlow:
 
     def _loop_bind(self, target: ast.expr, source: ast.expr) -> None:
         tokens = set(self._taint_of(source))
-        if self._is_set_expr(source):
+        if self._sets.is_set(source):
             tokens.add(ORDER)
         if tokens:
             for name in _target_names(target):
@@ -767,7 +971,7 @@ class _ScopeFlow:
             tokens: Set[str] = set()
             for gen in node.generators:
                 tokens |= self._taint_of(gen.iter)
-                if self._is_set_expr(gen.iter):
+                if self._sets.is_set(gen.iter):
                     tokens.add(ORDER)
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.expr):
@@ -784,15 +988,6 @@ class _ScopeFlow:
         for node in nodes:
             tokens |= self._taint_of(node)
         return tokens
-
-    def _is_set_expr(self, node: ast.expr) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id in self._set_names
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            return node.func.id in {"set", "frozenset"}
-        return False
 
     # -- calls ---------------------------------------------------------
 

@@ -20,7 +20,6 @@ from repro.analysis.rules.determinism import (
     UnorderedIterationRule,
 )
 from repro.analysis.rules.floatcmp import FloatEqualityRule
-from repro.analysis.rules.sharding import ShardDeltaOrderRule
 from repro.analysis.rules.taint import (
     AmbientTaintRule,
     FrozenViewMutationRule,
@@ -40,7 +39,6 @@ def default_registry() -> RuleRegistry:
     registry.register(PicklableWorldBuilderRule())
     registry.register(FloatEqualityRule())
     registry.register(ColumnarLoopRule())
-    registry.register(ShardDeltaOrderRule())
     registry.register(AmbientTaintRule())
     registry.register(FrozenViewMutationRule())
     registry.register(SwallowedExceptionRule())

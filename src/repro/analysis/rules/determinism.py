@@ -14,7 +14,10 @@ accumulation or a dict built in set order can differ between a pool
 worker and the serial fallback.  Dict views are insertion-ordered in
 CPython and therefore deterministic given deterministic insertion;
 they only become unordered when pulled into set algebra, which this
-rule tracks.  The fix is always ``sorted(...)``.
+rule tracks.  The cross-shard merge primitives (``merge_from``,
+``merge_snapshots``, ``apply_delta``, ``merge_delta``) count as
+order-sensitive calls: the ``1 shard == N shards`` byte gate rests on
+merging deltas in spec order.  The fix is always ``sorted(...)``.
 """
 
 from __future__ import annotations
@@ -29,8 +32,14 @@ from repro.analysis.core import (
     Rule,
     dotted_name,
 )
+from repro.analysis.flow import _AttrTypes, _ScopeInference
 
-__all__ = ["GlobalNondeterminismRule", "UnorderedIterationRule"]
+__all__ = [
+    "TIMER_NAMES",
+    "GlobalNondeterminismRule",
+    "UnorderedIterationRule",
+    "ambient_violation",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +58,21 @@ _BANNED_EXACT = {
     "uuid.uuid4": "nondeterministic id",
     "os.urandom": "OS entropy",
 }
+
+#: process-local timers and the pid: R001 tolerates them (benchmark
+#: timing reads them legitimately), but R009 still treats their values
+#: as ambient sources that must not reach a canonical sink
+TIMER_NAMES = frozenset(
+    {
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "os.getpid",
+    }
+)
 
 #: members of numpy.random that are seeded constructors, not the
 #: legacy global singleton
@@ -88,6 +112,40 @@ def _import_aliases(tree: ast.Module) -> Dict[str, str]:
     return aliases
 
 
+def ambient_violation(full: str) -> Optional[str]:
+    """Why the canonical dotted name *full* reads ambient nondeterministic
+    state, or None when it does not (the one table R001 and R009 share)."""
+    parts = full.split(".")
+    if full in _BANNED_EXACT:
+        return (
+            f"{full} is a {_BANNED_EXACT[full]}; inject time/ids "
+            "through the simulation clock or a seeded generator"
+        )
+    if parts[0] == "secrets" and len(parts) > 1:
+        return (
+            f"{full} draws OS entropy; use "
+            "repro.common.randomness.make_rng"
+        )
+    if parts[0] == "random" and len(parts) > 1:
+        if parts[1] in _RANDOM_ALLOWED:
+            return None
+        return (
+            f"{full} touches the random module's global state; use "
+            "a numpy Generator from repro.common.randomness"
+        )
+    if (
+        len(parts) > 2
+        and parts[0] == "numpy"
+        and parts[1] == "random"
+        and parts[2] not in _NUMPY_RANDOM_ALLOWED
+    ):
+        return (
+            f"{full} uses numpy's global RNG singleton; use "
+            "repro.common.randomness.make_rng / SeedSequenceFactory"
+        )
+    return None
+
+
 class GlobalNondeterminismRule(Rule):
     rule_id = "R001"
     title = "no global nondeterminism sources"
@@ -108,55 +166,16 @@ class GlobalNondeterminismRule(Rule):
             if canonical is None:
                 continue
             full = canonical + ("." + rest if rest else "")
-            message = self._violation(full)
+            message = ambient_violation(full)
             if message is not None:
                 yield module.finding(node, self.rule_id, message)
-
-    @staticmethod
-    def _violation(full: str) -> Optional[str]:
-        parts = full.split(".")
-        if full in _BANNED_EXACT:
-            return (
-                f"{full} is a {_BANNED_EXACT[full]}; inject time/ids "
-                "through the simulation clock or a seeded generator"
-            )
-        if parts[0] == "secrets" and len(parts) > 1:
-            return (
-                f"{full} draws OS entropy; use "
-                "repro.common.randomness.make_rng"
-            )
-        if parts[0] == "random" and len(parts) > 1:
-            if parts[1] in _RANDOM_ALLOWED:
-                return None
-            return (
-                f"{full} touches the random module's global state; use "
-                "a numpy Generator from repro.common.randomness"
-            )
-        if (
-            len(parts) > 2
-            and parts[0] == "numpy"
-            and parts[1] == "random"
-            and parts[2] not in _NUMPY_RANDOM_ALLOWED
-        ):
-            return (
-                f"{full} uses numpy's global RNG singleton; use "
-                "repro.common.randomness.make_rng / SeedSequenceFactory"
-            )
-        return None
 
 
 # ---------------------------------------------------------------------------
 # R002
 # ---------------------------------------------------------------------------
 
-_SET_METHODS = {
-    "union",
-    "intersection",
-    "difference",
-    "symmetric_difference",
-}
-
-#: builtins whose output leaks iteration order (sorted() is the remedy
+#: calls whose output leaks iteration order (sorted() is the remedy
 #: and set()/frozenset()/len()/any()/all() are order-insensitive)
 _ORDER_SENSITIVE_CALLS = {
     "list",
@@ -171,203 +190,12 @@ _ORDER_SENSITIVE_CALLS = {
     "iter",
     "next",
     "reversed",
+    # merge primitives: their call order becomes interner/counter order
+    "merge_from",
+    "merge_snapshots",
+    "apply_delta",
+    "merge_delta",
 }
-
-
-def _annotation_kind(ann: Optional[ast.AST]) -> Optional[str]:
-    """'set' / 'dict_of_set' / None from a type annotation node."""
-    if ann is None:
-        return None
-    if isinstance(ann, ast.Name):
-        return "set" if ann.id in {"set", "frozenset"} else None
-    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-        try:
-            return _annotation_kind(
-                ast.parse(ann.value, mode="eval").body
-            )
-        except SyntaxError:
-            return None
-    if isinstance(ann, ast.Subscript):
-        base = ann.value
-        base_name = base.attr if isinstance(base, ast.Attribute) else (
-            base.id if isinstance(base, ast.Name) else ""
-        )
-        if base_name in {"Set", "FrozenSet", "set", "frozenset"}:
-            return "set"
-        if base_name in {"Dict", "dict", "DefaultDict", "defaultdict"}:
-            sl = ann.slice
-            if isinstance(sl, ast.Tuple) and len(sl.elts) == 2:
-                if _annotation_kind(sl.elts[1]) == "set":
-                    return "dict_of_set"
-    return None
-
-
-class _AttrTypes:
-    """Instance-attribute kinds for one class: name -> 'set'/'dict_of_set'."""
-
-    def __init__(self, cls: ast.ClassDef) -> None:
-        self.kinds: Dict[str, str] = {}
-        for stmt in cls.body:
-            if (
-                isinstance(stmt, ast.FunctionDef)
-                and stmt.name == "__init__"
-            ):
-                for node in ast.walk(stmt):
-                    self._harvest(node)
-
-    def _harvest(self, node: ast.AST) -> None:
-        target: Optional[ast.AST] = None
-        kind: Optional[str] = None
-        if isinstance(node, ast.AnnAssign):
-            target = node.target
-            kind = _annotation_kind(node.annotation)
-        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if _is_set_literalish(node.value):
-                kind = "set"
-        if (
-            kind is not None
-            and isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            self.kinds[target.attr] = kind
-
-
-def _is_set_literalish(node: ast.AST) -> bool:
-    """Expressions that construct a set regardless of context."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in {"set", "frozenset"}
-    return False
-
-
-class _ScopeInference:
-    """Branch-insensitive set inference for one function (or module) body.
-
-    Over-approximates: a name counts as a set if *any* binding in the
-    scope makes it one.  Suppression comments handle the rare false
-    positive; missing a genuine unordered iteration is the worse error.
-    """
-
-    def __init__(
-        self,
-        body: List[ast.stmt],
-        attr_types: Dict[str, str],
-        params: Optional[ast.arguments] = None,
-        seed: Optional[Set[str]] = None,
-    ) -> None:
-        self.attr_types = attr_types
-        self.set_names: Set[str] = set(seed or ())
-        if params is not None:
-            for arg in (
-                list(params.posonlyargs)
-                + list(params.args)
-                + list(params.kwonlyargs)
-            ):
-                if _annotation_kind(arg.annotation) == "set":
-                    self.set_names.add(arg.arg)
-        # Fixed-point over local bindings: `a = set(); b = a` needs two
-        # passes when bindings appear out of order.
-        for _ in range(2):
-            before = len(self.set_names)
-            for stmt in body:
-                for node in ast.walk(stmt):
-                    self._bind(node)
-            if len(self.set_names) == before:
-                break
-
-    def _bind(self, node: ast.AST) -> None:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name) and self.is_set(node.value):
-                self.set_names.add(target.id)
-        elif isinstance(node, ast.AnnAssign):
-            if (
-                isinstance(node.target, ast.Name)
-                and _annotation_kind(node.annotation) == "set"
-            ):
-                self.set_names.add(node.target.id)
-        elif isinstance(node, (ast.For, ast.comprehension)):
-            self._bind_loop(node.target, node.iter)
-
-    def _bind_loop(self, target: ast.AST, source: ast.AST) -> None:
-        """Loop targets drawn from Dict[..., Set[...]] values are sets."""
-        view = _dict_view_call(source)
-        if view is None:
-            return
-        method, receiver = view
-        if self._receiver_kind(receiver) != "dict_of_set":
-            return
-        if method == "values" and isinstance(target, ast.Name):
-            self.set_names.add(target.id)
-        elif (
-            method == "items"
-            and isinstance(target, ast.Tuple)
-            and len(target.elts) == 2
-            and isinstance(target.elts[1], ast.Name)
-        ):
-            self.set_names.add(target.elts[1].id)
-
-    def _receiver_kind(self, node: ast.AST) -> Optional[str]:
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return self.attr_types.get(node.attr)
-        return None
-
-    def is_set(self, node: ast.AST) -> bool:
-        """Whether *node* statically evaluates to a set/frozenset."""
-        if _is_set_literalish(node):
-            return True
-        if isinstance(node, ast.Name):
-            return node.id in self.set_names
-        if isinstance(node, ast.Attribute):
-            return self._receiver_kind(node) == "set"
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-        ):
-            return self.is_set(node.left) or self.is_set(node.right)
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _SET_METHODS
-                and self.is_set(func.value)
-            ):
-                return True
-            # self._attr.get(k, set()) / .setdefault(k, set())
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in {"get", "setdefault"}
-            ):
-                if self._receiver_kind(func.value) == "dict_of_set":
-                    return True
-                if len(node.args) >= 2 and _is_set_literalish(
-                    node.args[1]
-                ):
-                    return True
-        if isinstance(node, ast.Subscript):
-            return self._receiver_kind(node.value) == "dict_of_set"
-        return False
-
-
-def _dict_view_call(
-    node: ast.AST,
-) -> Optional[Tuple[str, ast.AST]]:
-    """(method, receiver) for ``X.keys()/.values()/.items()`` calls."""
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in {"keys", "values", "items"}
-        and not node.args
-        and not node.keywords
-    ):
-        return node.func.attr, node.func.value
-    return None
 
 
 class UnorderedIterationRule(Rule):
@@ -380,6 +208,8 @@ class UnorderedIterationRule(Rule):
         "experiments/sharded.py",
         "obs/",
         "serve/",
+        "store/",
+        "sim/network.py",
     )
 
     _MESSAGE = (

@@ -53,10 +53,7 @@ from repro.analysis.flow import (
     FunctionInfo,
     SymbolTable,
 )
-from repro.analysis.rules.determinism import (
-    _NUMPY_RANDOM_ALLOWED,
-    _RANDOM_ALLOWED,
-)
+from repro.analysis.rules.determinism import TIMER_NAMES, ambient_violation
 
 __all__ = [
     "AmbientTaintRule",
@@ -70,31 +67,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # The repro-specific policy
 # ---------------------------------------------------------------------------
-
-#: exact dotted calls whose result carries RNG taint (ambient state:
-#: wall clock, OS entropy, nondeterministic ids).  Includes the perf
-#: counters, which R001 deliberately tolerates for benchmarking — here
-#: the ban is narrower: their *values* must not reach canonical sinks.
-_RNG_EXACT = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-        "uuid.uuid1",
-        "uuid.uuid4",
-        "os.urandom",
-        "os.getpid",
-    }
-)
 
 #: EventStore methods that ingest feedback into canonical state
 _STORE_SINKS = frozenset({"append", "extend"})
@@ -160,25 +132,11 @@ class ReproFlowPolicy(FlowPolicy):
     frozen_view_methods = frozenset({"rows"})
 
     def source_kinds(self, cv: CallView) -> FrozenSet[str]:
+        # R001's table plus the timers it tolerates: their *values*
+        # must not reach canonical sinks either.
         dotted = cv.dotted
-        if dotted is None:
-            return frozenset()
-        if dotted in _RNG_EXACT:
-            return frozenset({RNG})
-        parts = dotted.split(".")
-        if parts[0] == "secrets" and len(parts) > 1:
-            return frozenset({RNG})
-        if (
-            parts[0] == "random"
-            and len(parts) > 1
-            and parts[1] not in _RANDOM_ALLOWED
-        ):
-            return frozenset({RNG})
-        if (
-            len(parts) > 2
-            and parts[0] == "numpy"
-            and parts[1] == "random"
-            and parts[2] not in _NUMPY_RANDOM_ALLOWED
+        if dotted is not None and (
+            dotted in TIMER_NAMES or ambient_violation(dotted) is not None
         ):
             return frozenset({RNG})
         return frozenset()

@@ -308,6 +308,7 @@ class BreakerBoard:
     """
 
     def __init__(self, **breaker_kwargs: Any) -> None:
+        CircuitBreaker(**breaker_kwargs)  # reject bad knobs up front
         self._kwargs = dict(breaker_kwargs)
         self._breakers: Dict[EntityId, CircuitBreaker] = {}
 

@@ -109,15 +109,22 @@ class ServeConfig:
                 raise ConfigurationError(
                     f"{name} must be positive, got {getattr(self, name)!r}"
                 )
-        for name in ("max_depth", "tenant_burst"):
+        for name in ("max_depth", "tenant_burst", "retry_attempts"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(
                     f"{name} must be >= 1, got {getattr(self, name)!r}"
                 )
-        if self.retry_attempts < 0:
-            raise ConfigurationError("retry_attempts must be non-negative")
         if self.stale_max_age <= 0.0:
             raise ConfigurationError("stale_max_age must be positive")
+        self.breakers()  # the breaker bounds live in CircuitBreaker
+
+    def breakers(self) -> BreakerBoard:
+        return BreakerBoard(
+            failure_rate_threshold=self.breaker_threshold,
+            window=self.breaker_window,
+            min_calls=self.breaker_min_calls,
+            recovery_timeout=self.breaker_recovery,
+        )
 
     def admission(self) -> AdmissionConfig:
         return AdmissionConfig(
@@ -172,12 +179,7 @@ class ServiceCore:
             jitter=self.config.retry_jitter,
             rng=seeds.spawn("serve.retry"),
         )
-        self.breakers = BreakerBoard(
-            failure_rate_threshold=self.config.breaker_threshold,
-            window=self.config.breaker_window,
-            min_calls=self.config.breaker_min_calls,
-            recovery_timeout=self.config.breaker_recovery,
-        )
+        self.breakers = self.config.breakers()
         self.admission = AdmissionController(self.config.admission())
         self.log = IngestLog()
         self._responses: Dict[int, ServeResponse] = {}

@@ -21,6 +21,11 @@ state of its own, which is how the worker-count invariance gate holds:
   suspends mid-record, so records execute in exactly log order no
   matter how many workers drain the queue, and every response is
   byte-identical from 1 worker or 8.
+* **Failures** never strand a caller: an exception from
+  ``execute`` (or from ``admit_batch``, for its whole batch) is raised
+  from the affected ``submit`` calls, the task that hit it keeps
+  serving, and :meth:`SelectionService.stop` fails whatever is still
+  unanswered.
 
 The scheduling batch boundary is also recorded in each
 :class:`~repro.serve.protocol.IngestRecord`, so a replay reproduces
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.serve.core import ServiceCore
 from repro.serve.protocol import (
@@ -89,6 +94,12 @@ class SelectionService:
             self._queue.put_nowait(None)
         await asyncio.gather(*self._tasks)
         self._tasks = []
+        # Arrivals never answered (still buffered, or queued behind the
+        # stop sentinels) fail rather than leave their submitters waiting.
+        for key in list(self._futures):
+            self._settle(key, RuntimeError("service stopped before answering"))
+        self._buffer = []
+        self._queue = asyncio.Queue()
 
     async def __aenter__(self) -> "SelectionService":
         await self.start()
@@ -251,25 +262,47 @@ class SelectionService:
         batch: List[Arrival] = []
         while self._buffer:
             batch.append(heapq.heappop(self._buffer)[2])
-        records = self.core.admit_batch(batch)
+        try:
+            records = self.core.admit_batch(batch)
+        except Exception as exc:
+            # The whole batch failed to admit: every submitter gets the
+            # error, and the sequencer lives on for later batches.
+            for arrival in batch:
+                self._settle(arrival.order_key, exc)
+            return
         for record in records:
             if record.admitted:
                 self._queue.put_nowait(record)
             else:
-                response = self.core.execute(record)
-                self._settle(record.arrival.order_key, response)
+                self._execute(record)
+
+    def _execute(self, record: IngestRecord) -> None:
+        key = record.arrival.order_key
+        try:
+            response = self.core.execute(record)
+        except Exception as exc:
+            # Forward to the submitter; the worker stays alive so the
+            # rest of the queue is still answered.
+            self._settle(key, exc)
+            return
+        self._settle(key, response)
 
     def _settle(
-        self, key: Tuple[int, str, int], response: ServeResponse
+        self,
+        key: Tuple[int, str, int],
+        outcome: Union[ServeResponse, Exception],
     ) -> None:
         future = self._futures.pop(key)
-        if not future.cancelled():
-            future.set_result(response)
+        if future.cancelled():
+            return
+        if isinstance(outcome, Exception):
+            future.set_exception(outcome)
+        else:
+            future.set_result(outcome)
 
     async def _worker(self) -> None:
         while True:
             record = await self._queue.get()
             if record is None:
                 return
-            response = self.core.execute(record)
-            self._settle(record.arrival.order_key, response)
+            self._execute(record)

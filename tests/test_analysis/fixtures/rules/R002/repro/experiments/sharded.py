@@ -1,4 +1,4 @@
-"""R008 fixture: cross-shard merges driven in unordered order.
+"""R002 fixture: cross-shard merges driven in unordered order.
 
 Named ``experiments/sharded.py`` so the path-scoped rule runs on it;
 parsed by the linter, never imported.
@@ -16,17 +16,17 @@ def merge_snapshots(snapshots):
 
 def bad_loop_merge(store, deltas):
     pending = set(deltas)
-    for delta in pending:                     # R008: set-ordered merge
+    for delta in pending:                     # R002: set-ordered merge
         store.merge_from(delta)
 
 
 def bad_comprehension_merge(store, deltas):
     dropped = {d for d in deltas}
-    return [store.merge_from(d) for d in dropped]  # R008
+    return [store.merge_from(d) for d in dropped]  # R002
 
 
 def bad_direct_arg(snapshots):
-    return merge_snapshots(set(snapshots))    # R008: set into merge
+    return merge_snapshots(set(snapshots))    # R002: set into merge
 
 
 def good_list_merge(store, deltas):
@@ -47,6 +47,6 @@ def loop_without_merge(deltas):
 
 
 def suppressed_merge(store, deltas):
-    ordered = set(deltas)  # reprolint: disable=R002
-    for delta in ordered:  # reprolint: disable=R002,R008
+    ordered = set(deltas)
+    for delta in ordered:  # reprolint: disable=R002
         store.merge_from(delta)

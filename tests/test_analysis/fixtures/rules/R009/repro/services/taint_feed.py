@@ -6,7 +6,7 @@ Parsed, never imported.
 """
 
 import time
-from typing import Set
+from typing import List, Set
 
 from repro.store import EventStore
 
@@ -53,3 +53,16 @@ class FeedbackFeed:
         # Wall time for reporting only — never reaches a sink.
         started = time.perf_counter()
         return time.perf_counter() - started
+
+
+class SetAlgebraFeed:
+    def __init__(self) -> None:
+        self._store = EventStore()
+
+    def union_operator_hit(self, a: List[str], b: List[str]) -> None:
+        for rater in set(a) | set(b):
+            self._store.append(rater, "t", 1.0, 6)
+
+    def union_method_hit(self, a: List[str], b: List[str]) -> None:
+        for rater in set(a).union(b):
+            self._store.append(rater, "t", 1.0, 7)

@@ -140,11 +140,11 @@ class TestPathScoping:
 
 
 class TestRegistry:
-    def test_eleven_rules_shipped(self):
+    def test_ten_rules_shipped(self):
         registry = default_registry()
         assert registry.ids() == [
             "R001", "R002", "R003", "R004", "R005", "R006", "R007",
-            "R008", "R009", "R010", "R011",
+            "R009", "R010", "R011",
         ]
 
     def test_duplicate_id_rejected(self):

@@ -253,10 +253,13 @@ class TestR007ColumnarLoops:
         )
 
 
-class TestR008ShardDeltaOrder:
+class TestR002MergeOrder:
+    """The cross-shard merge primitives are order-sensitive calls, and
+    R002's scope covers every merge path."""
+
     def test_fires_on_set_ordered_merges(self, rule_findings):
         hits = findings_for(
-            rule_findings("R008"), "R008", "experiments/sharded.py"
+            rule_findings("R002"), "R002", "experiments/sharded.py"
         )
         lines = {f.content for f in hits}
         assert any("for delta in pending" in l for l in lines)
@@ -268,25 +271,27 @@ class TestR008ShardDeltaOrder:
 
     def test_list_and_sorted_merges_pass(self, rule_findings):
         hits = findings_for(
-            rule_findings("R008"), "R008", "experiments/sharded.py"
+            rule_findings("R002"), "R002", "experiments/sharded.py"
         )
         contents = " ".join(f.content for f in hits)
         assert "sorted(" not in contents
         assert "for delta in deltas:" not in contents
 
     def test_loop_without_merge_not_flagged(self, rule_findings):
-        hits = findings_for(rule_findings("R008"), "R008")
+        hits = findings_for(rule_findings("R002"), "R002")
         assert not any("total += delta" in f.content for f in hits)
 
     def test_suppression_comment_silences(self, rule_findings):
-        hits = findings_for(rule_findings("R008"), "R008")
-        assert not any("disable=R008" in f.content for f in hits)
-
-    def test_scoped_to_merge_paths(self, rule_findings):
-        assert all(
-            f.path.startswith("experiments/sharded.py")
-            for f in findings_for(rule_findings("R008"), "R008")
+        hits = findings_for(
+            rule_findings("R002"), "R002", "experiments/sharded.py"
         )
+        assert not any("disable=R002" in f.content for f in hits)
+
+    def test_fires_in_store_scope(self, rule_findings):
+        hits = findings_for(rule_findings("R002"), "R002", "store/")
+        assert [f.content for f in hits] == [
+            "for shard in shards:                  # R002: set-ordered merge"
+        ]
 
 
 class TestR009AmbientTaint:
@@ -313,8 +318,20 @@ class TestR009AmbientTaint:
         order = [
             f for f in hits if "set iteration order" in f.message
         ]
-        assert len(order) == 1
+        assert len(order) == 3
         assert "peer" in order[0].content
+
+    def test_set_algebra_order_hits_sink(self, rule_findings):
+        """``set(a) | set(b)`` and ``set(a).union(b)`` are sets too: the
+        flow engine asks R002's set classifier."""
+        hits = findings_for(
+            rule_findings("R009"), "R009", "services/taint_feed.py"
+        )
+        flagged = {
+            f.content for f in hits if "set iteration order" in f.message
+        }
+        assert 'self._store.append(rater, "t", 1.0, 6)' in flagged
+        assert 'self._store.append(rater, "t", 1.0, 7)' in flagged
 
     def test_telemetry_sink_hit(self, rule_findings):
         hits = findings_for(
@@ -352,7 +369,7 @@ class TestR009AmbientTaint:
 
     def test_exact_counts_and_clean_paths(self, rule_findings):
         hits = findings_for(rule_findings("R009"), "R009")
-        assert len(hits) == 7
+        assert len(hits) == 9
         assert len(findings_for(hits, "R009", "serve/")) == 3
         contents = " ".join(f.content for f in hits)
         assert "clean_path" not in contents

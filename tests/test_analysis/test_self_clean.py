@@ -68,5 +68,6 @@ def test_list_rules_names_the_catalogue():
     )
     assert result.returncode == 0
     for rule_id in ("R001", "R002", "R003", "R004", "R005", "R006",
-                    "R007", "R008", "R009", "R010", "R011"):
+                    "R007", "R009", "R010", "R011"):
         assert rule_id in result.stdout
+    assert "R008" not in result.stdout

@@ -11,7 +11,7 @@ import asyncio
 import pytest
 
 from repro.common.simtime import to_ticks
-from repro.serve.core import ServeConfig
+from repro.serve.core import ServeConfig, ServiceCore
 from repro.serve.loadgen import LoadSpec, make_core
 from repro.serve.protocol import (
     STATUS_DEGRADED,
@@ -301,6 +301,85 @@ class TestAsyncService:
             SelectionService(_core(), workers=0)
 
 
+class _CoreFault(Exception):
+    pass
+
+
+class TestCoreFailures:
+    """A core exception reaches the caller of ``submit``; no task dies,
+    nobody waits forever and ``stop()`` returns.  Every drive is bounded
+    by ``wait_for`` so a regression fails instead of hanging."""
+
+    def _run(self, coroutine):
+        return asyncio.run(asyncio.wait_for(coroutine, timeout=10))
+
+    def test_execute_exception_reaches_its_submitter(self, monkeypatch):
+        execute = ServiceCore.execute
+
+        def faulty(core, record):
+            if record.arrival.client_id == "c1":
+                raise _CoreFault("execute")
+            return execute(core, record)
+
+        monkeypatch.setattr(ServiceCore, "execute", faulty)
+
+        async def drive():
+            async with SelectionService(_core(), workers=2) as service:
+                return await asyncio.gather(
+                    *(
+                        service.submit(_rank(1.0, 0, client=f"c{i}"))
+                        for i in range(3)
+                    ),
+                    return_exceptions=True,
+                )
+
+        first, failed, last = self._run(drive())
+        assert isinstance(failed, _CoreFault)
+        assert first.status == STATUS_OK
+        assert last.status == STATUS_OK
+
+    def test_admit_batch_exception_fails_the_batch(self, monkeypatch):
+        admit_batch = ServiceCore.admit_batch
+        calls = []
+
+        def faulty(core, batch):
+            calls.append(len(batch))
+            if len(calls) == 1:
+                raise _CoreFault("admit_batch")
+            return admit_batch(core, batch)
+
+        monkeypatch.setattr(ServiceCore, "admit_batch", faulty)
+
+        async def drive():
+            async with SelectionService(_core()) as service:
+                failed = await asyncio.gather(
+                    *(
+                        service.submit(_rank(1.0, 0, client=f"c{i}"))
+                        for i in range(2)
+                    ),
+                    return_exceptions=True,
+                )
+                answered = await service.submit(_rank(2.0, 1))
+            return failed, answered
+
+        failed, answered = self._run(drive())
+        assert calls == [2, 1]
+        assert all(isinstance(r, _CoreFault) for r in failed)
+        assert answered.status == STATUS_OK
+
+    def test_stop_fails_unanswered_arrivals(self):
+        async def drive():
+            service = SelectionService(_core())
+            await service.start()
+            pending = asyncio.ensure_future(service.submit(_rank(1.0, 0)))
+            await asyncio.sleep(0)
+            await service.stop()
+            with pytest.raises(RuntimeError, match="stopped"):
+                await pending
+
+        self._run(drive())
+
+
 class TestReplayDivergence:
     def test_tampered_log_raises(self):
         from repro.serve.protocol import IngestLog, IngestRecord
@@ -360,6 +439,11 @@ class TestServeConfigValidation:
             {"tenant_burst": 0},
             {"retry_attempts": -1},
             {"stale_max_age": 0.0},
+            {"retry_attempts": 0},
+            {"breaker_threshold": 2.0},
+            {"breaker_window": 0},
+            {"breaker_recovery": 0.0},
+            {"breaker_min_calls": 9},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
