@@ -29,11 +29,13 @@ Four design rules enforce it:
   merged row order — and therefore every interner code and
   ``canonical_bytes()`` — equals what the 1-shard run appends
   directly.
-* **Per-consumer RNG streams.**  Each consumer's policy/invocation/
-  rating randomness comes from :func:`shard_consumer_streams`, a pure
-  function of (world seed, consumer index).  A consumer's trajectory
-  given the broadcast scores is identical no matter which shard hosts
-  it.
+* **Keyed counter draws.**  Every draw of a round — explore, choice,
+  success, QoS noise, rating noise — is Philox4x32-10 of the counter
+  ``(global consumer index, purpose, global round, block)`` under one
+  key per world (:func:`~repro.common.randomness.keyed_uniforms`).  A
+  consumer's trajectory given the broadcast scores is a pure function
+  of the seed and its index, whichever shard hosts it, and one call
+  draws a whole round for every consumer a shard owns.
 
 Feedback crossing the barrier is the store row ``(rater, target,
 overall rating, int64 tick)``: facet detail and the backing
@@ -52,6 +54,7 @@ separate :class:`ShardDispatchReport`.
 
 from __future__ import annotations
 
+import numbers
 import time as _time
 from dataclasses import dataclass, field
 from functools import partial
@@ -59,6 +62,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Hashable,
     List,
     Mapping,
     Optional,
@@ -70,6 +74,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError, UnknownEntityError
 from repro.common.ids import EntityId
+from repro.common.randomness import keyed_normals, keyed_uniforms
 from repro.common.records import Feedback
 from repro.common.simtime import from_ticks, to_ticks
 from repro.core.scenarios import ScenarioResult
@@ -78,15 +83,20 @@ from repro.experiments.workloads import (
     World,
     make_shard_world,
     shard_consumer_id,
-    shard_consumer_streams,
 )
+
+# Not used here: profilers (perfbench's layer table) patch this name on
+# both modules to time the builder's per-consumer streams, so it must
+# stay resolvable on this module too.
+from repro.experiments.workloads import shard_consumer_streams  # noqa: F401
 from repro.obs.ledger import ActivityLedger, merged_ledger_table
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder
 from repro.obs.trace import TelemetrySnapshot
 from repro.p2p.hashing import stable_hash
-from repro.services.invocation import InvocationEngine
+from repro.services.consumer import honest_rating_strategy, rate_many
 from repro.services.provider import TruthTable
+from repro.services.qos import sample_many
 from repro.sim.kernel import Simulator
 from repro.sim.network import MessageStats, Network, stats_from_snapshot
 from repro.store import EventStore
@@ -112,6 +122,11 @@ PROCESS = "process"
 
 #: The Figure-2 activity shards charge their feedback rows to.
 ACTIVITY = "feedback"
+
+#: Counter purposes of the keyed draws: per consumer and round, the
+#: explore/choice/success uniforms and the QoS-then-rating normals.
+SELECT_DRAWS = 1
+NOISE_DRAWS = 2
 
 
 def shard_of(entity_id: EntityId, shards: int) -> int:
@@ -212,6 +227,15 @@ class ShardedRunSpec:
                 "optimality_tolerance must be >= 0: "
                 f"{self.optimality_tolerance}"
             )
+        n_consumers = dict(self.world_params).get("n_consumers", 20)
+        if (
+            isinstance(n_consumers, bool)
+            or not isinstance(n_consumers, numbers.Integral)
+            or n_consumers < 1
+        ):
+            raise ConfigurationError(
+                f"n_consumers must be a positive int: {n_consumers!r}"
+            )
 
     @property
     def total_rounds(self) -> int:
@@ -308,7 +332,13 @@ class ShardRuntime:
     Selection follows the harness's epsilon-greedy discipline against
     the scores frozen at the epoch start; accuracy/regret accounting
     mirrors :class:`~repro.core.scenarios.DirectSelectionScenario`
-    (same optimality tolerance, same per-round bookkeeping).
+    (same optimality tolerance, same per-round bookkeeping).  Each
+    round is a few array operations over every owned consumer
+    (:func:`~repro.services.qos.sample_many`,
+    :func:`~repro.services.consumer.rate_many`).  They cover honest
+    raters over profiles that carry exactly the taxonomy's metrics;
+    any other world raises :class:`ConfigurationError` here, naming
+    the consumer or service.
     """
 
     def __init__(
@@ -336,28 +366,62 @@ class ShardRuntime:
             **params,
         )
         self.consumers = self.world.consumers
+        self._taxonomy = self.world.taxonomy
+        metrics = self._taxonomy.names()
+        self._n_metrics = len(metrics)
+        for consumer in self.consumers:
+            if consumer.rating_strategy is not honest_rating_strategy:
+                raise ConfigurationError(
+                    f"consumer {consumer.consumer_id}: the shard runtime "
+                    "rates honestly only, got rating strategy "
+                    f"{getattr(consumer.rating_strategy, '__name__', '?')}"
+                )
         self._services = list(self.world.services)
+        for svc in self._services:
+            if list(svc.profile.quality) != metrics:
+                raise ConfigurationError(
+                    f"service {svc.service_id}: profile metrics "
+                    f"{list(svc.profile.quality)} differ from the "
+                    f"taxonomy's {metrics}"
+                )
         self.service_ids = [svc.service_id for svc in self._services]
         self._n_services = len(self._services)
-        self._service_home = [
-            shard_of(sid, n_shards) for sid in self.service_ids
-        ]
+        self._service_home = np.array(
+            [shard_of(sid, n_shards) for sid in self.service_ids],
+            dtype=np.int64,
+        )
+        # Draws are keyed counters: a pure function of (world key,
+        # global consumer index, purpose, global round), whichever
+        # shard hosts the consumer.
+        self._key = self.world.seeds.spawn("shard-draws")
+        self._streams = np.array(self.owned, dtype=np.int64)
+        self._raters = [c.consumer_id for c in self.consumers]
+        self._rating_noise = np.array(
+            [c.rating_noise for c in self.consumers], dtype=np.float64
+        )
+        self._weights = np.array(
+            [c.preferences.weight_vector(metrics) for c in self.consumers],
+            dtype=np.float64,
+        ).reshape(len(self.consumers), self._n_metrics)
         # One truth row per distinct taste per round: heterogeneous
         # worlds get one per (weights, segment); homogeneous worlds
         # collapse to n_segments rows.
         self._truth = TruthTable(self._services)
-        self._truth_keys = [
-            TruthTable.taste_key(c.preferences.weights, c.segment)
-            for c in self.consumers
-        ]
-        self._policy_rngs = []
-        self._invokers = []
-        for i in self.owned:
-            streams = shard_consumer_streams(self.world.seeds, i)
-            self._policy_rngs.append(streams.rng("policy"))
-            self._invokers.append(
-                InvocationEngine(self.world.taxonomy, rng=streams.rng("invoke"))
-            )
+        tastes: Dict[Hashable, int] = {}
+        self._tastes: List[Tuple[Mapping[str, float], int, Hashable]] = []
+        taste_of = []
+        for c in self.consumers:
+            key = TruthTable.taste_key(c.preferences.weights, c.segment)
+            if key not in tastes:
+                tastes[key] = len(self._tastes)
+                self._tastes.append((c.preferences.weights, c.segment, key))
+            taste_of.append(tastes[key])
+        self._taste_of = np.array(taste_of, dtype=np.int64)
+        self._segments = list(dict.fromkeys(c.segment for c in self.consumers))
+        self._segment_of = np.array(
+            [self._segments.index(c.segment) for c in self.consumers],
+            dtype=np.int64,
+        )
         self.sim = Simulator(start=0.0)
         # Shard-local accounting: one registry carries both the net.*
         # traffic counters and the fig2.* ledger, snapshotted once at
@@ -370,6 +434,81 @@ class ShardRuntime:
         self.ledger = ActivityLedger(self.network.metrics)
         self.ledger.touch(ACTIVITY)
         self._epochs_run = 0
+
+    def round_draws(
+        self, global_round: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every owned consumer's draws for one round.
+
+        Returns the ``(n, 3)`` uniforms (explore, choice, success), then
+        the ``(n, n_metrics)`` QoS and rating normals, rows in
+        :attr:`owned` order.
+        """
+        streams = self._streams  # global consumer indices
+        uniforms = keyed_uniforms(
+            self._key, streams, SELECT_DRAWS, global_round, 3
+        )
+        normals = keyed_normals(
+            self._key,
+            streams,
+            NOISE_DRAWS,
+            global_round,
+            2 * self._n_metrics,
+        )
+        m = self._n_metrics
+        return uniforms, normals[:, :m], normals[:, m:]
+
+    def _round(
+        self, global_round: int, t: float, exploit: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One select-invoke-rate round over every owned consumer.
+
+        Returns the chosen service index, the rating, the regret and the
+        tolerance-accuracy flag of each consumer, in :attr:`owned` order.
+        """
+        spec = self.spec
+        uniforms, qos_normals, rating_normals = self.round_draws(global_round)
+        choice = np.where(
+            uniforms[:, 0] < spec.epsilon,
+            np.minimum(
+                (uniforms[:, 1] * self._n_services).astype(np.int64),
+                self._n_services - 1,
+            ),
+            exploit,
+        )
+        rows = [self._truth.row(t, w, seg, key) for w, seg, key in self._tastes]
+        best = np.array([b for b, _ in rows], dtype=np.int64)[self._taste_of]
+        quals = np.array([q for _, q in rows], dtype=np.float64).reshape(
+            len(rows), self._n_services
+        )
+        chosen_q = quals[self._taste_of, choice]
+        optimal_q = quals[self._taste_of, best]
+        regret = optimal_q - chosen_q
+        accurate = (choice == best) | (regret <= spec.optimality_tolerance)
+        profiles = [svc.profile_at(t) for svc in self._services]
+        truth = np.array(
+            [[p._truth_vector(seg) for p in profiles] for seg in self._segments],
+            dtype=np.float64,
+        ).reshape(len(self._segments), self._n_services, self._n_metrics)
+        noise = np.array([p.noise for p in profiles], dtype=np.float64)
+        success_rate = np.array(
+            [p.success_rate for p in profiles], dtype=np.float64
+        )
+        observations = sample_many(
+            truth[self._segment_of, choice],
+            noise[choice],
+            qos_normals,
+            self._taxonomy,
+        )
+        ratings = rate_many(
+            observations,
+            uniforms[:, 2] < success_rate[choice],
+            rating_normals,
+            self._rating_noise,
+            self._weights,
+            self._taxonomy,
+        )
+        return choice, ratings, regret, accurate
 
     def run_epoch(self, epoch: int, scores: Sequence[float]) -> ShardDelta:
         """Run one epoch against *scores* and return the buffered delta."""
@@ -384,13 +523,10 @@ class ShardRuntime:
             )
         n_rounds = spec.rounds_per_epoch
         n_own = len(self.owned)
-        rows = n_own * n_rounds
         store = EventStore(time_dtype="int64")
-        rounds_col = np.empty(rows, dtype=np.int64)
-        consumers_col = np.empty(rows, dtype=np.int64)
-        regrets = np.empty(rows, dtype=np.float64)
         accurate = np.zeros(n_rounds, dtype=np.int64)
         home_counts = np.zeros(self.n_shards, dtype=np.int64)
+        regrets: List[np.ndarray] = []
         # Scores are frozen for the whole epoch, so the exploit arm is
         # a constant: the harness's (score, id) tie-break, computed once.
         exploit = 0
@@ -400,50 +536,25 @@ class ShardRuntime:
                 key=lambda j: (scores[j], self.service_ids[j]),
             )
         epoch_start = spec.epoch_start(epoch)
-        state = {"round": 0, "row": 0}
+        first_round = epoch * n_rounds
 
         def fire_round() -> None:
-            r_local = state["round"]
+            r_local = len(regrets)
             t = epoch_start + r_local * spec.round_length
-            row = state["row"]
-            for k in range(n_own):
-                consumer = self.consumers[k]
-                rng = self._policy_rngs[k]
-                if float(rng.random()) < spec.epsilon:
-                    j = int(rng.integers(self._n_services))
-                else:
-                    j = exploit
-                best, quals = self._truth.row(
-                    t,
-                    consumer.preferences.weights,
-                    consumer.segment,
-                    self._truth_keys[k],
-                )
-                chosen_quality = quals[j]
-                optimal_quality = quals[best]
-                if (
-                    j == best
-                    or optimal_quality - chosen_quality
-                    <= spec.optimality_tolerance
-                ):
-                    accurate[r_local] += 1
-                interaction = self._invokers[k].invoke(
-                    consumer, self._services[j], t
-                )
-                feedback = consumer.rate(interaction, self.world.taxonomy)
-                store.append(
-                    feedback.rater,
-                    feedback.target,
-                    feedback.rating,
-                    to_ticks(feedback.time),
-                )
-                rounds_col[row] = epoch * n_rounds + r_local
-                consumers_col[row] = self.owned[k]
-                regrets[row] = optimal_quality - chosen_quality
-                home_counts[self._service_home[j]] += 1
-                row += 1
-            state["row"] = row
-            state["round"] = r_local + 1
+            choice, ratings, regret, hits = self._round(
+                first_round + r_local, t, exploit
+            )
+            store.extend(
+                self._raters,
+                [self.service_ids[j] for j in choice.tolist()],
+                ratings.tolist(),
+                np.full(n_own, to_ticks(t), dtype=np.int64),
+            )
+            accurate[r_local] = int(hits.sum())
+            home_counts[:] += np.bincount(
+                self._service_home[choice], minlength=self.n_shards
+            )
+            regrets.append(regret)
 
         self.sim.schedule_every(
             spec.round_length,
@@ -452,11 +563,12 @@ class ShardRuntime:
             count=n_rounds,
         )
         self.sim.run(until=epoch_start + n_rounds * spec.round_length)
-        if state["row"] != rows:
+        if len(regrets) != n_rounds:
             raise ConfigurationError(
-                f"shard {self.shard} produced {state['row']} rows, "
-                f"expected {rows}"
+                f"shard {self.shard} ran {len(regrets)} rounds, "
+                f"expected {n_rounds}"
             )
+        rows = n_own * n_rounds
         src = f"shard-{self.shard}"
         for dst in range(self.n_shards):
             self.network.record_traffic(
@@ -471,9 +583,12 @@ class ShardRuntime:
             shard=self.shard,
             epoch=epoch,
             store=store,
-            rounds=rounds_col,
-            consumers=consumers_col,
-            regrets=regrets,
+            rounds=np.repeat(
+                np.arange(first_round, first_round + n_rounds, dtype=np.int64),
+                n_own,
+            ),
+            consumers=np.tile(self._streams, n_rounds),
+            regrets=np.concatenate(regrets),
             accurate=accurate,
             home_counts=home_counts,
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId, IdFactory
 from repro.common.randomness import SeedSequenceFactory
 from repro.services.consumer import Consumer, PreferenceProfile
@@ -238,8 +239,9 @@ def shard_consumer_streams(
     Derived through the stateless :meth:`SeedSequenceFactory.spawn`, so
     it is a pure function of (root entropy, index) — any shard can
     rebuild any consumer's streams without replaying anyone else's
-    draws.  Sub-streams by label: ``weights``, ``rating`` (used by the
-    builder), ``policy``, ``invoke`` (used by the shard runtime).
+    draws.  Sub-streams by label: ``weights`` and ``rating``, both
+    used by the builder (the shard runtime draws from keyed counters
+    instead, see :func:`~repro.common.randomness.keyed_uniforms`).
     """
     return SeedSequenceFactory(seeds.spawn(f"shard-consumer/{index}"))
 
@@ -269,8 +271,8 @@ def make_shard_consumers(
     consumers: List[Consumer] = []
     for i in selected:
         if not 0 <= i < count:
-            raise ValueError(
-                f"consumer index {i} outside [0, {count})"
+            raise ConfigurationError(
+                f"consumer_indices: index {i} outside [0, {count})"
             )
         streams = shard_consumer_streams(seeds, i)
         segment = i % max(1, n_segments)

@@ -11,7 +11,9 @@ weighted by their :class:`PreferenceProfile`; dishonest strategies (in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
@@ -56,6 +58,15 @@ class PreferenceProfile:
             return sum(facet_scores.values()) / len(facet_scores)
         return sum(facet_scores[m] * w for m, w in common.items()) / total
 
+    def weight_vector(self, metrics: Sequence[str]) -> List[float]:
+        """:meth:`overall`'s weights over *metrics*, for :func:`rate_many`.
+
+        An unweighted metric gets 0; when none of *metrics* is weighted,
+        every one gets 1, which is :meth:`overall`'s plain-mean fallback.
+        """
+        weights = [self.weights.get(m, 0.0) for m in metrics]
+        return weights if sum(weights) > 0 else [1.0] * len(metrics)
+
     @staticmethod
     def uniform(metrics: "list[str]", segment: int = 0) -> "PreferenceProfile":
         return PreferenceProfile({m: 1.0 for m in metrics}, segment=segment)
@@ -79,6 +90,41 @@ def quality_scores(
             frac = max(0.0, min(1.0, (raw - low) / span))
             scores[name] = 1.0 - frac if lower else frac
     return scores
+
+
+def rate_many(
+    observations: np.ndarray,
+    success: np.ndarray,
+    normals: np.ndarray,
+    rating_noise: np.ndarray,
+    weights: np.ndarray,
+    taxonomy: QoSTaxonomy,
+) -> np.ndarray:
+    """Many honest consumers' overall ratings: :meth:`Consumer.rate` on arrays.
+
+    Row ``i`` is one invocation: its raw ``observations`` over every
+    metric of *taxonomy* in its order (as :func:`~repro.services.qos.
+    sample_many` returns them), whether it ``success``-ed, one standard
+    normal per metric, the consumer's ``rating_noise`` and its
+    :meth:`PreferenceProfile.weight_vector`.  The arithmetic is the
+    scalar path's in the same order — :func:`quality_scores`, noise,
+    clamp, the weighted mean accumulated metric by metric (never a
+    numpy sum), clamp — and a failed call rates 0.  A row equals
+    ``rate`` of an honest consumer fed the same normals, up to the
+    summation order when the consumer's weights list the metrics in
+    another order than *taxonomy*.
+    """
+    lows, spans, lower = taxonomy.scale_columns
+    frac = np.clip((observations - lows) / spans, 0.0, 1.0)
+    honest = np.where(lower, 1.0 - frac, frac)
+    filed = np.clip(honest + rating_noise[:, None] * normals, 0.0, 1.0)
+    weighted = filed[:, 0] * weights[:, 0]
+    total = weights[:, 0].copy()
+    for m in range(1, filed.shape[1]):
+        weighted += filed[:, m] * weights[:, m]
+        total += weights[:, m]
+    overall = np.clip(weighted / total, 0.0, 1.0)
+    return np.where(success, overall, 0.0)
 
 
 #: A rating strategy maps (consumer, interaction, honest per-facet scores)

@@ -26,6 +26,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.common.errors import ConfigurationError, UnknownEntityError
 from repro.common.mathutils import clamp
 from repro.common.randomness import RngLike, make_rng
@@ -138,6 +140,15 @@ class QoSTaxonomy:
             )
             for m in self._by_name.values()
         }
+        #: :attr:`scales` as three aligned columns in metric order —
+        #: lows, spans and the lower-is-better mask — for the vector
+        #: paths (:func:`sample_many`, :func:`~repro.services.consumer.
+        #: rate_many`)
+        self.scale_columns: Tuple[np.ndarray, np.ndarray, np.ndarray] = (
+            np.array([s[0] for s in self.scales.values()], dtype=np.float64),
+            np.array([s[1] for s in self.scales.values()], dtype=np.float64),
+            np.array([s[2] for s in self.scales.values()], dtype=bool),
+        )
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
@@ -415,6 +426,28 @@ class QoSProfile:
             },
             success_rate=self.success_rate,
         )
+
+
+def sample_many(
+    truth: np.ndarray,
+    noise: np.ndarray,
+    normals: np.ndarray,
+    taxonomy: QoSTaxonomy,
+) -> np.ndarray:
+    """Many invocations' raw observations: :meth:`QoSProfile.sample` on arrays.
+
+    Row ``i`` is one invocation of a profile whose metrics are
+    *taxonomy*'s, in its order: ``truth[i]`` is the profile's truth
+    vector for the caller's segment, ``noise[i]`` its noise std-dev and
+    ``normals[i]`` one standard normal per metric.  Each element goes
+    through the scalar path's arithmetic in the same order (``q +
+    noise * z`` clamped, then :meth:`MetricDef.denormalize`), so a row
+    equals ``sample`` fed the same normals, bit for bit.
+    """
+    lows, spans, lower = taxonomy.scale_columns
+    noisy = np.clip(truth + noise[:, None] * normals, 0.0, 1.0)
+    noisy = np.where(lower, 1.0 - noisy, noisy)
+    return lows + noisy * spans
 
 
 def random_profile(

@@ -1,0 +1,141 @@
+"""Mutation check for the shard path: do the gates catch regressions?
+
+Each :class:`Mutant` is an exact source edit that breaks one rule the
+canonical output depends on, plus the one test that must catch it.
+The runner copies ``src/`` to a temporary directory, applies one
+mutant there, runs its gate against the copy and expects the gate to
+fail.  The checkout itself is never edited.
+
+Run from the repository root::
+
+    python -m tests.mutation            # every mutant
+    python -m tests.mutation 0 3        # mutants 0 and 3
+
+It prints one line per mutant and ``killed K/N``, and exits non-zero
+when a mutant survives or a gate fails on the unmutated copy.
+``tests/test_mutation_list.py`` keeps every ``old`` snippet matching
+exactly once, so the list cannot silently go stale.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Dict, List, Sequence
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DETERMINISM = "tests/test_experiments/test_shard_determinism.py"
+PHILOX = "tests/test_common/test_philox.py"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    file: str
+    old: str
+    new: str
+    gate: str
+    reason: str
+
+
+MUTANTS: List[Mutant] = [
+    Mutant(
+        file="src/repro/experiments/sharded.py",
+        old="order = np.lexsort((consumers, rounds))",
+        new="order = np.lexsort((rounds, consumers))",
+        gate=f"{DETERMINISM}::TestMergedOrder::"
+        "test_rows_in_round_then_consumer_order",
+        reason="merged rows sorted by (consumer, round): every shard count "
+        "sorts alike, so only the order test sees it",
+    ),
+    Mutant(
+        file="src/repro/experiments/sharded.py",
+        old="for delta in deltas:  # shard-index order: the canonical merge",
+        new="for delta in reversed(deltas):  # reversed merge",
+        gate=f"{DETERMINISM}::TestShardCountInvariance::"
+        "test_one_two_eight_shards_byte_identical",
+        reason="delta stores merged in reverse shard order while the key "
+        "columns stay in shard order; reversing both is equivalent (the "
+        "lexsort key is unique per row)",
+    ),
+    Mutant(
+        file="src/repro/experiments/sharded.py",
+        old="streams = self._streams  # global consumer indices",
+        new="streams = np.arange(len(self._streams))",
+        gate=f"{DETERMINISM}::TestShardCountInvariance::"
+        "test_one_two_eight_shards_byte_identical",
+        reason="draws keyed by the shard-local position, so a consumer's "
+        "draws depend on which shard hosts it",
+    ),
+    Mutant(
+        file="src/repro/common/randomness.py",
+        old="np.full(n, step, dtype=np.uint64),",
+        new="np.full(n, 0, dtype=np.uint64),",
+        gate=f"{PHILOX}::TestKeyedDraws::test_counter_layout",
+        reason="a counter without the round repeats every round's draws; "
+        "shard-count invariance and the scalar replay (same function) "
+        "are blind to it",
+    ),
+    Mutant(
+        file="src/repro/common/randomness.py",
+        old="PHILOX_ROUNDS = 10",
+        new="PHILOX_ROUNDS = 7",
+        gate=f"{PHILOX}::TestPhilox::test_known_answers",
+        reason="Philox4x32-7 is a different generator; only the Random123 "
+        "known answers pin the round count",
+    ),
+]
+
+
+def _pytest(src: Path, gate: str) -> int:
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{ROOT}")
+    command = [sys.executable, "-m", "pytest", "-x", "-q",
+               "-p", "no:cacheprovider", gate]
+    return subprocess.run(
+        command, cwd=ROOT, env=env, capture_output=True
+    ).returncode
+
+
+def run(indices: Sequence[int]) -> int:
+    killed = 0
+    errors = 0
+    baseline: Dict[str, int] = {}
+    with tempfile.TemporaryDirectory(prefix="mutation-") as tmp:
+        clean = Path(tmp) / "clean" / "src"
+        shutil.copytree(ROOT / "src", clean)
+        for index in indices:
+            mutant = MUTANTS[index]
+            if mutant.gate not in baseline:
+                baseline[mutant.gate] = _pytest(clean, mutant.gate)
+            if baseline[mutant.gate] != 0:
+                print(f"[{index}] ERROR: gate fails unmutated: {mutant.gate}")
+                errors += 1
+                continue
+            work = Path(tmp) / f"mutant-{index}" / "src"
+            shutil.copytree(ROOT / "src", work)
+            path = work.parent / mutant.file
+            text = path.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                print(f"[{index}] ERROR: snippet not unique in {mutant.file}")
+                errors += 1
+                continue
+            path.write_text(text.replace(mutant.old, mutant.new),
+                            encoding="utf-8")
+            # exit code 1 is "tests failed"; anything else (collection
+            # or usage errors) does not count as a kill
+            code = _pytest(work, mutant.gate)
+            status = "killed" if code == 1 else f"SURVIVED (exit {code})"
+            killed += code == 1
+            print(f"[{index}] {status}: {mutant.file}: {mutant.reason}")
+    print(f"killed {killed}/{len(indices)}")
+    return 0 if killed == len(indices) and not errors else 1
+
+
+if __name__ == "__main__":
+    chosen = [int(a) for a in sys.argv[1:]] or list(range(len(MUTANTS)))
+    sys.exit(run(chosen))

@@ -32,8 +32,21 @@ from repro.experiments.workloads import (
 )
 from repro.obs.trace import write_jsonl
 from repro.p2p.pgrid import shard_path
+from repro.robustness.attacks import badmouth_strategy
+from repro.services.provider import DegradingBehavior
 
 SMALL_WORLD = dict(n_providers=3, services_per_provider=2, n_consumers=11)
+
+#: per-consumer weights, two taste segments with subjective offsets,
+#: and a service whose quality drops mid-run
+HETEROGENEOUS_WORLD = dict(
+    SMALL_WORLD,
+    n_consumers=13,
+    preference_heterogeneity=0.5,
+    n_segments=2,
+    segment_spread=0.2,
+    behaviors={1: DegradingBehavior(drop=0.3, onset=2.0)},
+)
 
 
 def _spec(seed: int, **overrides) -> ShardedRunSpec:
@@ -73,6 +86,20 @@ class TestShardCountInvariance:
             assert report.telemetry.metrics == base.telemetry.metrics
             assert trace_sha256(report) == base_trace
 
+    def test_heterogeneous_world_one_two_eight_identical(
+        self, global_random_seed
+    ):
+        spec = _spec(global_random_seed, world_params=HETEROGENEOUS_WORLD)
+        reports = {
+            n: run_sharded_experiment(spec, shards=n, mode=SERIAL)
+            for n in (1, 2, 8)
+        }
+        base = reports[1]
+        for n in (2, 8):
+            assert reports[n].canonical_bytes() == base.canonical_bytes()
+            assert reports[n].result == base.result
+            assert trace_sha256(reports[n]) == trace_sha256(base)
+
     def test_partition_covers_and_is_disjoint(self, global_random_seed):
         n_consumers = 40
         shards = 4
@@ -101,6 +128,70 @@ class TestShardCountInvariance:
                 assert shard_of(entity, 2 ** depth) == int(
                     shard_path(entity, depth), 2
                 )
+
+
+class TestMergedOrder:
+    """The coordinator's merge yields rows in (round, consumer index)
+    order.  Every shard count goes through the same sort, so the
+    N-invariance gate alone cannot see a wrong sort key."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_rows_in_round_then_consumer_order(self, shards):
+        spec = _spec(7, world_params=dict(SMALL_WORLD, n_consumers=17))
+        store = run_sharded_experiment(spec, shards=shards, mode=SERIAL).store
+        assert store.times_monotonic
+        cols = store.snapshot()
+        names = list(store.entities.values())
+        raters = [names[code] for code in cols.rater.tolist()]
+        ticks = cols.time.tolist()
+        expected = sorted(set(ticks))
+        assert len(expected) == spec.total_rounds
+        for tick in expected:
+            in_tick = [r for r, t in zip(raters, ticks) if t == tick]
+            assert in_tick == [shard_consumer_id(i) for i in range(17)]
+
+
+def _badmouthing_world(seed, consumer_indices=None, **params):
+    world = make_shard_world(
+        seed=seed, consumer_indices=consumer_indices, **params
+    )
+    for consumer in world.consumers:
+        if consumer.consumer_id == shard_consumer_id(4):
+            consumer.rating_strategy = badmouth_strategy
+    return world
+
+
+def _partial_profile_world(seed, consumer_indices=None, **params):
+    world = make_shard_world(
+        seed=seed, consumer_indices=consumer_indices, **params
+    )
+    del world.services[2].profile.quality["cost"]
+    return world
+
+
+class TestUnsupportedShapes:
+    """The vector rounds cover honest raters over full-taxonomy
+    profiles; anything else fails at runtime construction, by name."""
+
+    def test_dishonest_rating_strategy_names_the_consumer(self):
+        register_shard_world_builder(
+            "badmouthing-shard-world", _badmouthing_world, overwrite=True
+        )
+        spec = _spec(3, world="badmouthing-shard-world")
+        with pytest.raises(ConfigurationError, match="consumer-0000004"):
+            ShardRuntime(spec, 0, 1)
+        with pytest.raises(ConfigurationError, match="rates honestly"):
+            run_sharded_experiment(spec, shards=2, mode=SERIAL)
+
+    def test_profile_off_the_taxonomy_names_the_service(self):
+        register_shard_world_builder(
+            "partial-profile-shard-world",
+            _partial_profile_world,
+            overwrite=True,
+        )
+        spec = _spec(3, world="partial-profile-shard-world")
+        with pytest.raises(ConfigurationError, match="svc-0002"):
+            ShardRuntime(spec, 0, 1)
 
 
 class TestProcessMode:
@@ -220,3 +311,8 @@ class TestSpecValidation:
             run_sharded_experiment(ShardedRunSpec(), shards=1, mode="bogus")
         with pytest.raises(ConfigurationError):
             shard_of("x", 0)
+
+    @pytest.mark.parametrize("bad", [-3, 0, 2.7, "5", True, None])
+    def test_rejects_bad_consumer_counts(self, bad):
+        with pytest.raises(ConfigurationError, match="n_consumers"):
+            ShardedRunSpec(world_params=dict(SMALL_WORLD, n_consumers=bad))

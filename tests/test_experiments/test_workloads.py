@@ -121,9 +121,10 @@ class TestShardWorlds:
     def test_out_of_range_indices_rejected(self):
         from repro.experiments.workloads import make_shard_consumers
         from repro.services.qos import DEFAULT_METRICS
+        from repro.common.errors import ConfigurationError
         from repro.common.randomness import SeedSequenceFactory
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="consumer_indices"):
             make_shard_consumers(
                 3, DEFAULT_METRICS, SeedSequenceFactory(0), indices=[3]
             )

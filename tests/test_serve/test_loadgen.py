@@ -3,6 +3,7 @@ and the ``python -m repro.obs summarize`` serve section."""
 
 import io
 import json
+import re
 
 import pytest
 
@@ -108,13 +109,17 @@ class TestClientSideTally:
         quantiles = small_report.wall_quantiles_ms()
         assert set(quantiles) == {"_all", "t0", "t1"}
         assert quantiles["_all"]["p99_ms"] >= quantiles["_all"]["p50_ms"]
-        # Wall times must never appear in canonical surfaces.
+        # Wall times must never appear in canonical surfaces: not as a
+        # number, not inside a string.  A value counts as a whole
+        # number only, so a digit run inside a longer integer or inside
+        # a float (a rating's 16 fraction digits) does not.
         blob = json.dumps(
             [r.to_dict() for r in small_report.responses]
         ) + small_report.log.canonical_bytes().decode("utf-8")
         for values in small_report.wall_ns.values():
             for value in values:
-                assert str(value) not in blob
+                whole = rf"(?<![0-9.]){value}(?![0-9]|\.[0-9])"
+                assert re.search(whole, blob) is None, value
 
 
 class TestSummarizeServeSection:

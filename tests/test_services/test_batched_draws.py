@@ -31,6 +31,7 @@ from repro.services.consumer import (
     PreferenceProfile,
     honest_rating_strategy,
     quality_scores,
+    rate_many,
 )
 from repro.services.description import ServiceDescription
 from repro.services.invocation import InvocationEngine
@@ -40,6 +41,7 @@ from repro.services.qos import (
     QoSTaxonomy,
     default_metrics,
     random_profile,
+    sample_many,
     w3c_taxonomy,
 )
 from tests.test_services import scalar_oracle
@@ -201,3 +203,58 @@ def test_invoke_and_rate_equal_scalar_path(
     assert got == want
     # dict equality ignores key order; the filed facets' order must hold too
     assert repr(got) == repr(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    taxonomy=taxonomies,
+    seed=seeds,
+    segment=st.integers(0, 3),
+    rating_noise=noises,
+)
+def test_vector_rows_equal_sample_and_rate(
+    data, taxonomy, seed, segment, rating_noise
+):
+    """``sample_many`` / ``rate_many`` (the shard runtime's vector
+    rounds) equal ``QoSProfile.sample`` / ``Consumer.rate`` fed the same
+    standard normals, bit for bit, successful call or failed."""
+    profile = data.draw(profiles(taxonomy))
+    names = taxonomy.names()
+    weights = {m: data.draw(st.floats(0.0, 5.0)) for m in names}
+    m = len(names)
+    qos_z = np.random.default_rng(seed).standard_normal(m)
+    rating_z = np.random.default_rng(seed + 1).standard_normal(m)
+    observed = profile.sample(
+        taxonomy, np.random.default_rng(seed), segment=segment
+    )
+    row = sample_many(
+        np.array([profile._truth_vector(segment)]),
+        np.array([profile.noise]),
+        qos_z[None, :],
+        taxonomy,
+    )
+    assert row[0].tolist() == list(observed.values())
+    consumer = Consumer(
+        "c0",
+        preferences=PreferenceProfile(weights, segment=segment),
+        rating_noise=rating_noise,
+        rng=seed + 1,
+    )
+    # a failed call draws nothing, so the successful one that follows
+    # reads the first normals of the consumer's stream
+    for success in (False, True):
+        interaction = Interaction(
+            consumer="c0", service="s0", provider="p0", time=0.0,
+            success=success, observations=observed if success else {},
+        )
+        want = consumer.rate(interaction, taxonomy).rating
+        got = rate_many(
+            row,
+            np.array([success]),
+            rating_z[None, :],
+            np.array([rating_noise]),
+            np.array([consumer.preferences.weight_vector(names)]),
+            taxonomy,
+        )
+        assert got.tolist() == [want]
