@@ -3,8 +3,9 @@
 R009 — ambient nondeterminism must not reach canonical state.  A value
 derived from the global RNGs, a wall-clock read, ``os.urandom``, uuid,
 or the iteration order of a ``set`` may not flow into an
-``EventStore.append/extend``, a tracer record, a telemetry snapshot,
-or a ``ScenarioResult`` field — through any number of calls.  R001
+``EventStore.append/extend/extend_coded``, a tracer record, a
+telemetry snapshot, or a ``ScenarioResult`` field — through any
+number of calls.  R001
 catches the *syntactically visible* uses of banned names in one file;
 R009 catches the laundered ones: a helper two calls away that returns
 ``time.time()`` into something a canonical-bytes path will hash.
@@ -69,7 +70,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 #: EventStore methods that ingest feedback into canonical state
-_STORE_SINKS = frozenset({"append", "extend"})
+_STORE_SINKS = frozenset({"append", "extend", "extend_coded"})
 
 #: recorder facade methods — everything they take lands in a metrics
 #: snapshot or the sim-time trace, both canonical-bytes surfaces

@@ -5,7 +5,7 @@ is independent, so processes never talk.  This module scales *one*
 world: consumers are deterministically partitioned over N shard
 processes, each shard runs select-invoke-rate rounds on its own sim
 kernel for a fixed epoch, and shards exchange feedback only at the
-epoch barrier as canonical :class:`~repro.store.EventStore` deltas.
+epoch barrier as code-column deltas (:class:`ShardDelta`).
 The hard contract mirrors the parallel layer's:
 
     ``1 shard == 2 shards == 8 shards``, byte for byte.
@@ -20,14 +20,16 @@ Four design rules enforce it:
   key-space split: ``shard_of(e, 2**d) == int(shard_path(e, d), 2)``.
 * **Frozen-score epochs (BSP).**  Rankings inside an epoch use the
   reputation scores broadcast at the epoch start; new feedback is
-  buffered in a per-shard delta store and applied only at the barrier.
+  buffered in per-shard delta columns and applied only at the barrier.
   No shard ever observes mid-epoch feedback, so results cannot depend
   on which shard produced a row first.
-* **Canonical merge order.**  The coordinator merges delta stores in
-  shard-index order (a list, never a set), then re-sorts rows by the
-  ``(round, consumer index)`` key columns every delta carries.  The
-  merged row order — and therefore every interner code and
-  ``canonical_bytes()`` — equals what the 1-shard run appends
+* **Canonical merge order.**  The coordinator concatenates delta
+  columns in shard-index order (a list, never a set), then re-sorts
+  rows by the ``(round, consumer index)`` key columns every delta
+  carries, with one lexsort.  The merged row order — and, through the
+  first-appearance coded append
+  (:meth:`~repro.store.EventStore.extend_coded`), every interner code
+  and ``canonical_bytes()`` — equals what the 1-shard run appends
   directly.
 * **Keyed counter draws.**  Every draw of a round — explore, choice,
   success, QoS noise, rating noise — is Philox4x32-10 of the counter
@@ -37,8 +39,9 @@ Four design rules enforce it:
   of the seed and its index, whichever shard hosts it, and one call
   draws a whole round for every consumer a shard owns.
 
-Feedback crossing the barrier is the store row ``(rater, target,
-overall rating, int64 tick)``: facet detail and the backing
+Feedback crossing the barrier is the row ``(rater, target, overall
+rating, int64 tick)``, ids as indices into the shard's consumer list
+and the shared service catalog: facet detail and the backing
 interaction stay shard-local, so context factors that need the
 interaction (e.g. PeerTrust's transaction factor) see the neutral 1.0
 on *every* shard count, including 1 — the invariant is preserved by
@@ -72,11 +75,14 @@ from typing import (
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError, UnknownEntityError
+from repro.common.errors import (
+    ConfigurationError,
+    UnknownEntityError,
+    WorkerError,
+)
 from repro.common.ids import EntityId
 from repro.common.randomness import keyed_normals, keyed_uniforms
-from repro.common.records import Feedback
-from repro.common.simtime import from_ticks, to_ticks
+from repro.common.simtime import times_array, to_ticks
 from repro.core.scenarios import ScenarioResult
 from repro.experiments.parallel import WorkerGroup, picklable
 from repro.experiments.workloads import (
@@ -251,18 +257,26 @@ class ShardedRunSpec:
 
 @dataclass
 class ShardDelta:
-    """One shard's buffered output for one epoch.
+    """One shard's buffered output for one epoch, as code columns.
 
-    ``store`` holds the feedback rows in the shard's local append
-    order; ``rounds``/``consumers`` are aligned int64 key columns the
-    coordinator lexsorts on to recover the canonical global row order
-    (a consumer lives on exactly one shard and files one row per
-    round, so the key is unique per row).
+    Row *i* is consumer ``raters[rater[i]]`` rating catalog service
+    ``service[i]`` (an index into the service list every shard and
+    the coordinator build alike) with ``rating[i]`` at int64 tick
+    ``tick[i]``.  ``rounds``/``consumers`` are aligned int64 key
+    columns the coordinator lexsorts on to recover the canonical
+    global row order (a consumer lives on exactly one shard and files
+    one row per round, so the key is unique per row).  Every per-row
+    column (:data:`ROW_FIELDS`) holds ``len(raters) * rounds`` rows.
     """
 
     shard: int
     epoch: int
-    store: EventStore
+    #: the owned consumers' ids, once per shard (never once per row)
+    raters: List[EntityId]
+    rater: np.ndarray
+    service: np.ndarray
+    rating: np.ndarray
+    tick: np.ndarray
     rounds: np.ndarray
     consumers: np.ndarray
     regrets: np.ndarray
@@ -274,6 +288,12 @@ class ShardDelta:
     @property
     def n_rows(self) -> int:
         return int(len(self.regrets))
+
+
+#: The per-row columns of a :class:`ShardDelta`.
+ROW_FIELDS = (
+    "rater", "service", "rating", "tick", "rounds", "consumers", "regrets"
+)
 
 
 @dataclass
@@ -523,9 +543,11 @@ class ShardRuntime:
             )
         n_rounds = spec.rounds_per_epoch
         n_own = len(self.owned)
-        store = EventStore(time_dtype="int64")
         accurate = np.zeros(n_rounds, dtype=np.int64)
         home_counts = np.zeros(self.n_shards, dtype=np.int64)
+        services: List[np.ndarray] = []
+        ratings: List[np.ndarray] = []
+        ticks: List[np.ndarray] = []
         regrets: List[np.ndarray] = []
         # Scores are frozen for the whole epoch, so the exploit arm is
         # a constant: the harness's (score, id) tie-break, computed once.
@@ -541,15 +563,12 @@ class ShardRuntime:
         def fire_round() -> None:
             r_local = len(regrets)
             t = epoch_start + r_local * spec.round_length
-            choice, ratings, regret, hits = self._round(
+            choice, rating, regret, hits = self._round(
                 first_round + r_local, t, exploit
             )
-            store.extend(
-                self._raters,
-                [self.service_ids[j] for j in choice.tolist()],
-                ratings.tolist(),
-                np.full(n_own, to_ticks(t), dtype=np.int64),
-            )
+            services.append(choice)
+            ratings.append(rating)
+            ticks.append(np.full(n_own, to_ticks(t), dtype=np.int64))
             accurate[r_local] = int(hits.sum())
             home_counts[:] += np.bincount(
                 self._service_home[choice], minlength=self.n_shards
@@ -582,7 +601,11 @@ class ShardRuntime:
         return ShardDelta(
             shard=self.shard,
             epoch=epoch,
-            store=store,
+            raters=self._raters,
+            rater=np.tile(np.arange(n_own, dtype=np.int64), n_rounds),
+            service=np.concatenate(services),
+            rating=np.concatenate(ratings),
+            tick=np.concatenate(ticks),
             rounds=np.repeat(
                 np.arange(first_round, first_round + n_rounds, dtype=np.int64),
                 n_own,
@@ -657,33 +680,33 @@ class _Coordinator:
     def apply(self, epoch: int, deltas: Sequence[ShardDelta]) -> None:
         """Merge one epoch's shard deltas in canonical order.
 
-        *deltas* arrive as a list in shard-index order; the merged rows
-        are then re-sorted by the ``(round, consumer index)`` key so
-        the global append order — and every interner code downstream —
-        matches the 1-shard run exactly.
+        *deltas* arrive as a list in shard-index order; the concatenated
+        rows are then re-sorted by the ``(round, consumer index)`` key
+        so the global append order — and every interner code downstream
+        — matches the 1-shard run exactly.  The rows reach the global
+        store and the model as code columns, through one coded append
+        and one :meth:`~repro.models.base.ReputationModel.ingest_columns`.
         """
         spec = self.spec
-        epoch_store = EventStore(time_dtype="int64")
+        self._check_deltas(epoch, deltas)
+        names: List[EntityId] = list(self.service_ids)
+        rater_parts: List[np.ndarray] = []
         for delta in deltas:  # shard-index order: the canonical merge
-            epoch_store.merge_from(delta.store)
+            rater_parts.append(delta.rater + len(names))
+            names.extend(delta.raters)
         rounds = np.concatenate([d.rounds for d in deltas])
         consumers = np.concatenate([d.consumers for d in deltas])
-        regrets = np.concatenate([d.regrets for d in deltas])
         order = np.lexsort((consumers, rounds))
-        cols = epoch_store.snapshot()
-        names = np.array(list(epoch_store.entities.values()), dtype=object)
-        raters = [str(r) for r in names[cols.rater[order]]]
-        targets = [str(t) for t in names[cols.target[order]]]
-        values = cols.value[order]
-        ticks = cols.time[order]
-        self.store.extend(raters, targets, values.tolist(), ticks)
-        feedbacks = [
-            Feedback(rater=r, target=t, time=from_ticks(tk), rating=v)
-            for r, t, v, tk in zip(
-                raters, targets, values.tolist(), ticks.tolist()
-            )
-        ]
-        self.model.record_many(feedbacks)
+        raters = np.concatenate(rater_parts)[order]
+        services = np.concatenate([d.service for d in deltas])[order]
+        ratings = np.concatenate([d.rating for d in deltas])[order]
+        ticks = np.concatenate([d.tick for d in deltas])[order]
+        regrets = np.concatenate([d.regrets for d in deltas])[order]
+        self.store.extend_coded(names, raters, services, ratings, ticks)
+        self.model.ingest_columns(
+            names, raters, services, ratings, times_array(ticks)
+        )
+        n_rows = len(ratings)
         lo = epoch * spec.rounds_per_epoch
         for delta in deltas:
             self._accurate[lo : lo + spec.rounds_per_epoch] += delta.accurate
@@ -698,24 +721,50 @@ class _Coordinator:
                 messages=1,
                 size=delta.n_rows,
             )
-        self._regret_chunks.append(regrets[order])
-        for target in targets:
-            self._selection_counts[target] = (
-                self._selection_counts.get(target, 0) + 1
-            )
-        self._selections += len(raters)
+        self._regret_chunks.append(regrets)
+        # New keys go in first-appearance order, as a per-row loop would.
+        counts = np.bincount(services, minlength=len(self.service_ids))
+        _, first = np.unique(services, return_index=True)
+        for j in services[np.sort(first)].tolist():
+            target = self.service_ids[j]
+            self._selection_counts[target] = self._selection_counts.get(
+                target, 0
+            ) + int(counts[j])
+        self._selections += n_rows
         if self.recorder is not None:
             start = spec.epoch_start(epoch)
             self.recorder.span(
                 "sharded.epoch",
                 duration=spec.rounds_per_epoch * spec.round_length,
-                attrs={"epoch": epoch, "rows": len(raters)},
+                attrs={"epoch": epoch, "rows": n_rows},
                 time=start,
             )
             self.recorder.advance(spec.epoch_start(epoch + 1))
-            self.recorder.count("sharded.rows", len(raters))
+            self.recorder.count("sharded.rows", n_rows)
         if self.ledger is not None:
-            self.ledger.charge(ACTIVITY, feedback=len(raters))
+            self.ledger.charge(ACTIVITY, feedback=n_rows)
+
+    def _check_deltas(self, epoch: int, deltas: Sequence[ShardDelta]) -> None:
+        """Raise :class:`WorkerError`, naming the shard and the field,
+        for a delta that breaks the barrier protocol."""
+        n_rounds = self.spec.rounds_per_epoch
+        for position, delta in enumerate(deltas):
+            rows = len(delta.raters) * n_rounds
+            checks = [
+                ("shard", delta.shard, position),
+                ("epoch", delta.epoch, epoch),
+            ] + [
+                (f"{name} length", len(getattr(delta, name)), rows)
+                for name in ROW_FIELDS
+            ]
+            for what, got, want in checks:
+                if got != want:
+                    raise WorkerError(
+                        "shard",
+                        position,
+                        "run_epoch",
+                        f"delta {what} is {got}, expected {want}",
+                    )
 
     def finish(
         self,
@@ -737,7 +786,7 @@ class _Coordinator:
             rounds=spec.total_rounds,
             selections=self._selections,
             optimal_selections=optimal,
-            regrets=[float(r) for r in regrets],
+            regrets=regrets.tolist(),
             round_accuracy=[
                 count / n_consumers if n_consumers else 0.0
                 for count in self._accurate.tolist()

@@ -13,6 +13,9 @@ import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 from repro.common.ids import EntityId
 from repro.common.records import Feedback
 from repro.obs.recorder import get_recorder
@@ -27,6 +30,16 @@ class ScoredTarget:
 
     target: EntityId
     score: float
+
+
+def check_unit_ratings(ratings: ArrayLike) -> None:
+    """Raise the :class:`ValueError` a :class:`Feedback` raises, for the
+    first rating outside ``[0, 1]`` (NaN included)."""
+    values = np.asarray(ratings, dtype=np.float64)
+    bad = ~((values >= 0.0) & (values <= 1.0))
+    if bad.any():
+        rating = float(values[int(np.argmax(bad))])
+        raise ValueError(f"rating must be in [0, 1], got {rating}")
 
 
 class ReputationModel(abc.ABC):
@@ -74,6 +87,37 @@ class ReputationModel(abc.ABC):
         """
         for fb in feedbacks:
             self.record(fb)
+
+    def ingest_columns(
+        self,
+        names: Sequence[EntityId],
+        raters: ArrayLike,
+        targets: ArrayLike,
+        ratings: ArrayLike,
+        times: ArrayLike,
+    ) -> None:
+        """Bulk-ingest overall ratings as code columns: row *i* is
+        ``names[raters[i]]`` rating ``names[targets[i]]`` at ``times[i]``.
+
+        This default decodes every row into a :class:`Feedback` (which
+        checks the rating range) and calls :meth:`record_many` — the
+        ground truth.  Models whose ``record_many`` is a plain store
+        extend override it with
+        :meth:`~repro.store.EventStore.extend_coded` after
+        :func:`check_unit_ratings`; the parity suite pins the two
+        together.
+        """
+        self.record_many(
+            [
+                Feedback(rater=names[r], target=names[t], time=tm, rating=v)
+                for r, t, v, tm in zip(
+                    np.asarray(raters).tolist(),
+                    np.asarray(targets).tolist(),
+                    np.asarray(ratings, dtype=np.float64).tolist(),
+                    np.asarray(times, dtype=np.float64).tolist(),
+                )
+            ]
+        )
 
     def score_many(
         self,

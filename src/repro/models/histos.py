@@ -25,12 +25,13 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
 from repro.common.records import Feedback, feedback_columns
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import ReputationModel
+from repro.models.base import ReputationModel, check_unit_ratings
 from repro.store import EventStore, group_sums, latest_rows
 
 
@@ -71,6 +72,17 @@ class HistosModel(ReputationModel):
 
     def record_many(self, feedbacks: Iterable[Feedback]) -> None:
         self._store.extend(*feedback_columns(feedbacks))
+
+    def ingest_columns(
+        self,
+        names: Sequence[EntityId],
+        raters: ArrayLike,
+        targets: ArrayLike,
+        ratings: ArrayLike,
+        times: ArrayLike,
+    ) -> None:
+        check_unit_ratings(ratings)
+        self._store.extend_coded(names, raters, targets, ratings, times)
 
     def _advance(self) -> None:
         """Replay latest-edge extraction over unconsumed store rows —

@@ -51,7 +51,9 @@ from typing import (
 )
 
 import numpy as np
+from numpy.typing import ArrayLike
 
+from repro.common.errors import ConfigurationError
 from repro.store.interner import Interner
 
 __all__ = ["ColumnSet", "EventStore", "GroupIndex", "OVERALL_FACET"]
@@ -63,6 +65,15 @@ OVERALL_FACET = -1
 _EMPTY_I4 = np.empty(0, dtype=np.int32)
 _EMPTY_F8 = np.empty(0, dtype=np.float64)
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
+
+
+def _check_lengths(method: str, n: int, **lengths: int) -> None:
+    """Raise unless every column is as long as ``values`` (*n* rows)."""
+    for label, length in lengths.items():
+        if length != n:
+            raise ConfigurationError(
+                f"{method}: {label} has {length} rows but values has {n}"
+            )
 
 
 @dataclass(frozen=True)
@@ -284,42 +295,111 @@ class EventStore:
         """Bulk-append overall rows from parallel columns.
 
         Produces exactly the rows the equivalent :meth:`append` loop
-        would (same codes, same order); it just skips the per-event
-        Python frame and list growth.
+        would (same codes, same order): row *i* names its own rater and
+        target entries and goes through :meth:`extend_coded`.
         """
+        n = len(values)
+        _check_lengths(
+            "extend", n, raters=len(raters), targets=len(targets),
+            times=len(times),
+        )
+        index = np.arange(n, dtype=np.int64)
+        self.extend_coded([*raters, *targets], index, index + n, values, times)
+
+    def extend_coded(
+        self,
+        names: Sequence[str],
+        raters: ArrayLike,
+        targets: ArrayLike,
+        values: ArrayLike,
+        times: ArrayLike,
+    ) -> None:
+        """Bulk-append overall rows whose ids are indices into *names*.
+
+        Only referenced names are interned, in first-appearance order
+        over the interleaved ``(rater, target)`` stream — the order an
+        :meth:`append` loop over the decoded rows interns them in — so
+        codes, rows and :meth:`canonical_bytes` equal that loop's.
+        """
+        value_col = np.array(values, dtype=np.float64)
+        n = len(value_col)
+        rater_idx = np.asarray(raters, dtype=np.int64)
+        target_idx = np.asarray(targets, dtype=np.int64)
+        time_col = self._as_time_array(times)
+        _check_lengths(
+            "extend_coded", n, raters=len(rater_idx),
+            targets=len(target_idx), times=len(time_col),
+        )
+        if not n:
+            return
+        for label, idx in (("raters", rater_idx), ("targets", target_idx)):
+            low, high = int(idx.min()), int(idx.max())
+            if low < 0 or high >= len(names):
+                bad = low if low < 0 else high
+                raise ConfigurationError(
+                    f"extend_coded: {label} index {bad} outside names "
+                    f"(length {len(names)})"
+                )
+        # r0, t0, r1, t1, ...: the order an append loop interns in
+        stream = np.stack((rater_idx, target_idx), axis=1).reshape(-1)
+        used, first = np.unique(stream, return_index=True)
+        used = used[np.argsort(first)]
+        intern = self.entities.intern
+        lookup = np.empty(len(names), dtype=np.int32)
+        lookup[used] = [intern(names[i]) for i in used.tolist()]
+        self._append_columns(
+            lookup[rater_idx],
+            lookup[target_idx],
+            np.full(n, OVERALL_FACET, dtype=np.int32),
+            value_col,
+            time_col,
+        )
+
+    def _append_columns(
+        self,
+        raters: np.ndarray,
+        targets: np.ndarray,
+        facets: np.ndarray,
+        values: np.ndarray,
+        times: np.ndarray,
+    ) -> None:
+        """Append coded rows: top up the tail, seal whole chunks straight
+        from the arrays (copied, so chunks own their data), keep the
+        remainder as the new tail."""
         n = len(values)
         if not n:
             return
-        # Intern rater/target interleaved per row — interning all raters
-        # first would assign different codes than the append loop when a
-        # new id shows up in both columns.
-        intern = self.entities.intern
-        rater_codes = [0] * n
-        target_codes = [0] * n
-        for i, (rater, target) in enumerate(zip(raters, targets)):
-            rater_codes[i] = intern(rater)
-            target_codes[i] = intern(target)
-        self._tail_rater.extend(rater_codes)
-        self._tail_target.extend(target_codes)
-        self._tail_facet.extend([OVERALL_FACET] * n)
-        self._tail_value.extend(values)
-        arr = self._as_time_array(times)
-        self._tail_time.extend(arr.tolist())
         if self._times_sorted:
             last = self._last_time
-            if (last is not None and len(arr) and arr[0] < last) or (
-                len(arr) > 1 and bool(np.any(np.diff(arr) < 0))
+            if (last is not None and times[0] < last) or (
+                n > 1 and bool(np.any(np.diff(times) < 0))
             ):
                 self._times_sorted = False
-        self._last_time = self._py_time(arr[n - 1])
-        while len(self._tail_value) >= self.chunk_size:
-            self._seal_tail(self.chunk_size)
+        self._last_time = self._py_time(times[n - 1])
+        columns = (raters, targets, facets, values, times)
+        tails = self._tails()
+        size = self.chunk_size
+        start = min(n, size - len(self._tail_value)) if self._tail_value else 0
+        if start:
+            for tail, column in zip(tails, columns):
+                tail.extend(column[:start].tolist())
+            if len(self._tail_value) >= size:
+                self._seal_tail()
+        while n - start >= size:
+            stop = start + size
+            self._chunks.append(
+                _Chunk(*(column[start:stop].copy() for column in columns))
+            )
+            self._sealed_rows += size
+            start = stop
+        for tail, column in zip(tails, columns):
+            tail.extend(column[start:].tolist())
 
-    def _as_time_array(self, times: Sequence[float]) -> np.ndarray:
+    def _as_time_array(self, times: ArrayLike) -> np.ndarray:
         arr = np.asarray(times)
         if not self._time_is_int:
             return arr.astype(np.float64, copy=False)
-        if arr.dtype.kind not in "iu":
+        if arr.dtype.kind not in "iu" and arr.size:
             raise TypeError(
                 "int64-time store requires integer tick times "
                 f"(got dtype {arr.dtype}); convert with "
@@ -330,24 +410,32 @@ class EventStore:
     def _py_time(self, value: Union[int, float, np.number]) -> Union[int, float]:
         return int(value) if self._time_is_int else float(value)
 
-    def _seal_tail(self, limit: Optional[int] = None) -> None:
-        take = len(self._tail_value) if limit is None else limit
-        if not take:
-            return
-        chunk = _Chunk(
-            np.asarray(self._tail_rater[:take], dtype=np.int32),
-            np.asarray(self._tail_target[:take], dtype=np.int32),
-            np.asarray(self._tail_facet[:take], dtype=np.int32),
-            np.asarray(self._tail_value[:take], dtype=np.float64),
-            np.asarray(self._tail_time[:take], dtype=self.time_dtype),
+    def _tails(
+        self,
+    ) -> Tuple[List[int], List[int], List[int], List[float], List[float]]:
+        """The five tail lists, in column order."""
+        return (
+            self._tail_rater,
+            self._tail_target,
+            self._tail_facet,
+            self._tail_value,
+            self._tail_time,
         )
-        self._chunks.append(chunk)
-        self._sealed_rows += take
-        del self._tail_rater[:take]
-        del self._tail_target[:take]
-        del self._tail_facet[:take]
-        del self._tail_value[:take]
-        del self._tail_time[:take]
+
+    def _seal_tail(self) -> None:
+        """Seal the (full) tail into one immutable chunk."""
+        self._chunks.append(
+            _Chunk(
+                np.asarray(self._tail_rater, dtype=np.int32),
+                np.asarray(self._tail_target, dtype=np.int32),
+                np.asarray(self._tail_facet, dtype=np.int32),
+                np.asarray(self._tail_value, dtype=np.float64),
+                np.asarray(self._tail_time, dtype=self.time_dtype),
+            )
+        )
+        self._sealed_rows += len(self._tail_value)
+        for tail in self._tails():
+            tail.clear()
 
     # -- reading -------------------------------------------------------
     def snapshot(self) -> ColumnSet:
@@ -527,18 +615,6 @@ class EventStore:
             if len(facet_map)
             else np.int32(OVERALL_FACET),
         ).astype(np.int32)
-        self._tail_rater.extend(raters.tolist())
-        self._tail_target.extend(targets.tolist())
-        self._tail_facet.extend(facets.tolist())
-        self._tail_value.extend(columns.value.tolist())
-        self._tail_time.extend(columns.time.tolist())
-        times = columns.time
-        if self._times_sorted and len(times):
-            last = self._last_time
-            if (last is not None and times[0] < last) or (
-                len(times) > 1 and bool(np.any(np.diff(times) < 0))
-            ):
-                self._times_sorted = False
-        self._last_time = self._py_time(times[-1])
-        while len(self._tail_value) >= self.chunk_size:
-            self._seal_tail(self.chunk_size)
+        self._append_columns(
+            raters, targets, facets, columns.value, columns.time
+        )

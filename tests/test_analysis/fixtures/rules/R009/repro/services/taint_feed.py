@@ -35,6 +35,9 @@ class FeedbackFeed:
         # interprocedural fixpoint sees this one.
         self._store.append("r", "t", _relay(_laundered()), 2)
 
+    def coded_hit(self) -> None:
+        self._store.extend_coded(["r", "t"], [0], [1], [0.5], [time.monotonic()])
+
     def suppressed_hit(self) -> None:
         self._store.append("r", "t", _laundered(), 3)  # reprolint: disable=R009
 

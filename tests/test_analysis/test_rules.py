@@ -311,6 +311,14 @@ class TestR009AmbientTaint:
             "_relay(_laundered())" in f.content for f in hits
         )
 
+    def test_coded_append_is_a_sink(self, rule_findings):
+        hits = findings_for(
+            rule_findings("R009"), "R009", "services/taint_feed.py"
+        )
+        coded = [f for f in hits if "EventStore.extend_coded" in f.message]
+        assert len(coded) == 1
+        assert "time.monotonic()" in coded[0].content
+
     def test_set_order_taint_hits_sink(self, rule_findings):
         hits = findings_for(
             rule_findings("R009"), "R009", "services/taint_feed.py"
@@ -369,7 +377,7 @@ class TestR009AmbientTaint:
 
     def test_exact_counts_and_clean_paths(self, rule_findings):
         hits = findings_for(rule_findings("R009"), "R009")
-        assert len(hits) == 9
+        assert len(hits) == 10
         assert len(findings_for(hits, "R009", "serve/")) == 3
         contents = " ".join(f.content for f in hits)
         assert "clean_path" not in contents

@@ -157,6 +157,10 @@ def _assert_rows_equal_scalar_replay(spec: ShardedRunSpec, shards: int):
             assert got == 0.0
     assert any(not r[4] for r in rows) and any(r[4] for r in rows)
     assert report.result.regrets == regrets
+    # selection counts keep first-appearance order over the merged rows
+    assert list(report.result.selection_counts) == list(
+        dict.fromkeys(r[1] for r in rows)
+    )
     explored = {r[1] for r in rows}
     assert len(explored) > 1
 

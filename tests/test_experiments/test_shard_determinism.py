@@ -33,6 +33,7 @@ from repro.experiments.workloads import (
 from repro.obs.trace import write_jsonl
 from repro.p2p.pgrid import shard_path
 from repro.robustness.attacks import badmouth_strategy
+from repro.store import EventStore
 from repro.services.provider import DegradingBehavior
 
 SMALL_WORLD = dict(n_providers=3, services_per_provider=2, n_consumers=11)
@@ -151,6 +152,21 @@ class TestMergedOrder:
             assert in_tick == [shard_consumer_id(i) for i in range(17)]
 
 
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_store_equals_append_loop_over_its_rows(self, shards):
+        """The coded append interns ids in the order an append loop
+        over the merged rows would.  Every shard count interns alike
+        and the scalar replay compares ids, not codes, so only this
+        rebuild sees a different interning order."""
+        spec = _spec(7, world_params=dict(SMALL_WORLD, n_consumers=17))
+        store = run_sharded_experiment(spec, shards=shards, mode=SERIAL).store
+        rebuilt = EventStore(time_dtype="int64")
+        names = store.entities.values()
+        for rater, target, _facet, value, tick in store.iter_rows():
+            rebuilt.append(names[rater], names[target], value, tick)
+        assert rebuilt.canonical_bytes() == store.canonical_bytes()
+
+
 def _badmouthing_world(seed, consumer_indices=None, **params):
     world = make_shard_world(
         seed=seed, consumer_indices=consumer_indices, **params
@@ -267,6 +283,44 @@ class TestWorkerFailure:
             run_sharded_experiment(spec, shards=2, mode=PROCESS)
         assert info.value.worker == 1
         assert info.value.expected == "ready"
+
+
+def _break_shard_one(monkeypatch, breach):
+    """Patch ``run_epoch`` so shard 1's delta goes through *breach*."""
+    run_epoch = ShardRuntime.run_epoch
+
+    def patched(self, epoch, scores):
+        delta = run_epoch(self, epoch, scores)
+        if delta.shard == 1:
+            breach(delta)
+        return delta
+
+    monkeypatch.setattr(ShardRuntime, "run_epoch", patched)
+
+
+class TestProtocolBreach:
+    """A delta that breaks the barrier protocol surfaces as a
+    WorkerError naming the shard and the field, before any merge."""
+
+    @pytest.mark.parametrize(
+        "breach, field",
+        [
+            (lambda d: setattr(d, "shard", 0), "delta shard is 0, expected 1"),
+            (lambda d: setattr(d, "epoch", d.epoch + 1), "delta epoch is 1"),
+            (
+                lambda d: setattr(d, "rating", d.rating[:-1]),
+                "delta rating length",
+            ),
+        ],
+        ids=["shard", "epoch", "short-column"],
+    )
+    def test_breach_names_shard_and_field(self, monkeypatch, breach, field):
+        _break_shard_one(monkeypatch, breach)
+        spec = _spec(5)
+        with pytest.raises(WorkerError, match="shard 1") as info:
+            run_sharded_experiment(spec, shards=2, mode=SERIAL)
+        assert field in str(info.value)
+        assert info.value.worker == 1
 
 
 class TestDispatchAccounting:

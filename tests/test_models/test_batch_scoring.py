@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from typing import List
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -335,3 +336,55 @@ def test_score_many_empty_and_rank_shape(name):
     assert sorted(st_.target for st_ in ranking) == sorted(QUERIED)
     scores = [st_.score for st_ in ranking]
     assert scores == sorted(scores, reverse=True)
+
+
+def _coded_chunks(rng, names: List[str]):
+    """Code-column chunks over *names* (the last entry never used)."""
+    chunks, t = [], 0
+    for _ in range(3):
+        n = rng.randint(0, 25)
+        raters = [rng.randrange(len(RATERS)) for _ in range(n)]
+        targets = [len(RATERS) + rng.randrange(len(RATED)) for _ in range(n)]
+        ratings = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(n)]
+        times = [float(t + i) for i in range(n)]
+        t += n
+        chunks.append((raters, targets, ratings, times))
+    return chunks
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_ingest_columns_equals_record_many(name, global_random_seed):
+    """Columnar ingest == record_many over the decoded Feedback rows:
+    bitwise scores, equal store bytes, the same range error."""
+    rng = random.Random(global_random_seed)
+    names = RATERS + RATED + ["never-referenced"]
+    coded, looped = REGISTRY.create(name), REGISTRY.create(name)
+    queried = QUERIED + RATERS
+    for raters, targets, ratings, times in _coded_chunks(rng, names):
+        coded.ingest_columns(
+            names, np.array(raters), np.array(targets), np.array(ratings),
+            np.array(times),
+        )
+        looped.record_many(
+            [
+                Feedback(rater=names[r], target=names[t], time=tm, rating=v)
+                for r, t, v, tm in zip(raters, targets, ratings, times)
+            ]
+        )
+        now = (times[-1] if times else 0.0) + 1.0
+        for persp in (None, "r0"):
+            assert coded.score_many(queried, persp, now) == (
+                looped.score_many(queried, persp, now)
+            ), name
+    for bad in (1.5, -0.25, float("nan")):
+        with pytest.raises(ValueError) as info:
+            coded.ingest_columns(
+                names, [0, 1], [len(RATERS)] * 2, [0.5, bad], [1.0, 2.0]
+            )
+        with pytest.raises(ValueError) as expected:
+            Feedback(rater="r0", target="svc-a", time=1.0, rating=bad)
+        assert str(info.value) == str(expected.value)
+    # the store holds the same rows, none from the rejected batches
+    if hasattr(looped, "_store"):
+        expected_bytes = looped._store.canonical_bytes()
+        assert coded._store.canonical_bytes() == expected_bytes

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import ConfigurationError
 from repro.store import EventStore, OVERALL_FACET, latest_rows
 
 CHUNK_SIZES = (1, 7, 64, 4096)
@@ -75,6 +76,44 @@ class TestCanonicalBytes:
             bulk.append(rater, target, value, time)
         assert looped.canonical_bytes() == bulk.canonical_bytes()
         assert looped.entities.values() == bulk.entities.values()
+
+    @given(
+        st.sampled_from(CHUNK_SIZES),
+        EVENTS,
+        st.lists(st.sampled_from(RATERS + TARGETS), max_size=8),
+        st.lists(st.sampled_from(RATERS + TARGETS), max_size=4),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100)
+    def test_extend_coded_matches_append_loop(
+        self, chunk_size, events, interned, unused, rnd
+    ):
+        """The coded append interns only referenced names, in
+        first-appearance order over the interleaved (rater, target)
+        stream: byte-identical to an append loop over the decoded rows,
+        whatever the names list's order, repeats or unused entries."""
+        overall = [e for e in events if e[2] is None]
+        looped = EventStore(chunk_size=chunk_size)
+        coded = EventStore(chunk_size=chunk_size)
+        for store in (looped, coded):
+            for i, name in enumerate(interned):  # ids already interned
+                store.append(name, name, 0.5, float(i))
+        ids = sorted({e[0] for e in overall} | {e[1] for e in overall})
+        names = ids + ids[: len(ids) // 2] + [f"unused-{u}" for u in unused]
+        rnd.shuffle(names)
+        position = {name: i for i, name in enumerate(names)}
+        for rater, target, _facet, value, time in overall:
+            looped.append(rater, target, value, time)
+        coded.extend_coded(
+            names,
+            [position[e[0]] for e in overall],
+            [position[e[1]] for e in overall],
+            [e[3] for e in overall],
+            [e[4] for e in overall],
+        )
+        assert coded.canonical_bytes() == looped.canonical_bytes()
+        table = coded.entities.values()
+        assert not any(v.startswith("unused-") for v in table)
 
     @given(EVENTS, st.integers(0, 60))
     @settings(max_examples=50)
@@ -204,6 +243,57 @@ class TestValidation:
         assert store.version == 0
         assert store.snapshot().n == 0
         assert store.canonical_bytes() == EventStore().canonical_bytes()
+
+
+class TestMisalignedColumns:
+    """A batch whose columns disagree in length, or whose codes point
+    outside ``names``, raises before writing a row."""
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (
+                (["a", "b"], ["x"], [0.5, 0.6, 0.7], [1.0, 2.0, 3.0]),
+                "raters has 2 rows but values has 3",
+            ),
+            (
+                (["a"], ["x"], [0.5], [1.0, 2.0]),
+                "times has 2 rows but values has 1",
+            ),
+        ],
+    )
+    def test_extend_rejects_misaligned_columns(self, columns, message):
+        store = EventStore()
+        with pytest.raises(ConfigurationError, match=message):
+            store.extend(*columns)
+        assert len(store) == 0 and len(store.entities) == 0
+
+    def test_extend_coded_rejects_misaligned_columns(self):
+        store = EventStore()
+        with pytest.raises(
+            ConfigurationError, match="targets has 1 rows but values has 2"
+        ):
+            store.extend_coded(["a", "x"], [0, 0], [1], [0.5, 0.6], [1.0, 2.0])
+        assert len(store) == 0 and len(store.entities) == 0
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_extend_coded_rejects_index_outside_names(self, bad):
+        store = EventStore()
+        with pytest.raises(
+            ConfigurationError, match=f"targets index {bad} outside names"
+        ):
+            store.extend_coded(
+                ["a", "x"], [0, 0], [1, bad], [0.5, 0.6], [1.0, 2.0]
+            )
+        assert len(store) == 0 and len(store.entities) == 0
+
+    def test_empty_coded_batch_is_a_no_op(self):
+        store = EventStore(time_dtype="int64")
+        store.extend_coded(["a"], [], [], [], [])
+        assert len(store) == 0
+        assert store.canonical_bytes() == EventStore(
+            time_dtype="int64"
+        ).canonical_bytes()
 
 
 class TestIntegerTimeColumns:
