@@ -158,14 +158,13 @@ def _check_word(name: str, values: np.ndarray) -> None:
         raise ConfigurationError(f"{name} must fit in 32 bits")
 
 
-def _block_uniforms(
+def _block_words(
     key: int, streams: ArrayLike, purpose: int, step: int, blocks: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The two 53-bit uniforms of every ``(stream, block)`` counter.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four output words of every ``(stream, block)`` counter.
 
-    Row ``s * blocks + b`` of each returned array comes from the block
-    at counter ``(streams[s], purpose, step, b)``; the first uniform is
-    built from output words 0-1, the second from words 2-3.
+    Row ``s * blocks + b`` comes from the block at counter
+    ``(streams[s], purpose, step, b)``.
     """
     ids = np.asarray(streams, dtype=np.int64).reshape(-1)
     _check_word("stream", ids)
@@ -177,10 +176,33 @@ def _block_uniforms(
         np.full(n, step, dtype=np.uint64),
         np.tile(np.arange(blocks, dtype=np.uint64), len(ids)),
     )
-    w0, w1, w2, w3 = _philox(words, key, PHILOX_ROUNDS)
+    return _philox(words, key, PHILOX_ROUNDS)
+
+
+def _block_uniforms(
+    key: int, streams: ArrayLike, purpose: int, step: int, blocks: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The two 53-bit uniforms of every ``(stream, block)`` counter.
+
+    Rows are laid out as in :func:`_block_words`; the first uniform is
+    built from output words 0-1, the second from words 2-3.
+    """
+    w0, w1, w2, w3 = _block_words(key, streams, purpose, step, blocks)
     first = ((w0 >> np.uint64(5)) << np.uint64(26)) | (w1 >> np.uint64(6))
     second = ((w2 >> np.uint64(5)) << np.uint64(26)) | (w3 >> np.uint64(6))
     return first.astype(np.float64) * _UNIT, second.astype(np.float64) * _UNIT
+
+
+def keyed_words(
+    key: int, streams: ArrayLike, purpose: int, step: int
+) -> np.ndarray:
+    """One 64-bit ``uint64`` word per stream, e.g. a scalar stream's seed.
+
+    Entry ``s`` is output word 0 (high half) and word 1 (low half) of
+    the block at counter ``(streams[s], purpose, step, 0)``.
+    """
+    w0, w1, _, _ = _block_words(key, streams, purpose, step, 1)
+    return (w0 << _U32) | w1
 
 
 def keyed_uniforms(

@@ -86,21 +86,28 @@ from repro.common.simtime import times_array, to_ticks
 from repro.core.scenarios import ScenarioResult
 from repro.experiments.parallel import WorkerGroup, picklable
 from repro.experiments.workloads import (
+    NOISE_DRAWS,
+    SELECT_DRAWS,
     World,
     make_shard_world,
     shard_consumer_id,
+    shard_draw_key,
 )
 
 # Not used here: profilers (perfbench's layer table) patch this name on
-# both modules to time the builder's per-consumer streams, so it must
-# stay resolvable on this module too.
+# both modules to time the builder's keyed draws, so it must stay
+# resolvable on this module too.
 from repro.experiments.workloads import shard_consumer_streams  # noqa: F401
 from repro.obs.ledger import ActivityLedger, merged_ledger_table
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder
 from repro.obs.trace import TelemetrySnapshot
 from repro.p2p.hashing import stable_hash
-from repro.services.consumer import honest_rating_strategy, rate_many
+from repro.services.consumer import (
+    PreferenceProfile,
+    honest_rating_strategy,
+    rate_many,
+)
 from repro.services.provider import TruthTable
 from repro.services.qos import sample_many
 from repro.sim.kernel import Simulator
@@ -128,11 +135,6 @@ PROCESS = "process"
 
 #: The Figure-2 activity shards charge their feedback rows to.
 ACTIVITY = "feedback"
-
-#: Counter purposes of the keyed draws: per consumer and round, the
-#: explore/choice/success uniforms and the QoS-then-rating normals.
-SELECT_DRAWS = 1
-NOISE_DRAWS = 2
 
 
 def shard_of(entity_id: EntityId, shards: int) -> int:
@@ -389,6 +391,14 @@ class ShardRuntime:
         self._taxonomy = self.world.taxonomy
         metrics = self._taxonomy.names()
         self._n_metrics = len(metrics)
+        self._raters: List[EntityId] = []
+        noise: List[float] = []
+        # Consumers sharing a profile object share its weight vector,
+        # taste and segment: each is computed once per distinct profile
+        # and gathered into per-consumer columns.
+        profile_codes: Dict[int, int] = {}
+        profiles: List[PreferenceProfile] = []
+        profile_of: List[int] = []
         for consumer in self.consumers:
             if consumer.rating_strategy is not honest_rating_strategy:
                 raise ConfigurationError(
@@ -396,6 +406,15 @@ class ShardRuntime:
                     "rates honestly only, got rating strategy "
                     f"{getattr(consumer.rating_strategy, '__name__', '?')}"
                 )
+            self._raters.append(consumer.consumer_id)
+            noise.append(consumer.rating_noise)
+            code = profile_codes.setdefault(
+                id(consumer.preferences), len(profiles)
+            )
+            if code == len(profiles):
+                profiles.append(consumer.preferences)
+            profile_of.append(code)
+        self._rating_noise = np.array(noise, dtype=np.float64)
         self._services = list(self.world.services)
         for svc in self._services:
             if list(svc.profile.quality) != metrics:
@@ -413,35 +432,30 @@ class ShardRuntime:
         # Draws are keyed counters: a pure function of (world key,
         # global consumer index, purpose, global round), whichever
         # shard hosts the consumer.
-        self._key = self.world.seeds.spawn("shard-draws")
+        self._key = shard_draw_key(self.world.seeds)
         self._streams = np.array(self.owned, dtype=np.int64)
-        self._raters = [c.consumer_id for c in self.consumers]
-        self._rating_noise = np.array(
-            [c.rating_noise for c in self.consumers], dtype=np.float64
-        )
+        gather = np.array(profile_of, dtype=np.int64)
         self._weights = np.array(
-            [c.preferences.weight_vector(metrics) for c in self.consumers],
-            dtype=np.float64,
-        ).reshape(len(self.consumers), self._n_metrics)
+            [p.weight_vector(metrics) for p in profiles], dtype=np.float64
+        ).reshape(len(profiles), self._n_metrics)[gather]
         # One truth row per distinct taste per round: heterogeneous
         # worlds get one per (weights, segment); homogeneous worlds
         # collapse to n_segments rows.
         self._truth = TruthTable(self._services)
         tastes: Dict[Hashable, int] = {}
         self._tastes: List[Tuple[Mapping[str, float], int, Hashable]] = []
-        taste_of = []
-        for c in self.consumers:
-            key = TruthTable.taste_key(c.preferences.weights, c.segment)
+        segments: Dict[int, int] = {}
+        taste_of, segment_of = [], []
+        for p in profiles:
+            key = TruthTable.taste_key(p.weights, p.segment)
             if key not in tastes:
                 tastes[key] = len(self._tastes)
-                self._tastes.append((c.preferences.weights, c.segment, key))
+                self._tastes.append((p.weights, p.segment, key))
             taste_of.append(tastes[key])
-        self._taste_of = np.array(taste_of, dtype=np.int64)
-        self._segments = list(dict.fromkeys(c.segment for c in self.consumers))
-        self._segment_of = np.array(
-            [self._segments.index(c.segment) for c in self.consumers],
-            dtype=np.int64,
-        )
+            segment_of.append(segments.setdefault(p.segment, len(segments)))
+        self._taste_of = np.array(taste_of, dtype=np.int64)[gather]
+        self._segments = list(segments)
+        self._segment_of = np.array(segment_of, dtype=np.int64)[gather]
         self.sim = Simulator(start=0.0)
         # Shard-local accounting: one registry carries both the net.*
         # traffic counters and the fig2.* ledger, snapshotted once at

@@ -8,11 +8,17 @@ seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId, IdFactory
-from repro.common.randomness import SeedSequenceFactory
+from repro.common.randomness import (
+    SeedSequenceFactory,
+    keyed_uniforms,
+    keyed_words,
+)
 from repro.services.consumer import Consumer, PreferenceProfile
 from repro.services.description import ServiceDescription
 from repro.services.provider import (
@@ -231,19 +237,40 @@ def shard_consumer_id(index: int, id_prefix: str = "consumer") -> str:
     return f"{id_prefix}-{index:07d}"
 
 
-def shard_consumer_streams(
-    seeds: SeedSequenceFactory, index: int
-) -> SeedSequenceFactory:
-    """Consumer *index*'s private seed factory.
+#: Counter purposes of a shard world's keyed draws, all under one key
+#: per world (:func:`shard_draw_key`).  Per consumer and round, the
+#: runtime draws the explore/choice/success uniforms and the
+#: QoS-then-rating normals; per consumer, once, the builder draws the
+#: preference weights and the seed of the scalar rating stream.
+SELECT_DRAWS = 1
+NOISE_DRAWS = 2
+WEIGHT_DRAWS = 3
+RATING_SEED = 4
 
-    Derived through the stateless :meth:`SeedSequenceFactory.spawn`, so
-    it is a pure function of (root entropy, index) — any shard can
-    rebuild any consumer's streams without replaying anyone else's
-    draws.  Sub-streams by label: ``weights`` and ``rating``, both
-    used by the builder (the shard runtime draws from keyed counters
-    instead, see :func:`~repro.common.randomness.keyed_uniforms`).
+
+def shard_draw_key(seeds: SeedSequenceFactory) -> int:
+    """The one Philox key of a shard world's keyed draws."""
+    return seeds.spawn("shard-draws")
+
+
+def shard_consumer_streams(
+    key: int, indices: np.ndarray, n_weights: int
+) -> Tuple[np.ndarray, List[int]]:
+    """The builder's keyed draws for every consumer in *indices*.
+
+    Row ``r`` belongs to global consumer ``indices[r]``: its
+    *n_weights* preference-weight uniforms (:data:`WEIGHT_DRAWS`; no
+    columns when 0) and the 64-bit seed of its scalar rating stream
+    (:data:`RATING_SEED`).  Both are pure functions of (world key,
+    global index), so any shard builds any consumer without replaying
+    anyone else's draws, and the whole shard is one vector call.
     """
-    return SeedSequenceFactory(seeds.spawn(f"shard-consumer/{index}"))
+    weights = (
+        keyed_uniforms(key, indices, WEIGHT_DRAWS, 0, n_weights)
+        if n_weights
+        else np.empty((len(indices), 0))
+    )
+    return weights, keyed_words(key, indices, RATING_SEED, 0).tolist()
 
 
 def make_shard_consumers(
@@ -261,36 +288,51 @@ def make_shard_consumers(
     :func:`make_consumers` draws heterogeneous weights from one shared
     stream, so consumer *i*'s identity depends on consumers ``0..i-1``
     having been built first — building a shard's subset would change
-    everyone's draws.  Here every consumer is built purely from its own
-    :func:`shard_consumer_streams` factory, so building ``indices``
-    (default: everyone) yields bit-identical consumers no matter which
-    subset any other process builds.
+    everyone's draws.  Here every consumer is built from keyed draws of
+    its own global index (:func:`shard_consumer_streams`), so building
+    ``indices`` (default: everyone) yields identical consumers no
+    matter which subset any other process builds.  Rating streams are
+    seeded, not built: a :class:`Consumer` makes its generator on its
+    first scalar ``rate``.  Homogeneous consumers of one segment share
+    one :class:`PreferenceProfile`.
     """
     metrics = taxonomy.names()
-    selected = range(count) if indices is None else indices
+    selected = (
+        np.arange(count, dtype=np.int64)
+        if indices is None
+        else np.asarray(indices, dtype=np.int64).reshape(-1)
+    )
+    outside = (selected < 0) | (selected >= count)
+    if outside.any():
+        raise ConfigurationError(
+            f"consumer_indices: index {selected[outside][0]} outside "
+            f"[0, {count})"
+        )
+    heterogeneous = preference_heterogeneity > 0
+    draws, rating_seeds = shard_consumer_streams(
+        shard_draw_key(seeds), selected, len(metrics) if heterogeneous else 0
+    )
+    base = 1.0 - preference_heterogeneity
+    weight_rows = (base + preference_heterogeneity * draws).tolist()
+    segments = max(1, n_segments)
+    shared: Dict[int, PreferenceProfile] = {}
     consumers: List[Consumer] = []
-    for i in selected:
-        if not 0 <= i < count:
-            raise ConfigurationError(
-                f"consumer_indices: index {i} outside [0, {count})"
-            )
-        streams = shard_consumer_streams(seeds, i)
-        segment = i % max(1, n_segments)
-        if preference_heterogeneity <= 0:
-            weights = {m: 1.0 for m in metrics}
+    for i, weights, seed in zip(selected.tolist(), weight_rows, rating_seeds):
+        segment = i % segments
+        if heterogeneous:
+            profile = PreferenceProfile(dict(zip(metrics, weights)), segment)
+        elif segment in shared:
+            profile = shared[segment]
         else:
-            weight_rng = streams.rng("weights")
-            base = 1.0 - preference_heterogeneity
-            weights = {
-                m: base + preference_heterogeneity * float(weight_rng.random())
-                for m in metrics
-            }
+            profile = shared[segment] = PreferenceProfile.uniform(
+                metrics, segment
+            )
         consumers.append(
             Consumer(
                 consumer_id=shard_consumer_id(i, id_prefix),
-                preferences=PreferenceProfile(weights, segment=segment),
+                preferences=profile,
                 rating_noise=rating_noise,
-                rng=streams.rng("rating"),
+                rng=seed,
             )
         )
     return consumers

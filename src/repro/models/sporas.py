@@ -34,12 +34,13 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
 from repro.common.records import Feedback, feedback_columns
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import ReputationModel
+from repro.models.base import ReputationModel, check_unit_ratings
 from repro.store import EventStore
 
 
@@ -101,6 +102,17 @@ class SporasModel(ReputationModel):
 
     def record_many(self, feedbacks: Iterable[Feedback]) -> None:
         self._store.extend(*feedback_columns(feedbacks))
+
+    def ingest_columns(
+        self,
+        names: Sequence[EntityId],
+        raters: ArrayLike,
+        targets: ArrayLike,
+        ratings: ArrayLike,
+        times: ArrayLike,
+    ) -> None:
+        check_unit_ratings(ratings)
+        self._store.extend_coded(names, raters, targets, ratings, times)
 
     def _advance(self) -> None:
         """Replay the Zacharia recursion over unconsumed store rows —

@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.common.errors import ConfigurationError
 from repro.common.randomness import SeedSequenceFactory, make_rng
 from repro.core.registry import default_registry
 from repro.experiments.workloads import World, make_world
@@ -82,10 +83,10 @@ class LoadSpec:
     rebuild_rounds: Optional[Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        if min(
-            self.tenants, self.clients_per_tenant, self.requests_per_client
-        ) < 1:
-            raise ValueError("tenants/clients/requests must be >= 1")
+        for name in ("tenants", "clients_per_tenant", "requests_per_client"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass

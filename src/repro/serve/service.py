@@ -39,6 +39,7 @@ import asyncio
 import heapq
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.common.errors import ConfigurationError
 from repro.serve.core import ServiceCore
 from repro.serve.protocol import (
     DEFAULT_TTL,
@@ -60,7 +61,7 @@ class SelectionService:
 
     def __init__(self, core: ServiceCore, workers: int = 2) -> None:
         if workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.core = core
         self.workers = workers
         self._buffer: List[Tuple[Tuple[int, str, int], int, Arrival]] = []

@@ -11,6 +11,7 @@ weighted by their :class:`PreferenceProfile`; dishonest strategies (in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -155,7 +156,9 @@ class Consumer:
         rating_noise: std-dev of subjective noise added to each honest
             facet score before the strategy sees it — even honest humans
             don't rate with perfect precision.
-        rng: randomness source for the rating noise.
+        rng: randomness source for the rating noise.  The generator is
+            made on the first :meth:`rate` (a seed costs nothing until
+            then) and is the stream eager construction would give.
     """
 
     def __init__(
@@ -172,7 +175,11 @@ class Consumer:
         self.preferences = preferences or PreferenceProfile()
         self.rating_strategy = rating_strategy
         self.rating_noise = rating_noise
-        self._rng = make_rng(rng)
+        self._seed = rng
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        return make_rng(self._seed)
 
     @property
     def segment(self) -> int:

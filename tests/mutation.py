@@ -83,6 +83,17 @@ MUTANTS: List[Mutant] = [
         "draws depend on which shard hosts it",
     ),
     Mutant(
+        file="src/repro/experiments/workloads.py",
+        old="keyed_uniforms(key, indices, WEIGHT_DRAWS, 0, n_weights)",
+        new="keyed_uniforms(key, np.arange(len(indices)), WEIGHT_DRAWS, 0, "
+        "n_weights)",
+        gate=f"{DETERMINISM}::TestShardCountInvariance::"
+        "test_heterogeneous_world_one_two_eight_identical",
+        reason="builder weights keyed by position in the built subset, so "
+        "a consumer's preferences depend on which shard builds it; "
+        "homogeneous worlds draw no weights and cannot see it",
+    ),
+    Mutant(
         file="src/repro/common/randomness.py",
         old="np.full(n, step, dtype=np.uint64),",
         new="np.full(n, 0, dtype=np.uint64),",

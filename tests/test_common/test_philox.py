@@ -25,6 +25,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.randomness import (
     keyed_normals,
     keyed_uniforms,
+    keyed_words,
     philox4x32,
 )
 from repro.experiments.sharded import ShardedRunSpec, ShardRuntime
@@ -99,6 +100,15 @@ class TestKeyedDraws:
             )
             expected = ((hi >> 5) * 2**26 + (lo >> 6)) * 2.0**-53
             assert value == expected
+
+    def test_word_layout(self):
+        # A keyed word is block 0's words 0 (high) and 1 (low).
+        streams, purpose, step = [0, 42, 2**32 - 1], 4, 0
+        got = keyed_words(KEY, streams, purpose, step)
+        assert got.dtype == np.uint64
+        for stream, value in zip(streams, got.tolist()):
+            words = philox4x32(np.array([[stream, purpose, step, 0]]), KEY)[0]
+            assert value == (int(words[0]) << 32) | int(words[1])
 
     def test_every_counter_word_matters(self):
         base = keyed_uniforms(KEY, [5], 1, 2, 2)

@@ -34,7 +34,7 @@ from repro.obs.trace import write_jsonl
 from repro.p2p.pgrid import shard_path
 from repro.robustness.attacks import badmouth_strategy
 from repro.store import EventStore
-from repro.services.provider import DegradingBehavior
+from repro.services.provider import DegradingBehavior, TruthTable
 
 SMALL_WORLD = dict(n_providers=3, services_per_provider=2, n_consumers=11)
 
@@ -129,6 +129,26 @@ class TestShardCountInvariance:
                 assert shard_of(entity, 2 ** depth) == int(
                     shard_path(entity, depth), 2
                 )
+
+
+class TestRuntimeColumns:
+    @pytest.mark.parametrize("world", [SMALL_WORLD, HETEROGENEOUS_WORLD])
+    def test_per_profile_columns_equal_per_consumer(self, world):
+        """Weights, taste and segment are computed once per profile
+        object; gathered, they equal a per-consumer computation."""
+        runtime = ShardRuntime(_spec(3, world_params=world), 0, 2)
+        metrics = runtime.world.taxonomy.names()
+        consumers = runtime.consumers
+        assert runtime._weights.tolist() == [
+            c.preferences.weight_vector(metrics) for c in consumers
+        ]
+        assert [runtime._tastes[t][2] for t in runtime._taste_of] == [
+            TruthTable.taste_key(c.preferences.weights, c.segment)
+            for c in consumers
+        ]
+        assert [runtime._segments[s] for s in runtime._segment_of] == [
+            c.segment for c in consumers
+        ]
 
 
 class TestMergedOrder:

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.obs.summarize import render_json, render_text, summarize
 from repro.obs.trace import load_jsonl, write_jsonl
 from repro.serve.core import ServeConfig
@@ -154,8 +155,12 @@ class TestSummarizeServeSection:
 
 class TestSpecValidation:
     def test_rejects_empty_workload(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="tenants"):
             LoadSpec(tenants=0)
+        with pytest.raises(ConfigurationError, match="clients_per_tenant"):
+            LoadSpec(clients_per_tenant=0)
+        with pytest.raises(ConfigurationError, match="requests_per_client"):
+            LoadSpec(requests_per_client=0)
 
     def test_trace_roundtrip_preserves_identity(self, small_report):
         buffer = io.StringIO()

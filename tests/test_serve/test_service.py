@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.common.simtime import to_ticks
 from repro.serve.core import ServeConfig, ServiceCore
 from repro.serve.loadgen import LoadSpec, make_core
@@ -297,7 +298,7 @@ class TestAsyncService:
         self._run(drive())
 
     def test_workers_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="workers"):
             SelectionService(_core(), workers=0)
 
 

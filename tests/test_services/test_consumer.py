@@ -1,5 +1,6 @@
 """Tests for consumers: preferences and rating behaviour."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -145,3 +146,22 @@ class TestConsumer:
         inter = make_interaction()
         fb = consumer.rate(inter, DEFAULT_METRICS)
         assert fb.interaction is inter
+
+    def test_lazy_stream_is_the_eager_stream(self):
+        """The generator is made on the first rate, and draws what the
+        same source would have drawn had it been made up front."""
+        def ratings(consumer):
+            return [
+                consumer.rate(make_interaction(), DEFAULT_METRICS).rating
+                for _ in range(3)
+            ]
+
+        lazy = Consumer("c0", rating_noise=0.3, rng=12)
+        assert "_rng" not in vars(lazy)
+        eager = Consumer(
+            "c0", rating_noise=0.3, rng=np.random.default_rng(12)
+        )
+        assert ratings(lazy) == ratings(eager)
+        shared = np.random.default_rng(4)
+        assert Consumer("c1", rng=shared)._rng is shared
+        assert 0.0 <= ratings(Consumer("c2", rating_noise=0.3))[0] <= 1.0
