@@ -30,6 +30,7 @@ pickling pre-check (e.g. world params closing over lambdas).
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import os
 import pickle
@@ -324,6 +325,21 @@ def _serve(conn: Any, factory: Callable[[int], Any], index: int) -> None:
         conn.close()
 
 
+@contextmanager
+def _frozen_heap() -> Iterator[None]:
+    """Keep the caller's heap in the permanent GC generation meanwhile.
+
+    A worker forked inside inherits it frozen, so the worker's
+    collections never walk the objects it inherited (and never copy
+    their pages on write); the caller's heap thaws on exit.
+    """
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
 class WorkerGroup:
     """*n* stateful workers behind one ordered-message protocol.
 
@@ -347,15 +363,16 @@ class WorkerGroup:
             self._local = [factory(i) for i in range(n)]
             return
         try:
-            for i in range(n):
-                parent, child = mp.Pipe()
-                process = mp.Process(
-                    target=_serve, args=(child, factory, i), daemon=True
-                )
-                process.start()
-                child.close()
-                self._processes.append(process)
-                self._conns.append(parent)
+            with _frozen_heap():
+                for i in range(n):
+                    parent, child = mp.Pipe()
+                    process = mp.Process(
+                        target=_serve, args=(child, factory, i), daemon=True
+                    )
+                    process.start()
+                    child.close()
+                    self._processes.append(process)
+                    self._conns.append(parent)
             for i in range(n):
                 self._receive(i, "ready")
         except BaseException:

@@ -18,6 +18,8 @@ Four design rules enforce it:
   is computable by every process without coordination.  For a
   power-of-two shard count the partition coincides with the P-Grid
   key-space split: ``shard_of(e, 2**d) == int(shard_path(e, d), 2)``.
+  The coordinator hashes every consumer id once per run and hands the
+  resulting home-shard column to each shard.
 * **Frozen-score epochs (BSP).**  Rankings inside an epoch use the
   reputation scores broadcast at the epoch start; new feedback is
   buffered in per-shard delta columns and applied only at the barrier.
@@ -102,7 +104,7 @@ from repro.obs.ledger import ActivityLedger, merged_ledger_table
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder
 from repro.obs.trace import TelemetrySnapshot
-from repro.p2p.hashing import stable_hash
+from repro.p2p.hashing import stable_hash, stable_hashes
 from repro.services.consumer import (
     PreferenceProfile,
     honest_rating_strategy,
@@ -125,6 +127,7 @@ __all__ = [
     "ShardedRunSpec",
     "register_shard_world_builder",
     "run_sharded_experiment",
+    "shard_homes",
     "shard_of",
     "shard_world_builder",
 ]
@@ -150,6 +153,31 @@ def shard_of(entity_id: EntityId, shards: int) -> int:
     if shards == 1:
         return 0
     return (stable_hash(str(entity_id), bits=64) * shards) >> 64
+
+
+def shard_homes(entity_ids: Sequence[EntityId], shards: int) -> np.ndarray:
+    """:func:`shard_of` of every id in one pass, as an ``int64`` array.
+
+    The multiply-shift runs on the two 32-bit halves of each hash, so
+    every product fits in 64 bits (hence ``shards < 2**32``).
+    """
+    if not 1 <= shards < 2**32:
+        raise ConfigurationError(f"shards must be in [1, 2**32), got {shards}")
+    if shards == 1:
+        return np.zeros(len(entity_ids), dtype=np.int64)
+    hashes = stable_hashes(entity_ids)
+    n = np.uint64(shards)
+    low = ((hashes & np.uint64(0xFFFFFFFF)) * n) >> np.uint64(32)
+    high = (hashes >> np.uint64(32)) * n + low
+    return (high >> np.uint64(32)).astype(np.int64)
+
+
+def _consumer_homes(n_consumers: int, shards: int) -> np.ndarray:
+    """Home shard of every consumer index ``0 .. n_consumers - 1``."""
+    if shards == 1:
+        return np.zeros(n_consumers, dtype=np.int64)
+    ids = [shard_consumer_id(i) for i in range(n_consumers)]
+    return shard_homes(ids, shards)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +339,7 @@ class ShardDispatchReport:
 
     shards: int
     mode: str
+    #: the whole run, coordinator set-up (and the partition) included
     wall_ns: int
     consumers_per_shard: List[int]
     rows_per_shard: List[int]
@@ -361,10 +390,18 @@ class ShardRuntime:
     raters over profiles that carry exactly the taxonomy's metrics;
     any other world raises :class:`ConfigurationError` here, naming
     the consumer or service.
+
+    *homes* is the home shard of every consumer index (the run's
+    partition, hashed once by the coordinator); without it the runtime
+    hashes every consumer id itself.
     """
 
     def __init__(
-        self, spec: ShardedRunSpec, shard_index: int, n_shards: int
+        self,
+        spec: ShardedRunSpec,
+        shard_index: int,
+        n_shards: int,
+        homes: Optional[np.ndarray] = None,
     ) -> None:
         if not 0 <= shard_index < n_shards:
             raise ConfigurationError(
@@ -376,11 +413,13 @@ class ShardRuntime:
         builder = shard_world_builder(spec.world)
         params = dict(spec.world_params)
         n_consumers = int(params.pop("n_consumers", 20))
-        self.owned = [
-            i
-            for i in range(n_consumers)
-            if shard_of(shard_consumer_id(i), n_shards) == shard_index
-        ]
+        if homes is None:
+            homes = _consumer_homes(n_consumers, n_shards)
+        elif len(homes) != n_consumers:
+            raise ConfigurationError(
+                f"homes covers {len(homes)} consumers, expected {n_consumers}"
+            )
+        self.owned = np.flatnonzero(homes == shard_index).tolist()
         self.world = builder(
             seed=spec.seed,
             n_consumers=n_consumers,
@@ -425,10 +464,7 @@ class ShardRuntime:
                 )
         self.service_ids = [svc.service_id for svc in self._services]
         self._n_services = len(self._services)
-        self._service_home = np.array(
-            [shard_of(sid, n_shards) for sid in self.service_ids],
-            dtype=np.int64,
-        )
+        self._service_home = shard_homes(self.service_ids, n_shards)
         # Draws are keyed counters: a pure function of (world key,
         # global consumer index, purpose, global round), whichever
         # shard hosts the consumer.
@@ -657,6 +693,8 @@ class _Coordinator:
         self.service_ids: List[EntityId] = [
             svc.service_id for svc in world.services
         ]
+        # The partition, hashed once per run and handed to every shard.
+        self.homes = _consumer_homes(spec.n_consumers, shards)
         self.store = EventStore(time_dtype="int64")
         self._accurate = np.zeros(spec.total_rounds, dtype=np.int64)
         self._regret_chunks: List[np.ndarray] = []
@@ -885,9 +923,11 @@ def run_sharded_experiment(
             "world builder"
         )
     use_pool = shards > 1 and mode != SERIAL and can_pickle
-    coordinator = _Coordinator(spec, shards)
     start_ns = _time.perf_counter_ns()
-    factory = partial(ShardRuntime, spec, n_shards=shards)
+    coordinator = _Coordinator(spec, shards)
+    factory = partial(
+        ShardRuntime, spec, n_shards=shards, homes=coordinator.homes
+    )
     with WorkerGroup(factory, shards, "shard", use_pool) as group:
         for epoch in range(spec.epochs):
             scores = coordinator.epoch_scores(epoch)

@@ -17,11 +17,12 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.common.ids import EntityId
-from repro.common.records import Feedback
+from repro.common.records import Feedback, feedback_columns
 from repro.obs.recorder import get_recorder
 
 if TYPE_CHECKING:  # imported lazily to avoid a core <-> models cycle
     from repro.core.typology import Typology
+    from repro.store import EventStore
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class ReputationModel(abc.ABC):
     def record_many(self, feedbacks: Iterable[Feedback]) -> None:
         """Bulk-ingest feedback, equivalent to a :meth:`record` loop.
 
-        Store-backed models override this with a single columnar
+        :class:`StoreBackedModel` overrides this with a single columnar
         :meth:`~repro.store.EventStore.extend`, which interns ids and
         seals chunks without a per-event Python frame; the resulting
         store is byte-identical to what looped appends produce.
@@ -101,8 +102,7 @@ class ReputationModel(abc.ABC):
 
         This default decodes every row into a :class:`Feedback` (which
         checks the rating range) and calls :meth:`record_many` — the
-        ground truth.  Models whose ``record_many`` is a plain store
-        extend override it with
+        ground truth.  :class:`StoreBackedModel` overrides it with
         :meth:`~repro.store.EventStore.extend_coded` after
         :func:`check_unit_ratings`; the parity suite pins the two
         together.
@@ -180,3 +180,36 @@ class ReputationModel(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+class StoreBackedModel(ReputationModel):
+    """A model whose whole feedback log is one overall-rating
+    :class:`~repro.store.EventStore`, ``self._store``.
+
+    Ingest is then a plain store append whichever way rows arrive:
+    :meth:`record` appends one, :meth:`record_many` extends by the
+    decoded columns and :meth:`ingest_columns` by the coded ones (after
+    :func:`check_unit_ratings`).  Subclasses set ``_store`` and score
+    from it.
+    """
+
+    _store: "EventStore"
+
+    def record(self, feedback: Feedback) -> None:
+        self._store.append(
+            feedback.rater, feedback.target, feedback.rating, feedback.time
+        )
+
+    def record_many(self, feedbacks: Iterable[Feedback]) -> None:
+        self._store.extend(*feedback_columns(feedbacks))
+
+    def ingest_columns(
+        self,
+        names: Sequence[EntityId],
+        raters: ArrayLike,
+        targets: ArrayLike,
+        ratings: ArrayLike,
+        times: ArrayLike,
+    ) -> None:
+        check_unit_ratings(ratings)
+        self._store.extend_coded(names, raters, targets, ratings, times)

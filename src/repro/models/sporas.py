@@ -31,20 +31,18 @@ the exact scalar replay.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
-from repro.common.records import Feedback, feedback_columns
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import ReputationModel, check_unit_ratings
+from repro.models.base import StoreBackedModel
 from repro.store import EventStore
 
 
-class SporasModel(ReputationModel):
+class SporasModel(StoreBackedModel):
     """Sporas recursive reputation.
 
     Args:
@@ -93,26 +91,6 @@ class SporasModel(ReputationModel):
 
     def _phi(self, reputation: float) -> float:
         return 1.0 - 1.0 / (1.0 + math.exp(-(reputation - self.d) / self.sigma))
-
-    # -- evidence ------------------------------------------------------
-    def record(self, feedback: Feedback) -> None:
-        self._store.append(
-            feedback.rater, feedback.target, feedback.rating, feedback.time
-        )
-
-    def record_many(self, feedbacks: Iterable[Feedback]) -> None:
-        self._store.extend(*feedback_columns(feedbacks))
-
-    def ingest_columns(
-        self,
-        names: Sequence[EntityId],
-        raters: ArrayLike,
-        targets: ArrayLike,
-        ratings: ArrayLike,
-        times: ArrayLike,
-    ) -> None:
-        check_unit_ratings(ratings)
-        self._store.extend_coded(names, raters, targets, ratings, times)
 
     def _advance(self) -> None:
         """Replay the Zacharia recursion over unconsumed store rows —

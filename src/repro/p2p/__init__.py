@@ -21,7 +21,7 @@ from repro.p2p.pgrid import PGrid, PGridPeer
 from repro.p2p.dht import ChordDHT
 from repro.p2p.discovery import DistributedServiceRegistry
 from repro.p2p.referral import Referral, ReferralNetwork, ReferralResponse
-from repro.p2p.hashing import stable_hash, to_bits
+from repro.p2p.hashing import stable_hash, stable_hashes, to_bits
 
 __all__ = [
     "ChordDHT",
@@ -34,5 +34,6 @@ __all__ = [
     "ReferralResponse",
     "UnstructuredOverlay",
     "stable_hash",
+    "stable_hashes",
     "to_bits",
 ]

@@ -8,6 +8,9 @@ instead.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable
+
+import numpy as np
 
 
 def stable_hash(key: str, bits: int = 64) -> int:
@@ -17,6 +20,18 @@ def stable_hash(key: str, bits: int = 64) -> int:
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     value = int.from_bytes(digest, "big")
     return value >> (256 - bits)
+
+
+def stable_hashes(keys: Iterable[str]) -> np.ndarray:
+    """``stable_hash(key, 64)`` of every key, as a ``uint64`` array.
+
+    One digest loop and one buffer read: no Python ``int`` per key.
+    """
+    sha256 = hashlib.sha256
+    digests = b"".join(
+        [sha256(key.encode("utf-8")).digest()[:8] for key in keys]
+    )
+    return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
 
 
 def to_bits(key: str, length: int) -> str:

@@ -48,11 +48,18 @@ class Interner:
         return code
 
     def intern_many(self, values: Iterable[str]) -> np.ndarray:
-        """Codes for *values* (interning new ones), as an int32 array."""
+        """Codes for *values* (interning new ones), as an int32 array.
+
+        When every value is already interned the codes come from one
+        C-level ``dict.get`` pass; otherwise an :meth:`intern` loop
+        assigns new codes in first-appearance order.
+        """
+        values = list(values)
+        known = list(map(self._index.get, values))
+        if None not in known:
+            return np.array(known, dtype=np.int32)
         intern = self.intern
-        return np.fromiter(
-            (intern(v) for v in values), dtype=np.int32, count=-1
-        )
+        return np.array([intern(v) for v in values], dtype=np.int32)
 
     def code(self, value: str, default: int = MISSING_CODE) -> int:
         """Code for *value* without interning; *default* if unseen."""

@@ -342,11 +342,14 @@ class EventStore:
                 )
         # r0, t0, r1, t1, ...: the order an append loop interns in
         stream = np.stack((rater_idx, target_idx), axis=1).reshape(-1)
-        used, first = np.unique(stream, return_index=True)
-        used = used[np.argsort(first)]
-        intern = self.entities.intern
+        first = np.full(len(names), len(stream), dtype=np.int64)
+        np.minimum.at(first, stream, np.arange(len(stream)))
+        used = np.flatnonzero(first < len(stream))
+        used = used[np.argsort(first[used])]
         lookup = np.empty(len(names), dtype=np.int32)
-        lookup[used] = [intern(names[i]) for i in used.tolist()]
+        lookup[used] = self.entities.intern_many(
+            [names[i] for i in used.tolist()]
+        )
         self._append_columns(
             lookup[rater_idx],
             lookup[target_idx],

@@ -94,6 +94,16 @@ MUTANTS: List[Mutant] = [
         "homogeneous worlds draw no weights and cannot see it",
     ),
     Mutant(
+        file="src/repro/experiments/sharded.py",
+        old="high = (hashes >> np.uint64(32)) * n + low",
+        new="high = (hashes >> np.uint64(32)) * n",
+        gate=f"{DETERMINISM}::TestShardCountInvariance::"
+        "test_shard_homes_keeps_the_low_half_carry",
+        reason="the vector partition drops the low half's carry: it moves "
+        "about one id in 2**33 / shards, so a 1 == 2 == 8 run never "
+        "meets one; only crafted hashes pin the multiply-shift",
+    ),
+    Mutant(
         file="src/repro/common/randomness.py",
         old="np.full(n, step, dtype=np.uint64),",
         new="np.full(n, 0, dtype=np.uint64),",

@@ -10,6 +10,7 @@ and a graph model (eigentrust).
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import os
 import pickle
@@ -277,6 +278,30 @@ class TestPool:
         )
         report = run_trials(specs, max_workers=4)
         assert report.mode == SERIAL  # nothing to fan out
+
+    def test_pool_start_leaves_no_frozen_heap(self):
+        """Workers fork from a frozen heap; the coordinator's thaws once
+        they are started, on success and on failure alike."""
+        specs = replication_specs(
+            "beta", 2, base_seed=8, rounds=2, world_params=SMALL_WORLD
+        )
+        assert run_trials(specs, max_workers=2).mode == PROCESS_POOL
+        assert gc.get_freeze_count() == 0
+        with pytest.raises(WorkerError):
+            run_trials(
+                [
+                    TrialSpec(
+                        model="beta",
+                        seed=DYING_SEED,
+                        rounds=2,
+                        world="dying-test-world",
+                        world_params=dict(SMALL_WORLD),
+                    ),
+                    specs[0],
+                ],
+                max_workers=2,
+            )
+        assert gc.get_freeze_count() == 0
 
     def test_dead_worker_names_itself(self):
         # Worker 1 of 2 runs specs[1::2], i.e. the dying seed alone.

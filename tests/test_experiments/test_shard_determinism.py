@@ -14,9 +14,13 @@ import io
 import multiprocessing as mp
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, WorkerError
+from repro.experiments import sharded
 from repro.experiments.sharded import (
     PROCESS,
     SERIAL,
@@ -24,6 +28,7 @@ from repro.experiments.sharded import (
     ShardedRunSpec,
     register_shard_world_builder,
     run_sharded_experiment,
+    shard_homes,
     shard_of,
 )
 from repro.experiments.workloads import (
@@ -122,6 +127,42 @@ class TestShardCountInvariance:
         ]
         flat = sorted(i for owned in runtime_owned for i in owned)
         assert flat == list(range(n_consumers))
+
+    def test_runtime_takes_the_coordinators_partition(self):
+        spec = _spec(3, world_params=dict(SMALL_WORLD, n_consumers=40))
+        homes = shard_homes([shard_consumer_id(i) for i in range(40)], 4)
+        for s in range(4):
+            own = ShardRuntime(spec, s, 4).owned
+            assert ShardRuntime(spec, s, 4, homes=homes).owned == own
+        with pytest.raises(ConfigurationError, match="homes covers 39"):
+            ShardRuntime(spec, 0, 4, homes=homes[:39])
+
+    @given(
+        st.lists(st.text(max_size=12), max_size=20),
+        st.one_of(st.integers(1, 9), st.just(2**32 - 1)),
+    )
+    def test_shard_homes_equals_shard_of(self, ids, shards):
+        homes = shard_homes(ids, shards)
+        assert homes.tolist() == [shard_of(e, shards) for e in ids]
+
+    def test_shard_homes_keeps_the_low_half_carry(self, monkeypatch):
+        """``(h * shards) >> 64`` on 32-bit halves: the low half's carry
+        decides the home when ``high(h) * shards`` sits just below a
+        multiple of 2**32 — too rare for random ids to hit."""
+        hashes = [0x55555555FFFFFFFF, 2**64 - 1, 0, 2**63, 0x3333333300000000]
+        monkeypatch.setattr(
+            sharded,
+            "stable_hashes",
+            lambda ids: np.array(hashes, dtype=np.uint64),
+        )
+        for shards in (3, 5, 7, 2**32 - 1):
+            homes = shard_homes(["x"] * len(hashes), shards)
+            assert homes.tolist() == [(h * shards) >> 64 for h in hashes]
+
+    @pytest.mark.parametrize("shards", [0, 2**32])
+    def test_shard_homes_rejects_out_of_range_counts(self, shards):
+        with pytest.raises(ConfigurationError, match="shards"):
+            shard_homes(["x"], shards)
 
     def test_shard_of_matches_pgrid_prefix(self):
         for entity in ("consumer-0000003", "svc-0001", "provider-0002"):

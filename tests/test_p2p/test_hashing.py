@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.p2p.hashing import stable_hash, to_bits
+from repro.p2p.hashing import stable_hash, stable_hashes, to_bits
 
 
 class TestStableHash:
@@ -30,6 +30,14 @@ class TestStableHash:
     @given(st.text(max_size=50), st.integers(1, 64))
     def test_property_in_range(self, key, bits):
         assert 0 <= stable_hash(key, bits) < 2 ** bits
+
+
+class TestStableHashes:
+    @given(st.lists(st.text(max_size=30), max_size=20))
+    def test_equals_scalar_hash(self, keys):
+        hashes = stable_hashes(keys)
+        assert hashes.dtype == "uint64"
+        assert hashes.tolist() == [stable_hash(k, 64) for k in keys]
 
 
 class TestToBits:

@@ -164,4 +164,7 @@ class TestConsumer:
         assert ratings(lazy) == ratings(eager)
         shared = np.random.default_rng(4)
         assert Consumer("c1", rng=shared)._rng is shared
-        assert 0.0 <= ratings(Consumer("c2", rating_noise=0.3))[0] <= 1.0
+        fresh = Consumer("c2", rating_noise=0.3)
+        assert "_rng" not in vars(fresh)
+        ratings(fresh)
+        assert isinstance(vars(fresh)["_rng"], np.random.Generator)

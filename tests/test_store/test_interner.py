@@ -52,6 +52,18 @@ class TestInterner:
         assert looped.values() == bulk.values()
         assert looped.canonical_bytes() == bulk.canonical_bytes()
 
+    @given(st.lists(IDS, max_size=10), st.lists(IDS, max_size=40))
+    def test_intern_many_after_seen_ids_equals_looped_intern(self, seen, ids):
+        """All-seen batches take the lookup-only path, mixed ones the
+        loop; both give the loop's codes and table."""
+        looped, bulk = Interner(), Interner()
+        for interner in (looped, bulk):
+            for v in seen:
+                interner.intern(v)
+        codes = [looped.intern(v) for v in ids]
+        assert bulk.intern_many(ids).tolist() == codes
+        assert looped.values() == bulk.values()
+
     @given(st.lists(IDS, max_size=40), st.integers(0, 39))
     def test_canonical_bytes_chunking_invariant(self, ids, split):
         """Interning the same stream in any call pattern encodes the
