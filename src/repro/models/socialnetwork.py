@@ -56,19 +56,25 @@ class SocialNetworkModel(ReputationModel):
         self._authority: Optional[Dict[EntityId, float]] = None
 
     def add_relation(self, source: EntityId, target: EntityId) -> None:
-        """Add a directed social edge (acquaintance/endorsement)."""
+        """Add a directed social edge (acquaintance/endorsement).
+
+        :meth:`compute` is a pure function of the nodes and edges, so
+        the authority cache is dropped only when the edge is new."""
         if source == target:
             return
-        self._out.setdefault(source, set()).add(target)
-        self._nodes.update((source, target))
-        self._authority = None
+        targets = self._out.setdefault(source, set())
+        if target not in targets:
+            targets.add(target)
+            self._nodes.update((source, target))
+            self._authority = None
 
     def record(self, feedback: Feedback) -> None:
+        known = len(self._nodes)
         self._nodes.update((feedback.rater, feedback.target))
+        if len(self._nodes) != known:
+            self._authority = None
         if feedback.rating > self.positive_threshold:
             self.add_relation(feedback.rater, feedback.target)
-        else:
-            self._authority = None
 
     def degree(self, node: EntityId) -> int:
         """In-degree of *node* (raw topological standing)."""

@@ -31,7 +31,7 @@ the exact scalar replay.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
 from repro.core.typology import Architecture, Scope, Subject, Typology
 from repro.models.base import StoreBackedModel
-from repro.store import EventStore
+from repro.store import EventStore, GroupIndex
 
 
 class SporasModel(StoreBackedModel):
@@ -86,8 +86,9 @@ class SporasModel(StoreBackedModel):
         self._rd: Dict[int, float] = {}
         self._count: Dict[int, int] = {}
         self._replay_pos = 0
-        #: columnar kernel cache: (version, reputations | None)
-        self._kernel: Optional[Tuple[int, Optional[np.ndarray]]] = None
+        #: the store the columnar fold reads; :meth:`_kernel_array`
+        #: (re)starts the fold's state whenever this is not ``_store``
+        self._fold_store: Optional[EventStore] = None
 
     def _phi(self, reputation: float) -> float:
         return 1.0 - 1.0 / (1.0 + math.exp(-(reputation - self.d) / self.sigma))
@@ -159,58 +160,76 @@ class SporasModel(StoreBackedModel):
     def _kernel_array(self) -> Optional[np.ndarray]:
         """Dense per-code reputations from the vectorized-rounds kernel,
         or ``None`` when the stream couples raters and targets (then the
-        exact scalar replay is the only correct evaluation order)."""
+        exact scalar replay is the only correct evaluation order).
+
+        The kernel is a fold: it keeps the per-target state and the row
+        position it has consumed, keyed by store identity, and applies
+        only the rows appended since (a cold kernel is the fold from row
+        0).  Raters and targets seen so far are two membership masks;
+        the store is append-only, so once they intersect the stream
+        stays coupled and the latch holds for good.
+        """
         store = self._store
-        version = store.version
-        cached = self._kernel
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        columns = store.snapshot()
-        result: Optional[np.ndarray]
-        if not columns.n:
-            result = np.zeros(max(len(store.entities), 1))
-        elif np.intersect1d(
-            np.unique(columns.rater), np.unique(columns.target)
-        ).size:
-            result = None  # coupled stream: rater weights depend on order
-        else:
-            # Disjoint raters/targets: every rater keeps reputation 0, so
-            # rater_weight is the constant newcomer floor and targets
-            # evolve independently.  Group rows by target (stable, so
-            # within-group order = event order), then sweep rank rounds:
-            # round k fancy-gathers the state of every target receiving
-            # its k-th rating, applies the update, and scatters back.
-            index = store.by_target()
-            ranks = index.ranks()
-            sorted_targets = columns.target[index.order]
-            round_order = np.lexsort((sorted_targets, ranks))
-            rows = index.order[round_order]
-            round_ranks = ranks[round_order]
-            targets_by_round = columns.target[rows]
-            values_by_round = columns.value[rows]
-            max_rank = int(round_ranks[-1])
-            bounds = np.searchsorted(
-                round_ranks, np.arange(max_rank + 2)
+        if self._fold_store is not store:
+            self._fold_store = store
+            self._fold_pos = 0
+            self._coupled = False
+            self._state = np.zeros(0)
+            self._is_rater = np.zeros(0, dtype=bool)
+            self._is_target = np.zeros(0, dtype=bool)
+        grow = max(len(store.entities), 1) - len(self._state)
+        if grow > 0:
+            self._state = np.pad(self._state, (0, grow))
+            self._is_rater = np.pad(self._is_rater, (0, grow))
+            self._is_target = np.pad(self._is_target, (0, grow))
+        n = len(store)
+        if self._fold_pos < n and not self._coupled:
+            delta = store.columns_from(self._fold_pos)
+            self._is_rater[delta.rater] = True
+            self._is_target[delta.target] = True
+            self._coupled = bool(
+                self._is_target[delta.rater].any()
+                or self._is_rater[delta.target].any()
             )
-            d = self.d
-            gain = (1.0 / self.theta) * (self.NEWCOMER_FLOOR * d)
-            inv_sigma = 1.0 / self.sigma
-            state = np.zeros(max(len(store.entities), 1))
-            for k in range(max_rank + 1):
-                lo, hi = int(bounds[k]), int(bounds[k + 1])
-                tc = targets_by_round[lo:hi]
-                current = state[tc]
-                phi = 1.0 - 1.0 / (
-                    1.0 + np.exp(-(current - d) * inv_sigma)
-                )
-                updated = current + gain * phi * (
-                    values_by_round[lo:hi] - current / d
-                )
-                np.clip(updated, 0.0, d, out=updated)
-                state[tc] = updated
-            result = state
-        self._kernel = (version, result)
-        return result
+            if not self._coupled:
+                self._sweep(delta.target, delta.value)
+        self._fold_pos = n
+        return None if self._coupled else self._state
+
+    def _sweep(self, targets: np.ndarray, values: np.ndarray) -> None:
+        """Apply rows to :attr:`_state` in rank rounds.
+
+        Disjoint raters/targets: every rater keeps reputation 0, so
+        rater_weight is the constant newcomer floor and targets evolve
+        independently.  Group rows by target (stable, so within-group
+        order = event order), then sweep rank rounds: round k
+        fancy-gathers the state of every target receiving its k-th
+        rating, applies the update, and scatters back.
+        """
+        index = GroupIndex(targets)
+        ranks = index.ranks()
+        # stable: equal ranks keep index order, i.e. ascending target
+        round_order = np.argsort(ranks, kind="stable")
+        rows = index.order[round_order]
+        round_ranks = ranks[round_order]
+        targets_by_round = targets[rows]
+        values_by_round = values[rows]
+        max_rank = int(round_ranks[-1])
+        bounds = np.searchsorted(round_ranks, np.arange(max_rank + 2))
+        d = self.d
+        gain = (1.0 / self.theta) * (self.NEWCOMER_FLOOR * d)
+        inv_sigma = 1.0 / self.sigma
+        state = self._state
+        for k in range(max_rank + 1):
+            lo, hi = int(bounds[k]), int(bounds[k + 1])
+            tc = targets_by_round[lo:hi]
+            current = state[tc]
+            phi = 1.0 - 1.0 / (1.0 + np.exp(-(current - d) * inv_sigma))
+            updated = current + gain * phi * (
+                values_by_round[lo:hi] - current / d
+            )
+            np.clip(updated, 0.0, d, out=updated)
+            state[tc] = updated
 
     def score_many(
         self,

@@ -17,7 +17,7 @@ rater's experience with a target becomes an evidence-based
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
@@ -60,6 +60,8 @@ class SubjectiveLogicModel(ReputationModel):
         self._evidence: Dict[Tuple[EntityId, EntityId], Tuple[float, float]] = {}
         #: rater -> target -> latest rating (for agreement bookkeeping)
         self._latest: Dict[EntityId, Dict[EntityId, float]] = {}
+        #: target -> raters with evidence about it
+        self._raters: Dict[EntityId, Set[EntityId]] = {}
 
     # -- evidence -------------------------------------------------------
     def record(self, feedback: Feedback) -> None:
@@ -70,6 +72,7 @@ class SubjectiveLogicModel(ReputationModel):
         self._latest.setdefault(feedback.rater, {})[feedback.target] = (
             feedback.rating
         )
+        self._raters.setdefault(feedback.target, set()).add(feedback.rater)
 
     def functional_opinion(
         self, rater: EntityId, target: EntityId
@@ -105,17 +108,24 @@ class SubjectiveLogicModel(ReputationModel):
         perspective: Optional[EntityId] = None,
     ) -> Opinion:
         """The fused opinion about *target* (personalized when asked)."""
+        return self._fused(target, perspective, {})
+
+    def _fused(
+        self,
+        target: EntityId,
+        perspective: Optional[EntityId],
+        trust: Dict[EntityId, Opinion],
+    ) -> Opinion:
+        """Consensus over *target*'s raters in sorted order, each
+        discounted through *perspective*'s referral opinion of it
+        (memoised in *trust*) when personalized."""
         fused: Optional[Opinion] = None
-        raters = sorted(
-            rater
-            for (rater, tgt) in self._evidence
-            if tgt == target
-        )
-        for rater in raters:
+        for rater in sorted(self._raters.get(target, ())):
             opinion = self.functional_opinion(rater, target)
             if perspective is not None and rater != perspective:
-                trust = self.referral_opinion(perspective, rater)
-                opinion = discount(trust, opinion)
+                if rater not in trust:
+                    trust[rater] = self.referral_opinion(perspective, rater)
+                opinion = discount(trust[rater], opinion)
             fused = opinion if fused is None else consensus(fused, opinion)
         return fused if fused is not None else Opinion.vacuous(
             self.base_rate
@@ -136,3 +146,17 @@ class SubjectiveLogicModel(ReputationModel):
     ) -> float:
         """How much of the derived opinion is uncommitted mass."""
         return self.derived_opinion(target, perspective).uncertainty
+
+    def score_many(
+        self,
+        targets: Sequence[EntityId],
+        perspective: Optional[EntityId] = None,
+        now: Optional[float] = None,
+    ) -> List[float]:
+        """The :meth:`score` loop with each rater's referral opinion
+        computed once per call rather than once per (target, rater)."""
+        trust: Dict[EntityId, Opinion] = {}
+        return [
+            self._fused(target, perspective, trust).expectation
+            for target in targets
+        ]

@@ -63,7 +63,6 @@ __all__ = ["ColumnSet", "EventStore", "GroupIndex", "OVERALL_FACET"]
 OVERALL_FACET = -1
 
 _EMPTY_I4 = np.empty(0, dtype=np.int32)
-_EMPTY_F8 = np.empty(0, dtype=np.float64)
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 
 
@@ -448,42 +447,48 @@ class EventStore:
         cached = self._snapshot
         if cached is not None and cached[0] == version:
             return cached[1]
-        chunks = self._chunks
-        tail_n = len(self._tail_value)
-        if not chunks and not tail_n:
-            columns = ColumnSet(
-                _EMPTY_I4,
-                _EMPTY_I4,
-                _EMPTY_I4,
-                _EMPTY_F8,
-                _EMPTY_I8 if self._time_is_int else _EMPTY_F8,
-            )
-        else:
-            parts: List[Tuple[np.ndarray, ...]] = [
-                (c.rater, c.target, c.facet, c.value, c.time)
-                for c in chunks
-            ]
-            if tail_n:
-                parts.append(
-                    (
-                        np.asarray(self._tail_rater, dtype=np.int32),
-                        np.asarray(self._tail_target, dtype=np.int32),
-                        np.asarray(self._tail_facet, dtype=np.int32),
-                        np.asarray(self._tail_value, dtype=np.float64),
-                        np.asarray(self._tail_time, dtype=self.time_dtype),
-                    )
-                )
-            if len(parts) == 1:
-                columns = ColumnSet(*parts[0])
-            else:
-                columns = ColumnSet(
-                    *(
-                        np.concatenate([p[i] for p in parts])
-                        for i in range(5)
-                    )
-                )
+        columns = self.columns_from(0)
         self._snapshot = (version, columns)
         return columns
+
+    def columns_from(self, start: int) -> ColumnSet:
+        """Contiguous columns of logical rows ``[start, len(self))``.
+
+        Slices only the sealed chunks that overlap *start*, plus the
+        tail, and caches nothing — the delta read of kernels that fold
+        new rows into kept state, so a one-row delta never concatenates
+        the whole store."""
+        parts: List[Tuple[np.ndarray, ...]] = []
+        base = self._sealed_rows
+        for chunk in reversed(self._chunks):
+            if base <= start:
+                break
+            base -= len(chunk)
+            lo = max(0, start - base)
+            parts.append(
+                (
+                    chunk.rater[lo:],
+                    chunk.target[lo:],
+                    chunk.facet[lo:],
+                    chunk.value[lo:],
+                    chunk.time[lo:],
+                )
+            )
+        parts.reverse()
+        lo = max(0, start - self._sealed_rows)
+        if lo < len(self._tail_value) or not parts:
+            dtypes = (np.int32, np.int32, np.int32, np.float64, self.time_dtype)
+            parts.append(
+                tuple(
+                    np.asarray(tail[lo:] if lo else tail, dtype=dtype)
+                    for tail, dtype in zip(self._tails(), dtypes)
+                )
+            )
+        if len(parts) == 1:
+            return ColumnSet(*parts[0])
+        return ColumnSet(
+            *(np.concatenate([p[i] for p in parts]) for i in range(5))
+        )
 
     def iter_rows(
         self, start: int = 0

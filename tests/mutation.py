@@ -1,4 +1,5 @@
-"""Mutation check for the shard path: do the gates catch regressions?
+"""Mutation check for the shard path and the model folds: do the gates
+catch regressions?
 
 Each :class:`Mutant` is an exact source edit that breaks one rule the
 canonical output depends on, plus the one test that must catch it.
@@ -32,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DETERMINISM = "tests/test_experiments/test_shard_determinism.py"
 PHILOX = "tests/test_common/test_philox.py"
+FOLDS = "tests/test_models/test_batch_scoring.py::TestFoldInterleaving"
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,32 @@ MUTANTS: List[Mutant] = [
         gate=f"{PHILOX}::TestPhilox::test_known_answers",
         reason="Philox4x32-7 is a different generator; only the Random123 "
         "known answers pin the round count",
+    ),
+    Mutant(
+        file="src/repro/models/sporas.py",
+        old="self._is_target[delta.target] = True",
+        new="pass",
+        gate=f"{FOLDS}::test_sporas_fold_turns_coupled",
+        reason="the fold forgets which entities were rated, so a rated "
+        "service that starts rating never latches the coupled fallback "
+        "and its lifted reputation is read as the newcomer floor",
+    ),
+    Mutant(
+        file="src/repro/models/sporas.py",
+        old="self._sweep(delta.target, delta.value)",
+        new="self._state[:] = 0.0; self._sweep(delta.target, delta.value)",
+        gate=f"{FOLDS}::test_sporas_models_sharing_a_store",
+        reason="each version's fold starts from a zero state, so only the "
+        "newest rows count; a cold kernel (one fold from row 0) cannot "
+        "see it",
+    ),
+    Mutant(
+        file="src/repro/models/socialnetwork.py",
+        old="if len(self._nodes) != known:",
+        new="if False:",
+        gate=f"{FOLDS}::test_social_network_recomputes_only_on_graph_change",
+        reason="a record that adds a node but no edge keeps the stale "
+        "authority, so every score misses the new node's share",
     ),
 ]
 

@@ -388,3 +388,185 @@ def test_ingest_columns_equals_record_many(name, global_random_seed):
     if hasattr(looped, "_store"):
         expected_bytes = looped._store.canonical_bytes()
         assert coded._store.canonical_bytes() == expected_bytes
+
+
+def _steps(rng, stream: List[Feedback]) -> List[List[Feedback]]:
+    """*stream* cut into steps: one-row records mixed with random-size
+    chunks (empty ones too), so folds see every delta shape."""
+    steps, i = [], 0
+    while i < len(stream):
+        size = 1 if rng.random() < 0.5 else rng.randint(0, 8)
+        steps.append(stream[i:i + size])
+        i += size
+    return steps
+
+
+def _sporas(chunk_size: int):
+    from repro.models.sporas import SporasModel
+    from repro.store import EventStore
+
+    model = SporasModel()
+    model._store = EventStore(chunk_size=chunk_size)
+    return model
+
+
+class TestFoldInterleaving:
+    """The O(delta) folds (Sporas' kept per-target state, Social
+    network's graph-change invalidation, Subjective logic's memoised
+    referrals) equal a cold rebuild at every point of an interleaved
+    record/query history."""
+
+    @staticmethod
+    def _assert_sporas_fold(model, seen):
+        """Fold == cold clone's kernel bitwise, == base loop to 1e-9,
+        and the coupling latch == the rater/target sets intersecting."""
+        cold = _sporas(4096)
+        cold.record_many(seen)
+        fold, expected = model._kernel_array(), cold._kernel_array()
+        coupled = bool({f.rater for f in seen} & {f.target for f in seen})
+        assert (fold is None) == (expected is None) == coupled
+        if fold is not None:
+            n = len(model._store.entities)
+            assert fold[:n].tobytes() == expected[:n].tobytes()
+        batch = model.score_many(QUERIED + RATERS)
+        fallback = ReputationModel.score_many(model, QUERIED + RATERS)
+        assert batch == pytest.approx(fallback, abs=1e-9)
+
+    @pytest.mark.parametrize("turn", ["target_rates", "rater_is_rated"])
+    def test_sporas_fold_turns_coupled(self, turn, global_random_seed):
+        """Disjoint rows, then a one-row step that couples the stream (a
+        rated service rates, or a rater is rated), then rows over
+        everyone.  svc-a's twelve top ratings lift its reputation past
+        the newcomer floor, so a missed latch also moves the scores."""
+        rng = random.Random(global_random_seed)
+        prefix = _random_stream(rng, rng.randint(0, 20), RATERS, RATED)
+        prefix += [
+            Feedback(rater=rng.choice(RATERS), target="svc-a",
+                     time=float(len(prefix) + i), rating=1.0)
+            for i in range(12)
+        ]
+        rater, target = (
+            ("svc-a", rng.choice(RATED[1:])) if turn == "target_rates"
+            else (rng.choice(RATERS), prefix[-1].rater)
+        )
+        coupling = Feedback(rater=rater, target=target,
+                            time=float(len(prefix)), rating=0.9)
+        rest = _random_stream(rng, rng.randint(0, 20), RATERS + RATED,
+                              RATERS + RATED)
+        model = _sporas(rng.choice([1, 3, 7, 4096]))
+        seen: List[Feedback] = []
+        for step in _steps(rng, prefix) + [[coupling]] + _steps(rng, rest):
+            model.record_many(step)
+            seen.extend(step)
+            self._assert_sporas_fold(model, seen)
+        assert model._kernel_array() is None
+
+    def test_sporas_models_sharing_a_store(self, global_random_seed):
+        """Each model keeps its own fold position over a shared store;
+        swapping in another store restarts the fold from row 0."""
+        rng = random.Random(global_random_seed)
+        first, second = _sporas(rng.choice([1, 5, 4096])), _sporas(4096)
+        second._store = first._store
+        stream = _random_stream(rng, rng.randint(20, 60), RATERS, RATED)
+        seen: List[Feedback] = []
+        for i, step in enumerate(_steps(rng, stream)):
+            (first if i % 2 else second).record_many(step)
+            seen.extend(step)
+            self._assert_sporas_fold(first, seen)
+            if i % 3 == 0:
+                self._assert_sporas_fold(second, seen)
+        self._assert_sporas_fold(second, seen)
+        half = seen[: len(seen) // 2]
+        swapped = _sporas(4096)
+        swapped.record_many(half)
+        second._store = swapped._store
+        assert second.score_many(QUERIED) == swapped.score_many(QUERIED)
+
+    def test_sporas_one_row_fold_reads_no_snapshot(
+        self, global_random_seed, monkeypatch
+    ):
+        """A warm fold over one new row reads only the delta: with
+        EventStore.snapshot raising, it still scores correctly."""
+        from repro.store import EventStore
+
+        rng = random.Random(global_random_seed)
+        stream = _random_stream(rng, rng.randint(10, 40), RATERS, RATED)
+        model = _sporas(rng.choice([1, 4, 4096]))
+        model.record_many(stream[:-1])
+        model.score_many(QUERIED)
+        cold = _sporas(4096)
+        cold.record_many(stream)
+        expected = cold.score_many(QUERIED)
+
+        def no_snapshot(self):
+            raise AssertionError("a one-row fold rebuilt the whole store")
+
+        monkeypatch.setattr(EventStore, "snapshot", no_snapshot)
+        model.record(stream[-1])
+        assert model.score_many(QUERIED) == expected
+
+    def test_social_network_recomputes_only_on_graph_change(
+        self, global_random_seed
+    ):
+        """Bitwise equal to a fresh model after every step; compute runs
+        only after steps that add a node or a new edge."""
+        from repro.models.socialnetwork import SocialNetworkModel
+
+        rng = random.Random(global_random_seed)
+        everyone = RATERS + RATED
+        # a new edge, a repeated one, a new node with no edge, a self-loop
+        stream = [
+            Feedback(rater="r0", target="svc-a", time=0.0, rating=0.9),
+            Feedback(rater="r0", target="svc-a", time=1.0, rating=0.8),
+            Feedback(rater="r1", target="svc-a", time=2.0, rating=0.1),
+            Feedback(rater="svc-b", target="svc-b", time=3.0, rating=0.9),
+        ]
+        stream += _random_stream(rng, rng.randint(20, 60), everyone, everyone)
+        model = SocialNetworkModel()
+        computes = []
+        compute = model.compute
+
+        def counting_compute():
+            computes.append(1)
+            return compute()
+
+        model.compute = counting_compute
+        nodes: set = set()
+        edges: set = set()
+        seen: List[Feedback] = []
+        queried = QUERIED + RATERS
+        before = None  # the first query always computes
+        for step in [[fb] for fb in stream[:4]] + _steps(rng, stream[4:]):
+            for fb in step:
+                nodes.update((fb.rater, fb.target))
+                if fb.rating > model.positive_threshold and (
+                    fb.rater != fb.target
+                ):
+                    edges.add((fb.rater, fb.target))
+            model.record_many(step)
+            seen.extend(step)
+            computes.clear()
+            batch = model.score_many(queried)
+            changed = (len(nodes), len(edges)) != before
+            assert len(computes) == (1 if changed else 0)
+            before = (len(nodes), len(edges))
+            fresh = SocialNetworkModel()
+            fresh.record_many(seen)
+            assert batch == fresh.score_many(queried)
+
+    def test_subjective_logic_memoised_referrals(self, global_random_seed):
+        """score_many == the base score() loop exactly, personalized or
+        not, as evidence arrives."""
+        from repro.models.subjective_logic import SubjectiveLogicModel
+
+        rng = random.Random(global_random_seed)
+        everyone = RATERS + RATED
+        stream = _random_stream(rng, rng.randint(20, 60), RATERS, everyone)
+        model = SubjectiveLogicModel()
+        queried = QUERIED + RATERS
+        for step in _steps(rng, stream):
+            model.record_many(step)
+            for persp in (None, "r0", "never-seen"):
+                assert model.score_many(queried, persp) == (
+                    ReputationModel.score_many(model, queried, persp)
+                )

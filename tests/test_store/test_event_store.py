@@ -210,6 +210,22 @@ class TestSnapshotAndIndexes:
         assert [row[3] for row in tail] == [0.7, 0.8, 0.9]
         assert len(list(store.iter_rows(0))) == 10
 
+    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+    @pytest.mark.parametrize("time_dtype", ["float64", "int64"])
+    def test_columns_from_is_the_snapshot_suffix(self, chunk_size, time_dtype):
+        store = EventStore(chunk_size=chunk_size, time_dtype=time_dtype)
+        for i in range(20):
+            store.append(f"r{i % 3}", f"s{i % 4}", i / 20.0, i,
+                         facet="latency" if i % 5 == 0 else None)
+        full = store.snapshot()
+        for start in range(len(store) + 2):
+            part = store.columns_from(start)
+            for name in ("rater", "target", "facet", "value", "time"):
+                column, expected = getattr(part, name), getattr(full, name)
+                assert column.tolist() == expected[start:].tolist()
+                assert column.dtype == expected.dtype
+        assert store.snapshot() is full  # the delta read caches nothing
+
     def test_ranks_align_with_order(self):
         store = EventStore(chunk_size=2)
         for i, target in enumerate(["a", "b", "a", "b", "a"]):
