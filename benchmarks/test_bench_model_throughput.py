@@ -325,16 +325,10 @@ RANK_BURST = 50
 def _rank_uninstrumented(model, candidates, perspective, now):
     """The exact rank() body minus the recorder guard — the pre-obs
     baseline the instrumented path is gated against."""
-    from repro.models.base import ScoredTarget
+    from repro.models.base import ranked
 
     candidates = list(candidates)
-    scores = model.score_many(candidates, perspective, now)
-    scored = [
-        ScoredTarget(target=c, score=float(s))
-        for c, s in zip(candidates, scores)
-    ]
-    scored.sort(key=lambda st: (-st.score, st.target))
-    return scored
+    return ranked(candidates, model.score_many(candidates, perspective, now))
 
 
 def test_obs_disabled_recorder_overhead(table_printer, wide_stream):

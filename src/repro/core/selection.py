@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, ReproError
 from repro.common.ids import EntityId
@@ -128,12 +128,14 @@ class SelectionEngine:
         #: are reused until the registry catalogue actually changes
         self._candidate_cache: dict = {}
 
-    def candidates(self, category: str) -> List[EntityId]:
+    def candidates(self, category: str) -> Tuple[EntityId, ...]:
         """Service ids matching *category* in the registry.
 
         Cached per category against the registry's version counter, so
         the per-selection cost is one dict probe instead of a full
         catalogue scan until something is published or unpublished.
+        The ids are an immutable tuple, so the cache hands out its own
+        copy.
         """
         version = getattr(self.registry, "version", None)
         failed = getattr(self.registry, "is_failed", False)
@@ -145,13 +147,13 @@ class SelectionEngine:
             if cached is not None and cached[0] == version:
                 if rec.enabled:
                     rec.count("selection.candidates.cache_hits")
-                return list(cached[1])
+                return cached[1]
         if rec.enabled:
             rec.count("selection.candidates.cache_misses")
-        ids = [d.service for d in self.registry.search(category)]
+        ids = tuple(d.service for d in self.registry.search(category))
         if version is not None:
             self._candidate_cache[category] = (version, ids)
-        return list(ids)
+        return ids
 
     def rank(
         self,

@@ -5,40 +5,32 @@ refinements reproduced here: reviews with more *helpful votes* count
 more, and recent reviews count more than stale ones.  Ratings on
 ``[0, 1]`` map to the 1-5 star scale for display.
 
-Reviews stay as the eager per-target lists (``vote_helpful`` mutates
-reviews in place, so the scalar state cannot be a pure replay), but
-``record`` also appends to a columnar :class:`~repro.store.EventStore`
-mirror: ``score_many`` evaluates the helpfulness × recency weighting
-as one full-column ``DecayPolicy.weights`` call plus per-target
-``np.bincount`` sums, invalidated by a vote epoch counter whenever
-helpful votes change.
+A review is one row of a columnar :class:`~repro.store.EventStore`
+(``record`` is a single append).  Helpful votes arrive later, out of
+band, and weight only the reviews that existed when they were cast, so
+they are kept beside the store keyed by row id rather than replayed
+from it.  The scalar path reads a target's rows through the store's
+``by_target`` index; ``score_many`` evaluates the helpfulness × recency
+weighting as one full-column ``DecayPolicy.weights`` call plus
+per-target ``np.bincount`` sums, invalidated by a vote epoch counter
+whenever helpful votes change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
-from repro.common.records import Feedback
 from repro.core.decay import DecayPolicy, ExponentialDecay
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import ReputationModel
+from repro.models.base import StoreBackedModel
 from repro.store import EventStore
 
 
-@dataclass
-class _Review:
-    rater: EntityId
-    time: float
-    rating: float
-    helpful_votes: int = 0
-
-
-class AmazonModel(ReputationModel):
+class AmazonModel(StoreBackedModel):
     """Helpfulness- and recency-weighted mean rating.
 
     Args:
@@ -62,31 +54,26 @@ class AmazonModel(ReputationModel):
             raise ConfigurationError("helpfulness_weight must be >= 0")
         self.decay = decay or ExponentialDecay(half_life=200.0)
         self.helpfulness_weight = helpfulness_weight
-        self._reviews: Dict[EntityId, List[_Review]] = {}
         self._store = EventStore()
+        #: helpful votes per review, keyed by store row; unvoted rows
+        #: are absent
+        self._votes: Dict[int, int] = {}
         #: bumped whenever helpful votes change (kernel invalidation)
         self._votes_epoch = 0
-        #: row-aligned helpful-vote column: ((version, epoch), votes)
-        self._votes_cache: Optional[Tuple[Tuple[int, int], np.ndarray]] = None
-        #: per-(version, epoch, now) reduced (num, den, count) arrays
+        #: caches keyed by (store, version, votes epoch[, now]): the
+        #: row-aligned helpful-vote column, and the reduced (num, den,
+        #: count) arrays
+        self._votes_cache: Optional[Tuple[tuple, np.ndarray]] = None
         self._kernel: Optional[
-            Tuple[
-                Tuple[int, int, Optional[float]],
-                Tuple[np.ndarray, np.ndarray, np.ndarray],
-            ]
+            Tuple[tuple, Tuple[np.ndarray, np.ndarray, np.ndarray]]
         ] = None
 
-    def record(self, feedback: Feedback) -> None:
-        self._reviews.setdefault(feedback.target, []).append(
-            _Review(
-                rater=feedback.rater,
-                time=feedback.time,
-                rating=feedback.rating,
-            )
-        )
-        self._store.append(
-            feedback.rater, feedback.target, feedback.rating, feedback.time
-        )
+    def _rows(self, target: EntityId) -> np.ndarray:
+        """Store rows of *target*'s reviews, in append order."""
+        code = self._store.entities.code(target)
+        if code < 0:
+            return np.empty(0, dtype=np.int64)
+        return self._store.by_target().rows(code)
 
     def vote_helpful(
         self, target: EntityId, rater: EntityId, votes: int = 1
@@ -94,19 +81,22 @@ class AmazonModel(ReputationModel):
         """Add helpful votes to *rater*'s reviews of *target*."""
         if votes < 0:
             raise ConfigurationError("votes must be >= 0")
-        for review in self._reviews.get(target, ()):
-            if review.rater == rater:
-                review.helpful_votes += votes
+        rows = self._rows(target)
+        if len(rows):
+            by_rater = self._store.snapshot().rater[rows]
+            mine = rows[by_rater == self._store.entities.code(rater)]
+            for row in mine.tolist():
+                self._votes[row] = self._votes.get(row, 0) + votes
         self._votes_epoch += 1
 
     def review_count(self, target: EntityId) -> int:
-        return len(self._reviews.get(target, ()))
+        return len(self._rows(target))
 
     def star_rating(
         self, target: EntityId, now: Optional[float] = None
     ) -> Optional[float]:
         """Display rating on the 1-5 star scale; None without reviews."""
-        if not self._reviews.get(target):
+        if not self.review_count(target):
             return None
         return 1.0 + 4.0 * self.score(target, now=now)
 
@@ -116,16 +106,18 @@ class AmazonModel(ReputationModel):
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
     ) -> float:
-        reviews = self._reviews.get(target)
-        if not reviews:
+        rows = self._rows(target)
+        if not len(rows):
             return 0.5
+        columns = self._store.snapshot()
+        votes = self._votes
         weights = 1.0 + self.helpfulness_weight * np.array(
-            [r.helpful_votes for r in reviews], dtype=float
+            [votes.get(row, 0) for row in rows.tolist()], dtype=float
         )
         if now is not None:
-            ages = now - np.array([r.time for r in reviews], dtype=float)
+            ages = now - columns.time[rows]
             weights = weights * self.decay.weights(np.maximum(ages, 0.0))
-        ratings = np.array([r.rating for r in reviews], dtype=float)
+        ratings = columns.value[rows]
         weight_sum = float(weights.sum())
         if weight_sum <= 0:
             return 0.5
@@ -133,21 +125,15 @@ class AmazonModel(ReputationModel):
 
     # -- columnar kernel -----------------------------------------------
     def _votes_column(self) -> np.ndarray:
-        """Helpful votes aligned with store rows.  A target's store rows
-        are in append order — the same order as its review list — so the
-        per-target group rows index its reviews directly."""
+        """Helpful votes aligned with store rows."""
         store = self._store
-        key = (store.version, self._votes_epoch)
+        key = (store, store.version, self._votes_epoch)
         cached = self._votes_cache
         if cached is not None and cached[0] == key:
             return cached[1]
         votes = np.zeros(len(store), dtype=np.float64)
-        if self._votes_epoch:
-            by_target = store.by_target()
-            code = store.entities.code
-            for target, reviews in self._reviews.items():
-                rows = by_target.rows(code(target))
-                votes[rows] = [r.helpful_votes for r in reviews]
+        if self._votes:
+            votes[list(self._votes)] = list(self._votes.values())
         self._votes_cache = (key, votes)
         return votes
 
@@ -157,7 +143,7 @@ class AmazonModel(ReputationModel):
         """Per-code (weighted sum, weight sum, review count), with the
         decay applied to the whole time column at once."""
         store = self._store
-        key = (store.version, self._votes_epoch, now)
+        key = (store, store.version, self._votes_epoch, now)
         cached = self._kernel
         if cached is not None and cached[0] == key:
             return cached[1]

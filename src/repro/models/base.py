@@ -10,8 +10,19 @@ so models are directly comparable in the typology benchmark.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+import operator
+from itertools import repeat
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    cast,
+)
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -25,12 +36,39 @@ if TYPE_CHECKING:  # imported lazily to avoid a core <-> models cycle
     from repro.store import EventStore
 
 
-@dataclass(frozen=True)
-class ScoredTarget:
+class ScoredTarget(NamedTuple):
     """One ranked candidate."""
 
     target: EntityId
     score: float
+
+
+#: ``tuple.__new__`` builds a ScoredTarget from a ``(target, score)``
+#: pair in C, without the NamedTuple ``__new__``'s Python frame
+_as_scored = cast(
+    Callable[[type, Tuple[EntityId, float]], ScoredTarget], tuple.__new__
+)
+_TARGET = operator.itemgetter(0)
+_SCORE = operator.itemgetter(1)
+
+
+def ranked(
+    candidates: Iterable[EntityId], scores: Iterable[float]
+) -> List[ScoredTarget]:
+    """*candidates* paired with their *scores*, best first, ties broken
+    by id: the order of sorting by ``(-score, target)``, the one
+    tie-break every ranking uses.
+
+    Two stable sorts, by id and then by score descending, so equal
+    scores (``0.0`` and ``-0.0`` included) keep id order.  The pairs
+    come from one C-level ``map`` and both keys are ``itemgetter``s,
+    so no Python frame runs per candidate.
+    """
+    pairs = zip(candidates, map(float, scores))
+    scored = list(map(_as_scored, repeat(ScoredTarget), pairs))
+    scored.sort(key=_TARGET)
+    scored.sort(key=_SCORE, reverse=True)
+    return scored
 
 
 def check_unit_ratings(ratings: ArrayLike) -> None:
@@ -132,8 +170,8 @@ class ReputationModel(abc.ABC):
 
         1. **columnar kernel** — store-backed models override this with
            numpy reductions (bincount/lexsort) over the shared
-           :class:`~repro.store.EventStore` snapshot, cached per store
-           version;
+           :class:`~repro.store.EventStore`, cached until new rows
+           arrive or folding only the new rows into kept state;
         2. **base loop** — this default, one :meth:`score` call per
            target, the semantic ground truth.  Kernels whose
            vectorization preconditions fail call it directly (Sporas
@@ -150,24 +188,20 @@ class ReputationModel(abc.ABC):
         """Candidates sorted best-first (ties broken by id for
         determinism).  Scoring goes through :meth:`score_many` so
         batched models pay their per-query overhead once per ranking."""
-        candidates = list(candidates)
+        batch: Sequence[EntityId] = (
+            candidates if isinstance(candidates, tuple) else list(candidates)
+        )
         rec = get_recorder()
         if rec.enabled:
             if now is not None:
                 rec.advance(now)
             rec.observe(
                 "model.rank.batch_size",
-                len(candidates),
+                len(batch),
                 labels=(self.name,),
                 label_names=("model",),
             )
-        scores = self.score_many(candidates, perspective, now)
-        scored = [
-            ScoredTarget(target=c, score=float(s))
-            for c, s in zip(candidates, scores)
-        ]
-        scored.sort(key=lambda st: (-st.score, st.target))
-        return scored
+        return ranked(batch, self.score_many(batch, perspective, now))
 
     def best(
         self,
@@ -183,17 +217,39 @@ class ReputationModel(abc.ABC):
 
 
 class StoreBackedModel(ReputationModel):
-    """A model whose whole feedback log is one overall-rating
+    """A model whose whole feedback log is one
     :class:`~repro.store.EventStore`, ``self._store``.
 
     Ingest is then a plain store append whichever way rows arrive:
-    :meth:`record` appends one, :meth:`record_many` extends by the
-    decoded columns and :meth:`ingest_columns` by the coded ones (after
-    :func:`check_unit_ratings`).  Subclasses set ``_store`` and score
-    from it.
+    :meth:`record` appends one overall row, :meth:`record_many` extends
+    by the decoded columns and :meth:`ingest_columns` by the coded ones
+    (after :func:`check_unit_ratings`).  Subclasses set ``_store`` and
+    score from it; one whose reports also carry facet rows overrides
+    :meth:`record` and :meth:`record_many` to append them.
+
+    Every state derived from the store (a scalar replay, a columnar
+    fold, a cached kernel) reads it through :meth:`_unread_rows`, which
+    keys the reader's position by store *identity*: assigning another
+    store to ``_store`` restarts every reader from row 0.
     """
 
     _store: "EventStore"
+
+    def _unread_rows(self, reader: str) -> Tuple[int, int]:
+        """``(start, stop)``: the rows of ``_store`` that *reader* has
+        not consumed yet, which count as consumed from now on.
+
+        ``start == 0`` means "start over" — the first read, or
+        ``_store`` is another store object than at the last read — so
+        the reader drops its kept state before consuming ``[0, stop)``.
+        """
+        store = self._store
+        cursors = self.__dict__.setdefault("_cursors", {})
+        kept = cursors.get(reader)
+        start = kept[1] if kept is not None and kept[0] is store else 0
+        stop = len(store)
+        cursors[reader] = (store, stop)
+        return start, stop
 
     def record(self, feedback: Feedback) -> None:
         self._store.append(

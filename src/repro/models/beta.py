@@ -13,10 +13,11 @@ evidence multiplicatively on every update, giving the model the
 Storage is the columnar :class:`~repro.store.EventStore`: ``record`` is
 a single store append, the scalar path lazily replays the original
 per-event recursion off the store rows (the exact reference), and
-``score_many`` reduces the target column with ``np.bincount``.  For
-``lam == 1`` the segment sum performs the same additions in the same
-order as the recursion, so the two paths agree bitwise; for ``lam < 1``
-the kernel evaluates the recursion's closed form.
+``score_many`` gathers from per-code evidence arrays.  For ``lam == 1``
+those arrays are a fold: each query adds only the rows appended since
+the last one, performing the same additions in the same order as the
+recursion, so the two paths agree bitwise; for ``lam < 1`` the kernel
+evaluates the recursion's closed form over the whole store.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
 from repro.core.typology import Architecture, Scope, Subject, Typology
 from repro.models.base import StoreBackedModel
-from repro.store import EventStore, group_counts, group_sums
+from repro.store import EventStore, group_sums
+
+_EMPTY = np.zeros(0)
 
 
 class BetaReputation(StoreBackedModel):
@@ -61,32 +64,33 @@ class BetaReputation(StoreBackedModel):
         self.lam = lam
         self._store = EventStore()
         #: scalar reference state keyed by entity code, advanced lazily
-        #: over store rows (`_replay_pos` = rows consumed so far)
+        #: over the store rows the "replay" reader has not consumed
         self._evidence: Dict[int, Tuple[float, float]] = {}
-        self._replay_pos = 0
-        #: columnar kernel cache: (store version, alpha, beta) arrays
-        self._kernel: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        #: columnar (alpha, beta) arrays as of the "kernel" reader's
+        #: last read; for lam == 1 also the folded (alpha, count) state
+        self._kernel: Tuple[np.ndarray, np.ndarray] = (_EMPTY, _EMPTY)
+        self._alpha = self._count = _EMPTY
 
     def _advance(self) -> None:
         """Replay the original per-event recursion over rows the scalar
         state has not consumed yet — the exact reference path."""
-        store = self._store
-        n = len(store)
-        if self._replay_pos == n:
+        start, stop = self._unread_rows("replay")
+        if not start:
+            self._evidence = {}
+        if start == stop:
             return
         evidence = self._evidence
         lam = self.lam
         zero = (0.0, 0.0)
         # reprolint: disable=R007 — scalar reference is the per-row replay
-        for _rater, target, _facet, value, _time in store.iter_rows(
-            self._replay_pos
+        for _rater, target, _facet, value, _time in self._store.iter_rows(
+            start
         ):
             alpha, beta = evidence.get(target, zero)
             evidence[target] = (
                 lam * alpha + value,
                 lam * beta + (1.0 - value),
             )
-        self._replay_pos = n
 
     def _evidence_for(self, target: EntityId) -> Tuple[float, float]:
         self._advance()
@@ -109,36 +113,58 @@ class BetaReputation(StoreBackedModel):
 
     # -- columnar kernel -----------------------------------------------
     def _kernel_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense per-code (alpha, beta) mass reduced from the store
-        columns, cached per store version."""
-        store = self._store
-        version = store.version
-        cached = self._kernel
-        if cached is not None and cached[0] == version:
-            return cached[1], cached[2]
-        columns = store.snapshot()
-        size = max(len(store.entities), 1)
+        """Dense per-code (alpha, beta) evidence mass plus one spare zero
+        slot at the end, refreshed only when rows were appended (or
+        another store swapped in) since the last call."""
+        start, stop = self._unread_rows("kernel")
+        if start and start == stop:
+            return self._kernel
         if self.lam == 1.0:
-            # bincount adds weights in row order — exactly the additions
-            # the recursion performs when nothing is forgotten.
-            alpha = group_sums(columns.target, size, columns.value)
-            beta = (
-                group_counts(columns.target, size).astype(np.float64) - alpha
-            )
+            self._kernel = self._fold(start)
         else:
-            # Closed form of the recursion: the k-th rating of a target
-            # (0-based, n per group) carries weight lam**(n - 1 - k).
-            index = store.by_target()
-            sizes = index.group_sizes()
-            per_row_size = np.repeat(sizes, sizes)
-            exponents = per_row_size - 1 - index.ranks()
-            weights = np.power(self.lam, exponents.astype(np.float64))
-            rows = index.order
-            targets = columns.target[rows]
-            values = columns.value[rows]
-            alpha = group_sums(targets, size, weights * values)
-            beta = group_sums(targets, size, weights * (1.0 - values))
-        self._kernel = (version, alpha, beta)
+            self._kernel = self._closed_form()
+        return self._kernel
+
+    def _fold(self, start: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``lam == 1``: add rows ``[start, n)`` into the kept per-code
+        (alpha, count) sums; ``start == 0`` folds from zero.
+
+        ``np.add.at`` is unbuffered and adds in row order, and
+        ``bincount`` over all rows adds in row order from zero — the
+        additions the recursion performs when nothing is forgotten — so
+        any chain of folds equals one cold reduction bitwise.
+        """
+        store = self._store
+        if not start:
+            self._alpha = self._count = _EMPTY
+        grow = len(store.entities) + 1 - len(self._alpha)
+        if grow > 0:
+            zeros = np.zeros(grow)
+            self._alpha = np.concatenate((self._alpha, zeros))
+            self._count = np.concatenate((self._count, zeros))
+        delta = store.columns_from(start)
+        np.add.at(self._alpha, delta.target, delta.value)
+        np.add.at(self._count, delta.target, 1.0)
+        return self._alpha, self._count - self._alpha
+
+    def _closed_form(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``lam < 1``: the recursion's closed form over every row.  The
+        k-th rating of a target (0-based, n per group) carries weight
+        lam**(n - 1 - k), so every weight moves when a group grows and
+        there is nothing to fold."""
+        store = self._store
+        columns = store.snapshot()
+        size = len(store.entities) + 1
+        index = store.by_target()
+        sizes = index.group_sizes()
+        per_row_size = np.repeat(sizes, sizes)
+        exponents = per_row_size - 1 - index.ranks()
+        weights = np.power(self.lam, exponents.astype(np.float64))
+        rows = index.order
+        targets = columns.target[rows]
+        values = columns.value[rows]
+        alpha = group_sums(targets, size, weights * values)
+        beta = group_sums(targets, size, weights * (1.0 - values))
         return alpha, beta
 
     def score_many(
@@ -147,13 +173,12 @@ class BetaReputation(StoreBackedModel):
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
     ) -> List[float]:
-        """Batch posterior means: one segment reduction plus a gather."""
+        """Batch posterior means: a gather from the evidence arrays.  An
+        unseen id's code is -1, which reads the spare zero slot."""
         alpha, beta = self._kernel_arrays()
         codes = self._store.entities.codes(targets)
-        known = codes >= 0
-        safe = np.where(known, codes, 0)
-        a = np.where(known, alpha[safe], 0.0) + self.prior_alpha
-        b = np.where(known, beta[safe], 0.0) + self.prior_beta
+        a = alpha[codes] + self.prior_alpha
+        b = beta[codes] + self.prior_beta
         result: List[float] = (a / (a + b)).tolist()
         return result
 

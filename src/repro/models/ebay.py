@@ -27,6 +27,8 @@ from repro.core.typology import Architecture, Scope, Subject, Typology
 from repro.models.base import StoreBackedModel
 from repro.store import EventStore, group_counts
 
+_EMPTY = np.zeros(0, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class FeedbackSummary:
@@ -73,9 +75,8 @@ class EbayModel(StoreBackedModel):
         #: scalar reference state keyed by entity code:
         #: [positives, negatives, total], replayed lazily off the store
         self._totals: Dict[int, List[int]] = {}
-        self._replay_pos = 0
-        #: columnar kernel cache: (version, positives, negatives) arrays
-        self._kernel: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        #: columnar (positives, negatives) counts as of the last read
+        self._kernel: Tuple[np.ndarray, np.ndarray] = (_EMPTY, _EMPTY)
 
     def _sign(self, rating: float) -> int:
         if rating > self.positive_threshold:
@@ -87,16 +88,17 @@ class EbayModel(StoreBackedModel):
     def _advance(self) -> None:
         """Replay signed-count accumulation over unconsumed rows — the
         exact scalar reference (signs re-derived from stored ratings)."""
-        store = self._store
-        n = len(store)
-        if self._replay_pos == n:
+        start, stop = self._unread_rows("replay")
+        if not start:
+            self._totals = {}
+        if start == stop:
             return
         totals = self._totals
         positive_threshold = self.positive_threshold
         negative_threshold = self.negative_threshold
         # reprolint: disable=R007 — scalar reference is the per-row replay
-        for _rater, target, _facet, value, _time in store.iter_rows(
-            self._replay_pos
+        for _rater, target, _facet, value, _time in self._store.iter_rows(
+            start
         ):
             counts = totals.get(target)
             if counts is None:
@@ -107,7 +109,6 @@ class EbayModel(StoreBackedModel):
             elif value < negative_threshold:
                 counts[1] += 1
             counts[2] += 1
-        self._replay_pos = n
 
     def _totals_for(self, target: EntityId) -> Tuple[int, int, int]:
         self._advance()
@@ -170,12 +171,12 @@ class EbayModel(StoreBackedModel):
     # -- columnar kernel -----------------------------------------------
     def _kernel_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Dense per-code (positives, negatives) counts reduced from the
-        value column, cached per store version."""
+        value column, rebuilt only when rows were appended (or another
+        store swapped in) since the last call."""
+        start, stop = self._unread_rows("kernel")
+        if start and start == stop:
+            return self._kernel
         store = self._store
-        version = store.version
-        cached = self._kernel
-        if cached is not None and cached[0] == version:
-            return cached[1], cached[2]
         columns = store.snapshot()
         size = max(len(store.entities), 1)
         positives = group_counts(
@@ -184,8 +185,8 @@ class EbayModel(StoreBackedModel):
         negatives = group_counts(
             columns.target[columns.value < self.negative_threshold], size
         )
-        self._kernel = (version, positives, negatives)
-        return positives, negatives
+        self._kernel = (positives, negatives)
+        return self._kernel
 
     def score_many(
         self,

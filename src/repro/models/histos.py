@@ -32,6 +32,8 @@ from repro.core.typology import Architecture, Scope, Subject, Typology
 from repro.models.base import StoreBackedModel
 from repro.store import EventStore, group_sums, latest_rows
 
+_EMPTY = np.zeros(0)
+
 
 class HistosModel(StoreBackedModel):
     """Personalized reputation over the rating graph.
@@ -58,21 +60,21 @@ class HistosModel(StoreBackedModel):
         #: rater code -> target code -> (time, rating); latest wins;
         #: replayed lazily off the store rows
         self._edges: Dict[int, Dict[int, Tuple[float, float]]] = {}
-        self._replay_pos = 0
-        #: global-mean kernel cache: (version, sums, counts) per code
-        self._kernel: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        #: global-mean (sums, counts) per code as of the last read
+        self._kernel: Tuple[np.ndarray, np.ndarray] = (_EMPTY, _EMPTY)
 
     def _advance(self) -> None:
         """Replay latest-edge extraction over unconsumed store rows —
         the exact scalar reference for the graph walks."""
-        store = self._store
-        n = len(store)
-        if self._replay_pos == n:
+        start, stop = self._unread_rows("replay")
+        if not start:
+            self._edges = {}
+        if start == stop:
             return
         edges = self._edges
         # reprolint: disable=R007 — scalar reference is the per-row replay
-        for rater, target, _facet, value, time in store.iter_rows(
-            self._replay_pos
+        for rater, target, _facet, value, time in self._store.iter_rows(
+            start
         ):
             outgoing = edges.get(rater)
             if outgoing is None:
@@ -81,7 +83,6 @@ class HistosModel(StoreBackedModel):
             existing = outgoing.get(target)
             if existing is None or time >= existing[0]:
                 outgoing[target] = (time, value)
-        self._replay_pos = n
 
     def direct_rating(
         self, rater: EntityId, target: EntityId
@@ -213,20 +214,20 @@ class HistosModel(StoreBackedModel):
     # -- columnar kernel (global fallback) -----------------------------
     def _global_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-code (sum, count) of incoming latest ratings, reduced
-        from the store columns and cached per version."""
+        from the store columns, rebuilt only when rows were appended (or
+        another store swapped in) since the last call."""
+        start, stop = self._unread_rows("kernel")
+        if start and start == stop:
+            return self._kernel
         store = self._store
-        version = store.version
-        cached = self._kernel
-        if cached is not None and cached[0] == version:
-            return cached[1], cached[2]
         columns = store.snapshot()
         size = max(len(store.entities), 1)
         _keys, rows = latest_rows(columns.pair_keys(), columns.time)
         targets = columns.target[rows]
         sums = group_sums(targets, size, columns.value[rows])
         counts = np.bincount(targets, minlength=size)
-        self._kernel = (version, sums, counts)
-        return sums, counts
+        self._kernel = (sums, counts)
+        return self._kernel
 
     def score_many(
         self,

@@ -24,7 +24,7 @@ from repro.common.ids import EntityId
 from repro.common.mathutils import safe_mean
 from repro.common.records import Feedback
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import ReputationModel, ScoredTarget
+from repro.models.base import ReputationModel, ScoredTarget, ranked
 
 
 class LiuNguZengModel(ReputationModel):
@@ -136,24 +136,22 @@ class LiuNguZengModel(ReputationModel):
         matrix = self.quality_matrix(candidates, now)
         normalized = self._normalize_columns(matrix)
         weights = self._preferences.get(perspective, {}) if perspective else {}
-        scored: List[ScoredTarget] = []
+        scores: List[float] = []
         for candidate in candidates:
             row = normalized.get(candidate)
             if row is None:
-                scored.append(ScoredTarget(candidate, 0.5))
+                scores.append(0.5)
                 continue
             if weights:
                 common = {m: w for m, w in weights.items() if m in row}
                 total = sum(common.values())
                 if total > 0:
-                    value = sum(row[m] * w for m, w in common.items()) / total
-                    scored.append(ScoredTarget(candidate, value))
+                    scores.append(
+                        sum(row[m] * w for m, w in common.items()) / total
+                    )
                     continue
-            scored.append(
-                ScoredTarget(candidate, safe_mean(row.values(), default=0.5))
-            )
-        scored.sort(key=lambda st: (-st.score, st.target))
-        return scored
+            scores.append(safe_mean(row.values(), default=0.5))
+        return ranked(candidates, scores)
 
     def score(
         self,

@@ -14,20 +14,21 @@ Explorer agents (their multiagent paper) integrate via
 :class:`~repro.services.monitoring.ExplorerAgentPool`, which files
 feedback straight into this model's :meth:`record`.
 
-The per-facet histories stay eager (claims and preferences arrive out
-of band), but ``record`` mirrors every report into a columnar
+``record`` appends every report to a columnar
 :class:`~repro.store.EventStore` — one overall row plus one row per
-facet rating — and ``score_many`` replaces the per-history scans with
-one ``DecayPolicy.weights`` call over the whole time column and
-``np.bincount`` reductions per (service, facet) group; the claim /
-preference blending stays per-candidate Python over those precomputed
-means.
+facet rating — and nothing else: the per-facet histories of the scalar
+path are replayed lazily off those rows (claims and preferences arrive
+out of band and are kept as given).  ``score_many`` replaces the
+per-history scans with one ``DecayPolicy.weights`` call over the whole
+time column and ``np.bincount`` reductions per (service, facet) group;
+the claim / preference blending stays per-candidate Python over those
+precomputed means.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from repro.common.mathutils import safe_mean
 from repro.common.records import Feedback
 from repro.core.decay import DecayPolicy, ExponentialDecay
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import ReputationModel
+from repro.models.base import StoreBackedModel
 from repro.store import EventStore, OVERALL_FACET
 
 
@@ -68,7 +69,7 @@ class _FacetHistory:
         return len(self.ratings)
 
 
-class MaximilienSinghModel(ReputationModel):
+class MaximilienSinghModel(StoreBackedModel):
     """Per-facet reputation with advertisement blending.
 
     Args:
@@ -92,18 +93,17 @@ class MaximilienSinghModel(ReputationModel):
             raise ConfigurationError("claim_evidence_scale must be positive")
         self.decay = decay or ExponentialDecay(half_life=100.0)
         self.claim_evidence_scale = claim_evidence_scale
-        #: service -> facet -> history
-        self._facets: Dict[EntityId, Dict[str, _FacetHistory]] = {}
-        self._overall: Dict[EntityId, _FacetHistory] = {}
+        #: service code -> facet -> history, and service code -> overall
+        #: history: the scalar path's state, replayed lazily off the store
+        self._facets: Dict[int, Dict[str, _FacetHistory]] = {}
+        self._overall: Dict[int, _FacetHistory] = {}
         #: service -> facet -> provider claim
         self._claims: Dict[EntityId, Dict[str, float]] = {}
         #: consumer -> facet preference weights
         self._preferences: Dict[EntityId, Dict[str, float]] = {}
-        #: columnar mirror of the histories (kernel substrate)
         self._store = EventStore()
-        self._kernel: Optional[
-            Tuple[Tuple[int, Optional[float]], "_KernelArrays"]
-        ] = None
+        #: (now, arrays) as of the "kernel" reader's last read
+        self._kernel: Optional[Tuple[Optional[float], "_KernelArrays"]] = None
 
     # -- ontology inputs ------------------------------------------------
     def register_advertisement(
@@ -125,14 +125,6 @@ class MaximilienSinghModel(ReputationModel):
 
     # -- evidence ------------------------------------------------------------
     def record(self, feedback: Feedback) -> None:
-        self._overall.setdefault(feedback.target, _FacetHistory()).add(
-            feedback.time, feedback.rating
-        )
-        facets = self._facets.setdefault(feedback.target, {})
-        for facet, rating in feedback.facet_ratings.items():
-            facets.setdefault(facet, _FacetHistory()).add(
-                feedback.time, rating
-            )
         store = self._store
         store.append(
             feedback.rater, feedback.target, feedback.rating, feedback.time
@@ -143,12 +135,41 @@ class MaximilienSinghModel(ReputationModel):
                 facet=facet,
             )
 
+    def record_many(self, feedbacks: Iterable[Feedback]) -> None:
+        """A :meth:`record` loop: each report's facet rows follow its
+        overall row, which a column extend cannot express."""
+        for feedback in feedbacks:
+            self.record(feedback)
+
+    def _advance(self) -> None:
+        """Replay the per-facet histories over unconsumed store rows —
+        the scalar reference's state."""
+        start, stop = self._unread_rows("replay")
+        if not start:
+            self._facets, self._overall = {}, {}
+        if start == stop:
+            return
+        facet_name = self._store.facets.value
+        # reprolint: disable=R007 — scalar reference is the per-row replay
+        for _rater, target, facet, value, time in self._store.iter_rows(
+            start
+        ):
+            if facet == OVERALL_FACET:
+                history = self._overall.setdefault(target, _FacetHistory())
+            else:
+                history = self._facets.setdefault(target, {}).setdefault(
+                    facet_name(facet), _FacetHistory()
+                )
+            history.add(time, value)
+
     # -- queries --------------------------------------------------------------
     def facet_reputation(
         self, service: EntityId, facet: str, now: Optional[float] = None
     ) -> float:
         """Community + claim blend for one facet of *service*."""
-        history = self._facets.get(service, {}).get(facet)
+        self._advance()
+        code = self._store.entities.code(service)
+        history = self._facets.get(code, {}).get(facet)
         claim = self._claims.get(service, {}).get(facet)
         community = (
             history.weighted_mean(self.decay, now) if history else None
@@ -178,11 +199,13 @@ class MaximilienSinghModel(ReputationModel):
         weights = (
             self._preferences.get(perspective) if perspective else None
         )
-        facets = set(self._facets.get(target, {})) | set(
+        self._advance()
+        code = self._store.entities.code(target)
+        facets = set(self._facets.get(code, {})) | set(
             self._claims.get(target, {})
         )
         if not facets:
-            history = self._overall.get(target)
+            history = self._overall.get(code)
             if history is None:
                 return 0.5
             value = history.weighted_mean(self.decay, now)
@@ -206,12 +229,15 @@ class MaximilienSinghModel(ReputationModel):
     # -- columnar kernel -----------------------------------------------
     def _kernel_arrays(self, now: Optional[float]) -> "_KernelArrays":
         """Decay-weighted means for every (service, facet) group in one
-        column pass, cached per (store version, now)."""
-        store = self._store
-        key = (store.version, now)
+        column pass, rebuilt when rows were appended (or another store
+        swapped in) since the last call, or *now* moved."""
+        start, stop = self._unread_rows("kernel")
         cached = self._kernel
-        if cached is not None and cached[0] == key:
+        if cached is not None and start and start == stop and (
+            cached[0] == now
+        ):
             return cached[1]
+        store = self._store
         columns = store.snapshot()
         size = max(len(store.entities), 1)
         if now is not None:
@@ -251,7 +277,7 @@ class MaximilienSinghModel(ReputationModel):
             f_cnt=np.bincount(inverse, minlength=slots),
             facet_groups=facet_groups,
         )
-        self._kernel = (key, arrays)
+        self._kernel = (now, arrays)
         return arrays
 
     def _facet_blend(

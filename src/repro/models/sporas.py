@@ -85,10 +85,6 @@ class SporasModel(StoreBackedModel):
         self._reputation: Dict[int, float] = {}
         self._rd: Dict[int, float] = {}
         self._count: Dict[int, int] = {}
-        self._replay_pos = 0
-        #: the store the columnar fold reads; :meth:`_kernel_array`
-        #: (re)starts the fold's state whenever this is not ``_store``
-        self._fold_store: Optional[EventStore] = None
 
     def _phi(self, reputation: float) -> float:
         return 1.0 - 1.0 / (1.0 + math.exp(-(reputation - self.d) / self.sigma))
@@ -102,9 +98,10 @@ class SporasModel(StoreBackedModel):
         zero would let fresh raters have no effect at bootstrap, so a
         small floor keeps the system live.
         """
-        store = self._store
-        n = len(store)
-        if self._replay_pos == n:
+        start, stop = self._unread_rows("replay")
+        if not start:
+            self._reputation, self._rd, self._count = {}, {}, {}
+        if start == stop:
             return
         reputation = self._reputation
         rd = self._rd
@@ -114,8 +111,8 @@ class SporasModel(StoreBackedModel):
         rd_memory = self.rd_memory
         floor = self.NEWCOMER_FLOOR
         # reprolint: disable=R007 — scalar reference is the per-row replay
-        for rater, target, _facet, value, _time in store.iter_rows(
-            self._replay_pos
+        for rater, target, _facet, value, _time in self._store.iter_rows(
+            start
         ):
             current = reputation.get(target, 0.0)
             rater_weight = max(reputation.get(rater, 0.0) / d, floor)
@@ -128,7 +125,6 @@ class SporasModel(StoreBackedModel):
             prev_rd = rd.get(target, 0.25)
             rd[target] = rd_memory * prev_rd + (1 - rd_memory) * error
             count[target] = count.get(target, 0) + 1
-        self._replay_pos = n
 
     # -- accessors (scalar reference) ----------------------------------
     def _code(self, target: EntityId) -> int:
@@ -170,9 +166,8 @@ class SporasModel(StoreBackedModel):
         stays coupled and the latch holds for good.
         """
         store = self._store
-        if self._fold_store is not store:
-            self._fold_store = store
-            self._fold_pos = 0
+        start, stop = self._unread_rows("kernel")
+        if not start:
             self._coupled = False
             self._state = np.zeros(0)
             self._is_rater = np.zeros(0, dtype=bool)
@@ -182,9 +177,8 @@ class SporasModel(StoreBackedModel):
             self._state = np.pad(self._state, (0, grow))
             self._is_rater = np.pad(self._is_rater, (0, grow))
             self._is_target = np.pad(self._is_target, (0, grow))
-        n = len(store)
-        if self._fold_pos < n and not self._coupled:
-            delta = store.columns_from(self._fold_pos)
+        if start < stop and not self._coupled:
+            delta = store.columns_from(start)
             self._is_rater[delta.rater] = True
             self._is_target[delta.target] = True
             self._coupled = bool(
@@ -193,7 +187,6 @@ class SporasModel(StoreBackedModel):
             )
             if not self._coupled:
                 self._sweep(delta.target, delta.value)
-        self._fold_pos = n
         return None if self._coupled else self._state
 
     def _sweep(self, targets: np.ndarray, values: np.ndarray) -> None:

@@ -536,4 +536,8 @@ class ServiceCore:
 def _as_pairs(
     ranking: Sequence[ScoredTarget],
 ) -> Tuple[Tuple[str, float], ...]:
-    return tuple((st.target, float(st.score)) for st in ranking)
+    """The ranking as plain ``(service, score)`` tuples.  Responses are
+    kept for the whole run; the collector stops tracking an exact tuple
+    of a str and a float, but never a :class:`ScoredTarget`, so keeping
+    those would grow every full collection."""
+    return tuple(map(tuple, ranking))

@@ -210,11 +210,13 @@ class EventStore:
         time_dtype: Union[str, np.dtype] = "float64",
     ) -> None:
         if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+            raise ConfigurationError(
+                f"chunk_size must be >= 1, got {chunk_size}"
+            )
         self.chunk_size = chunk_size
         self.time_dtype = np.dtype(time_dtype)
         if self.time_dtype not in self._HEADERS:
-            raise ValueError(
+            raise ConfigurationError(
                 "time_dtype must be 'float64' or 'int64', "
                 f"got {time_dtype!r}"
             )
@@ -598,9 +600,9 @@ class EventStore:
         reintroduce the rounding drift tick stores exist to rule out.
         """
         if other.time_dtype != self.time_dtype:
-            raise ValueError(
-                f"cannot merge a {other.time_dtype} time column into a "
-                f"{self.time_dtype} store; convert with "
+            raise ConfigurationError(
+                f"merge_from: time_dtype {other.time_dtype} cannot merge "
+                f"into a {self.time_dtype} store; convert with "
                 "repro.common.simtime first"
             )
         columns = other.snapshot()

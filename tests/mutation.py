@@ -1,5 +1,5 @@
-"""Mutation check for the shard path and the model folds: do the gates
-catch regressions?
+"""Mutation check for the shard path, the model folds and the rank
+order: do the gates catch regressions?
 
 Each :class:`Mutant` is an exact source edit that breaks one rule the
 canonical output depends on, plus the one test that must catch it.
@@ -147,6 +147,33 @@ MUTANTS: List[Mutant] = [
         gate=f"{FOLDS}::test_social_network_recomputes_only_on_graph_change",
         reason="a record that adds a node but no edge keeps the stale "
         "authority, so every score misses the new node's share",
+    ),
+    Mutant(
+        file="src/repro/models/base.py",
+        old="start = kept[1] if kept is not None and kept[0] is store else 0",
+        new="start = kept[1] if kept is not None else 0",
+        gate=f"{FOLDS}::test_store_swap_restarts_every_reader",
+        reason="readers keyed by row count only: after another store is "
+        "swapped in, the beta fold (and every scalar replay) goes on from "
+        "the old store's position and state",
+    ),
+    Mutant(
+        file="src/repro/models/beta.py",
+        old="np.add.at(self._alpha, delta.target, delta.value)",
+        new="self._alpha[:] = 0.0; self._count[:] = 0.0; "
+        "np.add.at(self._alpha, delta.target, delta.value)",
+        gate=f"{FOLDS}::test_beta_fold_interleaving",
+        reason="each fold starts from zero, so only the newest rows count; "
+        "a cold kernel (one fold from row 0) cannot see it",
+    ),
+    Mutant(
+        file="src/repro/models/base.py",
+        old="scored.sort(key=_TARGET)",
+        new="pass",
+        gate="tests/test_models/test_base.py::TestRankOrder::"
+        "test_rank_equals_sort_by_negated_score_then_id",
+        reason="rank drops the id tie-break: equal scores keep candidate "
+        "order, which follows the registry, not the ids",
     ),
 ]
 

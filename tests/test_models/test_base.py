@@ -2,8 +2,13 @@
 
 from typing import Optional
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.common.ids import EntityId
+from repro.common.records import Feedback
 from repro.models.base import ReputationModel, ScoredTarget
+from repro.models.liu_ngu_zeng import LiuNguZengModel
 
 from tests.conftest import feedback
 
@@ -50,3 +55,77 @@ class TestBaseDefaults:
 
     def test_repr(self):
         assert "FixedScores" in repr(FixedScores({}))
+
+
+#: ids whose string order differs from their numeric order, and scores
+#: rich in ties, signed zeros included
+RANK_IDS = ["a", "b", "c", "svc-10", "svc-2", "svc-9"]
+RANK_SCORES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+def _by_negated_score_then_id(ranking):
+    """The documented ranking order, as a plain sort of the objects."""
+    return sorted(ranking, key=lambda st: (-st.score, st.target))
+
+
+def _exact(ranking):
+    """Targets and score reprs, so 0.0 and -0.0 differ."""
+    return [(entry.target, repr(entry.score)) for entry in ranking]
+
+
+class TestRankOrder:
+    """Every ranking is (-score, target) order: ties by id, duplicates
+    kept, signed zeros untouched."""
+
+    def test_scored_target_fields_and_repr(self):
+        entry = ScoredTarget("a", 0.5)
+        assert (entry.target, entry.score) == ("a", 0.5)
+        assert repr(entry) == "ScoredTarget(target='a', score=0.5)"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.dictionaries(st.sampled_from(RANK_IDS), RANK_SCORES),
+        picks=st.lists(st.sampled_from(RANK_IDS + ["unscored"]), max_size=12),
+        as_tuple=st.booleans(),
+    )
+    def test_rank_equals_sort_by_negated_score_then_id(
+        self, scores, picks, as_tuple
+    ):
+        model = FixedScores(scores)
+        ranking = model.rank(tuple(picks) if as_tuple else iter(picks))
+        expected = _by_negated_score_then_id(
+            [ScoredTarget(c, float(model.score(c))) for c in picks]
+        )
+        assert _exact(ranking) == _exact(expected)
+        assert all(type(entry) is ScoredTarget for entry in ranking)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        reports=st.lists(
+            st.tuples(
+                st.sampled_from(RANK_IDS),
+                st.dictionaries(
+                    st.sampled_from(["latency", "cost"]),
+                    st.sampled_from([0.0, 0.5, 1.0]),
+                    min_size=1,
+                ),
+            ),
+            max_size=10,
+        ),
+        picks=st.lists(st.sampled_from(RANK_IDS), max_size=8),
+        weighted=st.booleans(),
+    )
+    def test_liu_ngu_zeng_rank_uses_the_same_order(
+        self, reports, picks, weighted
+    ):
+        """Liu-Ngu-Zeng ranks natively (candidate-relative scores) and
+        must still order its result like every other model."""
+        model = LiuNguZengModel()
+        for t, (target, facets) in enumerate(reports):
+            model.record(Feedback(rater="c0", target=target, time=float(t),
+                                  rating=0.5, facet_ratings=facets))
+        if weighted:
+            model.set_preferences("c0", {"latency": 2.0, "cost": 1.0})
+        ranking = model.rank(picks, "c0" if weighted else None)
+        assert sorted(entry.target for entry in ranking) == sorted(picks)
+        assert _exact(ranking) == _exact(_by_negated_score_then_id(ranking))

@@ -401,6 +401,15 @@ def _steps(rng, stream: List[Feedback]) -> List[List[Feedback]]:
     return steps
 
 
+def _beta(chunk_size: int, lam: float = 1.0):
+    from repro.models.beta import BetaReputation
+    from repro.store import EventStore
+
+    model = BetaReputation(lam=lam)
+    model._store = EventStore(chunk_size=chunk_size)
+    return model
+
+
 def _sporas(chunk_size: int):
     from repro.models.sporas import SporasModel
     from repro.store import EventStore
@@ -481,6 +490,9 @@ class TestFoldInterleaving:
         swapped.record_many(half)
         second._store = swapped._store
         assert second.score_many(QUERIED) == swapped.score_many(QUERIED)
+        assert [second.score(t) for t in QUERIED] == [
+            swapped.score(t) for t in QUERIED
+        ]
 
     def test_sporas_one_row_fold_reads_no_snapshot(
         self, global_random_seed, monkeypatch
@@ -504,6 +516,90 @@ class TestFoldInterleaving:
         monkeypatch.setattr(EventStore, "snapshot", no_snapshot)
         model.record(stream[-1])
         assert model.score_many(QUERIED) == expected
+
+    @staticmethod
+    def _assert_beta_fold(model, seen, queried):
+        """Fold == a fresh model's cold kernel and == one bincount over
+        the fresh store, bitwise; == the base score() loop to 1e-9."""
+        cold = _beta(4096)
+        cold.record_many(seen)
+        columns = cold._store.snapshot()
+        n = len(cold._store.entities)
+        alpha = np.bincount(columns.target, columns.value, minlength=n)
+        beta = np.bincount(columns.target, minlength=n) - alpha
+        assert len(model._store.entities) == n
+        for fold, kernel, direct in zip(
+            model._kernel_arrays(), cold._kernel_arrays(), (alpha, beta)
+        ):
+            assert fold[:n].tobytes() == kernel[:n].tobytes()
+            assert fold[:n].tobytes() == direct.tobytes()
+        batch = model.score_many(queried)
+        fallback = ReputationModel.score_many(model, queried)
+        assert batch == pytest.approx(fallback, abs=1e-9)
+
+    def test_beta_fold_interleaving(self, global_random_seed, monkeypatch):
+        """One-row records, random-size chunks and ids that grow the
+        interner, checked after every step; then a one-row fold that may
+        not rebuild the snapshot."""
+        from repro.store import EventStore
+
+        rng = random.Random(global_random_seed)
+        grown = [f"svc-new-{i}" for i in range(8)]
+        stream = []
+        for t in range(rng.randint(20, 60)):
+            pool = RATED + grown[: t // 6]
+            stream.append(Feedback(rater=rng.choice(RATERS + grown[:2]),
+                                   target=rng.choice(pool), time=float(t),
+                                   rating=rng.random()))
+        queried = QUERIED + RATERS + grown
+        model, forgetting = _beta(rng.choice([1, 3, 7, 4096])), _beta(5, 0.9)
+        seen: List[Feedback] = []
+        for step in _steps(rng, stream[:-1]):
+            model.record_many(step)
+            forgetting.record_many(step)
+            seen.extend(step)
+            self._assert_beta_fold(model, seen, queried)
+            assert forgetting.score_many(queried) == pytest.approx(
+                ReputationModel.score_many(forgetting, queried), abs=1e-9
+            )
+
+        def no_snapshot(self):
+            raise AssertionError("a one-row fold rebuilt the whole store")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(EventStore, "snapshot", no_snapshot)
+            model.record(stream[-1])
+            fold = model.score_many(queried)
+        seen.append(stream[-1])
+        self._assert_beta_fold(model, seen, queried)
+        assert fold == model.score_many(queried)
+
+    @pytest.mark.parametrize(
+        "name", ["amazon", "beta", "ebay", "histos", "maximilien_singh", "sporas"]
+    )
+    def test_store_swap_restarts_every_reader(self, name, global_random_seed):
+        """After another store is assigned to ``_store``, score(),
+        score_many() and personalized queries answer from it — also
+        when it holds as many rows as the old one."""
+        rng = random.Random(global_random_seed)
+        stream = _random_stream(rng, rng.randint(20, 60), RATERS, RATED)
+        same_size = _random_stream(rng, len(stream), RATERS, RATED)
+        model = REGISTRY.create(name)
+        model.record_many(stream)
+        for rows in (same_size, stream[: len(stream) // 2], []):
+            for persp in (None, "r0"):  # warm every reader on the old store
+                model.score_many(QUERIED, persp)
+                [model.score(t, persp) for t in QUERIED]
+            fresh = REGISTRY.create(name)
+            fresh.record_many(rows)
+            model._store = fresh._store
+            for persp in (None, "r0"):
+                assert model.score_many(QUERIED, persp) == (
+                    fresh.score_many(QUERIED, persp)
+                ), (name, persp)
+                assert [model.score(t, persp) for t in QUERIED] == [
+                    fresh.score(t, persp) for t in QUERIED
+                ], (name, persp)
 
     def test_social_network_recomputes_only_on_graph_change(
         self, global_random_seed

@@ -250,7 +250,7 @@ class TestSnapshotAndIndexes:
 
 class TestValidation:
     def test_chunk_size_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="chunk_size"):
             EventStore(chunk_size=0)
 
     def test_empty_store_shapes(self):
@@ -342,11 +342,11 @@ class TestIntegerTimeColumns:
         tick_store = EventStore(time_dtype="int64")
         float_store = EventStore()
         float_store.append("c0", "svc-0", 0.5, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="time_dtype"):
             tick_store.merge_from(float_store)
 
     def test_unknown_time_dtype_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="time_dtype"):
             EventStore(time_dtype="float32")
 
     def test_int64_merge_matches_direct_appends(self):
