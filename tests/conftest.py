@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import random
-from datetime import datetime
 from typing import List
 
 import pytest
@@ -24,16 +23,19 @@ from repro.services.qos import DEFAULT_METRICS, QoSTaxonomy, w3c_taxonomy
 #   REPRO_TESTS_GLOBAL_RANDOM_SEED="any"     a random seed per run
 #   REPRO_TESTS_GLOBAL_RANDOM_SEED="all"     every seed in [0, 99] (slow)
 #
-# Unset, the seed rotates deterministically off the calendar date (the
-# CI cron effect: a different-but-reproducible seed every day).
+# Unset, the seed is the fixed _DEFAULT_SEED, so a test's id (which
+# carries the seed, e.g. ``[81-beta]``) names the same test on every
+# day and a recorded list of passing ids stays comparable.  CI's test
+# job exports a date-derived seed to rotate coverage across days.
 
 _SEED_ENV = "REPRO_TESTS_GLOBAL_RANDOM_SEED"
+_DEFAULT_SEED = 81
 
 
 def _parse_seed_spec() -> List[int]:
     spec = os.environ.get(_SEED_ENV)
     if spec is None:
-        return [random.Random(int(datetime.now().strftime("%Y%j"))).randint(0, 99)]
+        return [_DEFAULT_SEED]
     if spec == "any":
         return [random.randint(0, 99)]
     if spec == "all":
