@@ -85,29 +85,19 @@ def test_bench_score(benchmark, name, stream):
 
 
 @pytest.mark.benchmark(group="power-iteration")
-def test_bench_eigentrust_compute(benchmark, stream):
+def test_bench_eigentrust_compute_naive(benchmark, stream):
     """The pure-Python scalar reference iteration (cold every call)."""
     model = EigenTrustModel(pre_trusted=["r0"])
     model.record_many(stream)
-
-    def compute():
-        model._trust = None  # force a full recomputation
-        return model.compute()
-
-    benchmark(compute)
+    benchmark(model.compute_naive)
 
 
 @pytest.mark.benchmark(group="power-iteration")
-def test_bench_eigentrust_compute_dense(benchmark, stream):
-    """The incremental numpy engine (warm-started after the first call)."""
+def test_bench_eigentrust_compute(benchmark, stream):
+    """The shared sparse walk (warm-started after the first call)."""
     model = EigenTrustModel(pre_trusted=["r0"])
     model.record_many(stream)
-
-    def compute():
-        model._trust = None
-        return model.compute_dense()
-
-    benchmark(compute)
+    benchmark(model.compute)
 
 
 @pytest.mark.benchmark(group="power-iteration")
@@ -158,26 +148,19 @@ def _naive_scores(
 ) -> List[float]:
     """The pre-batch-engine query path.
 
-    Graph models pay a cold power-iteration recompute (what every
-    ranking query cost when ``record`` simply discarded the stationary
-    vector); everything else runs the base-class per-candidate loop.
+    The damped-walk models (PageRank, social network, EigenTrust) pay
+    their cold pure-Python ``compute_naive`` (what every ranking query
+    cost when ``record`` simply discarded the stationary vector);
+    everything else runs the base-class per-candidate loop.
     """
-    if isinstance(model, PageRankModel):
-        ranks = model.compute_naive()
+    if isinstance(model, (PageRankModel, EigenTrustModel)):
+        ranks = model.compute_naive()  # scalar reference; ignores the cache
         if not ranks:
             return [0.5] * len(targets)
         top = max(ranks.values())
         if top <= 0:
             return [0.5] * len(targets)
         return [ranks.get(t, 0.0) / top for t in targets]
-    if isinstance(model, EigenTrustModel):
-        trust = model.compute()  # scalar reference; ignores the cache
-        if not trust:
-            return [0.5] * len(targets)
-        top = max(trust.values())
-        if top <= 0:
-            return [0.5] * len(targets)
-        return [trust.get(t, 0.0) / top for t in targets]
     return ReputationModel.score_many(model, targets, perspective, now)
 
 

@@ -10,11 +10,14 @@ row-stochastic matrix *C*.  Global trust is the stationary vector of
 where *p* is the distribution over **pre-trusted peers** and *a* the
 blend weight — the ingredient that makes EigenTrust resistant to
 collusion rings (malicious cliques inflate each other but receive no
-mass from the pre-trusted set).
+mass from the pre-trusted set).  A peer with no positive experience
+uses *p* as its row.  This is the damped walk PageRank and the social
+network model rank by too; all three run it through
+:func:`repro.models.walk.damped_walk`.
 
 Two deployments:
 
-* :class:`EigenTrustModel` — the matrix iteration, run centrally.
+* :class:`EigenTrustModel` — the sparse iteration, run centrally.
 * :class:`DistributedEigenTrust` — the secure distributed variant:
   each peer's trust value is computed by *score managers* located via a
   :class:`~repro.p2p.dht.ChordDHT`, with DHT messages counted so the
@@ -32,24 +35,29 @@ from repro.common.ids import EntityId
 from repro.common.records import Feedback
 from repro.core.typology import Architecture, Scope, Subject, Typology
 from repro.models.base import ReputationModel
-from repro.obs.recorder import get_recorder
+from repro.models.walk import (
+    cached_vector,
+    check_walk_config,
+    damped_walk,
+    vector_scores,
+)
 from repro.p2p.dht import ChordDHT
 
 
 class EigenTrustModel(ReputationModel):
     """EigenTrust power iteration over local trust values.
 
-    The stationary vector is *maintained*, not recomputed: a versioned
-    dirty-flag cache keeps the local-trust matrix as numpy arrays with
-    an index map, :meth:`record` queues an O(1) row patch instead of
-    invalidating the structure, and queries re-converge by warm-starting
-    the power iteration from the previous fixed point.  A dense O(n²)
-    rebuild happens only when the peer set itself grows — never per
-    query.  This mirrors how Kamvar et al. intend the vector to be kept
-    (incrementally, by the score managers), rather than being an
-    approximation: the damped iteration has a unique fixed point for
-    ``alpha > 0``, so the warm start converges to the same answer as a
-    cold one.
+    The stationary vector is *maintained*, not recomputed: the model
+    keeps one ``(rater, target, sat − unsat)`` entry per rated pair,
+    :meth:`record` patches that pair's entry in place, and
+    :meth:`compute` runs the shared sparse walk
+    (:func:`repro.models.walk.damped_walk`) with restart ``alpha``
+    onto *p*, warm-started from the previous fixed point.  Memory is
+    O(peers + rated pairs).  This mirrors how Kamvar et al. intend the
+    vector to be kept (incrementally, by the score managers), rather
+    than being an approximation: the damped iteration has a unique
+    fixed point for ``alpha > 0``, so the warm start converges to the
+    same answer as a cold one.  With ``alpha == 0`` it starts cold.
 
     Args:
         pre_trusted: ids of the pre-trusted peer set P (may be empty,
@@ -76,48 +84,47 @@ class EigenTrustModel(ReputationModel):
     ) -> None:
         if not 0.0 <= alpha <= 1.0:
             raise ConfigurationError("alpha must be in [0, 1]")
+        check_walk_config(tol, max_iter)
         self.pre_trusted: Set[EntityId] = set(pre_trusted or ())
         self.alpha = alpha
         self.positive_threshold = positive_threshold
         self.tol = tol
         self.max_iter = max_iter
-        #: (rater, target) -> (sat, unsat) counts
-        self._counts: Dict[Tuple[EntityId, EntityId], Tuple[int, int]] = {}
-        self._peers: Set[EntityId] = set(self.pre_trusted)
-        self._trust: Optional[Dict[EntityId, float]] = None
+        #: peer -> index: the pre-trusted set first (sorted), then the
+        #: order of first appearance
+        self._peers: Dict[EntityId, int] = {
+            p: i for i, p in enumerate(sorted(self.pre_trusted))
+        }
+        #: (rater, target) -> its entry in the three edge lists below
+        self._pairs: Dict[Tuple[EntityId, EntityId], int] = {}
+        self._src: List[int] = []
+        self._dst: List[int] = []
+        #: satisfactory minus unsatisfactory transactions, per pair
+        self._net: List[int] = []
+        #: cached global trust per peer; None once a record changed it
+        self._vector: Optional[Dict[EntityId, float]] = None
+        #: previous fixed point, the warm start for the next compute
+        self._warm: Optional[np.ndarray] = None
         self.iterations_last_run = 0
-        # -- incremental cache state --------------------------------------
         #: bumped on every record; lets callers detect staleness cheaply
         self.version = 0
-        #: version the cached stationary vector corresponds to
-        self._trust_version = -1
-        self._peer_list: List[EntityId] = []
-        self._index: Dict[EntityId, int] = {}
-        #: raw clipped satisfaction balances, row = rater
-        self._balance: Optional[np.ndarray] = None
-        #: row-stochastic local-trust matrix (prior rows for empty raters)
-        self._matrix: Optional[np.ndarray] = None
-        self._prior_vec: Optional[np.ndarray] = None
-        #: previous fixed point, the warm start for the next refresh
-        self._trust_vec: Optional[np.ndarray] = None
-        #: (rater, target) pairs touched since the arrays were last patched
-        self._pending: List[Tuple[EntityId, EntityId]] = []
-        self._structure_dirty = True
+
+    def _peer(self, peer: EntityId) -> int:
+        return self._peers.setdefault(peer, len(self._peers))
 
     def record(self, feedback: Feedback) -> None:
         key = (feedback.rater, feedback.target)
-        sat, unsat = self._counts.get(key, (0, 0))
-        if feedback.rating > self.positive_threshold:
-            sat += 1
+        step = 1 if feedback.rating > self.positive_threshold else -1
+        k = self._pairs.get(key)
+        if k is None:
+            self._pairs[key] = len(self._net)
+            self._src.append(self._peer(feedback.rater))
+            self._dst.append(self._peer(feedback.target))
+            self._net.append(step)
         else:
-            unsat += 1
-        self._counts[key] = (sat, unsat)
-        if feedback.rater not in self._peers or feedback.target not in self._peers:
-            self._peers.update(key)
-            self._structure_dirty = True
-        self._pending.append(key)
+            self._net[k] += step
         self.version += 1
-        self._trust = None
+        self._vector = None
 
     def local_trust(self, rater: EntityId, target: EntityId) -> float:
         """Normalized c_ij (row-normalized clipped satisfaction balance)."""
@@ -126,19 +133,15 @@ class EigenTrustModel(ReputationModel):
 
     def _local_row(self, rater: EntityId) -> Dict[EntityId, float]:
         raw: Dict[EntityId, float] = {}
-        for (i, j), (sat, unsat) in self._counts.items():
+        for (i, j), k in self._pairs.items():
             if i != rater:
                 continue
-            raw[j] = max(sat - unsat, 0)
+            raw[j] = max(self._net[k], 0)
         total = sum(raw.values())
         if total <= 0:
             # No positive experience: trust the pre-trusted set (their
             # fallback for undefined rows).
-            if self.pre_trusted:
-                share = 1.0 / len(self.pre_trusted)
-                return {p: share for p in sorted(self.pre_trusted)}
-            n = len(self._peers)
-            return {p: 1.0 / n for p in sorted(self._peers)} if n else {}
+            return self._prior()
         return {j: v / total for j, v in raw.items()}
 
     def _prior(self) -> Dict[EntityId, float]:
@@ -148,11 +151,13 @@ class EigenTrustModel(ReputationModel):
         n = len(self._peers)
         return {p: 1.0 / n for p in sorted(self._peers)} if n else {}
 
-    def compute(self) -> Dict[EntityId, float]:
-        """Run the damped power iteration; returns global trust (sums to 1)."""
+    def compute_naive(self) -> Dict[EntityId, float]:
+        """The pure-Python damped power iteration, cold every call — the
+        reference :meth:`compute` is verified and benchmarked against.
+        Does not touch the cached vector.  Returns global trust (sums
+        to 1)."""
         peers = sorted(self._peers)
         if not peers:
-            self._trust = {}
             return {}
         prior = self._prior()
         rows = {p: self._local_row(p) for p in peers}
@@ -179,151 +184,32 @@ class EigenTrustModel(ReputationModel):
         total = sum(trust.values())
         if total > 0:
             trust = {p: v / total for p, v in trust.items()}
-        self._trust = trust
-        return dict(trust)
-
-    # -- incremental cache ---------------------------------------------------
-    def _refresh_arrays(self) -> None:
-        """Bring the matrix cache up to date with ``_counts``.
-
-        Peer-set growth triggers a structural rebuild (index map, prior
-        vector, fallback rows — the only O(n²) path); otherwise the
-        queued ``(rater, target)`` patches touch just the rows feedback
-        actually changed.
-        """
-        if self._structure_dirty:
-            warm: Optional[Dict[EntityId, float]] = None
-            if self._trust_vec is not None and self._peer_list:
-                warm = {
-                    p: float(v)
-                    for p, v in zip(self._peer_list, self._trust_vec)
-                }
-            peers = sorted(self._peers)
-            n = len(peers)
-            index = {p: i for i, p in enumerate(peers)}
-            prior = np.zeros(n)
-            if self.pre_trusted:
-                share = 1.0 / len(self.pre_trusted)
-                for p in sorted(self.pre_trusted):
-                    prior[index[p]] = share
-            elif n:
-                prior.fill(1.0 / n)
-            balance = np.zeros((n, n))
-            for (i, j), (sat, unsat) in self._counts.items():
-                balance[index[i], index[j]] = max(sat - unsat, 0)
-            sums = balance.sum(axis=1)
-            matrix = np.empty_like(balance)
-            positive = sums > 0
-            matrix[positive] = balance[positive] / sums[positive, None]
-            matrix[~positive] = prior
-            self._peer_list = peers
-            self._index = index
-            self._prior_vec = prior
-            self._balance = balance
-            self._matrix = matrix
-            if warm:
-                vec = np.array([warm.get(p, 0.0) for p in peers])
-                self._trust_vec = vec if float(vec.sum()) > 0 else None
-            else:
-                self._trust_vec = None
-            self._pending.clear()
-            self._structure_dirty = False
-        elif self._pending:
-            assert self._balance is not None and self._matrix is not None
-            index = self._index
-            touched = set()
-            for i, j in self._pending:
-                sat, unsat = self._counts[(i, j)]
-                self._balance[index[i], index[j]] = max(sat - unsat, 0)
-                touched.add(index[i])
-            for r in sorted(touched):
-                row = self._balance[r]
-                total = float(row.sum())
-                if total > 0:
-                    self._matrix[r] = row / total
-                else:
-                    self._matrix[r] = self._prior_vec
-            self._pending.clear()
-
-    def _converge(self) -> np.ndarray:
-        """Damped power iteration over the cached matrix, warm-started
-        from the previous fixed point when one exists."""
-        assert self._matrix is not None and self._prior_vec is not None
-        n = len(self._peer_list)
-        prior = self._prior_vec
-        trust: Optional[np.ndarray] = None
-        if (
-            self.alpha > 0
-            and self._trust_vec is not None
-            and len(self._trust_vec) == n
-        ):
-            total = float(self._trust_vec.sum())
-            if total > 0:
-                trust = self._trust_vec / total
-        if trust is None:
-            trust = (
-                prior.copy()
-                if float(prior.sum()) > 0
-                else np.full(n, 1.0 / n)
-            )
-        matrix_t = self._matrix.T
-        a = self.alpha
-        for iteration in range(self.max_iter):
-            nxt = a * prior + (1.0 - a) * (matrix_t @ trust)
-            delta = float(np.abs(nxt - trust).sum())
-            trust = nxt
-            if delta < self.tol:
-                self.iterations_last_run = iteration + 1
-                break
-        else:
-            self.iterations_last_run = self.max_iter
-        total = float(trust.sum())
-        if total > 0:
-            trust = trust / total
         return trust
 
-    def compute_dense(self) -> Dict[EntityId, float]:
-        """The incremental numpy engine behind :meth:`score` /
-        :meth:`score_many`: patch the cached matrix, warm-start the
-        iteration.  Same fixed point as :meth:`compute`."""
-        if not self._peers:
-            self._trust = {}
+    def compute(self) -> Dict[EntityId, float]:
+        """Global trust per peer (sums to 1) from the shared sparse walk:
+        the engine behind :meth:`score` / :meth:`score_many`.  Same
+        fixed point as :meth:`compute_naive`."""
+        n = len(self._peers)
+        if n == 0:
+            self._vector = {}
             return {}
-        self._refresh_arrays()
-        trust = self._converge()
-        self._trust_vec = trust
-        self._trust = {
-            p: float(trust[i]) for i, p in enumerate(self._peer_list)
-        }
-        return dict(self._trust)
-
-    def _ensure_trust(self) -> Dict[EntityId, float]:
-        rec = get_recorder()
-        if self._trust is None:
-            self.compute_dense()
-            if rec.enabled:
-                rec.count(
-                    "model.cache.misses",
-                    labels=(self.name,),
-                    label_names=("model",),
-                )
-                rec.count(
-                    "model.power_iterations",
-                    self.iterations_last_run,
-                    labels=(self.name,),
-                    label_names=("model",),
-                )
-        elif rec.enabled:
-            rec.count(
-                "model.cache.hits",
-                labels=(self.name,),
-                label_names=("model",),
-            )
-        assert self._trust is not None
-        return self._trust
+        prior = np.zeros(n)
+        if self.pre_trusted:  # indices 0 .. |P| - 1
+            prior[: len(self.pre_trusted)] = 1.0 / len(self.pre_trusted)
+        else:
+            prior.fill(1.0 / n)
+        trust, self.iterations_last_run = damped_walk(
+            self._src, self._dst, np.maximum(self._net, 0), n, prior,
+            self.alpha, self.tol, self.max_iter,
+            self._warm if self.alpha > 0 else None,
+        )
+        self._warm = trust
+        self._vector = dict(zip(self._peers, trust.tolist()))
+        return dict(self._vector)
 
     def global_trust(self, target: EntityId) -> float:
-        return self._ensure_trust().get(target, 0.0)
+        return cached_vector(self).get(target, 0.0)
 
     def score(
         self,
@@ -331,13 +217,7 @@ class EigenTrustModel(ReputationModel):
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
     ) -> float:
-        trust = self._ensure_trust()
-        if not trust:
-            return 0.5
-        top = max(trust.values())
-        if top <= 0:
-            return 0.5
-        return trust.get(target, 0.0) / top
+        return vector_scores(self, (target,))[0]
 
     def score_many(
         self,
@@ -346,20 +226,7 @@ class EigenTrustModel(ReputationModel):
         now: Optional[float] = None,
     ) -> List[float]:
         """Batch scores from one cached stationary vector."""
-        if not targets:
-            return []
-        trust = self._ensure_trust()
-        if not trust:
-            return [0.5] * len(targets)
-        top = max(trust.values())
-        if top <= 0:
-            return [0.5] * len(targets)
-        values = np.fromiter(
-            (trust.get(t, 0.0) for t in targets),
-            dtype=float,
-            count=len(targets),
-        )
-        return (values / top).tolist()
+        return vector_scores(self, targets)
 
 
 class DistributedEigenTrust:
@@ -402,7 +269,7 @@ class DistributedEigenTrust:
     def run(self, rounds: int = 10) -> Dict[EntityId, float]:
         """Run *rounds* distributed iterations; returns global trust.
 
-        The arithmetic matches :meth:`EigenTrustModel.compute` (same
+        The arithmetic matches :meth:`EigenTrustModel.compute_naive` (same
         fixed point); what differs is *where* values live and the
         message cost, which this method meters through the DHT.
         """

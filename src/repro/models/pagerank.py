@@ -7,14 +7,17 @@ graph is built from feedback — a positive rating creates (or refreshes)
 an edge ``rater -> target`` — and reputation is the stationary
 distribution of the damped random walk.
 
-The stationary vector is maintained incrementally: edges accumulate in
-index arrays (no dense matrix), :meth:`record` flips a dirty flag
-instead of discarding state, and :meth:`compute` re-converges by
-warm-starting the power iteration from the previous fixed point — the
-damped walk has a unique stationary distribution, so the warm start
-lands on the same answer as a cold one.  :meth:`compute_naive` keeps
-the original pure-Python iteration as the reference implementation the
-property tests and the benchmark baseline compare against.
+The stationary vector is the shared damped walk
+(:func:`repro.models.walk.damped_walk`) with restart ``1 − damping``
+onto the uniform vector.  Nodes keep the index of their first
+appearance and edges accumulate as index pairs, so the graph is never
+re-indexed.  :meth:`record` drops the cached vector only when the node
+set grows or an edge is new, and :meth:`compute` re-converges from the
+previous fixed point — the damped walk has a unique stationary
+distribution, so the warm start lands on the same answer as a cold one
+(to ``tol``).  :meth:`compute_naive` keeps the original pure-Python
+iteration as the reference the property tests and the benchmark
+baseline compare against.
 
 Scores are normalized by the maximum rank so they land on ``[0, 1]``
 like every other model; :meth:`raw_rank` exposes the probability mass.
@@ -31,7 +34,12 @@ from repro.common.ids import EntityId
 from repro.common.records import Feedback
 from repro.core.typology import Architecture, Scope, Subject, Typology
 from repro.models.base import ReputationModel
-from repro.obs.recorder import get_recorder
+from repro.models.walk import (
+    cached_vector,
+    check_walk_config,
+    damped_walk,
+    vector_scores,
+)
 
 
 class PageRankModel(ReputationModel):
@@ -58,157 +66,78 @@ class PageRankModel(ReputationModel):
     ) -> None:
         if not 0.0 < damping < 1.0:
             raise ConfigurationError("damping must be in (0, 1)")
-        if max_iter < 1:
-            raise ConfigurationError("max_iter must be >= 1")
+        check_walk_config(tol, max_iter)
         self.damping = damping
         self.positive_threshold = positive_threshold
         self.tol = tol
         self.max_iter = max_iter
         self._out: Dict[EntityId, Set[EntityId]] = {}
-        self._nodes: Set[EntityId] = set()
-        self._ranks: Optional[Dict[EntityId, float]] = None
-        self.iterations_last_run = 0
-        # -- incremental cache state --------------------------------------
-        #: bumped on every graph mutation
-        self.version = 0
-        #: edges in insertion order; re-indexed only on structural change
-        self._edge_pairs: List[Tuple[EntityId, EntityId]] = []
-        self._node_list: List[EntityId] = []
-        self._index: Dict[EntityId, int] = {}
-        self._src: Optional[np.ndarray] = None
-        self._dst: Optional[np.ndarray] = None
-        self._out_degree: Optional[np.ndarray] = None
-        self._indexed_edges = 0
-        self._structure_dirty = True
+        #: node -> index, in order of first appearance
+        self._nodes: Dict[EntityId, int] = {}
+        #: edges as (source, target) index pairs, in insertion order
+        self._edge_pairs: List[Tuple[int, int]] = []
+        #: the same pairs as an array, extended at each compute
+        self._edges = np.empty((0, 2), dtype=np.intp)
+        #: cached stationary vector per node; None once the graph changed
+        self._vector: Optional[Dict[EntityId, float]] = None
         #: previous fixed point, the warm start for the next compute
-        self._rank_vec: Optional[np.ndarray] = None
+        self._warm: Optional[np.ndarray] = None
+        self.iterations_last_run = 0
+        #: bumped whenever the cached vector is dropped
+        self.version = 0
+
+    def _node(self, node: EntityId) -> int:
+        return self._nodes.setdefault(node, len(self._nodes))
+
+    def _invalidate(self) -> None:
+        self.version += 1
+        self._vector = None
 
     def add_edge(self, source: EntityId, target: EntityId) -> None:
-        """Add an endorsement edge directly (citation-graph use)."""
+        """Add an endorsement edge directly (citation-graph use).
+
+        :meth:`compute` is a function of the nodes and the edge sets,
+        so the cached vector is dropped only when the edge is new."""
         if source == target:
             return
         targets = self._out.setdefault(source, set())
         if target not in targets:
             targets.add(target)
-            self._edge_pairs.append((source, target))
-        if source not in self._nodes or target not in self._nodes:
-            self._nodes.add(source)
-            self._nodes.add(target)
-            self._structure_dirty = True
-        self.version += 1
-        self._ranks = None
+            self._edge_pairs.append((self._node(source), self._node(target)))
+            self._invalidate()
 
     def record(self, feedback: Feedback) -> None:
-        if feedback.rater not in self._nodes or feedback.target not in self._nodes:
-            self._nodes.add(feedback.rater)
-            self._nodes.add(feedback.target)
-            self._structure_dirty = True
+        known = len(self._nodes)
+        self._node(feedback.rater)
+        self._node(feedback.target)
+        if len(self._nodes) != known:
+            self._invalidate()
         if feedback.rating > self.positive_threshold:
             self.add_edge(feedback.rater, feedback.target)
-        else:
-            self.version += 1
-            self._ranks = None
-
-    # -- incremental cache ---------------------------------------------------
-    def _refresh_arrays(self) -> None:
-        """Bring the edge index arrays up to date with the graph.
-
-        Node growth re-derives the index map (O(V + E)); new edges on a
-        stable node set just extend the index arrays.  Neither path is
-        per-query work — queries reuse the cached stationary vector
-        until feedback dirties it.
-        """
-        if self._structure_dirty:
-            warm: Optional[Dict[EntityId, float]] = None
-            if self._rank_vec is not None and self._node_list:
-                warm = {
-                    node: float(v)
-                    for node, v in zip(self._node_list, self._rank_vec)
-                }
-            nodes = sorted(self._nodes)
-            index = {node: i for i, node in enumerate(nodes)}
-            self._node_list = nodes
-            self._index = index
-            self._src = np.fromiter(
-                (index[s] for s, _ in self._edge_pairs),
-                dtype=np.intp,
-                count=len(self._edge_pairs),
-            )
-            self._dst = np.fromiter(
-                (index[t] for _, t in self._edge_pairs),
-                dtype=np.intp,
-                count=len(self._edge_pairs),
-            )
-            self._out_degree = np.fromiter(
-                (len(self._out.get(node, ())) for node in nodes),
-                dtype=float,
-                count=len(nodes),
-            )
-            self._indexed_edges = len(self._edge_pairs)
-            self._structure_dirty = False
-            if warm:
-                vec = np.array([warm.get(node, 0.0) for node in nodes])
-                self._rank_vec = vec if float(vec.sum()) > 0 else None
-            else:
-                self._rank_vec = None
-        elif self._indexed_edges < len(self._edge_pairs):
-            assert self._src is not None and self._dst is not None
-            index = self._index
-            fresh = self._edge_pairs[self._indexed_edges:]
-            self._src = np.concatenate(
-                [self._src, np.array([index[s] for s, _ in fresh], dtype=np.intp)]
-            )
-            self._dst = np.concatenate(
-                [self._dst, np.array([index[t] for _, t in fresh], dtype=np.intp)]
-            )
-            self._out_degree = np.fromiter(
-                (len(self._out.get(node, ())) for node in self._node_list),
-                dtype=float,
-                count=len(self._node_list),
-            )
-            self._indexed_edges = len(self._edge_pairs)
 
     def compute(self) -> Dict[EntityId, float]:
         """Converge the rank vector; returns rank per node (sums to 1).
 
-        Vectorized scatter-gather power iteration, warm-started from the
-        previous fixed point when the graph only changed incrementally.
-        """
+        The shared sparse walk, warm-started from the previous fixed
+        point."""
         n = len(self._nodes)
         if n == 0:
-            self._ranks = {}
+            self._vector = {}
             return {}
-        self._refresh_arrays()
-        assert self._src is not None and self._out_degree is not None
-        nodes = self._node_list
-        d = self.damping
-        rank = self._rank_vec
-        if rank is None or len(rank) != n:
-            rank = np.full(n, 1.0 / n)
-        else:
-            total = float(rank.sum())
-            rank = rank / total if total > 0 else np.full(n, 1.0 / n)
-        dangling = self._out_degree == 0
-        out_degree_safe = np.where(dangling, 1.0, self._out_degree)
-        base = (1.0 - d) / n
-        for iteration in range(self.max_iter):
-            dangling_mass = float(rank[dangling].sum())
-            shares = d * rank[self._src] / out_degree_safe[self._src]
-            nxt = np.bincount(
-                self._dst, weights=shares, minlength=n
-            ).astype(float)
-            nxt += base + d * dangling_mass / n
-            delta = float(np.abs(nxt - rank).sum())
-            rank = nxt
-            if delta < self.tol:
-                self.iterations_last_run = iteration + 1
-                break
-        else:
-            self.iterations_last_run = self.max_iter
-        self._rank_vec = rank
-        self._ranks = {node: float(rank[i]) for i, node in enumerate(nodes)}
-        return dict(self._ranks)
-
+        fresh = self._edge_pairs[len(self._edges):]
+        if fresh:
+            self._edges = np.concatenate(
+                (self._edges, np.array(fresh, dtype=np.intp))
+            )
+        edges = self._edges
+        rank, self.iterations_last_run = damped_walk(
+            edges[:, 0], edges[:, 1], np.ones(len(edges)), n,
+            np.full(n, 1.0 / n), 1.0 - self.damping, self.tol,
+            self.max_iter, self._warm,
+        )
+        self._warm = rank
+        self._vector = dict(zip(self._nodes, rank.tolist()))
+        return dict(self._vector)
     def compute_naive(self) -> Dict[EntityId, float]:
         """The original pure-Python cold-start iteration — kept as the
         reference path the cached engine is benchmarked and verified
@@ -244,33 +173,8 @@ class PageRankModel(ReputationModel):
             self.iterations_last_run = self.max_iter
         return {node: rank[index[node]] for node in nodes}
 
-    def _ensure_ranks(self) -> Dict[EntityId, float]:
-        rec = get_recorder()
-        if self._ranks is None:
-            self.compute()
-            if rec.enabled:
-                rec.count(
-                    "model.cache.misses",
-                    labels=(self.name,),
-                    label_names=("model",),
-                )
-                rec.count(
-                    "model.power_iterations",
-                    self.iterations_last_run,
-                    labels=(self.name,),
-                    label_names=("model",),
-                )
-        elif rec.enabled:
-            rec.count(
-                "model.cache.hits",
-                labels=(self.name,),
-                label_names=("model",),
-            )
-        assert self._ranks is not None
-        return self._ranks
-
     def raw_rank(self, target: EntityId) -> float:
-        return self._ensure_ranks().get(target, 0.0)
+        return cached_vector(self).get(target, 0.0)
 
     def score(
         self,
@@ -278,13 +182,7 @@ class PageRankModel(ReputationModel):
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
     ) -> float:
-        ranks = self._ensure_ranks()
-        if not ranks:
-            return 0.5
-        top = max(ranks.values())
-        if top <= 0:
-            return 0.5
-        return ranks.get(target, 0.0) / top
+        return vector_scores(self, (target,))[0]
 
     def score_many(
         self,
@@ -293,17 +191,4 @@ class PageRankModel(ReputationModel):
         now: Optional[float] = None,
     ) -> List[float]:
         """Batch scores from one cached stationary vector."""
-        if not targets:
-            return []
-        ranks = self._ensure_ranks()
-        if not ranks:
-            return [0.5] * len(targets)
-        top = max(ranks.values())
-        if top <= 0:
-            return [0.5] * len(targets)
-        values = np.fromiter(
-            (ranks.get(t, 0.0) for t in targets),
-            dtype=float,
-            count=len(targets),
-        )
-        return (values / top).tolist()
+        return vector_scores(self, targets)

@@ -174,9 +174,10 @@ class SporasModel(StoreBackedModel):
             self._is_target = np.zeros(0, dtype=bool)
         grow = max(len(store.entities), 1) - len(self._state)
         if grow > 0:
-            self._state = np.pad(self._state, (0, grow))
-            self._is_rater = np.pad(self._is_rater, (0, grow))
-            self._is_target = np.pad(self._is_target, (0, grow))
+            unseen = np.zeros(grow, dtype=bool)
+            self._state = np.concatenate((self._state, np.zeros(grow)))
+            self._is_rater = np.concatenate((self._is_rater, unseen))
+            self._is_target = np.concatenate((self._is_target, unseen))
         if start < stop and not self._coupled:
             delta = store.columns_from(start)
             self._is_rater[delta.rater] = True

@@ -1,5 +1,5 @@
-"""Mutation check for the shard path, the model folds and the rank
-order: do the gates catch regressions?
+"""Mutation check for the shard path, the model folds, the damped walk
+and the rank order: do the gates catch regressions?
 
 Each :class:`Mutant` is an exact source edit that breaks one rule the
 canonical output depends on, plus the one test that must catch it.
@@ -141,12 +141,21 @@ MUTANTS: List[Mutant] = [
         "see it",
     ),
     Mutant(
-        file="src/repro/models/socialnetwork.py",
+        file="src/repro/models/pagerank.py",
         old="if len(self._nodes) != known:",
         new="if False:",
         gate=f"{FOLDS}::test_social_network_recomputes_only_on_graph_change",
         reason="a record that adds a node but no edge keeps the stale "
         "authority, so every score misses the new node's share",
+    ),
+    Mutant(
+        file="src/repro/models/walk.py",
+        old="nxt = nxt + (restart + spread) * prior",
+        new="nxt = nxt + restart * prior + spread / n",
+        gate=f"{FOLDS}::test_walk_compute_matches_naive",
+        reason="dangling mass goes to the uniform vector, not the prior: "
+        "PageRank's prior is uniform, so only EigenTrust with a "
+        "pre-trusted set sees it",
     ),
     Mutant(
         file="src/repro/models/base.py",

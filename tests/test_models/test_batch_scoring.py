@@ -12,6 +12,7 @@ up exactly as one of these three paths diverging.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import List
 
 import numpy as np
@@ -19,9 +20,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import ConfigurationError
 from repro.common.records import Feedback
 from repro.core.registry import default_registry
 from repro.models.base import ReputationModel
+from repro.models.eigentrust import EigenTrustModel
+from repro.models.pagerank import PageRankModel
+from repro.models.socialnetwork import SocialNetworkModel
 
 REGISTRY = default_registry(rng_seed=0)
 MODEL_NAMES = REGISTRY.names()
@@ -419,11 +424,46 @@ def _sporas(chunk_size: int):
     return model
 
 
+#: The damped-walk models and configurations the parity test covers.
+WALKS = {
+    "pagerank": PageRankModel,
+    "social_network": SocialNetworkModel,
+    "eigentrust_pretrusted": partial(
+        EigenTrustModel, pre_trusted=["r0", "svc-a"]
+    ),
+    "eigentrust_uniform": EigenTrustModel,
+    "eigentrust_alpha0": partial(EigenTrustModel, alpha=0.0),
+}
+
+
+def _normalized(vector, targets) -> List[float]:
+    """Scores from a stationary vector the way the walk models' score_many
+    reads them: share over the top share, 0.5 while the graph is empty."""
+    top = max(vector.values(), default=0.0)
+    if top <= 0:
+        return [0.5] * len(targets)
+    return [vector.get(t, 0.0) / top for t in targets]
+
+
+@pytest.mark.parametrize(
+    "cls", [PageRankModel, SocialNetworkModel, EigenTrustModel]
+)
+@pytest.mark.parametrize("param, value", [
+    ("tol", 0.0), ("tol", -1.0), ("tol", float("nan")),
+    ("max_iter", 0), ("max_iter", -3),
+])
+def test_walk_iteration_controls_validated(cls, param, value):
+    """A walk that could never converge (or never step) is refused
+    up front, with the offending parameter named."""
+    with pytest.raises(ConfigurationError, match=param):
+        cls(**{param: value})
+
+
 class TestFoldInterleaving:
-    """The O(delta) folds (Sporas' kept per-target state, Social
-    network's graph-change invalidation, Subjective logic's memoised
-    referrals) equal a cold rebuild at every point of an interleaved
-    record/query history."""
+    """The O(delta) folds (Sporas' kept per-target state, the damped
+    walks' graph-change invalidation and warm start, Subjective logic's
+    memoised referrals) equal a cold rebuild at every point of an
+    interleaved record/query history."""
 
     @staticmethod
     def _assert_sporas_fold(model, seen):
@@ -601,14 +641,13 @@ class TestFoldInterleaving:
                     fresh.score(t, persp) for t in QUERIED
                 ], (name, persp)
 
-    def test_social_network_recomputes_only_on_graph_change(
-        self, global_random_seed
-    ):
-        """Bitwise equal to a fresh model after every step; compute runs
-        only after steps that add a node or a new edge."""
-        from repro.models.socialnetwork import SocialNetworkModel
-
-        rng = random.Random(global_random_seed)
+    @staticmethod
+    def _assert_recomputes_only_on_graph_change(cls, rng):
+        """Record in steps and score after each: compute runs only after
+        steps that add a node or a new edge, a step that changes neither
+        returns the previous scores bitwise, a twin replaying the same
+        steps and queries answers bitwise alike, and the scores equal
+        compute_naive's to 1e-9."""
         everyone = RATERS + RATED
         # a new edge, a repeated one, a new node with no edge, a self-loop
         stream = [
@@ -618,7 +657,7 @@ class TestFoldInterleaving:
             Feedback(rater="svc-b", target="svc-b", time=3.0, rating=0.9),
         ]
         stream += _random_stream(rng, rng.randint(20, 60), everyone, everyone)
-        model = SocialNetworkModel()
+        model, twin = cls(), cls()
         computes = []
         compute = model.compute
 
@@ -629,9 +668,8 @@ class TestFoldInterleaving:
         model.compute = counting_compute
         nodes: set = set()
         edges: set = set()
-        seen: List[Feedback] = []
         queried = QUERIED + RATERS
-        before = None  # the first query always computes
+        before = previous = None  # the first query always computes
         for step in [[fb] for fb in stream[:4]] + _steps(rng, stream[4:]):
             for fb in step:
                 nodes.update((fb.rater, fb.target))
@@ -640,15 +678,77 @@ class TestFoldInterleaving:
                 ):
                     edges.add((fb.rater, fb.target))
             model.record_many(step)
-            seen.extend(step)
+            twin.record_many(step)
             computes.clear()
             batch = model.score_many(queried)
             changed = (len(nodes), len(edges)) != before
             assert len(computes) == (1 if changed else 0)
-            before = (len(nodes), len(edges))
-            fresh = SocialNetworkModel()
-            fresh.record_many(seen)
-            assert batch == fresh.score_many(queried)
+            if not changed:
+                assert batch == previous
+            before, previous = (len(nodes), len(edges)), batch
+            assert batch == twin.score_many(queried)
+            assert batch == pytest.approx(
+                _normalized(model.compute_naive(), queried), abs=1e-9
+            )
+
+    def test_social_network_recomputes_only_on_graph_change(
+        self, global_random_seed
+    ):
+        self._assert_recomputes_only_on_graph_change(
+            SocialNetworkModel, random.Random(global_random_seed)
+        )
+
+    def test_pagerank_recomputes_only_on_graph_change(
+        self, global_random_seed
+    ):
+        self._assert_recomputes_only_on_graph_change(
+            PageRankModel, random.Random(global_random_seed)
+        )
+
+    @pytest.mark.parametrize("walk", sorted(WALKS))
+    def test_walk_compute_matches_naive(self, walk, global_random_seed):
+        """Records interleaved with score_many: compute() == the scalar
+        compute_naive() to 1e-9, and so are the scores served.  Services
+        never rate, so their dangling mass must go to the prior (the
+        pre-trusted set, where there is one)."""
+        rng = random.Random(global_random_seed)
+        stream = _random_stream(rng, rng.randint(20, 60), RATERS,
+                                RATERS + RATED)
+        model = WALKS[walk]()
+        queried = QUERIED + RATERS
+        for step in _steps(rng, stream):
+            model.record_many(step)
+            batch = model.score_many(queried)
+            fast, naive = model.compute(), model.compute_naive()
+            assert fast.keys() == naive.keys()
+            assert list(fast.values()) == pytest.approx(
+                [naive[node] for node in fast], abs=1e-9
+            )
+            assert batch == pytest.approx(
+                _normalized(naive, queried), abs=1e-9
+            )
+
+    def test_eigentrust_memory_is_linear(self, global_random_seed):
+        """2,000 peers rating 5 others each: scoring peaks under 8 MB
+        (two dense n x n arrays would take 64 MB)."""
+        import tracemalloc
+
+        rng = random.Random(global_random_seed)
+        peers = [f"p{i:04d}" for i in range(2000)]
+        model = EigenTrustModel(pre_trusted=peers[:3])
+        model.record_many(
+            Feedback(rater=rater, target=rng.choice(peers), time=float(t),
+                     rating=rng.random())
+            for t, rater in enumerate(peers * 5)
+        )
+        tracemalloc.start()
+        try:
+            scores = model.score_many(peers[:100])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(scores) <= 1.0
+        assert peak < 8 * 2**20
 
     def test_subjective_logic_memoised_referrals(self, global_random_seed):
         """score_many == the base score() loop exactly, personalized or

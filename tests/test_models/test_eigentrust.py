@@ -99,13 +99,13 @@ class TestEigenTrust:
         for t in range(5):
             model.record(feedback(rater="a", target="mal", rating=0.1,
                                   time=float(t)))
-        sparse = model.compute()
-        dense = model.compute_dense()
+        sparse = model.compute_naive()
+        dense = model.compute()
         for peer, value in sparse.items():
             assert dense[peer] == pytest.approx(value, abs=1e-8)
 
     def test_dense_empty_model(self):
-        assert EigenTrustModel().compute_dense() == {}
+        assert EigenTrustModel().compute() == {}
 
     def test_dense_scales_to_hundreds_of_peers(self):
         import numpy as np
@@ -122,7 +122,7 @@ class TestEigenTrust:
                     rater=rater, target=target,
                     rating=float(rng.uniform(0.4, 1.0)), time=float(i),
                 ))
-        trust = model.compute_dense()
+        trust = model.compute()
         assert len(trust) == 200
         assert abs(sum(trust.values()) - 1.0) < 1e-6
 
@@ -235,8 +235,8 @@ class TestIncrementalCache:
             if i % 11 == 0:
                 # Interleave queries so the warm-start path is exercised.
                 model.score(peers[i % 5])
-        dense = model.compute_dense()
-        scalar = model.compute()
+        dense = model.compute()
+        scalar = model.compute_naive()
         for peer in peers:
             assert dense[peer] == pytest.approx(scalar[peer], abs=1e-9)
 
@@ -261,13 +261,13 @@ class TestIncrementalCache:
         model = EigenTrustModel(pre_trusted=["a"])
         honest_community(model)
         calls = {"n": 0}
-        original = model.compute_dense
+        original = model.compute
 
         def counting():
             calls["n"] += 1
             return original()
 
-        model.compute_dense = counting
+        model.compute = counting
         model.score("a")
         model.score("b")
         model.score_many(["a", "b", "c", "never-seen"])
