@@ -11,8 +11,9 @@ Two layers:
   1,000-record warm store with a 100-candidate batch, compares the
   batched path against the naive per-candidate path (for the graph
   models: a cold power-iteration recompute, which is what every query
-  cost before the incremental cache), and writes the results to
-  ``BENCH_models.json`` at the repo root.  The harness *fails* when a
+  cost before the incremental cache), and writes the results to their
+  sections of ``BENCH_models.json`` at the repo root, keeping the
+  others.  The harness *fails* when a
   batched path is slower than its naive path, and requires the
   headline >= 5x batch speedup on EigenTrust and PageRank.
 """
@@ -245,16 +246,21 @@ def test_regression_batch_vs_naive(table_printer, wide_stream):
             "speedup_vs_naive": round(naive_ns / batch_ns, 2),
         }
 
-    payload = {
-        "config": {
+    # Read, modify, write: the columnar and obs harnesses keep their own
+    # sections of the same file.
+    payload = (
+        json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
+    )
+    payload.update(
+        config={
             "warm_records": WARM_RECORDS,
             "batch_size": BATCH_SIZE,
             "repeats": REPEATS,
             "timer": "perf_counter_ns/min",
         },
-        "models": report,
-        "skipped": skipped,
-    }
+        models=report,
+        skipped=skipped,
+    )
     BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     table_printer(

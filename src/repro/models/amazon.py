@@ -10,10 +10,11 @@ A review is one row of a columnar :class:`~repro.store.EventStore`
 band, and weight only the reviews that existed when they were cast, so
 they are kept beside the store keyed by row id rather than replayed
 from it.  The scalar path reads a target's rows through the store's
-``by_target`` index; ``score_many`` evaluates the helpfulness × recency
-weighting as one full-column ``DecayPolicy.weights`` call plus
-per-target ``np.bincount`` sums, invalidated by a vote epoch counter
-whenever helpful votes change.
+``by_target`` index; ``score_many`` gathers from per-target weighted
+sums that each query folds the new rows into.  The helpfulness ×
+recency weights are fixed while ``now`` and the vote epoch (bumped
+whenever helpful votes change) stay put; a change of either refolds
+every row.
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
 from repro.core.decay import DecayPolicy, ExponentialDecay
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import StoreBackedModel
+from repro.models.base import StoreBackedModel, fold_into
 from repro.store import EventStore
+
+_EMPTY = np.zeros(0)
+_EMPTY_I8 = np.zeros(0, dtype=np.int64)
 
 
 class AmazonModel(StoreBackedModel):
@@ -58,15 +62,11 @@ class AmazonModel(StoreBackedModel):
         #: helpful votes per review, keyed by store row; unvoted rows
         #: are absent
         self._votes: Dict[int, int] = {}
-        #: bumped whenever helpful votes change (kernel invalidation)
+        #: bumped whenever helpful votes change (restarts the kernel fold)
         self._votes_epoch = 0
-        #: caches keyed by (store, version, votes epoch[, now]): the
-        #: row-aligned helpful-vote column, and the reduced (num, den,
-        #: count) arrays
-        self._votes_cache: Optional[Tuple[tuple, np.ndarray]] = None
-        self._kernel: Optional[
-            Tuple[tuple, Tuple[np.ndarray, np.ndarray, np.ndarray]]
-        ] = None
+        #: folded (num, den, count) arrays as of the "kernel" reader's
+        #: last read
+        self._kernel: Tuple[np.ndarray, ...] = (_EMPTY, _EMPTY, _EMPTY_I8)
 
     def _rows(self, target: EntityId) -> np.ndarray:
         """Store rows of *target*'s reviews, in append order."""
@@ -124,43 +124,36 @@ class AmazonModel(StoreBackedModel):
         return float(weights @ ratings) / weight_sum
 
     # -- columnar kernel -----------------------------------------------
-    def _votes_column(self) -> np.ndarray:
-        """Helpful votes aligned with store rows."""
-        store = self._store
-        key = (store, store.version, self._votes_epoch)
-        cached = self._votes_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        votes = np.zeros(len(store), dtype=np.float64)
-        if self._votes:
-            votes[list(self._votes)] = list(self._votes.values())
-        self._votes_cache = (key, votes)
-        return votes
-
     def _kernel_arrays(
         self, now: Optional[float]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-code (weighted sum, weight sum, review count), with the
-        decay applied to the whole time column at once."""
+    ) -> Tuple[np.ndarray, ...]:
+        """Per-code (weighted sum, weight sum, review count) plus one
+        spare zero slot, folded from the rows appended since the last
+        call.  A moved *now* reweighs every row and a vote epoch change
+        reweighs the voted ones, so either restarts the fold from row
+        0; a vote reaches only rows that existed when it was cast, so
+        rows folded at an unchanged epoch carry none."""
+        start, stop = self._unread_rows("kernel", (now, self._votes_epoch))
+        if start and start == stop:
+            return self._kernel
         store = self._store
-        key = (store, store.version, self._votes_epoch, now)
-        cached = self._kernel
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        columns = store.snapshot()
-        size = max(len(store.entities), 1)
-        weights = 1.0 + self.helpfulness_weight * self._votes_column()
+        delta = store.columns_from(start)
+        votes = np.zeros(stop - start)
+        if not start and self._votes:
+            votes[list(self._votes)] = list(self._votes.values())
+        weights = 1.0 + self.helpfulness_weight * votes
         if now is not None:
-            ages = np.maximum(now - columns.time, 0.0)
+            ages = np.maximum(now - delta.time, 0.0)
             weights = weights * self.decay.weights(ages)
-        num = np.bincount(
-            columns.target, weights=weights * columns.value, minlength=size
+        self._kernel = fold_into(
+            self._kernel if start else (_EMPTY, _EMPTY, _EMPTY_I8),
+            len(store.entities) + 1,
+            delta.target,
+            weights * delta.value,
+            weights,
+            1,
         )
-        den = np.bincount(columns.target, weights=weights, minlength=size)
-        count = np.bincount(columns.target, minlength=size)
-        arrays = (num, den, count)
-        self._kernel = (key, arrays)
-        return arrays
+        return self._kernel
 
     def score_many(
         self,
@@ -171,16 +164,11 @@ class AmazonModel(StoreBackedModel):
         """Batch weighted means from one pass over the store columns."""
         num, den, count = self._kernel_arrays(now)
         codes = self._store.entities.codes(targets)
-        known = codes >= 0
-        safe = np.where(known, codes, 0)
-        cnt = np.where(known, count[safe], 0)
-        weight_sum = np.where(known, den[safe], 0.0)
+        cnt = count[codes]
+        weight_sum = den[codes]
         usable = (cnt > 0) & (weight_sum > 0)
         scores = np.where(
-            usable,
-            np.where(known, num[safe], 0.0)
-            / np.where(usable, weight_sum, 1.0),
-            0.5,
+            usable, num[codes] / np.where(usable, weight_sum, 1.0), 0.5
         )
         result: List[float] = scores.tolist()
         return result

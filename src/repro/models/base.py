@@ -15,6 +15,7 @@ from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Hashable,
     Iterable,
     List,
     NamedTuple,
@@ -79,6 +80,54 @@ def check_unit_ratings(ratings: ArrayLike) -> None:
     if bad.any():
         rating = float(values[int(np.argmax(bad))])
         raise ValueError(f"rating must be in [0, 1], got {rating}")
+
+
+def fold_into(
+    sums: Tuple[np.ndarray, ...],
+    size: int,
+    index: ArrayLike,
+    *addends: ArrayLike,
+) -> Tuple[np.ndarray, ...]:
+    """*sums* grown with zeros to *size* slots, then ``addends[k]`` added
+    into ``sums[k]`` at *index*: the one step of every O(Δ) fold.
+
+    ``np.add.at`` is unbuffered and adds in row order, and ``bincount``
+    over all rows adds the same weights in the same order from zero, so
+    any chain of folds over consecutive row ranges is bitwise equal to
+    one cold reduction.  Growth uses ``np.concatenate`` (``np.pad`` costs
+    about ten times more per call), so the grown arrays are new objects.
+    """
+    grow = size - len(sums[0])
+    if grow > 0:
+        sums = tuple(
+            np.concatenate((s, np.zeros(grow, dtype=s.dtype))) for s in sums
+        )
+    for kept, addend in zip(sums, addends):
+        np.add.at(kept, index, addend)
+    return sums
+
+
+def sorted_union(
+    universe: np.ndarray, keys: np.ndarray, aligned: Tuple[np.ndarray, ...]
+) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], np.ndarray]:
+    """*keys* merged into the ascending key array *universe*, with a zero
+    row inserted into each of the *aligned* arrays for every new key;
+    also the position of each key in the merged universe.
+
+    The universe stays in ascending key order — the order ``np.unique``
+    gives a cold reduction — so sums taken over it in order are bitwise
+    those of the cold path.
+    """
+    at = np.searchsorted(universe, keys)
+    known = at < len(universe)
+    known[known] = universe[at[known]] == keys[known]
+    if known.all():
+        return universe, aligned, at
+    new = np.unique(keys[~known])
+    slots = np.searchsorted(universe, new)
+    universe = np.insert(universe, slots, new)
+    aligned = tuple(np.insert(a, slots, 0, axis=0) for a in aligned)
+    return universe, aligned, np.searchsorted(universe, keys)
 
 
 class ReputationModel(abc.ABC):
@@ -235,20 +284,26 @@ class StoreBackedModel(ReputationModel):
 
     _store: "EventStore"
 
-    def _unread_rows(self, reader: str) -> Tuple[int, int]:
+    def _unread_rows(
+        self, reader: str, key: Hashable = None
+    ) -> Tuple[int, int]:
         """``(start, stop)``: the rows of ``_store`` that *reader* has
         not consumed yet, which count as consumed from now on.
 
-        ``start == 0`` means "start over" — the first read, or
-        ``_store`` is another store object than at the last read — so
-        the reader drops its kept state before consuming ``[0, stop)``.
+        ``start == 0`` means "start over" — the first read, ``_store``
+        is another store object than at the last read, or *key* (what
+        else the reader's state depends on, such as the decay's ``now``)
+        differs from the last read's — so the reader drops its kept
+        state before consuming ``[0, stop)``.
         """
         store = self._store
         cursors = self.__dict__.setdefault("_cursors", {})
         kept = cursors.get(reader)
         start = kept[1] if kept is not None and kept[0] is store else 0
+        if kept is not None and kept[2] != key:
+            start = 0
         stop = len(store)
-        cursors[reader] = (store, stop)
+        cursors[reader] = (store, stop, key)
         return start, stop
 
     def record(self, feedback: Feedback) -> None:

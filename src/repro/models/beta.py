@@ -29,7 +29,7 @@ import numpy as np
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import StoreBackedModel
+from repro.models.base import StoreBackedModel, fold_into
 from repro.store import EventStore, group_sums
 
 _EMPTY = np.zeros(0)
@@ -127,24 +127,15 @@ class BetaReputation(StoreBackedModel):
 
     def _fold(self, start: int) -> Tuple[np.ndarray, np.ndarray]:
         """``lam == 1``: add rows ``[start, n)`` into the kept per-code
-        (alpha, count) sums; ``start == 0`` folds from zero.
-
-        ``np.add.at`` is unbuffered and adds in row order, and
-        ``bincount`` over all rows adds in row order from zero — the
-        additions the recursion performs when nothing is forgotten — so
-        any chain of folds equals one cold reduction bitwise.
-        """
+        (alpha, count) sums; ``start == 0`` folds from zero.  Every
+        addition is one the recursion performs when nothing is
+        forgotten, in the same order (:func:`fold_into`)."""
         store = self._store
-        if not start:
-            self._alpha = self._count = _EMPTY
-        grow = len(store.entities) + 1 - len(self._alpha)
-        if grow > 0:
-            zeros = np.zeros(grow)
-            self._alpha = np.concatenate((self._alpha, zeros))
-            self._count = np.concatenate((self._count, zeros))
+        kept = (self._alpha, self._count) if start else (_EMPTY, _EMPTY)
         delta = store.columns_from(start)
-        np.add.at(self._alpha, delta.target, delta.value)
-        np.add.at(self._count, delta.target, 1.0)
+        self._alpha, self._count = fold_into(
+            kept, len(store.entities) + 1, delta.target, delta.value, 1.0
+        )
         return self._alpha, self._count - self._alpha
 
     def _closed_form(self) -> Tuple[np.ndarray, np.ndarray]:

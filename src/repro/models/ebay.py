@@ -10,8 +10,9 @@ Each report is a **single** append to the columnar
 :class:`~repro.store.EventStore` (the former entry-list + running-totals
 dual bookkeeping is gone): the scalar path replays signed counts lazily
 off the store rows, recent-window summaries threshold the per-target
-time column slice, and ``score_many`` reduces the sign masks with
-``np.bincount`` — all counts are integers, so every path is exact.
+time column slice, and ``score_many`` gathers from per-code sign counts
+that each query folds the new rows into — all counts are integers, so
+every path is exact.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import StoreBackedModel
-from repro.store import EventStore, group_counts
+from repro.models.base import StoreBackedModel, fold_into
+from repro.store import EventStore
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -170,20 +171,20 @@ class EbayModel(StoreBackedModel):
 
     # -- columnar kernel -----------------------------------------------
     def _kernel_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense per-code (positives, negatives) counts reduced from the
-        value column, rebuilt only when rows were appended (or another
-        store swapped in) since the last call."""
+        """Dense per-code (positives, negatives) counts plus one spare
+        zero slot, folded from the rows appended (or, after another
+        store swapped in, all rows) since the last call."""
         start, stop = self._unread_rows("kernel")
         if start and start == stop:
             return self._kernel
         store = self._store
-        columns = store.snapshot()
-        size = max(len(store.entities), 1)
-        positives = group_counts(
-            columns.target[columns.value > self.positive_threshold], size
-        )
-        negatives = group_counts(
-            columns.target[columns.value < self.negative_threshold], size
+        delta = store.columns_from(start)
+        positives, negatives = fold_into(
+            self._kernel if start else (_EMPTY, _EMPTY),
+            len(store.entities) + 1,
+            delta.target,
+            delta.value > self.positive_threshold,
+            delta.value < self.negative_threshold,
         )
         self._kernel = (positives, negatives)
         return self._kernel
@@ -194,13 +195,12 @@ class EbayModel(StoreBackedModel):
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
     ) -> List[float]:
-        """Batch Laplace-smoothed positive fractions from sign-mask
-        bincounts (integer counts — exact by construction)."""
+        """Batch Laplace-smoothed positive fractions from the folded
+        sign counts (integers — exact by construction).  An unseen id's
+        code is -1, which reads the spare zero slot."""
         positives, negatives = self._kernel_arrays()
         codes = self._store.entities.codes(targets)
-        known = codes >= 0
-        safe = np.where(known, codes, 0)
-        pos = np.where(known, positives[safe], 0).astype(np.float64)
-        neg = np.where(known, negatives[safe], 0).astype(np.float64)
+        pos = positives[codes].astype(np.float64)
+        neg = negatives[codes].astype(np.float64)
         result: List[float] = ((pos + 1.0) / (pos + neg + 2.0)).tolist()
         return result

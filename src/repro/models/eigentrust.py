@@ -128,21 +128,30 @@ class EigenTrustModel(ReputationModel):
 
     def local_trust(self, rater: EntityId, target: EntityId) -> float:
         """Normalized c_ij (row-normalized clipped satisfaction balance)."""
-        row = self._local_row(rater)
+        row = self._local_rows([rater])[rater]
         return row.get(target, 0.0)
 
-    def _local_row(self, rater: EntityId) -> Dict[EntityId, float]:
-        raw: Dict[EntityId, float] = {}
+    def _local_rows(
+        self, raters: Iterable[EntityId]
+    ) -> Dict[EntityId, Dict[EntityId, float]]:
+        """Each rater's normalized local-trust row, from one pass over
+        the rated pairs: a row lists its targets in the order their
+        pairs were first rated."""
+        raw: Dict[EntityId, Dict[EntityId, int]] = {r: {} for r in raters}
         for (i, j), k in self._pairs.items():
-            if i != rater:
-                continue
-            raw[j] = max(self._net[k], 0)
-        total = sum(raw.values())
-        if total <= 0:
-            # No positive experience: trust the pre-trusted set (their
-            # fallback for undefined rows).
-            return self._prior()
-        return {j: v / total for j, v in raw.items()}
+            row = raw.get(i)
+            if row is not None:
+                row[j] = max(self._net[k], 0)
+        # No positive experience: trust the pre-trusted set (their
+        # fallback for undefined rows).
+        prior = self._prior()
+        rows: Dict[EntityId, Dict[EntityId, float]] = {}
+        for rater, row in raw.items():
+            total = sum(row.values())
+            rows[rater] = (
+                {j: v / total for j, v in row.items()} if total > 0 else prior
+            )
+        return rows
 
     def _prior(self) -> Dict[EntityId, float]:
         if self.pre_trusted:
@@ -160,7 +169,7 @@ class EigenTrustModel(ReputationModel):
         if not peers:
             return {}
         prior = self._prior()
-        rows = {p: self._local_row(p) for p in peers}
+        rows = self._local_rows(peers)
         trust = dict(prior) if prior else {p: 1.0 / len(peers) for p in peers}
         for p in peers:
             trust.setdefault(p, 0.0)
@@ -283,7 +292,7 @@ class DistributedEigenTrust:
                 owner = self.dht.responsible_node(key)
                 self.dht.node(owner).store.pop(key, None)
         prior = self.model._prior()
-        rows = {p: self.model._local_row(p) for p in peers}
+        rows = self.model._local_rows(peers)
         trust = dict(prior) if prior else {p: 1.0 / len(peers) for p in peers}
         for p in peers:
             trust.setdefault(p, 0.0)

@@ -19,10 +19,10 @@ feedback straight into this model's :meth:`record`.
 facet rating — and nothing else: the per-facet histories of the scalar
 path are replayed lazily off those rows (claims and preferences arrive
 out of band and are kept as given).  ``score_many`` replaces the
-per-history scans with one ``DecayPolicy.weights`` call over the whole
-time column and ``np.bincount`` reductions per (service, facet) group;
-the claim / preference blending stays per-candidate Python over those
-precomputed means.
+per-history scans with decay-weighted sums per service and per
+(service, facet) group, which each query folds the new rows into (a
+moved ``now`` refolds every row); the claim / preference blending stays
+per-candidate Python over those sums.
 """
 
 from __future__ import annotations
@@ -38,8 +38,11 @@ from repro.common.mathutils import safe_mean
 from repro.common.records import Feedback
 from repro.core.decay import DecayPolicy, ExponentialDecay
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import StoreBackedModel
+from repro.models.base import StoreBackedModel, fold_into
 from repro.store import EventStore, OVERALL_FACET
+
+_EMPTY = np.zeros(0)
+_EMPTY_I8 = np.zeros(0, dtype=np.int64)
 
 
 @dataclass
@@ -102,8 +105,8 @@ class MaximilienSinghModel(StoreBackedModel):
         #: consumer -> facet preference weights
         self._preferences: Dict[EntityId, Dict[str, float]] = {}
         self._store = EventStore()
-        #: (now, arrays) as of the "kernel" reader's last read
-        self._kernel: Optional[Tuple[Optional[float], "_KernelArrays"]] = None
+        #: folded sums as of the "kernel" reader's last read
+        self._kernel = _KernelArrays()
 
     # -- ontology inputs ------------------------------------------------
     def register_advertisement(
@@ -228,56 +231,52 @@ class MaximilienSinghModel(StoreBackedModel):
 
     # -- columnar kernel -----------------------------------------------
     def _kernel_arrays(self, now: Optional[float]) -> "_KernelArrays":
-        """Decay-weighted means for every (service, facet) group in one
-        column pass, rebuilt when rows were appended (or another store
-        swapped in) since the last call, or *now* moved."""
-        start, stop = self._unread_rows("kernel")
-        cached = self._kernel
-        if cached is not None and start and start == stop and (
-            cached[0] == now
-        ):
-            return cached[1]
+        """Decay-weighted sums for every service and every (service,
+        facet) group, folded from the rows appended since the last
+        call.  A moved *now* reweighs every row, so it restarts the
+        fold from row 0."""
+        start, stop = self._unread_rows("kernel", now)
+        if start and start == stop:
+            return self._kernel
         store = self._store
-        columns = store.snapshot()
-        size = max(len(store.entities), 1)
+        delta = store.columns_from(start)
+        arrays = self._kernel if start else _KernelArrays()
         if now is not None:
-            weights = self.decay.weights(
-                np.maximum(now - columns.time, 0.0)
-            )
+            weights = self.decay.weights(np.maximum(now - delta.time, 0.0))
         else:
-            weights = np.ones(columns.n)
-        overall = columns.facet == OVERALL_FACET
-        o_target = columns.target[overall]
-        o_value = columns.value[overall]
+            weights = np.ones(delta.n)
+        overall = delta.facet == OVERALL_FACET
+        o_value = delta.value[overall]
         o_weight = weights[overall]
-        facet_rows = ~overall
-        f_keys = columns.target_facet_keys()[facet_rows]
-        f_value = columns.value[facet_rows]
-        f_weight = weights[facet_rows]
-        groups, inverse = np.unique(f_keys, return_inverse=True)
-        slots = len(groups)
-        facet_groups: Dict[int, List[Tuple[str, int]]] = {}
-        facet_name = store.facets.value
-        for slot, group in enumerate(groups.tolist()):
-            facet_groups.setdefault(group >> 32, []).append(
-                (facet_name((group & 0xFFFFFFFF) - 1), slot)
-            )
-        arrays = _KernelArrays(
-            o_num=np.bincount(
-                o_target, weights=o_weight * o_value, minlength=size
-            ),
-            o_den=np.bincount(o_target, weights=o_weight, minlength=size),
-            o_plain=np.bincount(o_target, weights=o_value, minlength=size),
-            o_cnt=np.bincount(o_target, minlength=size),
-            f_num=np.bincount(
-                inverse, weights=f_weight * f_value, minlength=slots
-            ),
-            f_den=np.bincount(inverse, weights=f_weight, minlength=slots),
-            f_plain=np.bincount(inverse, weights=f_value, minlength=slots),
-            f_cnt=np.bincount(inverse, minlength=slots),
-            facet_groups=facet_groups,
+        arrays.overall = fold_into(
+            arrays.overall,
+            len(store.entities) + 1,
+            delta.target[overall],
+            o_weight * o_value,
+            o_weight,
+            o_value,
+            1,
         )
-        self._kernel = (now, arrays)
+        facet_rows = ~overall
+        groups, inverse = np.unique(
+            delta.target_facet_keys()[facet_rows], return_inverse=True
+        )
+        slots = np.array(
+            [arrays.slot(group, store) for group in groups.tolist()],
+            dtype=np.int64,
+        )
+        f_value = delta.value[facet_rows]
+        f_weight = weights[facet_rows]
+        arrays.facet = fold_into(
+            arrays.facet,
+            len(arrays.slots),
+            slots[inverse],
+            f_weight * f_value,
+            f_weight,
+            f_value,
+            1,
+        )
+        self._kernel = arrays
         return arrays
 
     def _facet_blend(
@@ -291,11 +290,12 @@ class MaximilienSinghModel(StoreBackedModel):
             community = None
             evidence = 0
         else:
-            evidence = int(arrays.f_cnt[slot])
-            if arrays.f_den[slot] > 0:
-                community = arrays.f_num[slot] / arrays.f_den[slot]
+            f_num, f_den, f_plain, f_cnt = arrays.facet
+            evidence = int(f_cnt[slot])
+            if f_den[slot] > 0:
+                community = f_num[slot] / f_den[slot]
             else:
-                community = arrays.f_plain[slot] / evidence
+                community = f_plain[slot] / evidence
         if community is None and claim is None:
             return 0.5
         if community is None:
@@ -325,6 +325,7 @@ class MaximilienSinghModel(StoreBackedModel):
         weights = (
             self._preferences.get(perspective) if perspective else None
         )
+        o_num, o_den, o_plain, o_cnt = arrays.overall
         codes = self._store.entities.codes(targets)
         results: List[float] = []
         for target, code in zip(targets, codes.tolist()):
@@ -332,16 +333,12 @@ class MaximilienSinghModel(StoreBackedModel):
             claims = self._claims.get(target, {})
             facets = set(slots) | set(claims)
             if not facets:
-                if code < 0 or arrays.o_cnt[code] == 0:
+                if o_cnt[code] == 0:
                     results.append(0.5)
-                elif arrays.o_den[code] > 0:
-                    results.append(
-                        float(arrays.o_num[code] / arrays.o_den[code])
-                    )
+                elif o_den[code] > 0:
+                    results.append(float(o_num[code] / o_den[code]))
                 else:
-                    results.append(
-                        float(arrays.o_plain[code] / arrays.o_cnt[code])
-                    )
+                    results.append(float(o_plain[code] / o_cnt[code]))
                 continue
             if weights:
                 total = 0.0
@@ -373,21 +370,35 @@ class MaximilienSinghModel(StoreBackedModel):
         return results
 
 
+_SUMS = (_EMPTY, _EMPTY, _EMPTY, _EMPTY_I8)
+
+
 @dataclass
 class _KernelArrays:
-    """Per-group reductions backing :meth:`MaximilienSinghModel.score_many`.
+    """Folded sums backing :meth:`MaximilienSinghModel.score_many`:
+    ``(weighted sum, weight sum, plain sum, count)``.
 
-    ``o_*`` arrays are indexed by service entity code; ``f_*`` arrays by
-    the slot of each (service, facet) group, with ``facet_groups``
-    mapping a service code to its ``(facet name, slot)`` pairs.
+    ``overall`` is indexed by service entity code, with one spare zero
+    slot that the code -1 of an unseen id reads; ``facet`` by the slot
+    of each (service, facet) group, numbered in order of first
+    appearance.  ``slots`` maps a group's target-facet key to its slot
+    and ``facet_groups`` a service code to its ``(facet name, slot)``
+    pairs.
     """
 
-    o_num: np.ndarray
-    o_den: np.ndarray
-    o_plain: np.ndarray
-    o_cnt: np.ndarray
-    f_num: np.ndarray
-    f_den: np.ndarray
-    f_plain: np.ndarray
-    f_cnt: np.ndarray
-    facet_groups: Dict[int, List[Tuple[str, int]]]
+    overall: Tuple[np.ndarray, ...] = _SUMS
+    facet: Tuple[np.ndarray, ...] = _SUMS
+    slots: Dict[int, int] = field(default_factory=dict)
+    facet_groups: Dict[int, List[Tuple[str, int]]] = field(
+        default_factory=dict
+    )
+
+    def slot(self, group: int, store: EventStore) -> int:
+        """The slot of target-facet key *group*, numbered on first sight."""
+        slot = self.slots.get(group)
+        if slot is None:
+            slot = self.slots[group] = len(self.slots)
+            self.facet_groups.setdefault(group >> 32, []).append(
+                (store.facets.value((group & 0xFFFFFFFF) - 1), slot)
+            )
+        return slot

@@ -25,10 +25,11 @@ Events live in the columnar :class:`~repro.store.EventStore` (one
 append per report; the transaction-context factor, which needs the
 interaction object, is captured eagerly in a row-aligned side column).
 The scalar path replays the transaction/filed structures lazily — the
-exact reference.  ``score_many`` is a columnar kernel: windowed rows
-via one lexsort, PSM rating vectors and similarities via pair-key
-``np.bincount`` reductions, and the TVM recursion as per-depth
-vectorized sweeps over all entities at once.
+exact reference.  ``score_many`` is a columnar kernel over state that
+each query folds the new rows into: every target's last ``window``
+rows (rebuilt with one lexsort once the store's times stop being
+monotone), the PSM rating vectors as pair-key sums, and the TVM
+recursion as per-depth vectorized sweeps over all entities at once.
 """
 
 from __future__ import annotations
@@ -45,8 +46,19 @@ from repro.common.ids import EntityId
 from repro.common.records import Feedback, feedback_columns
 from repro.common.simtime import from_ticks, ticks_array, to_ticks
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import ReputationModel
-from repro.store import EventStore
+from repro.models.base import (
+    ReputationModel,
+    StoreBackedModel,
+    fold_into,
+    sorted_union,
+)
+from repro.store import ColumnSet, EventStore, GroupIndex
+
+_EMPTY = np.zeros(0)
+_EMPTY_I8 = np.zeros(0, dtype=np.int64)
+#: an empty transaction window: (target, rater, satisfaction, context,
+#: rank of the row among its target's rows)
+_NO_WINDOW = (_EMPTY_I8, _EMPTY_I8, _EMPTY, _EMPTY, _EMPTY_I8)
 
 
 class CredibilityMeasure(enum.Enum):
@@ -72,7 +84,7 @@ def _transaction_context(feedback: Feedback) -> float:
     )
 
 
-class PeerTrustModel(ReputationModel):
+class PeerTrustModel(StoreBackedModel):
     """PeerTrust's five-factor metric.
 
     Args:
@@ -120,12 +132,18 @@ class PeerTrustModel(ReputationModel):
         #: rater -> subject -> filed satisfactions (for PSM)
         self._filed: Dict[int, Dict[int, List[float]]] = {}
         self._filed_count: Dict[int, int] = {}
-        self._replay_pos = 0
-        #: columnar kernel caches (base per version, scores per
-        #: (version, perspective code))
-        self._kernel_base: Optional[Tuple[int, Dict[str, np.ndarray]]] = None
+        #: columnar kernel state, folded by the "kernel" reader: the
+        #: ascending (rater, subject) pair keys with their rating sums
+        #: and counts, reports filed per code, rows per target, and the
+        #: last ``window`` rows of every target (see _NO_WINDOW)
+        self._pairs = _EMPTY_I8
+        self._pair_sums: Tuple[np.ndarray, ...] = (_EMPTY, _EMPTY)
+        self._counts: Tuple[np.ndarray, ...] = (_EMPTY_I8, _EMPTY_I8)
+        self._window: Tuple[np.ndarray, ...] = _NO_WINDOW
+        #: perspective-independent arrays as of the last read, and the
+        #: trust arrays computed from them per perspective code
+        self._kernel_base: Dict[str, np.ndarray] = {}
         self._kernel_scores: Dict[Optional[int], np.ndarray] = {}
-        self._kernel_scores_key = -1
 
     # -- evidence ----------------------------------------------------------
     def record(self, feedback: Feedback) -> None:
@@ -143,27 +161,33 @@ class PeerTrustModel(ReputationModel):
         raters, targets, values, times = feedback_columns(batch)
         self._store.extend(raters, targets, values, ticks_array(times))
 
+    #: coded rows are decoded into Feedback, so each one gets its
+    #: transaction context and its tick time like a record_many row
+    ingest_columns = ReputationModel.ingest_columns
+
     def _advance(self) -> None:
         """Replay transaction/filed accumulation over unconsumed store
         rows — the exact scalar reference."""
-        store = self._store
-        n = len(store)
-        if self._replay_pos == n:
+        start, stop = self._unread_rows("replay")
+        if not start:
+            self._tx, self._filed, self._filed_count = {}, {}, {}
+        if start == stop:
             return
         tx = self._tx
         filed = self._filed
         filed_count = self._filed_count
         ctx = self._ctx
-        row = self._replay_pos
+        row = start
         # reprolint: disable=R007 — scalar reference is the per-row replay
-        for rater, target, _facet, value, time in store.iter_rows(row):
+        for rater, target, _facet, value, time in self._store.iter_rows(
+            start
+        ):
             tx.setdefault(target, []).append(
                 (rater, value, ctx[row], time)
             )
             filed.setdefault(rater, {}).setdefault(target, []).append(value)
             filed_count[rater] = filed_count.get(rater, 0) + 1
             row += 1
-        self._replay_pos = n
 
     @property
     def _transactions(self) -> Dict[EntityId, List[_Transaction]]:
@@ -284,59 +308,113 @@ class PeerTrustModel(ReputationModel):
 
     # -- columnar kernel ---------------------------------------------------
     def _base_arrays(self) -> Dict[str, np.ndarray]:
-        """Perspective-independent reductions, cached per version:
-        windowed transaction rows, pair rating vectors, community
-        reference vector, and the CF array."""
+        """Perspective-independent arrays — windowed transaction rows,
+        pair rating vectors, community reference vector and the CF
+        array — folded from the rows appended since the last call."""
+        start, stop = self._unread_rows("kernel")
+        if start and start == stop:
+            return self._kernel_base
         store = self._store
-        version = store.version
-        cached = self._kernel_base
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        columns = store.snapshot()
-        size = max(len(store.entities), 1)
-        # Last `window` rows per target in time order (lexsort is
-        # stable, so time ties keep append order — exactly the scalar
-        # sorted()[-window:] selection).
-        index = store.by_target_time()
-        sizes = index.group_sizes()
-        per_row_size = np.repeat(sizes, sizes)
-        keep = index.ranks() >= per_row_size - self.window
-        win_rows = index.order[keep]
-        ctx = np.asarray(self._ctx, dtype=np.float64)
-        # Per-(rater, subject) mean filed satisfaction — the PSM rating
-        # vectors.  upairs is ascending, so a rater's subjects appear in
-        # ascending code order (= the scalar's sorted(common) order).
-        upairs, inverse = np.unique(
-            columns.pair_keys(), return_inverse=True
+        size = len(store.entities) + 1
+        delta = store.columns_from(start)
+        if not start:
+            self._pairs, self._pair_sums = _EMPTY_I8, (_EMPTY, _EMPTY)
+            self._counts = (_EMPTY_I8, _EMPTY_I8)
+        # Per-(rater, subject) rating sums over the ascending pair keys.
+        # A rater's subjects appear in ascending code order (= the
+        # scalar's sorted(common) order), and the PSM and community sums
+        # below run over the pairs in this order.
+        self._pairs, sums, at = sorted_union(
+            self._pairs, delta.pair_keys(), self._pair_sums
         )
-        pair_counts = np.bincount(inverse).astype(np.float64)
-        pair_sums = np.bincount(inverse, weights=columns.value)
-        pair_mean = pair_sums / np.maximum(pair_counts, 1.0)
-        pair_rater = (upairs >> 32).astype(np.int64)
-        pair_subject = (upairs & 0xFFFFFFFF).astype(np.int64)
+        self._pair_sums = fold_into(
+            sums, len(self._pairs), at, delta.value, 1.0
+        )
+        # Reports filed per rater (folded), rows per target (added in
+        # place: the grown arrays are the ones kept).
+        filed, per_target = self._counts = fold_into(
+            self._counts, size, delta.rater, 1
+        )
+        np.add.at(per_target, delta.target, 1)
+        if store.times_monotonic:
+            self._fold_window(start, delta, per_target)
+        else:
+            self._window = self._cold_window()
+        pair_sum, pair_count = self._pair_sums
+        pair_mean = pair_sum / np.maximum(pair_count, 1.0)
+        pair_rater = self._pairs >> 32
+        pair_subject = self._pairs & 0xFFFFFFFF
         # Community reference: per subject, mean of the rater means.
         comm_cnt = np.bincount(pair_subject, minlength=size)
         comm_sum = np.bincount(
             pair_subject, weights=pair_mean, minlength=size
         )
-        comm_mean = comm_sum / np.maximum(comm_cnt, 1)
-        filed = np.bincount(columns.rater, minlength=size)
-        base = {
-            "win_targets": columns.target[win_rows],
-            "win_raters": columns.rater[win_rows],
-            "win_sat": columns.value[win_rows],
-            "win_ctx": ctx[win_rows] if len(ctx) else ctx,
+        win_targets, win_raters, win_sat, win_ctx, _rank = self._window
+        self._kernel_base = {
+            "win_targets": win_targets,
+            "win_raters": win_raters,
+            "win_sat": win_sat,
+            "win_ctx": win_ctx,
             "pair_rater": pair_rater,
             "pair_subject": pair_subject,
             "pair_mean": pair_mean,
-            "comm_mean": comm_mean,
+            "comm_mean": comm_sum / np.maximum(comm_cnt, 1),
             "cf": filed / (filed + 5.0),
         }
-        self._kernel_base = (version, base)
-        if self._kernel_scores_key != version:
-            self._kernel_scores = {}
-            self._kernel_scores_key = version
-        return base
+        self._kernel_scores = {}
+        return self._kernel_base
+
+    def _fold_window(
+        self, start: int, delta: ColumnSet, per_target: np.ndarray
+    ) -> None:
+        """Append the new rows to their targets' windows and drop the
+        rows that fell out of the last ``window``.  The store's times
+        are non-decreasing, so append order is time order with ties in
+        append order — the stable lexsort's order — and every target's
+        rows sit in that order within the window arrays."""
+        targets = delta.target
+        if delta.n == 1:
+            rank = per_target[targets] - 1
+        else:
+            index = GroupIndex(targets)
+            sizes = index.group_sizes()
+            rank = np.empty(delta.n, dtype=np.int64)
+            rank[index.order] = (
+                per_target[targets[index.order]]
+                - np.repeat(sizes, sizes)
+                + index.ranks()
+            )
+        ctx = np.asarray(self._ctx[start:start + delta.n], dtype=np.float64)
+        new = (targets, delta.rater, delta.value, ctx, rank)
+        kept = self._window if start else _NO_WINDOW
+        window = tuple(
+            np.concatenate((old, part)) for old, part in zip(kept, new)
+        )
+        targets, ranks = window[0], window[4]
+        inside = ranks >= per_target[targets] - self.window
+        if not inside.all():
+            window = tuple(column[inside] for column in window)
+        self._window = window
+
+    def _cold_window(self) -> Tuple[np.ndarray, ...]:
+        """The last ``window`` rows per target in time order, from the
+        whole store (lexsort is stable, so time ties keep append order —
+        exactly the scalar sorted()[-window:] selection)."""
+        store = self._store
+        columns = store.snapshot()
+        index = store.by_target_time()
+        sizes = index.group_sizes()
+        ranks = index.ranks()
+        keep = ranks >= np.repeat(sizes, sizes) - self.window
+        rows = index.order[keep]
+        ctx = np.asarray(self._ctx, dtype=np.float64)
+        return (
+            columns.target[rows],
+            columns.rater[rows],
+            columns.value[rows],
+            ctx[rows] if len(ctx) else ctx,
+            ranks[keep],
+        )
 
     def _psm_credibility(
         self, base: Dict[str, np.ndarray], perspective: Optional[int]

@@ -19,15 +19,16 @@ overall row plus one row per facet rating); the per-agent partner
 models are replayed lazily — the exact scalar reference.  The
 recommendation channel has no feedback event behind it, so rater
 evidence stays eager (pairs tracked in insertion order, with an epoch
-counter invalidating kernels).  ``score_many`` reduces the (rater,
-target) pair universe with ``np.unique`` + ``np.bincount``: per-pair
-Laplace posteriors, then one pooling pass per perspective.
+counter restarting the kernel).  ``score_many`` keeps per-(rater,
+target) satisfied/total counts over the ascending pair universe, folds
+each query's new rows into them, derives the per-pair Laplace
+posteriors and pools them once per perspective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +36,11 @@ from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
 from repro.common.records import Feedback
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import ReputationModel
+from repro.models.base import StoreBackedModel, sorted_union
 from repro.store import EventStore, OVERALL_FACET
+
+_EMPTY_I8 = np.zeros(0, dtype=np.int64)
+_NO_COUNTS = np.zeros((0, 1))
 
 
 @dataclass
@@ -72,7 +76,7 @@ class _PartnerModel:
     facets: Dict[int, _FacetCounts] = field(default_factory=dict)
 
 
-class WangVassilevaModel(ReputationModel):
+class WangVassilevaModel(StoreBackedModel):
     """Per-agent naive-Bayes trust with facet decomposition.
 
     Args:
@@ -112,20 +116,23 @@ class WangVassilevaModel(ReputationModel):
         #: replayed lazily from feedback rows, mutated eagerly by the
         #: recommendation channel
         self._models: Dict[int, Dict[int, _PartnerModel]] = {}
-        self._replay_pos = 0
         #: recommendation-created (agent, recommender) code pairs in
         #: insertion order (a dict, not a set: iteration must be
-        #: deterministic) + an epoch counter for kernel invalidation
+        #: deterministic) + an epoch counter that restarts the kernel
         self._rec_pairs: Dict[Tuple[int, int], None] = {}
         self._rec_epoch = 0
         #: eager credibility evidence per (agent, recommender) pair —
         #: the recommendation channel has no store rows behind it
         self._rater_cred: Dict[Tuple[int, int], _FacetCounts] = {}
-        #: columnar kernel caches: pair reductions per (version, epoch),
-        #: pooled score arrays per perspective code
-        self._kernel_base: Optional[
-            Tuple[Tuple[int, int], Dict[str, np.ndarray]]
-        ] = None
+        #: columnar kernel state, folded by the "kernel" reader: the
+        #: ascending (rater, target) pair keys of the store rows and, per
+        #: pair, satisfied and total counts by facet column (0 is the
+        #: overall rating, facet code f is column f + 1)
+        self._pairs = _EMPTY_I8
+        self._counts: Tuple[np.ndarray, ...] = (_NO_COUNTS, _NO_COUNTS)
+        #: pair arrays as of the last read, and the pooled score arrays
+        #: computed from them per perspective code
+        self._kernel_base: Dict[str, np.ndarray] = {}
         self._kernel_scores: Dict[Optional[int], np.ndarray] = {}
 
     def _model(self, agent: int, partner: int) -> _PartnerModel:
@@ -147,17 +154,27 @@ class WangVassilevaModel(ReputationModel):
                 facet=facet,
             )
 
+    def record_many(self, feedbacks: Iterable[Feedback]) -> None:
+        """A :meth:`record` loop: each report's facet rows follow its
+        overall row, which a column extend cannot express."""
+        for feedback in feedbacks:
+            self.record(feedback)
+
     def _advance(self) -> None:
         """Replay naive-Bayes count accumulation over unconsumed store
         rows — the exact scalar reference."""
-        store = self._store
-        n = len(store)
-        if self._replay_pos == n:
+        start, stop = self._unread_rows("replay")
+        if not start:
+            # Recommendation-created partner models outlive the replay.
+            self._models = {}
+            for pair in self._rec_pairs:
+                self._model(*pair)
+        if start == stop:
             return
         threshold = self.satisfaction_threshold
         # reprolint: disable=R007 — scalar reference is the per-row replay
-        for rater, target, facet, value, _time in store.iter_rows(
-            self._replay_pos
+        for rater, target, facet, value, _time in self._store.iter_rows(
+            start
         ):
             model = self._model(rater, target)
             if facet == OVERALL_FACET:
@@ -166,7 +183,6 @@ class WangVassilevaModel(ReputationModel):
                 model.facets.setdefault(
                     facet, _FacetCounts()
                 ).update(value > threshold)
-        self._replay_pos = n
 
     def record_recommendation(
         self,
@@ -303,31 +319,39 @@ class WangVassilevaModel(ReputationModel):
 
     # -- columnar kernel -------------------------------------------------------
     def _pair_arrays(self) -> Dict[str, np.ndarray]:
-        """Per-(rater, target) posteriors over the pair universe (store
-        pairs plus recommendation-created pairs), cached per
-        (version, recommendation epoch)."""
+        """Per-(rater, target) posteriors over the pair universe: the
+        store pairs in ascending key order, then recommendation-created
+        pairs without store rows in insertion order.  Folded from the
+        rows appended since the last call; a recommendation restarts
+        the fold."""
+        start, stop = self._unread_rows("kernel", self._rec_epoch)
+        if start and start == stop:
+            return self._kernel_base
         store = self._store
-        key = (store.version, self._rec_epoch)
-        cached = self._kernel_base
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        columns = store.snapshot()
-        overall = columns.facet == OVERALL_FACET
-        pair_keys = columns.pair_keys()[overall]
-        values = columns.value[overall]
-        upairs, inverse = np.unique(pair_keys, return_inverse=True)
-        npairs = len(upairs)
-        satisfying = (values > self.satisfaction_threshold).astype(
-            np.float64
-        )
-        sat = np.bincount(inverse, weights=satisfying, minlength=npairs)
-        tot = np.bincount(inverse, minlength=npairs).astype(np.float64)
-        trust = (sat + 1.0) / (tot + 2.0)
-        weights = self.facet_weights
-        if weights:
-            trust = self._facet_weighted(
-                columns, upairs, trust, weights
+        delta = store.columns_from(start)
+        if not start:
+            self._pairs = _EMPTY_I8
+            self._counts = (_NO_COUNTS, _NO_COUNTS)
+        # Every report writes an overall row, so the pairs of all rows
+        # are the pairs of the overall rows.
+        keys = delta.pair_keys()
+        self._pairs, counts, at = sorted_union(self._pairs, keys, self._counts)
+        columns = len(store.facets) + 1
+        grow = columns - counts[0].shape[1]
+        if grow > 0:
+            counts = tuple(
+                np.concatenate((c, np.zeros((len(c), grow))), axis=1)
+                for c in counts
             )
+        sat, tot = self._counts = counts
+        cells = at * columns + delta.facet + 1
+        satisfying = delta.value > self.satisfaction_threshold
+        np.add.at(sat.reshape(-1), cells, satisfying.astype(np.float64))
+        np.add.at(tot.reshape(-1), cells, 1.0)
+        trust = (sat[:, 0] + 1.0) / (tot[:, 0] + 2.0)
+        if self.facet_weights:
+            trust = self._facet_weighted(trust, self.facet_weights)
+        pairs, own = self._pairs, tot[:, 0]
         # Recommendation-only pairs: a partner model with empty overall
         # counts — provider trust 0.5, zero own evidence.
         if self._rec_pairs:
@@ -339,69 +363,38 @@ class WangVassilevaModel(ReputationModel):
                 dtype=np.int64,
                 count=len(self._rec_pairs),
             )
-            fresh = rec[~np.isin(rec, upairs)]
+            fresh = rec[~np.isin(rec, pairs)]
             if len(fresh):
-                upairs = np.concatenate([upairs, fresh])
-                trust = np.concatenate(
-                    [trust, np.full(len(fresh), 0.5)]
-                )
-                tot = np.concatenate(
-                    [tot, np.zeros(len(fresh))]
-                )
-        base = {
-            "pair_rater": (upairs >> 32).astype(np.int64),
-            "pair_target": (upairs & 0xFFFFFFFF).astype(np.int64),
+                pairs = np.concatenate([pairs, fresh])
+                trust = np.concatenate([trust, np.full(len(fresh), 0.5)])
+                own = np.concatenate([own, np.zeros(len(fresh))])
+        self._kernel_base = {
+            "pair_rater": pairs >> 32,
+            "pair_target": pairs & 0xFFFFFFFF,
             "trust": trust,
-            "tot": tot,
+            "tot": own,
         }
-        self._kernel_base = (key, base)
         self._kernel_scores = {}
-        return base
+        return self._kernel_base
 
     def _facet_weighted(
-        self,
-        columns: "np.ndarray",
-        upairs: np.ndarray,
-        overall_trust: np.ndarray,
-        weights: Mapping[str, float],
+        self, overall_trust: np.ndarray, weights: Mapping[str, float]
     ) -> np.ndarray:
         """Facet-weighted provider trust per pair, falling back to the
         overall posterior for pairs without (weighted) facet evidence."""
-        facet_rows = columns.facet != OVERALL_FACET
-        if not np.any(facet_rows):
-            return overall_trust
-        pair_of_facet_rows = columns.pair_keys()[facet_rows]
-        # record() writes an overall row with every report, so every
-        # facet-row pair is present in upairs.
-        pos_all = np.searchsorted(upairs, pair_of_facet_rows)
-        has_facet = np.bincount(pos_all, minlength=len(upairs)) > 0
-        wsum = np.zeros(len(upairs))
-        wtot = np.zeros(len(upairs))
-        facet_codes = columns.facet[facet_rows]
-        facet_values = columns.value[facet_rows]
-        threshold = self.satisfaction_threshold
+        sat, tot = (counts[:, 1:] for counts in self._counts)
+        has_facet = (tot > 0).any(axis=1)
+        wsum = np.zeros(len(tot))
+        wtot = np.zeros(len(tot))
         code_of = self._store.facets.code
         for name, w in weights.items():
             facet = code_of(name)
             if w <= 0 or facet < 0:
                 continue
-            mask = facet_codes == facet
-            if not np.any(mask):
-                continue
-            up_f, inv_f = np.unique(
-                pair_of_facet_rows[mask], return_inverse=True
-            )
-            sat_f = np.bincount(
-                inv_f,
-                weights=(facet_values[mask] > threshold).astype(
-                    np.float64
-                ),
-            )
-            tot_f = np.bincount(inv_f).astype(np.float64)
-            prob_f = (sat_f + 1.0) / (tot_f + 2.0)
-            pos = np.searchsorted(upairs, up_f)
-            wsum[pos] += w
-            wtot[pos] += w * prob_f
+            present = tot[:, facet] > 0
+            prob = (sat[present, facet] + 1.0) / (tot[present, facet] + 2.0)
+            wsum[present] += w
+            wtot[present] += w * prob
         return np.where(
             has_facet & (wsum > 0), wtot / np.maximum(wsum, 1e-300),
             overall_trust,

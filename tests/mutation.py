@@ -168,12 +168,38 @@ MUTANTS: List[Mutant] = [
     ),
     Mutant(
         file="src/repro/models/beta.py",
-        old="np.add.at(self._alpha, delta.target, delta.value)",
-        new="self._alpha[:] = 0.0; self._count[:] = 0.0; "
-        "np.add.at(self._alpha, delta.target, delta.value)",
+        old="kept = (self._alpha, self._count) if start else (_EMPTY, _EMPTY)",
+        new="kept = (_EMPTY, _EMPTY)",
         gate=f"{FOLDS}::test_beta_fold_interleaving",
         reason="each fold starts from zero, so only the newest rows count; "
         "a cold kernel (one fold from row 0) cannot see it",
+    ),
+    Mutant(
+        file="src/repro/models/maximilien_singh.py",
+        old='start, stop = self._unread_rows("kernel", now)',
+        new='start, stop = self._unread_rows("kernel")',
+        gate=f"{FOLDS}::test_maximilien_singh_fold_interleaving",
+        reason="the fold goes on after now moved, so rows folded earlier "
+        "keep their old decay weights; a cold kernel weighs every row at "
+        "the current now",
+    ),
+    Mutant(
+        file="src/repro/models/base.py",
+        old="slots = np.searchsorted(universe, new)",
+        new="slots = np.full(len(new), len(universe))",
+        gate=f"{FOLDS}::test_wang_vassileva_fold_interleaving",
+        reason="new pairs are appended at the end of the pair universe, "
+        "not inserted in key order: positions and pooling order go wrong "
+        "once a fold meets a pair that sorts before a kept one",
+    ),
+    Mutant(
+        file="src/repro/models/peertrust.py",
+        old="inside = ranks >= per_target[targets] - self.window",
+        new="inside = ranks >= 0",
+        gate=f"{FOLDS}::test_peertrust_fold_interleaving",
+        reason="the window fold keeps every row of a target, not its last "
+        "window; a cold fold keeps them all too, so only the base score() "
+        "loop (with more than window rows per target) sees it",
     ),
     Mutant(
         file="src/repro/models/base.py",

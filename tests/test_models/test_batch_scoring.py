@@ -615,12 +615,16 @@ class TestFoldInterleaving:
         assert fold == model.score_many(queried)
 
     @pytest.mark.parametrize(
-        "name", ["amazon", "beta", "ebay", "histos", "maximilien_singh", "sporas"]
+        "name",
+        ["amazon", "beta", "ebay", "histos", "maximilien_singh", "peertrust",
+         "sporas", "wang_vassileva"],
     )
     def test_store_swap_restarts_every_reader(self, name, global_random_seed):
         """After another store is assigned to ``_store``, score(),
         score_many() and personalized queries answer from it — also
-        when it holds as many rows as the old one."""
+        when it holds as many rows as the old one.  PeerTrust's
+        row-aligned transaction contexts live beside the store, like
+        Amazon's helpful votes, so they are swapped with it."""
         rng = random.Random(global_random_seed)
         stream = _random_stream(rng, rng.randint(20, 60), RATERS, RATED)
         same_size = _random_stream(rng, len(stream), RATERS, RATED)
@@ -633,6 +637,8 @@ class TestFoldInterleaving:
             fresh = REGISTRY.create(name)
             fresh.record_many(rows)
             model._store = fresh._store
+            if name == "peertrust":
+                model._ctx = fresh._ctx
             for persp in (None, "r0"):
                 assert model.score_many(QUERIED, persp) == (
                     fresh.score_many(QUERIED, persp)
@@ -766,3 +772,219 @@ class TestFoldInterleaving:
                 assert model.score_many(queried, persp) == (
                     ReputationModel.score_many(model, queried, persp)
                 )
+
+    # -- the folds of the centralized and peer zoo models ----------------
+
+    @staticmethod
+    def _fold_kernel(model, persp, now) -> List[np.ndarray]:
+        """A model's folded kernel state, in an order that does not
+        depend on how its rows were cut into folds."""
+        from repro.models.amazon import AmazonModel
+        from repro.models.ebay import EbayModel
+        from repro.models.maximilien_singh import MaximilienSinghModel
+        from repro.models.peertrust import PeerTrustModel
+
+        code = None if persp is None else model._store.entities.code(persp)
+        if isinstance(model, EbayModel):
+            return list(model._kernel_arrays())
+        if isinstance(model, AmazonModel):
+            return list(model._kernel_arrays(now))
+        if isinstance(model, MaximilienSinghModel):
+            # facet slots are numbered in order of first appearance,
+            # which depends on the folds: compare by group key
+            arrays = model._kernel_arrays(now)
+            keys = sorted(arrays.slots)
+            slots = [arrays.slots[key] for key in keys]
+            return [*arrays.overall, *(f[slots] for f in arrays.facet),
+                    np.array(keys)]
+        if isinstance(model, PeerTrustModel):
+            return [*model._base_arrays().values(), model._kernel_trust(code)]
+        base = model._pair_arrays()
+        return [*base.values(), model._pooled_scores(base, code)]
+
+    def _assert_fold_interleaving(self, factory, ops, nows, queried):
+        """Apply *ops* (callables on a model: records, votes,
+        recommendations) one by one; after each, at every ``now`` of
+        ``nows(seen)`` and every perspective, the live model's folded
+        kernel equals that of a fresh model given the same ops (one
+        fold) bitwise, and its scores equal the base score() loop to
+        1e-9."""
+        model = factory()
+        for i in range(len(ops)):
+            ops[i](model)
+            cold = factory()
+            for op in ops[: i + 1]:
+                op(cold)
+            for now in nows(i):
+                for persp in (None, "r0"):
+                    fold = self._fold_kernel(model, persp, now)
+                    expected = self._fold_kernel(cold, persp, now)
+                    assert [a.tobytes() for a in fold] == [
+                        a.tobytes() for a in expected
+                    ], (i, now, persp)
+                    assert model.score_many(queried, persp, now) == (
+                        pytest.approx(
+                            ReputationModel.score_many(
+                                model, queried, persp, now
+                            ),
+                            abs=1e-9,
+                        )
+                    ), (i, now, persp)
+
+    @staticmethod
+    def _record_ops(rng, stream):
+        return [
+            lambda m, step=step: m.record_many(step)
+            for step in _steps(rng, stream)
+        ]
+
+    def test_ebay_fold_interleaving(self, global_random_seed):
+        from repro.models.ebay import EbayModel
+
+        rng = random.Random(global_random_seed)
+        stream = _growing_stream(rng, rng.randint(20, 60))
+        self._assert_fold_interleaving(
+            EbayModel, self._record_ops(rng, stream), lambda i: [None],
+            QUERIED + GROWN,
+        )
+
+    def test_amazon_fold_interleaving(self, global_random_seed):
+        """Helpful votes between records restart the fold; ``now``
+        moves between steps and, within one, away and back."""
+        from repro.models.amazon import AmazonModel
+
+        rng = random.Random(global_random_seed)
+        stream = _growing_stream(rng, rng.randint(20, 60))
+        ops = self._record_ops(rng, stream)
+        for at in sorted(rng.sample(range(len(ops)), len(ops) // 4)):
+            vote = (rng.choice(RATED), rng.choice(RATERS), rng.randint(1, 3))
+            ops.insert(at + 1, lambda m, vote=vote: m.vote_helpful(*vote))
+        self._assert_fold_interleaving(
+            AmazonModel, ops, lambda i: [None, i + 1.0, i + 1.0, i + 4.5],
+            QUERIED + GROWN,
+        )
+
+    def test_maximilien_singh_fold_interleaving(self, global_random_seed):
+        """Overall and facet rows, claims and preferences; ``now`` moves
+        between steps and, within one, away and back."""
+        from repro.models.maximilien_singh import MaximilienSinghModel
+
+        def factory():
+            model = MaximilienSinghModel()
+            model.register_advertisement("svc-a", {"latency": 0.9})
+            model.set_preferences("r0", {"latency": 2.0, "cost": 1.0})
+            return model
+
+        rng = random.Random(global_random_seed)
+        stream = _growing_stream(rng, rng.randint(20, 60), facets=True)
+        self._assert_fold_interleaving(
+            factory, self._record_ops(rng, stream),
+            lambda i: [None, i + 1.0, i + 1.0, i + 4.5], QUERIED + GROWN,
+        )
+
+    @pytest.mark.parametrize(
+        "weights", [None, {"latency": 2.0, "cost": 1.0}],
+        ids=["unweighted", "weighted"],
+    )
+    def test_wang_vassileva_fold_interleaving(
+        self, weights, global_random_seed
+    ):
+        """Facet rows and recommendations (which restart the fold, and
+        whose pairs may or may not have store rows) between records."""
+        from repro.models.wang_vassileva import WangVassilevaModel
+
+        rng = random.Random(global_random_seed)
+        stream = _growing_stream(rng, rng.randint(20, 60), facets=True)
+        ops = self._record_ops(rng, stream)
+        for at in sorted(rng.sample(range(len(ops)), len(ops) // 4)):
+            args = (rng.choice(RATERS), rng.choice(RATERS + RATED),
+                    rng.random(), rng.random())
+            ops.insert(
+                at + 1, lambda m, args=args: m.record_recommendation(*args)
+            )
+        self._assert_fold_interleaving(
+            partial(WangVassilevaModel, facet_weights=weights), ops,
+            lambda i: [None], QUERIED + GROWN + RATERS,
+        )
+
+    @pytest.mark.parametrize("kind", ["ordered", "unordered", "tvm"])
+    def test_peertrust_fold_interleaving(self, kind, global_random_seed):
+        """More than 50 rows per target, so the default window drops
+        rows; "unordered" times take the cold window; TVM with a window
+        of 5 churns it."""
+        from repro.models.peertrust import CredibilityMeasure, PeerTrustModel
+
+        factory = PeerTrustModel
+        if kind == "tvm":
+            factory = partial(PeerTrustModel, window=5, tvm_depth=2,
+                              credibility=CredibilityMeasure.TVM)
+        rng = random.Random(global_random_seed)
+        stream = _growing_stream(
+            rng, rng.randint(120, 150), targets=RATED[:1],
+            ordered=kind != "unordered",
+        )
+        assert sum(f.target == "svc-a" for f in stream) > 50
+        self._assert_fold_interleaving(
+            factory, self._record_ops(rng, stream), lambda i: [None],
+            QUERIED + GROWN,
+        )
+
+    @pytest.mark.parametrize("name", [
+        "amazon", "ebay", "maximilien_singh", "peertrust", "wang_vassileva",
+    ])
+    def test_one_row_fold_reads_no_snapshot(
+        self, name, global_random_seed, monkeypatch
+    ):
+        """A warm fold over one new row at an unchanged ``now`` reads
+        only the delta: with EventStore.snapshot raising, it still
+        scores like a cold model."""
+        from repro.store import EventStore
+
+        rng = random.Random(global_random_seed)
+        stream = _growing_stream(rng, rng.randint(10, 40), facets=True)
+        now = len(stream) + 1.0
+        queried = QUERIED + GROWN
+        model = REGISTRY.create(name)
+        model.record_many(stream[:-1])
+        model.score_many(queried, "r0", now)
+        cold = REGISTRY.create(name)
+        cold.record_many(stream)
+        expected = cold.score_many(queried, "r0", now)
+
+        def no_snapshot(self):
+            raise AssertionError("a one-row fold rebuilt the whole store")
+
+        monkeypatch.setattr(EventStore, "snapshot", no_snapshot)
+        model.record(stream[-1])
+        assert model.score_many(queried, "r0", now) == expected
+
+
+#: services that join the stream as it goes, so folds grow the interner
+GROWN = [f"svc-new-{i}" for i in range(4)]
+
+
+def _growing_stream(
+    rng,
+    n: int,
+    targets: List[str] = RATED,
+    facets: bool = False,
+    ordered: bool = True,
+) -> List[Feedback]:
+    """*n* reports on *targets* plus GROWN services joining one by one;
+    times rise with the row unless not *ordered*, which makes about a
+    fifth of them random."""
+    stream = []
+    for t in range(n):
+        facet_ratings = {}
+        if facets and rng.random() < 0.5:
+            for facet in rng.sample(FACET_NAMES, rng.randint(1, 3)):
+                facet_ratings[facet] = rng.random()
+        ordered_time = ordered or rng.random() < 0.8
+        stream.append(Feedback(
+            rater=rng.choice(RATERS),
+            target=rng.choice(targets + GROWN[: t * len(GROWN) // n]),
+            time=float(t) if ordered_time else float(rng.randint(0, n)),
+            rating=rng.random(),
+            facet_ratings=facet_ratings,
+        ))
+    return stream
