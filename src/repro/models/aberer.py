@@ -19,7 +19,7 @@ deployment, while the model also runs standalone.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
@@ -104,7 +104,20 @@ class AbererDespotovicModel(ReputationModel):
         now: Optional[float] = None,
     ) -> float:
         """Graded score: average statistic maps to 0.5, higher is worse."""
+        return self._graded(target, self._population_average())
+
+    def score_many(
+        self,
+        targets: Sequence[EntityId],
+        perspective: Optional[EntityId] = None,
+        now: Optional[float] = None,
+    ) -> List[float]:
+        """The :meth:`score` loop with the population average computed
+        once per call rather than once per target."""
         average = self._population_average()
+        return [self._graded(target, average) for target in targets]
+
+    def _graded(self, target: EntityId, average: float) -> float:
         ratio = self.statistic(target) / average if average > 0 else 1.0
         return 1.0 / (1.0 + ratio)  # ratio 1 -> 0.5, clean peer -> ~1
 

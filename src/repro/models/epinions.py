@@ -15,7 +15,7 @@ reviewer's standing in *p*'s web of trust:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
@@ -122,13 +122,39 @@ class EpinionsModel(ReputationModel):
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
     ) -> float:
+        return self._score(target, perspective, {})
+
+    def score_many(
+        self,
+        targets: Sequence[EntityId],
+        perspective: Optional[EntityId] = None,
+        now: Optional[float] = None,
+    ) -> List[float]:
+        """The :meth:`score` loop with each reviewer's weight (one trust
+        graph search) computed once per call rather than once per
+        review."""
+        weights: Dict[EntityId, float] = {}
+        return [self._score(t, perspective, weights) for t in targets]
+
+    def _score(
+        self,
+        target: EntityId,
+        perspective: Optional[EntityId],
+        weights: Dict[EntityId, float],
+    ) -> float:
+        """*target*'s score, each reviewer's weight memoised in
+        *weights*, which must not outlive a change to the trust or
+        block lists."""
         reviews = self._reviews.get(target)
         if not reviews:
             return 0.5
         total = 0.0
         weight_sum = 0.0
         for review in reviews:
-            weight = self._weight(perspective, review.rater)
+            weight = weights.get(review.rater)
+            if weight is None:
+                weight = self._weight(perspective, review.rater)
+                weights[review.rater] = weight
             total += weight * review.rating
             weight_sum += weight
         if weight_sum <= 0:

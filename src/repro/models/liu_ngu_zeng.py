@@ -17,7 +17,7 @@ all (otherwise it scores the neutral prior).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
@@ -55,6 +55,14 @@ class LiuNguZengModel(ReputationModel):
         self._reports: Dict[EntityId, List[Feedback]] = {}
         #: consumer -> metric weights
         self._preferences: Dict[EntityId, Dict[str, float]] = {}
+        #: target -> (the report list read, its length, facet means).  A
+        #: target's list is only appended to (policing replaces it), so
+        #: the same list at the same length has the same means; a read
+        #: through a freshness window is a new list each call and never
+        #: hits
+        self._rows: Dict[
+            EntityId, Tuple[List[Feedback], int, Dict[str, float]]
+        ] = {}
 
     def set_preferences(
         self, consumer: EntityId, weights: Mapping[str, float]
@@ -82,6 +90,14 @@ class LiuNguZengModel(ReputationModel):
         reports = self._fresh_reports(target, now)
         if len(reports) < self.min_reports:
             return None
+        hit = self._rows.get(target)
+        if hit is None or hit[0] is not reports or hit[1] != len(reports):
+            hit = (reports, len(reports), self._facet_means(reports))
+            self._rows[target] = hit
+        return dict(hit[2])  # callers may mutate the row; the memo's stays
+
+    @staticmethod
+    def _facet_means(reports: List[Feedback]) -> Dict[str, float]:
         facets: Dict[str, List[float]] = {}
         for fb in reports:
             source = fb.facet_ratings or {"overall": fb.rating}

@@ -43,6 +43,7 @@ from repro.store import EventStore, OVERALL_FACET
 
 _EMPTY = np.zeros(0)
 _EMPTY_I8 = np.zeros(0, dtype=np.int64)
+_F64 = np.float64
 
 
 @dataclass
@@ -281,17 +282,21 @@ class MaximilienSinghModel(StoreBackedModel):
 
     def _facet_blend(
         self,
-        arrays: "_KernelArrays",
+        facet_sums: Tuple[list, ...],
         slot: Optional[int],
         claim: Optional[float],
     ) -> float:
-        """:meth:`facet_reputation` over the precomputed group means."""
+        """:meth:`facet_reputation` over the precomputed group sums
+        (*facet_sums* as Python lists).  A community-backed value comes
+        back as a numpy float64, the type the array reads give it:
+        Python 3.12's ``sum`` compensates exact floats only, so a mean
+        over these values rounds by their type."""
         if slot is None:
             community = None
             evidence = 0
         else:
-            f_num, f_den, f_plain, f_cnt = arrays.facet
-            evidence = int(f_cnt[slot])
+            f_num, f_den, f_plain, f_cnt = facet_sums
+            evidence = f_cnt[slot]
             if f_den[slot] > 0:
                 community = f_num[slot] / f_den[slot]
             else:
@@ -302,12 +307,12 @@ class MaximilienSinghModel(StoreBackedModel):
             assert claim is not None
             return claim
         if claim is None:
-            return community
+            return _F64(community)
         claim_weight = self.claim_evidence_scale / (
             self.claim_evidence_scale + evidence
         )
         claim_weight *= max(0.0, 1.0 - abs(claim - community))
-        return claim_weight * claim + (1.0 - claim_weight) * community
+        return _F64(claim_weight * claim + (1.0 - claim_weight) * community)
 
     def score_many(
         self,
@@ -319,13 +324,15 @@ class MaximilienSinghModel(StoreBackedModel):
 
         The column pass replaces the per-history array building of
         :meth:`score`; the claim/preference blending mirrors the scalar
-        control flow exactly (same facet iteration order).
+        control flow exactly (same facet iteration order), over the
+        sums read into Python lists once per call.
         """
         arrays = self._kernel_arrays(now)
         weights = (
             self._preferences.get(perspective) if perspective else None
         )
-        o_num, o_den, o_plain, o_cnt = arrays.overall
+        o_num, o_den, o_plain, o_cnt = (a.tolist() for a in arrays.overall)
+        facet_sums = tuple(a.tolist() for a in arrays.facet)
         codes = self._store.entities.codes(targets)
         results: List[float] = []
         for target, code in zip(targets, codes.tolist()):
@@ -336,9 +343,9 @@ class MaximilienSinghModel(StoreBackedModel):
                 if o_cnt[code] == 0:
                     results.append(0.5)
                 elif o_den[code] > 0:
-                    results.append(float(o_num[code] / o_den[code]))
+                    results.append(o_num[code] / o_den[code])
                 else:
-                    results.append(float(o_plain[code] / o_cnt[code]))
+                    results.append(o_plain[code] / o_cnt[code])
                 continue
             if weights:
                 total = 0.0
@@ -348,7 +355,7 @@ class MaximilienSinghModel(StoreBackedModel):
                     if w <= 0:
                         continue
                     total += w * self._facet_blend(
-                        arrays, slots.get(facet), claims.get(facet)
+                        facet_sums, slots.get(facet), claims.get(facet)
                     )
                     weight_sum += w
                 if weight_sum > 0:
@@ -359,7 +366,7 @@ class MaximilienSinghModel(StoreBackedModel):
                     safe_mean(
                         (
                             self._facet_blend(
-                                arrays, slots.get(f), claims.get(f)
+                                facet_sums, slots.get(f), claims.get(f)
                             )
                             for f in sorted(facets)
                         ),

@@ -26,6 +26,8 @@ from repro.core.typology import Architecture, Scope, Subject, Typology
 from repro.models.base import ReputationModel
 from repro.trustnet.opinion import Opinion, consensus, discount
 
+_NO_EVIDENCE = (0.0, 0.0)
+
 
 class SubjectiveLogicModel(ReputationModel):
     """Opinion-algebra reputation with optional personalization.
@@ -62,6 +64,12 @@ class SubjectiveLogicModel(ReputationModel):
         self._latest: Dict[EntityId, Dict[EntityId, float]] = {}
         #: target -> raters with evidence about it
         self._raters: Dict[EntityId, Set[EntityId]] = {}
+        #: (rater, target) -> (the evidence tuple it was derived from, the
+        #: functional opinion); ``record`` stores a new tuple, so an
+        #: identity check tells whether the opinion is still current
+        self._functional: Dict[
+            Tuple[EntityId, EntityId], Tuple[Tuple[float, float], Opinion]
+        ] = {}
 
     # -- evidence -------------------------------------------------------
     def record(self, feedback: Feedback) -> None:
@@ -78,8 +86,14 @@ class SubjectiveLogicModel(ReputationModel):
         self, rater: EntityId, target: EntityId
     ) -> Opinion:
         """The opinion *rater*'s own evidence about *target* induces."""
-        r, s = self._evidence.get((rater, target), (0.0, 0.0))
-        return Opinion.from_evidence(r, s, base_rate=self.base_rate)
+        key = (rater, target)
+        evidence = self._evidence.get(key, _NO_EVIDENCE)
+        hit = self._functional.get(key)
+        if hit is not None and hit[0] is evidence:
+            return hit[1]
+        opinion = Opinion.from_evidence(*evidence, base_rate=self.base_rate)
+        self._functional[key] = (evidence, opinion)
+        return opinion
 
     def referral_opinion(
         self, perspective: EntityId, rater: EntityId

@@ -8,11 +8,16 @@ wraps a :class:`~repro.p2p.referral.ReferralNetwork`: scoring a target
 issues a referral query from the perspective agent, combines the
 witnesses' opinions discounted by chain length, and reinforces the
 network toward useful witnesses.
+
+``score_many`` shares one memo of the visited agents' neighbour
+rankings across its queries: within a call only the asking agent's
+weights move (through reinforcement), so every other agent ranks its
+neighbours alike for each target.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
@@ -60,7 +65,7 @@ class YolumSinghModel(ReputationModel):
 
     def ensure_agent(self, agent_id: EntityId) -> None:
         """Join *agent_id* to the referral network if not yet present."""
-        if agent_id not in [a.peer_id for a in self.network.agents()]:
+        if agent_id not in self.network:
             self.network.join(agent_id)
 
     def record(self, feedback: Feedback) -> None:
@@ -72,6 +77,25 @@ class YolumSinghModel(ReputationModel):
         target: EntityId,
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
+    ) -> float:
+        return self._score(target, perspective, {})
+
+    def score_many(
+        self,
+        targets: Sequence[EntityId],
+        perspective: Optional[EntityId] = None,
+        now: Optional[float] = None,
+    ) -> List[float]:
+        """The :meth:`score` loop, with the referral rankings of every
+        agent but *perspective* memoised across its queries."""
+        rankings: Dict[EntityId, List[EntityId]] = {}
+        return [self._score(t, perspective, rankings) for t in targets]
+
+    def _score(
+        self,
+        target: EntityId,
+        perspective: Optional[EntityId],
+        rankings: Dict[EntityId, List[EntityId]],
     ) -> float:
         if perspective is None:
             # Global view: average everyone's first-hand experience.
@@ -87,7 +111,8 @@ class YolumSinghModel(ReputationModel):
             for fb in self.network.agent(perspective).store.for_target(target)
         ]
         responses, messages = self.network.query(
-            perspective, target, depth_limit=self.depth_limit
+            perspective, target, depth_limit=self.depth_limit,
+            rankings=rankings,
         )
         self.queries_issued += 1
         self.messages_used += messages

@@ -114,6 +114,9 @@ class YuSinghModel(ReputationModel):
         self.referral_discount = referral_discount
         #: rater -> target -> list of (time, rating)
         self._local: Dict[EntityId, Dict[EntityId, List[Tuple[float, float]]]] = {}
+        #: (agent, target) -> (history length, local mass): the histories
+        #: only grow, so an unchanged length means an unchanged mass
+        self._mass: Dict[Tuple[EntityId, EntityId], Tuple[int, BeliefMass]] = {}
 
     def record(self, feedback: Feedback) -> None:
         history = self._local.setdefault(feedback.rater, {}).setdefault(
@@ -124,13 +127,19 @@ class YuSinghModel(ReputationModel):
     def local_mass(self, agent: EntityId, target: EntityId) -> BeliefMass:
         """The belief function *agent*'s own experience induces."""
         entries = self._local.get(agent, {}).get(target, [])
-        recent = sorted(entries, key=lambda e: e[0])[-self.history:]
-        if not recent:
+        if not entries:
             return _VACUOUS
+        key = (agent, target)
+        hit = self._mass.get(key)
+        if hit is not None and hit[0] == len(entries):
+            return hit[1]
+        recent = sorted(entries, key=lambda e: e[0])[-self.history:]
         n = len(recent)
         pos = sum(1 for _, r in recent if r >= self.upper)
         neg = sum(1 for _, r in recent if r <= self.lower)
-        return (pos / n, neg / n, (n - pos - neg) / n)
+        mass = (pos / n, neg / n, (n - pos - neg) / n)
+        self._mass[key] = (len(entries), mass)
+        return mass
 
     def local_count(self, agent: EntityId, target: EntityId) -> int:
         return len(self._local.get(agent, {}).get(target, []))

@@ -102,6 +102,9 @@ class ReferralNetwork:
     def __len__(self) -> int:
         return len(self._agents)
 
+    def __contains__(self, agent_id: object) -> bool:
+        return agent_id in self._agents
+
     def record_experience(self, agent_id: EntityId, feedback: Feedback) -> None:
         """Store a first-hand experience at *agent_id*."""
         self.agent(agent_id).store.add(feedback)
@@ -112,6 +115,7 @@ class ReferralNetwork:
         origin: EntityId,
         target: EntityId,
         depth_limit: int = 3,
+        rankings: Optional[Dict[EntityId, List[EntityId]]] = None,
     ) -> Tuple[List[ReferralResponse], int]:
         """Find witnesses with opinions about *target*.
 
@@ -119,10 +123,18 @@ class ReferralNetwork:
         feedback about *target* (if any) and refers the query onward to
         its ``branching`` highest-weight neighbours.  Returns
         ``(responses, messages)``.
+
+        *rankings* memoises each visited agent's neighbours in referral
+        order.  A caller issuing several queries from one *origin* may
+        share one dict across them as long as only the origin's weights
+        and neighbours change in between (as :meth:`reinforce` does);
+        the origin's own ranking is never memoised.
         """
         if depth_limit < 0:
             raise ConfigurationError("depth_limit must be >= 0")
         self.agent(origin)  # validate
+        if rankings is None:
+            rankings = {}
         responses: List[ReferralResponse] = []
         messages = 0
         visited = {origin}
@@ -136,26 +148,29 @@ class ReferralNetwork:
                 agent = self._agents[agent_id]
                 if not agent.online:
                     continue
-                opinions = agent.store.for_target(target)
-                if opinions and agent_id != origin:
+                if agent_id != origin and agent.store.count_for(target):
                     messages += 1  # answer message back to origin
                     if self.network is not None:
                         self.network.send(agent_id, origin, kind="referral-answer")
                     responses.append(
                         ReferralResponse(
                             witness=agent_id,
-                            opinions=opinions,
+                            opinions=agent.store.for_target(target),
                             chain=chain,
                         )
                     )
                     continue  # witnesses answer instead of referring
                 if depth == depth_limit:
                     continue
-                weights = self._weights.get(agent_id, {})
-                ranked = sorted(
-                    agent.neighbor_list(),
-                    key=lambda n: (-weights.get(n, 0.5), n),
-                )
+                ranked = rankings.get(agent_id)
+                if ranked is None:
+                    weights = self._weights.get(agent_id, {})
+                    ranked = sorted(
+                        agent.neighbor_list(),
+                        key=lambda n: (-weights.get(n, 0.5), n),
+                    )
+                    if agent_id != origin:  # reinforce moves the origin's
+                        rankings[agent_id] = ranked
                 referred = 0
                 for neighbor_id in ranked:
                     if neighbor_id in visited:

@@ -46,6 +46,10 @@ class FeedbackStore:
         """All feedback about *target*, oldest first (insertion order)."""
         return list(self._by_target.get(target, ()))
 
+    def count_for(self, target: EntityId) -> int:
+        """How many reports about *target* are held, without copying them."""
+        return len(self._by_target.get(target, ()))
+
     def by_rater(self, rater: EntityId) -> List[Feedback]:
         return list(self._by_rater.get(rater, ()))
 

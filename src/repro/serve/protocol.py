@@ -22,8 +22,9 @@ could not save.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.simtime import from_ticks, to_ticks
 from repro.obs.trace import canonical_json

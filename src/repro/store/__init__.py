@@ -8,7 +8,7 @@ DESIGN.md §12 for the layout and the chunk/merge invariants.
 """
 
 from repro.store.interner import MISSING_CODE, Interner
-from repro.store.kernels import group_counts, group_sums, latest_rows
+from repro.store.kernels import group_sums, latest_rows
 from repro.store.store import (
     OVERALL_FACET,
     ColumnSet,
@@ -23,7 +23,6 @@ __all__ = [
     "Interner",
     "MISSING_CODE",
     "OVERALL_FACET",
-    "group_counts",
     "group_sums",
     "latest_rows",
 ]

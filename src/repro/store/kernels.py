@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["group_counts", "group_sums", "latest_rows"]
+__all__ = ["group_sums", "latest_rows"]
 
 
 def group_sums(
@@ -33,11 +33,6 @@ def group_sums(
     return np.bincount(codes, weights=weights, minlength=minlength).astype(
         np.float64, copy=False
     )
-
-
-def group_counts(codes: np.ndarray, minlength: int) -> np.ndarray:
-    """Per-code row counts as an int64 array."""
-    return np.bincount(codes, minlength=minlength)
 
 
 def latest_rows(

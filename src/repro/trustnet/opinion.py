@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from repro.common.errors import ConfigurationError
 
 _EPS = 1e-9
+_HIGH = 1.0 + _EPS
 #: Non-informative prior weight (two hidden observations).
 PRIOR_WEIGHT = 2.0
 
@@ -39,21 +40,22 @@ class Opinion:
     base_rate: float = 0.5
 
     def __post_init__(self) -> None:
+        b, d, u, a = self.belief, self.disbelief, self.uncertainty, self.base_rate
+        total = b + d + u
+        if (
+            -_EPS <= b <= _HIGH and -_EPS <= d <= _HIGH
+            and -_EPS <= u <= _HIGH and -_EPS <= a <= _HIGH
+            and abs(total - 1.0) <= 1e-6
+        ):
+            return  # the happy path: every check below passes
         for name, value in [
-            ("belief", self.belief),
-            ("disbelief", self.disbelief),
-            ("uncertainty", self.uncertainty),
-            ("base_rate", self.base_rate),
+            ("belief", b), ("disbelief", d), ("uncertainty", u), ("base_rate", a),
         ]:
-            if not -_EPS <= value <= 1.0 + _EPS:
+            if not -_EPS <= value <= _HIGH:
                 raise ConfigurationError(
                     f"opinion {name} must be in [0, 1], got {value}"
                 )
-        total = self.belief + self.disbelief + self.uncertainty
-        if abs(total - 1.0) > 1e-6:
-            raise ConfigurationError(
-                f"b + d + u must equal 1, got {total}"
-            )
+        raise ConfigurationError(f"b + d + u must equal 1, got {total}")
 
     # -- constructors ----------------------------------------------------
     @staticmethod

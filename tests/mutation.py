@@ -1,5 +1,5 @@
-"""Mutation check for the shard path, the model folds, the damped walk
-and the rank order: do the gates catch regressions?
+"""Mutation check for the shard path, the model folds and memos, the
+damped walk and the rank order: do the gates catch regressions?
 
 Each :class:`Mutant` is an exact source edit that breaks one rule the
 canonical output depends on, plus the one test that must catch it.
@@ -200,6 +200,32 @@ MUTANTS: List[Mutant] = [
         reason="the window fold keeps every row of a target, not its last "
         "window; a cold fold keeps them all too, so only the base score() "
         "loop (with more than window rows per target) sees it",
+    ),
+    Mutant(
+        file="src/repro/p2p/referral.py",
+        old="if agent_id != origin:  # reinforce moves the origin's",
+        new="if True:  # the origin's ranking memoised too",
+        gate=f"{FOLDS}::test_yolum_singh_memo_matches_score_loop",
+        reason="the asker's neighbour ranking is memoised across one "
+        "score_many call although reinforcement moves its weights and "
+        "neighbours between queries; a score() loop re-ranks every query",
+    ),
+    Mutant(
+        file="src/repro/models/yu_singh.py",
+        old="if hit is not None and hit[0] == len(entries):",
+        new="if hit is not None:",
+        gate=f"{FOLDS}::test_yu_singh_mass_memo",
+        reason="a local mass is memoised past new rows in its history, "
+        "so later ratings never reach it; a fresh replay sees them",
+    ),
+    Mutant(
+        file="src/repro/models/epinions.py",
+        old="weights: Dict[EntityId, float] = {}",
+        new='weights = self.__dict__.setdefault("_weight_memo", {})',
+        gate=f"{FOLDS}::test_epinions_weight_memo",
+        reason="reviewer weights memoised across calls: a trust or block "
+        "edit (or another perspective) reads the weights of an earlier "
+        "call",
     ),
     Mutant(
         file="src/repro/models/base.py",

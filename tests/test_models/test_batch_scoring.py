@@ -773,6 +773,169 @@ class TestFoldInterleaving:
                     ReputationModel.score_many(model, queried, persp)
                 )
 
+    # -- the memos of the personalised trust-network models -------------
+
+    @staticmethod
+    def _assert_memo_replay(factory, ops, queried, nows, probe=None):
+        """Apply *ops* (records and other state changes) one by one,
+        querying between them so every memo warms up and then meets new
+        state.  After each op, at every ``now`` of ``nows(i)`` and every
+        perspective, score_many, the base score() loop and rank on the
+        live model equal those of a fresh model given the same ops,
+        bitwise; ``probe(live, fresh, now)`` compares what else a memo
+        backs."""
+        model = factory()
+        for i in range(len(ops)):
+            ops[i](model)
+            cold = factory()
+            for op in ops[: i + 1]:
+                op(cold)
+            for now in nows(i):
+                if probe is not None:
+                    probe(model, cold, now)
+                for persp in (None, "r0", "r3"):
+                    expected = cold.score_many(queried, persp, now)
+                    assert model.score_many(queried, persp, now) == (
+                        expected
+                    ), (i, now, persp)
+                    assert ReputationModel.score_many(
+                        model, queried, persp, now
+                    ) == expected, (i, now, persp)
+                    assert model.rank(queried, persp, now) == (
+                        cold.rank(queried, persp, now)
+                    ), (i, now, persp)
+
+    def test_subjective_logic_functional_memo(self, global_random_seed):
+        """Functional opinions memoised on their evidence tuple equal a
+        fresh model's after every record."""
+        from repro.models.subjective_logic import SubjectiveLogicModel
+
+        def probe(model, cold, now):
+            for rater in RATERS:
+                for target in QUERIED:
+                    assert model.functional_opinion(rater, target) == (
+                        cold.functional_opinion(rater, target)
+                    ), (rater, target)
+
+        rng = random.Random(global_random_seed)
+        stream = _random_stream(rng, rng.randint(20, 60), RATERS, RATED)
+        self._assert_memo_replay(
+            SubjectiveLogicModel, self._record_ops(rng, stream), QUERIED,
+            lambda i: [None], probe,
+        )
+
+    def test_yu_singh_mass_memo(self, global_random_seed):
+        """Histories with equal times (the stable time sort keeps them in
+        append order), most of them longer than ``history``: every
+        memoised local mass equals a fresh model's after each step."""
+        from repro.models.yu_singh import YuSinghModel
+
+        def probe(model, cold, now):
+            for rater in RATERS:
+                for target in RATED:
+                    assert model.local_mass(rater, target) == (
+                        cold.local_mass(rater, target)
+                    ), (rater, target)
+
+        rng = random.Random(global_random_seed)
+        stream = [
+            Feedback(rater=rng.choice(RATERS), target=rng.choice(RATED),
+                     time=float(rng.randint(0, 4)), rating=rng.random())
+            for _ in range(rng.randint(30, 70))
+        ]
+        self._assert_memo_replay(
+            partial(YuSinghModel, history=3, min_local=4),
+            self._record_ops(rng, stream), QUERIED, lambda i: [None], probe,
+        )
+
+    def test_aberer_population_memo(self, global_random_seed):
+        """Complaints filed out of band between records move the
+        population average score_many computes once per call."""
+        from repro.models.aberer import AbererDespotovicModel
+
+        rng = random.Random(global_random_seed)
+        stream = _random_stream(rng, rng.randint(20, 60), RATERS, RATED)
+        ops = self._record_ops(rng, stream)
+        for at in sorted(rng.sample(range(len(ops)), len(ops) // 3)):
+            pair = (rng.choice(RATERS), rng.choice(RATERS + RATED))
+            ops.insert(at + 1, lambda m, pair=pair: m.file_complaint(*pair))
+        self._assert_memo_replay(
+            AbererDespotovicModel, ops, QUERIED + RATERS, lambda i: [None]
+        )
+
+    def test_epinions_weight_memo(self, global_random_seed):
+        """Trust and block edits between records change reviewers'
+        weights, which score_many memoises within one call only."""
+        from repro.models.epinions import EpinionsModel
+
+        rng = random.Random(global_random_seed)
+        stream = _random_stream(rng, rng.randint(20, 60), RATERS, RATED)
+        ops = self._record_ops(rng, stream)
+        for at in sorted(rng.sample(range(len(ops)), len(ops) // 2)):
+            edit = (rng.choice(["trust", "trust", "block"]),
+                    rng.choice(RATERS), rng.choice(RATERS))
+            ops.insert(
+                at + 1,
+                lambda m, edit=edit: getattr(m, edit[0])(*edit[1:]),
+            )
+        self._assert_memo_replay(
+            EpinionsModel, ops, QUERIED, lambda i: [None]
+        )
+
+    @pytest.mark.parametrize("window", [None, 5.0], ids=["all", "window"])
+    def test_liu_ngu_zeng_row_memo(self, window, global_random_seed):
+        """Quality rows are memoised only while no freshness window
+        applies; policing, preferences and a caller mutating a returned
+        row leave every row and ranking equal to a fresh model's."""
+        from repro.models.liu_ngu_zeng import LiuNguZengModel
+
+        def probe(model, cold, now):
+            for target in QUERIED:
+                row = model.quality_row(target, now)
+                assert row == cold.quality_row(target, now), (target, now)
+                if row:
+                    row.clear()  # must not reach the memo
+
+        rng = random.Random(global_random_seed)
+        stream = _random_stream(
+            rng, rng.randint(20, 60), RATERS, RATED, facets=True
+        )
+        ops = self._record_ops(rng, stream)
+        for at in sorted(rng.sample(range(len(ops)), len(ops) // 4)):
+            now = float(rng.randint(0, len(stream)))
+            ops.insert(at + 1, lambda m, now=now: m.police(now))
+        ops.insert(0, lambda m: m.set_preferences(
+            "r0", {"latency": 2.0, "overall": 1.0}
+        ))
+        self._assert_memo_replay(
+            partial(LiuNguZengModel, freshness_window=window), ops, QUERIED,
+            lambda i: [None, float(i), float(i) + 6.0], probe,
+        )
+
+    def test_yolum_singh_memo_matches_score_loop(self, global_random_seed):
+        """score_many (one neighbour-ranking memo per call, for every
+        agent but the asker) == a score() loop on a twin seeded alike:
+        the same scores, and the same weights and neighbours after."""
+        from repro.models.yolum_singh import YolumSinghModel
+
+        rng = random.Random(global_random_seed)
+        raters = [f"r{i}" for i in range(12)]
+        stream = _random_stream(rng, rng.randint(40, 90), raters, RATED)
+        live = YolumSinghModel(rng=global_random_seed)
+        twin = YolumSinghModel(rng=global_random_seed)
+        for step in _steps(rng, stream):
+            live.record_many(step)
+            twin.record_many(step)
+            for persp in (None, "r0", rng.choice(raters), "never-seen"):
+                assert live.score_many(QUERIED, persp) == [
+                    twin.score(target, persp) for target in QUERIED
+                ], persp
+                assert live.network._weights == twin.network._weights
+                assert [a.neighbors for a in live.network.agents()] == [
+                    a.neighbors for a in twin.network.agents()
+                ]
+        assert live.messages_used == twin.messages_used
+
     # -- the folds of the centralized and peer zoo models ----------------
 
     @staticmethod

@@ -21,3 +21,9 @@ def test_gate_names_an_existing_test(mutant):
     assert f"def {names[-1]}(" in source
     for cls in names[:-1]:
         assert f"class {cls}" in source
+
+
+def test_list_size():
+    """The list only grows by intent: a mutant dropped by accident (a
+    bad merge, a deleted entry) shows here."""
+    assert len(MUTANTS) == 21
