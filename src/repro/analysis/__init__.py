@@ -3,10 +3,9 @@ reputation stack.
 
 The parallel runtime (DESIGN.md §9) and the incremental scoring engine
 (§8) rest on invariants no type checker sees: no ambient randomness or
-wall-clock reads, no hash-salted iteration feeding a ranking, cache
-version counters bumped on every ``record()``, batch kernels covered
-by the parity gate, picklable world builders, and no bare float
-equality on scores.  This package checks them statically:
+wall-clock reads, no hash-salted iteration feeding a ranking, no
+per-row loops over store columns, picklable world builders, and no
+bare float equality on scores.  This package checks them statically:
 
     python -m repro.analysis src/repro
 

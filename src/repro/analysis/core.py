@@ -7,11 +7,12 @@ at lint time instead of test time.  The moving parts:
 * :class:`Finding` — one diagnostic, anchored at (path, line, col).
 * :class:`Rule` — a named check over one parsed module, with access to
   the whole :class:`Project` for cross-file contracts (e.g. "every
-  ``score_many`` override must be in the batch-parity registry").
+  registered world builder is a module-level function").
 * :class:`Project` — every scanned module parsed once, shared by all
   rules, so project-level rules stay O(files) not O(files²).
 * suppressions — ``# reprolint: disable=R001`` on the offending line
-  (or on a comment line directly above it) silences a finding.
+  (or on a comment line directly above it) silences a finding of
+  any rule whose ``suppressible`` flag is set.
 * the driver — :func:`run_analysis` walks paths, parses, runs rules,
   applies suppressions and the baseline, and returns findings sorted
   by ``(path, line, col, rule)`` so output is byte-stable across runs.
@@ -141,6 +142,8 @@ class Rule:
     #: relpath prefixes the rule never runs on (e.g. the blessed
     #: randomness module)
     exempt: Tuple[str, ...] = ()
+    #: whether ``# reprolint: disable=`` comments silence the rule
+    suppressible: bool = True
 
     def applies_to(self, relpath: str) -> bool:
         if any(relpath.startswith(prefix) for prefix in self.exempt):
@@ -318,7 +321,9 @@ def run_analysis(
                 continue
             for finding in rule.check(module, project):
                 silenced = suppressed_rules(module, finding.line)
-                if "all" in silenced or finding.rule in silenced:
+                if rule.suppressible and (
+                    "all" in silenced or finding.rule in silenced
+                ):
                     continue
                 findings.add(finding)
     return sorted(findings)

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from repro.analysis.core import RuleRegistry
 from repro.analysis.rules.columnar import ColumnarLoopRule
-from repro.analysis.rules.contracts import (
-    BatchParityRegistryRule,
-    CacheVersionBumpRule,
-    PicklableWorldBuilderRule,
-)
+from repro.analysis.rules.contracts import PicklableWorldBuilderRule
 from repro.analysis.rules.determinism import (
     GlobalNondeterminismRule,
     UnorderedIterationRule,
@@ -34,8 +30,6 @@ def default_registry() -> RuleRegistry:
     registry = RuleRegistry()
     registry.register(GlobalNondeterminismRule())
     registry.register(UnorderedIterationRule())
-    registry.register(CacheVersionBumpRule())
-    registry.register(BatchParityRegistryRule())
     registry.register(PicklableWorldBuilderRule())
     registry.register(FloatEqualityRule())
     registry.register(ColumnarLoopRule())

@@ -6,10 +6,12 @@ runs as numpy reductions (``bincount``/``lexsort`` over the snapshot's
 column arrays); a ``for`` loop or comprehension over those columns —
 or over ``iter_rows(...)`` — reintroduces the per-event Python frame
 the store was built to eliminate, silently costing the 10-100x the
-benchmarks gate on.  The scalar replay paths that *define* model
-semantics are the sanctioned exception: they carry
-``# reprolint: disable=R007`` with a comment naming them as the
-reference implementation.
+benchmarks gate on.  The scalar replays that *define* model
+semantics loop over the rows
+:meth:`~repro.models.base.StoreBackedModel._replay_rows` returns, the
+one sanctioned row source: it hands out ``iter_rows`` without looping
+over it, so no model needs an exception, and the rule honours no
+``disable`` comment.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ class _ColumnScope:
 
     Branch-insensitive and over-approximate, like R002's set inference:
     a name counts as a snapshot/column/row-iterator if *any* binding in
-    the scope makes it one.  Suppression comments handle the rare false
-    positive.
+    the scope makes it one.
     """
 
     def __init__(self, body: Sequence[ast.stmt]) -> None:
@@ -131,12 +132,13 @@ class ColumnarLoopRule(Rule):
     rule_id = "R007"
     title = "no per-row python loops over store columns"
     scopes = ("models/",)
+    suppressible = False
 
     _MESSAGE = (
         "per-row python loop over store columns defeats the columnar "
         "kernels; use vectorized reductions (repro.store.kernels "
-        "bincount/lexsort over the snapshot) — scalar reference paths "
-        "carry an explicit disable comment"
+        "bincount/lexsort over the snapshot) — a scalar reference "
+        "replay loops over StoreBackedModel._replay_rows()"
     )
 
     def check(

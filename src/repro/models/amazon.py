@@ -64,9 +64,6 @@ class AmazonModel(StoreBackedModel):
         self._votes: Dict[int, int] = {}
         #: bumped whenever helpful votes change (restarts the kernel fold)
         self._votes_epoch = 0
-        #: folded (num, den, count) arrays as of the "kernel" reader's
-        #: last read
-        self._kernel: Tuple[np.ndarray, ...] = (_EMPTY, _EMPTY, _EMPTY_I8)
 
     def _rows(self, target: EntityId) -> np.ndarray:
         """Store rows of *target*'s reviews, in append order."""
@@ -124,36 +121,32 @@ class AmazonModel(StoreBackedModel):
         return float(weights @ ratings) / weight_sum
 
     # -- columnar kernel -----------------------------------------------
-    def _kernel_arrays(
-        self, now: Optional[float]
+    def _fold(
+        self, start: int, now: Optional[float], _votes_epoch: int
     ) -> Tuple[np.ndarray, ...]:
         """Per-code (weighted sum, weight sum, review count) plus one
-        spare zero slot, folded from the rows appended since the last
-        call.  A moved *now* reweighs every row and a vote epoch change
-        reweighs the voted ones, so either restarts the fold from row
-        0; a vote reaches only rows that existed when it was cast, so
-        rows folded at an unchanged epoch carry none."""
-        start, stop = self._unread_rows("kernel", (now, self._votes_epoch))
-        if start and start == stop:
-            return self._kernel
+        spare zero slot, with rows ``[start, n)`` folded in.  A moved
+        *now* reweighs every row and a vote epoch change reweighs the
+        voted ones, so either restarts the fold from row 0; a vote
+        reaches only rows that existed when it was cast, so rows folded
+        at an unchanged epoch carry none."""
         store = self._store
         delta = store.columns_from(start)
-        votes = np.zeros(stop - start)
+        votes = np.zeros(delta.n)
         if not start and self._votes:
             votes[list(self._votes)] = list(self._votes.values())
         weights = 1.0 + self.helpfulness_weight * votes
         if now is not None:
             ages = np.maximum(now - delta.time, 0.0)
             weights = weights * self.decay.weights(ages)
-        self._kernel = fold_into(
-            self._kernel if start else (_EMPTY, _EMPTY, _EMPTY_I8),
+        return fold_into(
+            self._kernel_state if start else (_EMPTY, _EMPTY, _EMPTY_I8),
             len(store.entities) + 1,
             delta.target,
             weights * delta.value,
             weights,
             1,
         )
-        return self._kernel
 
     def score_many(
         self,
@@ -162,7 +155,7 @@ class AmazonModel(StoreBackedModel):
         now: Optional[float] = None,
     ) -> List[float]:
         """Batch weighted means from one pass over the store columns."""
-        num, den, count = self._kernel_arrays(now)
+        num, den, count = self._kernel(now, self._votes_epoch)
         codes = self._store.entities.codes(targets)
         cnt = count[codes]
         weight_sum = den[codes]

@@ -14,6 +14,7 @@ import operator
 from itertools import repeat
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Hashable,
     Iterable,
@@ -51,6 +52,9 @@ _as_scored = cast(
 )
 _TARGET = operator.itemgetter(0)
 _SCORE = operator.itemgetter(1)
+#: one store row as the scalar replays read it:
+#: ``(rater, target, facet, value, time)``
+Row = Tuple[int, int, int, float, float]
 
 
 def ranked(
@@ -276,13 +280,22 @@ class StoreBackedModel(ReputationModel):
     score from it; one whose reports also carry facet rows overrides
     :meth:`record` and :meth:`record_many` to append them.
 
-    Every state derived from the store (a scalar replay, a columnar
-    fold, a cached kernel) reads it through :meth:`_unread_rows`, which
-    keys the reader's position by store *identity*: assigning another
+    Every state derived from the store goes through one of two entry
+    points, which own the cursor protocol once for every model:
+
+    * :meth:`_replay_rows` feeds the scalar reference.  The model loops
+      over the rows it returns inline and drops its replayed state in
+      the :meth:`_reset_replay` hook;
+    * :meth:`_kernel` keeps the columnar state, which the model's
+      :meth:`_fold` hook brings up to date from a start row.
+
+    Both key their position by store *identity*: assigning another
     store to ``_store`` restarts every reader from row 0.
     """
 
     _store: "EventStore"
+    #: the columnar state as of the last :meth:`_kernel` call
+    _kernel_state: Any
 
     def _unread_rows(
         self, reader: str, key: Hashable = None
@@ -293,8 +306,7 @@ class StoreBackedModel(ReputationModel):
         ``start == 0`` means "start over" — the first read, ``_store``
         is another store object than at the last read, or *key* (what
         else the reader's state depends on, such as the decay's ``now``)
-        differs from the last read's — so the reader drops its kept
-        state before consuming ``[0, stop)``.
+        differs from the last read's.
         """
         store = self._store
         cursors = self.__dict__.setdefault("_cursors", {})
@@ -305,6 +317,39 @@ class StoreBackedModel(ReputationModel):
         stop = len(store)
         cursors[reader] = (store, stop, key)
         return start, stop
+
+    def _replay_rows(self) -> Tuple[int, Iterable[Row]]:
+        """``(start, rows)``: the store rows from row *start* on that
+        the scalar replay has not consumed yet — the one sanctioned
+        per-row source of ``models/`` (R007).  On a restart the replay's
+        state is dropped first, through :meth:`_reset_replay`."""
+        start, stop = self._unread_rows("replay")
+        if not start:
+            self._reset_replay()
+        if start == stop:
+            return start, ()
+        return start, self._store.iter_rows(start)
+
+    def _reset_replay(self) -> None:
+        """Hook: drop the scalar replay's state (see :meth:`_replay_rows`)."""
+        raise NotImplementedError
+
+    def _kernel(self, *key: Hashable) -> Any:
+        """The columnar state over every store row.
+
+        *key* is what else the state depends on (the decay's ``now``, a
+        vote or recommendation epoch).  While no rows arrived and *key*
+        is unchanged the kept state comes back as is; otherwise
+        :meth:`_fold` brings it up to date."""
+        start, stop = self._unread_rows("kernel", key)
+        if not start or start < stop:
+            self._kernel_state = self._fold(start, *key)
+        return self._kernel_state
+
+    def _fold(self, start: int, *key: Hashable) -> Any:
+        """Hook: the columnar state with rows ``[start, n)`` folded into
+        the kept one; ``start == 0`` builds it from scratch."""
+        raise NotImplementedError
 
     def record(self, feedback: Feedback) -> None:
         self._store.append(

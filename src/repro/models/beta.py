@@ -64,28 +64,22 @@ class BetaReputation(StoreBackedModel):
         self.lam = lam
         self._store = EventStore()
         #: scalar reference state keyed by entity code, advanced lazily
-        #: over the store rows the "replay" reader has not consumed
+        #: over the store rows the replay has not consumed
         self._evidence: Dict[int, Tuple[float, float]] = {}
-        #: columnar (alpha, beta) arrays as of the "kernel" reader's
-        #: last read; for lam == 1 also the folded (alpha, count) state
-        self._kernel: Tuple[np.ndarray, np.ndarray] = (_EMPTY, _EMPTY)
+        #: for lam == 1, the folded per-code (alpha, count) sums
         self._alpha = self._count = _EMPTY
+
+    def _reset_replay(self) -> None:
+        self._evidence = {}
 
     def _advance(self) -> None:
         """Replay the original per-event recursion over rows the scalar
         state has not consumed yet — the exact reference path."""
-        start, stop = self._unread_rows("replay")
-        if not start:
-            self._evidence = {}
-        if start == stop:
-            return
+        _start, rows = self._replay_rows()
         evidence = self._evidence
         lam = self.lam
         zero = (0.0, 0.0)
-        # reprolint: disable=R007 — scalar reference is the per-row replay
-        for _rater, target, _facet, value, _time in self._store.iter_rows(
-            start
-        ):
+        for _rater, target, _facet, value, _time in rows:
             alpha, beta = evidence.get(target, zero)
             evidence[target] = (
                 lam * alpha + value,
@@ -112,24 +106,14 @@ class BetaReputation(StoreBackedModel):
         return a / (a + b)
 
     # -- columnar kernel -----------------------------------------------
-    def _kernel_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense per-code (alpha, beta) evidence mass plus one spare zero
-        slot at the end, refreshed only when rows were appended (or
-        another store swapped in) since the last call."""
-        start, stop = self._unread_rows("kernel")
-        if start and start == stop:
-            return self._kernel
-        if self.lam == 1.0:
-            self._kernel = self._fold(start)
-        else:
-            self._kernel = self._closed_form()
-        return self._kernel
-
     def _fold(self, start: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``lam == 1``: add rows ``[start, n)`` into the kept per-code
-        (alpha, count) sums; ``start == 0`` folds from zero.  Every
-        addition is one the recursion performs when nothing is
+        """Dense per-code (alpha, beta) evidence mass plus one spare zero
+        slot.  ``lam == 1`` adds rows ``[start, n)`` into the kept
+        per-code (alpha, count) sums; ``start == 0`` folds from zero.
+        Every addition is one the recursion performs when nothing is
         forgotten, in the same order (:func:`fold_into`)."""
+        if self.lam != 1.0:
+            return self._closed_form()
         store = self._store
         kept = (self._alpha, self._count) if start else (_EMPTY, _EMPTY)
         delta = store.columns_from(start)
@@ -166,7 +150,7 @@ class BetaReputation(StoreBackedModel):
     ) -> List[float]:
         """Batch posterior means: a gather from the evidence arrays.  An
         unseen id's code is -1, which reads the spare zero slot."""
-        alpha, beta = self._kernel_arrays()
+        alpha, beta = self._kernel()
         codes = self._store.entities.codes(targets)
         a = alpha[codes] + self.prior_alpha
         b = beta[codes] + self.prior_beta

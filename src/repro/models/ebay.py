@@ -76,8 +76,6 @@ class EbayModel(StoreBackedModel):
         #: scalar reference state keyed by entity code:
         #: [positives, negatives, total], replayed lazily off the store
         self._totals: Dict[int, List[int]] = {}
-        #: columnar (positives, negatives) counts as of the last read
-        self._kernel: Tuple[np.ndarray, np.ndarray] = (_EMPTY, _EMPTY)
 
     def _sign(self, rating: float) -> int:
         if rating > self.positive_threshold:
@@ -86,21 +84,17 @@ class EbayModel(StoreBackedModel):
             return -1
         return 0
 
+    def _reset_replay(self) -> None:
+        self._totals = {}
+
     def _advance(self) -> None:
         """Replay signed-count accumulation over unconsumed rows — the
         exact scalar reference (signs re-derived from stored ratings)."""
-        start, stop = self._unread_rows("replay")
-        if not start:
-            self._totals = {}
-        if start == stop:
-            return
+        _start, rows = self._replay_rows()
         totals = self._totals
         positive_threshold = self.positive_threshold
         negative_threshold = self.negative_threshold
-        # reprolint: disable=R007 — scalar reference is the per-row replay
-        for _rater, target, _facet, value, _time in self._store.iter_rows(
-            start
-        ):
+        for _rater, target, _facet, value, _time in rows:
             counts = totals.get(target)
             if counts is None:
                 counts = [0, 0, 0]
@@ -170,24 +164,18 @@ class EbayModel(StoreBackedModel):
         return (positives + 1.0) / (positives + negatives + 2.0)
 
     # -- columnar kernel -----------------------------------------------
-    def _kernel_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _fold(self, start: int) -> Tuple[np.ndarray, np.ndarray]:
         """Dense per-code (positives, negatives) counts plus one spare
-        zero slot, folded from the rows appended (or, after another
-        store swapped in, all rows) since the last call."""
-        start, stop = self._unread_rows("kernel")
-        if start and start == stop:
-            return self._kernel
+        zero slot, with rows ``[start, n)`` folded in."""
         store = self._store
         delta = store.columns_from(start)
-        positives, negatives = fold_into(
-            self._kernel if start else (_EMPTY, _EMPTY),
+        return fold_into(
+            self._kernel_state if start else (_EMPTY, _EMPTY),
             len(store.entities) + 1,
             delta.target,
             delta.value > self.positive_threshold,
             delta.value < self.negative_threshold,
         )
-        self._kernel = (positives, negatives)
-        return self._kernel
 
     def score_many(
         self,
@@ -198,7 +186,7 @@ class EbayModel(StoreBackedModel):
         """Batch Laplace-smoothed positive fractions from the folded
         sign counts (integers — exact by construction).  An unseen id's
         code is -1, which reads the spare zero slot."""
-        positives, negatives = self._kernel_arrays()
+        positives, negatives = self._kernel()
         codes = self._store.entities.codes(targets)
         pos = positives[codes].astype(np.float64)
         neg = negatives[codes].astype(np.float64)

@@ -106,8 +106,6 @@ class EigenTrustModel(ReputationModel):
         #: previous fixed point, the warm start for the next compute
         self._warm: Optional[np.ndarray] = None
         self.iterations_last_run = 0
-        #: bumped on every record; lets callers detect staleness cheaply
-        self.version = 0
 
     def _peer(self, peer: EntityId) -> int:
         return self._peers.setdefault(peer, len(self._peers))
@@ -123,7 +121,6 @@ class EigenTrustModel(ReputationModel):
             self._net.append(step)
         else:
             self._net[k] += step
-        self.version += 1
         self._vector = None
 
     def local_trust(self, rater: EntityId, target: EntityId) -> float:

@@ -32,8 +32,6 @@ from repro.core.typology import Architecture, Scope, Subject, Typology
 from repro.models.base import StoreBackedModel
 from repro.store import EventStore, group_sums, latest_rows
 
-_EMPTY = np.zeros(0)
-
 
 class HistosModel(StoreBackedModel):
     """Personalized reputation over the rating graph.
@@ -60,22 +58,16 @@ class HistosModel(StoreBackedModel):
         #: rater code -> target code -> (time, rating); latest wins;
         #: replayed lazily off the store rows
         self._edges: Dict[int, Dict[int, Tuple[float, float]]] = {}
-        #: global-mean (sums, counts) per code as of the last read
-        self._kernel: Tuple[np.ndarray, np.ndarray] = (_EMPTY, _EMPTY)
+
+    def _reset_replay(self) -> None:
+        self._edges = {}
 
     def _advance(self) -> None:
         """Replay latest-edge extraction over unconsumed store rows —
         the exact scalar reference for the graph walks."""
-        start, stop = self._unread_rows("replay")
-        if not start:
-            self._edges = {}
-        if start == stop:
-            return
+        _start, rows = self._replay_rows()
         edges = self._edges
-        # reprolint: disable=R007 — scalar reference is the per-row replay
-        for rater, target, _facet, value, time in self._store.iter_rows(
-            start
-        ):
+        for rater, target, _facet, value, time in rows:
             outgoing = edges.get(rater)
             if outgoing is None:
                 outgoing = {}
@@ -212,22 +204,17 @@ class HistosModel(StoreBackedModel):
         return results
 
     # -- columnar kernel (global fallback) -----------------------------
-    def _global_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _fold(self, start: int) -> Tuple[np.ndarray, np.ndarray]:
         """Per-code (sum, count) of incoming latest ratings, reduced
-        from the store columns, rebuilt only when rows were appended (or
-        another store swapped in) since the last call."""
-        start, stop = self._unread_rows("kernel")
-        if start and start == stop:
-            return self._kernel
+        from the whole store: a new row can replace an edge's latest
+        rating, so every fold is a rebuild."""
         store = self._store
         columns = store.snapshot()
         size = max(len(store.entities), 1)
         _keys, rows = latest_rows(columns.pair_keys(), columns.time)
         targets = columns.target[rows]
         sums = group_sums(targets, size, columns.value[rows])
-        counts = np.bincount(targets, minlength=size)
-        self._kernel = (sums, counts)
-        return self._kernel
+        return sums, np.bincount(targets, minlength=size)
 
     def score_many(
         self,
@@ -240,7 +227,7 @@ class HistosModel(StoreBackedModel):
         if not targets:
             return []
         if perspective is None:
-            sums, counts = self._global_arrays()
+            sums, counts = self._kernel()
             codes = self._store.entities.codes(targets)
             known = codes >= 0
             safe = np.where(known, codes, 0)

@@ -106,8 +106,6 @@ class MaximilienSinghModel(StoreBackedModel):
         #: consumer -> facet preference weights
         self._preferences: Dict[EntityId, Dict[str, float]] = {}
         self._store = EventStore()
-        #: folded sums as of the "kernel" reader's last read
-        self._kernel = _KernelArrays()
 
     # -- ontology inputs ------------------------------------------------
     def register_advertisement(
@@ -145,19 +143,15 @@ class MaximilienSinghModel(StoreBackedModel):
         for feedback in feedbacks:
             self.record(feedback)
 
+    def _reset_replay(self) -> None:
+        self._facets, self._overall = {}, {}
+
     def _advance(self) -> None:
         """Replay the per-facet histories over unconsumed store rows —
         the scalar reference's state."""
-        start, stop = self._unread_rows("replay")
-        if not start:
-            self._facets, self._overall = {}, {}
-        if start == stop:
-            return
+        _start, rows = self._replay_rows()
         facet_name = self._store.facets.value
-        # reprolint: disable=R007 — scalar reference is the per-row replay
-        for _rater, target, facet, value, time in self._store.iter_rows(
-            start
-        ):
+        for _rater, target, facet, value, time in rows:
             if facet == OVERALL_FACET:
                 history = self._overall.setdefault(target, _FacetHistory())
             else:
@@ -231,17 +225,13 @@ class MaximilienSinghModel(StoreBackedModel):
         )
 
     # -- columnar kernel -----------------------------------------------
-    def _kernel_arrays(self, now: Optional[float]) -> "_KernelArrays":
+    def _fold(self, start: int, now: Optional[float]) -> "_KernelArrays":
         """Decay-weighted sums for every service and every (service,
-        facet) group, folded from the rows appended since the last
-        call.  A moved *now* reweighs every row, so it restarts the
-        fold from row 0."""
-        start, stop = self._unread_rows("kernel", now)
-        if start and start == stop:
-            return self._kernel
+        facet) group, with rows ``[start, n)`` folded in.  A moved *now*
+        reweighs every row, so it restarts the fold from row 0."""
         store = self._store
         delta = store.columns_from(start)
-        arrays = self._kernel if start else _KernelArrays()
+        arrays = self._kernel_state if start else _KernelArrays()
         if now is not None:
             weights = self.decay.weights(np.maximum(now - delta.time, 0.0))
         else:
@@ -277,7 +267,6 @@ class MaximilienSinghModel(StoreBackedModel):
             f_value,
             1,
         )
-        self._kernel = arrays
         return arrays
 
     def _facet_blend(
@@ -327,7 +316,7 @@ class MaximilienSinghModel(StoreBackedModel):
         control flow exactly (same facet iteration order), over the
         sums read into Python lists once per call.
         """
-        arrays = self._kernel_arrays(now)
+        arrays = self._kernel(now)
         weights = (
             self._preferences.get(perspective) if perspective else None
         )

@@ -83,15 +83,9 @@ class PageRankModel(ReputationModel):
         #: previous fixed point, the warm start for the next compute
         self._warm: Optional[np.ndarray] = None
         self.iterations_last_run = 0
-        #: bumped whenever the cached vector is dropped
-        self.version = 0
 
     def _node(self, node: EntityId) -> int:
         return self._nodes.setdefault(node, len(self._nodes))
-
-    def _invalidate(self) -> None:
-        self.version += 1
-        self._vector = None
 
     def add_edge(self, source: EntityId, target: EntityId) -> None:
         """Add an endorsement edge directly (citation-graph use).
@@ -104,14 +98,14 @@ class PageRankModel(ReputationModel):
         if target not in targets:
             targets.add(target)
             self._edge_pairs.append((self._node(source), self._node(target)))
-            self._invalidate()
+            self._vector = None
 
     def record(self, feedback: Feedback) -> None:
         known = len(self._nodes)
         self._node(feedback.rater)
         self._node(feedback.target)
         if len(self._nodes) != known:
-            self._invalidate()
+            self._vector = None
         if feedback.rating > self.positive_threshold:
             self.add_edge(feedback.rater, feedback.target)
 

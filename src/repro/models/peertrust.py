@@ -132,7 +132,7 @@ class PeerTrustModel(StoreBackedModel):
         #: rater -> subject -> filed satisfactions (for PSM)
         self._filed: Dict[int, Dict[int, List[float]]] = {}
         self._filed_count: Dict[int, int] = {}
-        #: columnar kernel state, folded by the "kernel" reader: the
+        #: columnar kernel state, kept by the _fold hook: the
         #: ascending (rater, subject) pair keys with their rating sums
         #: and counts, reports filed per code, rows per target, and the
         #: last ``window`` rows of every target (see _NO_WINDOW)
@@ -140,9 +140,8 @@ class PeerTrustModel(StoreBackedModel):
         self._pair_sums: Tuple[np.ndarray, ...] = (_EMPTY, _EMPTY)
         self._counts: Tuple[np.ndarray, ...] = (_EMPTY_I8, _EMPTY_I8)
         self._window: Tuple[np.ndarray, ...] = _NO_WINDOW
-        #: perspective-independent arrays as of the last read, and the
-        #: trust arrays computed from them per perspective code
-        self._kernel_base: Dict[str, np.ndarray] = {}
+        #: the trust arrays computed per perspective code from the
+        #: perspective-independent kernel state
         self._kernel_scores: Dict[Optional[int], np.ndarray] = {}
 
     # -- evidence ----------------------------------------------------------
@@ -165,23 +164,18 @@ class PeerTrustModel(StoreBackedModel):
     #: transaction context and its tick time like a record_many row
     ingest_columns = ReputationModel.ingest_columns
 
+    def _reset_replay(self) -> None:
+        self._tx, self._filed, self._filed_count = {}, {}, {}
+
     def _advance(self) -> None:
         """Replay transaction/filed accumulation over unconsumed store
         rows — the exact scalar reference."""
-        start, stop = self._unread_rows("replay")
-        if not start:
-            self._tx, self._filed, self._filed_count = {}, {}, {}
-        if start == stop:
-            return
+        row, rows = self._replay_rows()
         tx = self._tx
         filed = self._filed
         filed_count = self._filed_count
         ctx = self._ctx
-        row = start
-        # reprolint: disable=R007 — scalar reference is the per-row replay
-        for rater, target, _facet, value, time in self._store.iter_rows(
-            start
-        ):
+        for rater, target, _facet, value, time in rows:
             tx.setdefault(target, []).append(
                 (rater, value, ctx[row], time)
             )
@@ -307,13 +301,10 @@ class PeerTrustModel(StoreBackedModel):
         )
 
     # -- columnar kernel ---------------------------------------------------
-    def _base_arrays(self) -> Dict[str, np.ndarray]:
+    def _fold(self, start: int) -> Dict[str, np.ndarray]:
         """Perspective-independent arrays — windowed transaction rows,
         pair rating vectors, community reference vector and the CF
-        array — folded from the rows appended since the last call."""
-        start, stop = self._unread_rows("kernel")
-        if start and start == stop:
-            return self._kernel_base
+        array — with rows ``[start, n)`` folded in."""
         store = self._store
         size = len(store.entities) + 1
         delta = store.columns_from(start)
@@ -350,7 +341,8 @@ class PeerTrustModel(StoreBackedModel):
             pair_subject, weights=pair_mean, minlength=size
         )
         win_targets, win_raters, win_sat, win_ctx, _rank = self._window
-        self._kernel_base = {
+        self._kernel_scores = {}
+        return {
             "win_targets": win_targets,
             "win_raters": win_raters,
             "win_sat": win_sat,
@@ -361,8 +353,6 @@ class PeerTrustModel(StoreBackedModel):
             "comm_mean": comm_sum / np.maximum(comm_cnt, 1),
             "cf": filed / (filed + 5.0),
         }
-        self._kernel_scores = {}
-        return self._kernel_base
 
     def _fold_window(
         self, start: int, delta: ColumnSet, per_target: np.ndarray
@@ -474,7 +464,7 @@ class PeerTrustModel(StoreBackedModel):
         return np.clip(value, 0.0, 1.0)
 
     def _kernel_trust(self, perspective: Optional[int]) -> np.ndarray:
-        base = self._base_arrays()
+        base = self._kernel()
         cached = self._kernel_scores.get(perspective)
         if cached is not None:
             return cached

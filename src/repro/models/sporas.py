@@ -89,6 +89,9 @@ class SporasModel(StoreBackedModel):
     def _phi(self, reputation: float) -> float:
         return 1.0 - 1.0 / (1.0 + math.exp(-(reputation - self.d) / self.sigma))
 
+    def _reset_replay(self) -> None:
+        self._reputation, self._rd, self._count = {}, {}, {}
+
     def _advance(self) -> None:
         """Replay the Zacharia recursion over unconsumed store rows —
         the exact scalar reference.
@@ -98,11 +101,7 @@ class SporasModel(StoreBackedModel):
         zero would let fresh raters have no effect at bootstrap, so a
         small floor keeps the system live.
         """
-        start, stop = self._unread_rows("replay")
-        if not start:
-            self._reputation, self._rd, self._count = {}, {}, {}
-        if start == stop:
-            return
+        _start, rows = self._replay_rows()
         reputation = self._reputation
         rd = self._rd
         count = self._count
@@ -110,10 +109,7 @@ class SporasModel(StoreBackedModel):
         inv_theta = 1.0 / self.theta
         rd_memory = self.rd_memory
         floor = self.NEWCOMER_FLOOR
-        # reprolint: disable=R007 — scalar reference is the per-row replay
-        for rater, target, _facet, value, _time in self._store.iter_rows(
-            start
-        ):
+        for rater, target, _facet, value, _time in rows:
             current = reputation.get(target, 0.0)
             rater_weight = max(reputation.get(rater, 0.0) / d, floor)
             expected = current / d
@@ -153,20 +149,18 @@ class SporasModel(StoreBackedModel):
         return self.reputation(target) / self.d
 
     # -- columnar kernel -----------------------------------------------
-    def _kernel_array(self) -> Optional[np.ndarray]:
+    def _fold(self, start: int) -> Optional[np.ndarray]:
         """Dense per-code reputations from the vectorized-rounds kernel,
         or ``None`` when the stream couples raters and targets (then the
         exact scalar replay is the only correct evaluation order).
 
-        The kernel is a fold: it keeps the per-target state and the row
-        position it has consumed, keyed by store identity, and applies
-        only the rows appended since (a cold kernel is the fold from row
-        0).  Raters and targets seen so far are two membership masks;
-        the store is append-only, so once they intersect the stream
-        stays coupled and the latch holds for good.
+        The kept per-target state takes the rows from *start* on (a
+        cold kernel is the fold from row 0).  Raters and targets seen
+        so far are two membership masks; the store is append-only, so
+        once they intersect the stream stays coupled and the latch
+        holds for good.
         """
         store = self._store
-        start, stop = self._unread_rows("kernel")
         if not start:
             self._coupled = False
             self._state = np.zeros(0)
@@ -178,7 +172,7 @@ class SporasModel(StoreBackedModel):
             self._state = np.concatenate((self._state, np.zeros(grow)))
             self._is_rater = np.concatenate((self._is_rater, unseen))
             self._is_target = np.concatenate((self._is_target, unseen))
-        if start < stop and not self._coupled:
+        if start < len(store) and not self._coupled:
             delta = store.columns_from(start)
             self._is_rater[delta.rater] = True
             self._is_target[delta.target] = True
@@ -233,7 +227,7 @@ class SporasModel(StoreBackedModel):
     ) -> List[float]:
         """Batch reputations from the rounds kernel (gather + divide);
         coupled streams fall back to the base :meth:`score` loop."""
-        state = self._kernel_array()
+        state = self._kernel()
         if state is None:
             return super().score_many(targets, perspective, now)
         codes = self._store.entities.codes(targets)

@@ -124,15 +124,14 @@ class WangVassilevaModel(StoreBackedModel):
         #: eager credibility evidence per (agent, recommender) pair —
         #: the recommendation channel has no store rows behind it
         self._rater_cred: Dict[Tuple[int, int], _FacetCounts] = {}
-        #: columnar kernel state, folded by the "kernel" reader: the
+        #: columnar kernel state, kept by the _fold hook: the
         #: ascending (rater, target) pair keys of the store rows and, per
         #: pair, satisfied and total counts by facet column (0 is the
         #: overall rating, facet code f is column f + 1)
         self._pairs = _EMPTY_I8
         self._counts: Tuple[np.ndarray, ...] = (_NO_COUNTS, _NO_COUNTS)
-        #: pair arrays as of the last read, and the pooled score arrays
-        #: computed from them per perspective code
-        self._kernel_base: Dict[str, np.ndarray] = {}
+        #: the pooled score arrays computed per perspective code from
+        #: the kernel's pair arrays
         self._kernel_scores: Dict[Optional[int], np.ndarray] = {}
 
     def _model(self, agent: int, partner: int) -> _PartnerModel:
@@ -160,22 +159,18 @@ class WangVassilevaModel(StoreBackedModel):
         for feedback in feedbacks:
             self.record(feedback)
 
+    def _reset_replay(self) -> None:
+        # Recommendation-created partner models outlive the replay.
+        self._models = {}
+        for pair in self._rec_pairs:
+            self._model(*pair)
+
     def _advance(self) -> None:
         """Replay naive-Bayes count accumulation over unconsumed store
         rows — the exact scalar reference."""
-        start, stop = self._unread_rows("replay")
-        if not start:
-            # Recommendation-created partner models outlive the replay.
-            self._models = {}
-            for pair in self._rec_pairs:
-                self._model(*pair)
-        if start == stop:
-            return
+        _start, rows = self._replay_rows()
         threshold = self.satisfaction_threshold
-        # reprolint: disable=R007 — scalar reference is the per-row replay
-        for rater, target, facet, value, _time in self._store.iter_rows(
-            start
-        ):
+        for rater, target, facet, value, _time in rows:
             model = self._model(rater, target)
             if facet == OVERALL_FACET:
                 model.overall.update(value > threshold)
@@ -318,15 +313,11 @@ class WangVassilevaModel(StoreBackedModel):
         return own_weight * own + (1.0 - own_weight) * pooled
 
     # -- columnar kernel -------------------------------------------------------
-    def _pair_arrays(self) -> Dict[str, np.ndarray]:
+    def _fold(self, start: int, _rec_epoch: int) -> Dict[str, np.ndarray]:
         """Per-(rater, target) posteriors over the pair universe: the
         store pairs in ascending key order, then recommendation-created
-        pairs without store rows in insertion order.  Folded from the
-        rows appended since the last call; a recommendation restarts
-        the fold."""
-        start, stop = self._unread_rows("kernel", self._rec_epoch)
-        if start and start == stop:
-            return self._kernel_base
+        pairs without store rows in insertion order, with rows
+        ``[start, n)`` folded in; a recommendation restarts the fold."""
         store = self._store
         delta = store.columns_from(start)
         if not start:
@@ -368,14 +359,13 @@ class WangVassilevaModel(StoreBackedModel):
                 pairs = np.concatenate([pairs, fresh])
                 trust = np.concatenate([trust, np.full(len(fresh), 0.5)])
                 own = np.concatenate([own, np.zeros(len(fresh))])
-        self._kernel_base = {
+        self._kernel_scores = {}
+        return {
             "pair_rater": pairs >> 32,
             "pair_target": pairs & 0xFFFFFFFF,
             "trust": trust,
             "tot": own,
         }
-        self._kernel_scores = {}
-        return self._kernel_base
 
     def _facet_weighted(
         self, overall_trust: np.ndarray, weights: Mapping[str, float]
@@ -411,7 +401,7 @@ class WangVassilevaModel(StoreBackedModel):
         if not targets:
             return []
         store = self._store
-        base = self._pair_arrays()
+        base = self._kernel(self._rec_epoch)
         persp = (
             None
             if perspective is None

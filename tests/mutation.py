@@ -1,5 +1,6 @@
 """Mutation check for the shard path, the model folds and memos, the
-damped walk and the rank order: do the gates catch regressions?
+store cursor protocol, the damped walk and the rank order: do the
+gates catch regressions?
 
 Each :class:`Mutant` is an exact source edit that breaks one rule the
 canonical output depends on, plus the one test that must catch it.
@@ -161,9 +162,9 @@ MUTANTS: List[Mutant] = [
         file="src/repro/models/base.py",
         old="start = kept[1] if kept is not None and kept[0] is store else 0",
         new="start = kept[1] if kept is not None else 0",
-        gate=f"{FOLDS}::test_store_swap_restarts_every_reader",
+        gate=f"{FOLDS}::test_fold_interleaving",
         reason="readers keyed by row count only: after another store is "
-        "swapped in, the beta fold (and every scalar replay) goes on from "
+        "swapped in, every kernel fold and scalar replay goes on from "
         "the old store's position and state",
     ),
     Mutant(
@@ -175,13 +176,13 @@ MUTANTS: List[Mutant] = [
         "a cold kernel (one fold from row 0) cannot see it",
     ),
     Mutant(
-        file="src/repro/models/maximilien_singh.py",
-        old='start, stop = self._unread_rows("kernel", now)',
-        new='start, stop = self._unread_rows("kernel")',
+        file="src/repro/models/base.py",
+        old="if kept is not None and kept[2] != key:",
+        new="if False:",
         gate=f"{FOLDS}::test_maximilien_singh_fold_interleaving",
-        reason="the fold goes on after now moved, so rows folded earlier "
-        "keep their old decay weights; a cold kernel weighs every row at "
-        "the current now",
+        reason="readers ignore their key: the fold goes on after now "
+        "moved, so rows folded earlier keep their old decay weights; a "
+        "cold kernel weighs every row at the current now",
     ),
     Mutant(
         file="src/repro/models/base.py",
@@ -235,6 +236,15 @@ MUTANTS: List[Mutant] = [
         "test_rank_equals_sort_by_negated_score_then_id",
         reason="rank drops the id tie-break: equal scores keep candidate "
         "order, which follows the registry, not the ids",
+    ),
+    Mutant(
+        file="src/repro/models/base.py",
+        old="self._reset_replay()",
+        new="pass",
+        gate=f"{FOLDS}::test_fold_interleaving",
+        reason="a restarted scalar replay keeps the state it replayed "
+        "before: after a store swap, score() adds the new store's rows "
+        "on top of the old one's, while the kernel restarts clean",
     ),
 ]
 

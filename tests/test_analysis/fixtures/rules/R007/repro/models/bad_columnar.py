@@ -45,10 +45,17 @@ def materialized_column():
         print(v)
 
 
-def blessed_reference():
-    # reprolint: disable=R007 — scalar reference is the per-row replay
-    for row in store.iter_rows(0):
+def commented_reference():
+    # reprolint: disable=R007 — R007 honours no disable comment
+    for row in store.iter_rows(0):          # R007: row iteration
         print(row)
+
+
+class ReplayingModel:
+    def _advance(self):
+        _start, rows = self._replay_rows()
+        for row in rows:                    # the sanctioned row source
+            print(row)
 
 
 def vectorized_kernel(np):

@@ -53,8 +53,8 @@ class TestExitCodes:
 
     def test_ignore_drops_rules(self, capsys):
         code = run(
-            _config(ignore=["R001", "R002", "R003", "R004", "R005",
-                            "R006", "R007", "R009", "R010", "R011"])
+            _config(ignore=["R001", "R002", "R005", "R006", "R007",
+                            "R009", "R010", "R011"])
         )
         assert code == EXIT_CLEAN
         capsys.readouterr()

@@ -101,6 +101,22 @@ class TestSuppressions:
         )
         assert [f.line for f in findings] == [3]
 
+    def test_unsuppressible_rule_ignores_disable_comments(self, tmp_path):
+        """R007 sets ``suppressible = False``: neither its id nor
+        ``all`` silences it."""
+        module = _module(
+            tmp_path,
+            "def f(store):\n"
+            "    for r in store.iter_rows(0):  # reprolint: disable=R007\n"
+            "        pass\n"
+            "    # reprolint: disable=all\n"
+            "    for r in store.iter_rows(0):\n"
+            "        pass\n",
+        )
+        rules = default_registry().rules(select=["R007"])
+        findings = run_analysis([module.path], rules)
+        assert [f.line for f in findings] == [2, 5]
+
 
 class TestPathScoping:
     def test_relpath_strips_to_package_root(self):
@@ -110,7 +126,7 @@ class TestPathScoping:
         )
         assert (
             package_relpath(
-                Path("tests/fixtures/rules/R004/repro/core/selection.py")
+                Path("tests/fixtures/rules/R005/repro/core/selection.py")
             )
             == "core/selection.py"
         )
@@ -140,11 +156,10 @@ class TestPathScoping:
 
 
 class TestRegistry:
-    def test_ten_rules_shipped(self):
+    def test_eight_rules_shipped(self):
         registry = default_registry()
         assert registry.ids() == [
-            "R001", "R002", "R003", "R004", "R005", "R006", "R007",
-            "R009", "R010", "R011",
+            "R001", "R002", "R005", "R006", "R007", "R009", "R010", "R011",
         ]
 
     def test_duplicate_id_rejected(self):

@@ -99,62 +99,6 @@ class TestR002UnorderedIteration:
         assert not any("len(self._tenants)" in f.content for f in hits)
 
 
-class TestR003CacheVersionBump:
-    def test_fires_on_stale_record(self, rule_findings):
-        hits = findings_for(
-            rule_findings("R003"), "R003", "models/bad_record.py"
-        )
-        assert len(hits) == 1
-        assert "StaleCacheModel" in hits[0].message
-        assert hits[0].content.startswith("def record")
-
-    def test_bump_paths_accepted(self, rule_findings):
-        hits = findings_for(
-            rule_findings("R003"), "R003", "models/bad_record.py"
-        )
-        messages = " ".join(f.message for f in hits)
-        assert "DirectBumpModel" not in messages
-        assert "HelperBumpModel" not in messages
-        assert "DelegatingModel" not in messages
-        assert "UnversionedModel" not in messages
-
-    def test_suppression_comment_silences(self, rule_findings):
-        hits = findings_for(rule_findings("R003"), "R003")
-        assert not any(
-            "SuppressedStaleModel" in f.message for f in hits
-        )
-
-
-class TestR004BatchParityRegistry:
-    def test_fires_on_unregistered_kernel(self, rule_findings):
-        hits = findings_for(
-            rule_findings("R004"), "R004", "models/bad_batch.py"
-        )
-        assert len(hits) == 1
-        assert "UnregisteredKernelModel" in hits[0].message
-
-    def test_registered_and_scalar_models_pass(self, rule_findings):
-        messages = " ".join(
-            f.message
-            for f in findings_for(rule_findings("R004"), "R004")
-        )
-        assert "RegisteredKernelModel" not in messages
-        assert "ScalarOnlyModel" not in messages
-        assert "ReputationModel overrides" not in messages
-
-    def test_suppression_comment_silences(self, rule_findings):
-        messages = " ".join(
-            f.message
-            for f in findings_for(rule_findings("R004"), "R004")
-        )
-        assert "SuppressedKernelModel" not in messages
-
-    def test_registry_absent_stays_quiet(self, rule_findings):
-        # R003's mini-project has model classes but no core/registry.py;
-        # R004 must treat "no registry in tree" as nothing-to-check.
-        assert findings_for(rule_findings("R003"), "R004") == []
-
-
 class TestR005PicklableWorldBuilders:
     def test_fires_on_lambda_and_closure(self, rule_findings):
         hits = findings_for(
@@ -226,7 +170,7 @@ class TestR007ColumnarLoops:
         assert any("zip(columns.value, columns.time)" in l for l in lines)
         assert "return [v * 2 for v in values]" in lines
         assert "for v in columns.value.tolist():" in lines
-        assert len(hits) == 5
+        assert len(hits) == 6
 
     def test_vectorized_and_plain_loops_pass(self, rule_findings):
         hits = findings_for(
@@ -235,15 +179,16 @@ class TestR007ColumnarLoops:
         contents = " ".join(f.content for f in hits)
         assert "bincount" not in contents
         assert "for item in items" not in contents
+        assert "for row in rows" not in contents
 
-    def test_reference_replay_suppression_silences(self, rule_findings):
+    def test_disable_comment_does_not_silence(self, rule_findings):
         hits = findings_for(
             rule_findings("R007"), "R007", "models/bad_columnar.py"
         )
-        # blessed_reference's loop is identical to looped_rows' — only
-        # the disable comment separates them, so exactly one survives.
+        # commented_reference's loop is identical to looped_rows' but
+        # for its disable comment, which R007 does not honour.
         assert (
-            sum("store.iter_rows(0)" in f.content for f in hits) == 1
+            sum("store.iter_rows(0)" in f.content for f in hits) == 2
         )
 
     def test_scoped_to_models(self, rule_findings):

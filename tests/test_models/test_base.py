@@ -1,12 +1,16 @@
 """Tests for the ReputationModel base-class defaults."""
 
-from typing import Optional
+import importlib
+import pkgutil
+from typing import List, Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.common.ids import EntityId
 from repro.common.records import Feedback
+from repro.core.registry import default_registry
 from repro.models.base import ReputationModel, ScoredTarget
 from repro.models.liu_ngu_zeng import LiuNguZengModel
 
@@ -129,3 +133,62 @@ class TestRankOrder:
         ranking = model.rank(picks, "c0" if weighted else None)
         assert sorted(entry.target for entry in ranking) == sorted(picks)
         assert _exact(ranking) == _exact(_by_negated_score_then_id(ranking))
+
+
+def _unregistered_kernels(prefix: str, registered) -> List[str]:
+    """The ReputationModel subclasses, found recursively, whose
+    qualified name starts with *prefix* and that override score_many
+    without being in *registered*."""
+    classes, stack = [], [ReputationModel]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub not in classes:
+                classes.append(sub)
+                stack.append(sub)
+    return sorted(
+        f"{cls.__module__}.{cls.__qualname__}"
+        for cls in classes
+        if f"{cls.__module__}.{cls.__qualname__}".startswith(prefix)
+        and "score_many" in vars(cls)
+        and cls not in registered
+    )
+
+
+class UnregisteredKernel(FixedScores):
+    def score_many(self, targets, perspective=None, now=None):
+        return [0.5 for _ in targets]
+
+
+class RegisteredKernel(FixedScores):
+    def score_many(self, targets, perspective=None, now=None):
+        return [0.5 for _ in targets]
+
+
+class ScalarOnly(FixedScores):
+    """No override: the base loop the suites already cover."""
+
+
+class TestBatchKernelsRegistered:
+    """Every score_many override is a registered model, so the batch ==
+    scalar suites, which parametrise over the registry's names, run
+    its kernel."""
+
+    def test_every_repro_override_is_registered(self):
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not module.name.endswith(".__main__"):
+                importlib.import_module(module.name)
+        registry = default_registry(rng_seed=0)
+        registered = {type(registry.create(n)) for n in registry.names()}
+        assert _unregistered_kernels("repro.", registered) == []
+        # the walk must reach the zoo's kernels, not pass vacuously
+        assert len(_unregistered_kernels("repro.", set())) >= 15
+
+    def test_unregistered_override_flagged(self):
+        assert _unregistered_kernels(__name__, {RegisteredKernel}) == [
+            f"{__name__}.UnregisteredKernel"
+        ]
+
+    def test_registered_and_scalar_models_pass(self):
+        flagged = _unregistered_kernels(__name__, {RegisteredKernel})
+        assert f"{__name__}.RegisteredKernel" not in flagged
+        assert f"{__name__}.ScalarOnly" not in flagged

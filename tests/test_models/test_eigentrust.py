@@ -217,14 +217,6 @@ class TestDistributedEigenTrust:
 class TestIncrementalCache:
     """The dirty-flag cache must be invisible except in speed."""
 
-    def test_version_bumps_on_record(self):
-        model = EigenTrustModel()
-        v0 = model.version
-        model.record(feedback(rater="a", target="b", rating=0.9))
-        assert model.version == v0 + 1
-        model.record(feedback(rater="a", target="b", rating=0.2))
-        assert model.version == v0 + 2
-
     def test_dense_matches_scalar_reference_interleaved(self):
         model = EigenTrustModel(pre_trusted=["a"], alpha=0.15)
         peers = ["a", "b", "c", "d", "e"]

@@ -106,12 +106,6 @@ class TestIncrementalCache:
         for node, rank in naive.items():
             assert incremental[node] == pytest.approx(rank, abs=1e-9)
 
-    def test_version_bumps_on_record(self):
-        model = PageRankModel()
-        v0 = model.version
-        model.record(feedback(rater="u", target="v", rating=0.9))
-        assert model.version > v0
-
     def test_duplicate_edges_not_reindexed(self):
         model = PageRankModel()
         for _ in range(5):
