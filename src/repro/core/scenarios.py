@@ -126,15 +126,17 @@ class DirectSelectionScenario:
 
     def true_quality(self, service_id: EntityId, consumer: Consumer) -> float:
         """Ground-truth quality of a service for one consumer, now."""
+        taste = consumer.preferences
         _, quals = self._truth.row(
-            self.time, consumer.preferences.weights, consumer.segment
+            self.time, taste.weights, taste.segment, taste.taste_key
         )
         return quals[self._index[service_id]]
 
     def optimal_for(self, consumer: Consumer) -> EntityId:
         """The truly best service for *consumer* at the current time."""
+        taste = consumer.preferences
         best, _ = self._truth.row(
-            self.time, consumer.preferences.weights, consumer.segment
+            self.time, taste.weights, taste.segment, taste.taste_key
         )
         return self._truth.ids[best]
 

@@ -483,7 +483,7 @@ class ShardRuntime:
         segments: Dict[int, int] = {}
         taste_of, segment_of = [], []
         for p in profiles:
-            key = TruthTable.taste_key(p.weights, p.segment)
+            key = p.taste_key
             if key not in tastes:
                 tastes[key] = len(self._tastes)
                 self._tastes.append((p.weights, p.segment, key))

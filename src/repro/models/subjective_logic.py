@@ -17,16 +17,21 @@ rater's experience with a target becomes an evidence-based
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
 from repro.common.records import Feedback
 from repro.core.typology import Architecture, Scope, Subject, Typology
 from repro.models.base import ReputationModel
-from repro.trustnet.opinion import Opinion, consensus, discount
+from repro.trustnet.opinion import _EPS, _HIGH, Opinion
 
 _NO_EVIDENCE = (0.0, 0.0)
+#: an opinion's (belief, disbelief, uncertainty, base rate)
+_Masses = Tuple[float, float, float, float]
+#: a rater and the masses of its functional opinion of one target
+_Rated = Tuple[EntityId, float, float, float, float]
 
 
 class SubjectiveLogicModel(ReputationModel):
@@ -62,25 +67,58 @@ class SubjectiveLogicModel(ReputationModel):
         self._evidence: Dict[Tuple[EntityId, EntityId], Tuple[float, float]] = {}
         #: rater -> target -> latest rating (for agreement bookkeeping)
         self._latest: Dict[EntityId, Dict[EntityId, float]] = {}
-        #: target -> raters with evidence about it
-        self._raters: Dict[EntityId, Set[EntityId]] = {}
+        #: target -> raters with evidence about it, in first-rating order
+        self._raters: Dict[EntityId, Dict[EntityId, None]] = {}
+        #: (perspective, rater) -> (agreements, disagreements) over the
+        #: targets both rated, kept by ``record``; both orders of a pair
+        #: map to one tuple.  The counts are integer-valued floats, so
+        #: they equal a recount over the rating intersection bit for bit.
+        self._agreement: Dict[Tuple[EntityId, EntityId], Tuple[float, float]] = {}
         #: (rater, target) -> (the evidence tuple it was derived from, the
         #: functional opinion); ``record`` stores a new tuple, so an
         #: identity check tells whether the opinion is still current
         self._functional: Dict[
             Tuple[EntityId, EntityId], Tuple[Tuple[float, float], Opinion]
         ] = {}
+        #: (perspective, rater) -> (agreement tuple, referral opinion),
+        #: current while ``_agreement`` holds that very tuple
+        self._referral: Dict[
+            Tuple[EntityId, EntityId], Tuple[Tuple[float, float], Opinion]
+        ] = {}
+        #: target -> (rater, b, d, u, a) of each rater's functional
+        #: opinion, in sorted rater order; ``record`` drops its target's
+        self._opinions: Dict[EntityId, List[_Rated]] = {}
 
     # -- evidence -------------------------------------------------------
     def record(self, feedback: Feedback) -> None:
-        key = (feedback.rater, feedback.target)
+        rater, target, rating = feedback.rater, feedback.target, feedback.rating
+        key = (rater, target)
         r, s = self._evidence.get(key, (0.0, 0.0))
-        self._evidence[key] = (r + feedback.rating,
-                               s + (1.0 - feedback.rating))
-        self._latest.setdefault(feedback.rater, {})[feedback.target] = (
-            feedback.rating
-        )
-        self._raters.setdefault(feedback.target, set()).add(feedback.rater)
+        self._evidence[key] = (r + rating, s + (1.0 - rating))
+        self._opinions.pop(target, None)
+        latest = self._latest.setdefault(rater, {})
+        old = latest.get(target)
+        latest[target] = rating
+        raters = self._raters.setdefault(target, {})
+        raters[rater] = None
+        tolerance = self.agreement_tolerance
+        for other in raters:
+            if other == rater:
+                continue
+            theirs = self._latest[other][target]
+            agree, disagree = self._agreement.get((rater, other), _NO_EVIDENCE)
+            if old is not None:  # a re-rate: take back the old comparison
+                if abs(old - theirs) <= tolerance:
+                    agree -= 1.0
+                else:
+                    disagree -= 1.0
+            if abs(rating - theirs) <= tolerance:
+                agree += 1.0
+            else:
+                disagree += 1.0
+            counts = (agree, disagree)
+            self._agreement[(rater, other)] = counts
+            self._agreement[(other, rater)] = counts
 
     def functional_opinion(
         self, rater: EntityId, target: EntityId
@@ -103,17 +141,37 @@ class SubjectiveLogicModel(ReputationModel):
         Agreement evidence: over targets both have rated, how often the
         rater's rating landed within tolerance of the perspective's.
         """
-        own = self._latest.get(perspective, {})
-        theirs = self._latest.get(rater, {})
-        agree = 0.0
-        disagree = 0.0
-        for target in sorted(set(own) & set(theirs)):
-            if abs(own[target] - theirs[target]) <= self.agreement_tolerance:
-                agree += 1.0
-            else:
-                disagree += 1.0
-        return Opinion.from_evidence(agree, disagree,
-                                     base_rate=self.base_rate)
+        if perspective == rater:  # every own rating agrees with itself
+            return Opinion.from_evidence(
+                float(len(self._latest.get(rater, {}))), 0.0,
+                base_rate=self.base_rate,
+            )
+        key = (perspective, rater)
+        counts = self._agreement.get(key, _NO_EVIDENCE)
+        hit = self._referral.get(key)
+        if hit is not None and hit[0] is counts:
+            return hit[1]
+        opinion = Opinion.from_evidence(*counts, base_rate=self.base_rate)
+        self._referral[key] = (counts, opinion)
+        return opinion
+
+    def _target_opinions(
+        self, target: EntityId
+    ) -> Sequence[_Rated]:
+        """``(rater, b, d, u, a)`` of every rater's functional opinion of
+        *target*, in sorted rater order; kept until *target*'s next
+        record."""
+        kept = self._opinions.get(target)
+        if kept is None:
+            if target not in self._raters:
+                return ()
+            kept = []
+            for rater in sorted(self._raters[target]):
+                o = self.functional_opinion(rater, target)
+                kept.append((rater, o.belief, o.disbelief, o.uncertainty,
+                             o.base_rate))
+            self._opinions[target] = kept
+        return kept
 
     # -- scoring -----------------------------------------------------------
     def derived_opinion(
@@ -122,28 +180,63 @@ class SubjectiveLogicModel(ReputationModel):
         perspective: Optional[EntityId] = None,
     ) -> Opinion:
         """The fused opinion about *target* (personalized when asked)."""
-        return self._fused(target, perspective, {})
+        return Opinion(*self._fused(target, perspective, {}))
 
     def _fused(
         self,
         target: EntityId,
         perspective: Optional[EntityId],
-        trust: Dict[EntityId, Opinion],
-    ) -> Opinion:
+        trust: Dict[EntityId, float],
+    ) -> _Masses:
         """Consensus over *target*'s raters in sorted order, each
         discounted through *perspective*'s referral opinion of it
-        (memoised in *trust*) when personalized."""
-        fused: Optional[Opinion] = None
-        for rater in sorted(self._raters.get(target, ())):
-            opinion = self.functional_opinion(rater, target)
-            if perspective is not None and rater != perspective:
-                if rater not in trust:
-                    trust[rater] = self.referral_opinion(perspective, rater)
-                opinion = discount(trust[rater], opinion)
-            fused = opinion if fused is None else consensus(fused, opinion)
-        return fused if fused is not None else Opinion.vacuous(
-            self.base_rate
-        )
+        (its belief memoised in *trust*) when personalized.
+
+        :func:`~repro.trustnet.opinion.discount` and
+        :func:`~repro.trustnet.opinion.consensus` run over ``(b, d, u,
+        a)`` tuples with the same expressions in the same order.  Each
+        intermediate gets :class:`Opinion`'s range and sum checks inline;
+        one that fails is built as an ``Opinion``, which raises its
+        error.
+        """
+        opinions = self._target_opinions(target)
+        if not opinions:
+            return (0.0, 0.0, 1.0, self.base_rate)
+        low, high = -_EPS, _HIGH
+        personal = perspective is not None
+        fb = fd = fu = fa = math.nan  # the fused opinion: the first rater sets it
+        for i, (rater, b, d, u, a) in enumerate(opinions):
+            if personal and rater != perspective:
+                belief = trust.get(rater)
+                if belief is None:
+                    belief = self.referral_opinion(perspective, rater).belief
+                    trust[rater] = belief
+                b = belief * b
+                d = belief * d
+                u = 1.0 - b - d
+                if not (low <= b <= high and low <= d <= high
+                        and low <= u <= high and low <= a <= high
+                        and abs(b + d + u - 1.0) <= 1e-6):
+                    Opinion(b, d, u, a)
+            if not i:
+                fb, fd, fu, fa = b, d, u, a
+                continue
+            kappa = fu + u - fu * u
+            if kappa < _EPS:  # dogmatic limit: average the committed masses
+                fb = (fb + b) / 2.0
+                fd = (fd + d) / 2.0
+                fu = max(0.0, 1.0 - fb - fd)
+            else:
+                b = (fb * u + b * fu) / kappa
+                d = (fd * u + d * fu) / kappa
+                u = (fu * u) / kappa
+                total = b + d + u
+                fb, fd, fu = b / total, d / total, u / total
+            if not (low <= fb <= high and low <= fd <= high
+                    and low <= fu <= high and low <= fa <= high
+                    and abs(fb + fd + fu - 1.0) <= 1e-6):
+                Opinion(fb, fd, fu, fa)
+        return (fb, fd, fu, fa)
 
     def score(
         self,
@@ -151,7 +244,8 @@ class SubjectiveLogicModel(ReputationModel):
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
     ) -> float:
-        return self.derived_opinion(target, perspective).expectation
+        b, _, u, a = self._fused(target, perspective, {})
+        return b + a * u
 
     def uncertainty(
         self,
@@ -169,8 +263,9 @@ class SubjectiveLogicModel(ReputationModel):
     ) -> List[float]:
         """The :meth:`score` loop with each rater's referral opinion
         computed once per call rather than once per (target, rater)."""
-        trust: Dict[EntityId, Opinion] = {}
-        return [
-            self._fused(target, perspective, trust).expectation
-            for target in targets
-        ]
+        trust: Dict[EntityId, float] = {}
+        scores = []
+        for target in targets:
+            b, _, u, a = self._fused(target, perspective, trust)
+            scores.append(b + a * u)
+        return scores

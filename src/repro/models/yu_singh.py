@@ -117,12 +117,19 @@ class YuSinghModel(ReputationModel):
         #: (agent, target) -> (history length, local mass): the histories
         #: only grow, so an unchanged length means an unchanged mass
         self._mass: Dict[Tuple[EntityId, EntityId], Tuple[int, BeliefMass]] = {}
+        #: target -> every agent with a local history of it, in first
+        #: rating order (``combine_testimonies`` sorts by witness)
+        self._witnesses: Dict[EntityId, List[EntityId]] = {}
 
     def record(self, feedback: Feedback) -> None:
-        history = self._local.setdefault(feedback.rater, {}).setdefault(
-            feedback.target, []
+        targets = self._local.setdefault(feedback.rater, {})
+        if feedback.target not in targets:
+            self._witnesses.setdefault(feedback.target, []).append(
+                feedback.rater
+            )
+        targets.setdefault(feedback.target, []).append(
+            (feedback.time, feedback.rating)
         )
-        history.append((feedback.time, feedback.rating))
 
     def local_mass(self, agent: EntityId, target: EntityId) -> BeliefMass:
         """The belief function *agent*'s own experience induces."""
@@ -222,13 +229,10 @@ class YuSinghModel(ReputationModel):
         else:
             perspective = ""
             own = _VACUOUS
-        witnesses = [
-            agent
-            for agent, targets in self._local.items()
-            if agent != perspective and target in targets
-        ]
         testimonies = [
-            self.testimony_from(w, target, chain_length=1) for w in witnesses
+            self.testimony_from(w, target, chain_length=1)
+            for w in self._witnesses.get(target, ())
+            if w != perspective
         ]
         combined = self.combine_testimonies(own, testimonies)
         return self.degree_of_trust(combined)

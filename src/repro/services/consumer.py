@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from repro.common.ids import EntityId
 from repro.common.mathutils import normalize_weights
 from repro.common.randomness import RngLike, make_rng
 from repro.common.records import Feedback, Interaction
+from repro.services.provider import TruthTable
 from repro.services.qos import QoSTaxonomy
 
 
@@ -41,6 +42,16 @@ class PreferenceProfile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", normalize_weights(dict(self.weights)))
 
+    @cached_property
+    def taste_key(self) -> Hashable:
+        """This taste's :meth:`TruthTable.taste_key`, computed once: the
+        profile is frozen."""
+        return TruthTable.taste_key(self.weights, self.segment)
+
+    @cached_property
+    def _weight_total(self) -> float:
+        return sum(self.weights.values())
+
     def weight(self, metric: str) -> float:
         return self.weights.get(metric, 0.0)
 
@@ -50,7 +61,15 @@ class PreferenceProfile:
         Metrics missing from *facet_scores* are skipped and the
         remaining weights are renormalized; an empty intersection yields
         the plain mean of *facet_scores* (or 0 when that is empty too).
+        When every weighted metric was filed, the intersection is the
+        whole profile: its kept weight total and the same products,
+        summed in the same order, give the same float.
         """
+        weights = self.weights
+        if facet_scores.keys() >= weights.keys() and self._weight_total > 0:
+            return sum(
+                [facet_scores[m] * w for m, w in weights.items()]
+            ) / self._weight_total
         common = {m: w for m, w in self.weights.items() if m in facet_scores}
         total = sum(common.values())
         if total <= 0:
@@ -79,8 +98,8 @@ def quality_scores(
     """Normalize an interaction's raw observations into quality space.
 
     :meth:`~repro.services.qos.MetricDef.normalize` inlined over the
-    taxonomy's per-metric constants; metrics outside *taxonomy* are
-    skipped.
+    taxonomy's per-metric constants, its clamp written as conditionals
+    (DESIGN.md §8); metrics outside *taxonomy* are skipped.
     """
     scales = taxonomy.scales
     scores: Dict[str, float] = {}
@@ -88,7 +107,8 @@ def quality_scores(
         scale = scales.get(name)
         if scale is not None:
             low, span, lower = scale
-            frac = max(0.0, min(1.0, (raw - low) / span))
+            frac = (raw - low) / span
+            frac = (frac if frac > 0.0 else 0.0) if frac < 1.0 else 1.0
             scores[name] = 1.0 - frac if lower else frac
     return scores
 
@@ -192,7 +212,9 @@ class Consumer:
         there is nothing to differentiate when the call never returned.
         Whatever the strategy files, on either branch, is clamped to
         ``[0, 1]``.  The rating noise is one vector draw, which consumes
-        the stream exactly as one scalar draw per facet would.
+        the stream exactly as one scalar draw per facet would.  Each
+        clamp is ``max(0.0, min(1.0, x))`` written as conditionals, which
+        returns the same float (DESIGN.md §8).
         """
         honest: Dict[str, float] = (
             quality_scores(interaction, taxonomy) if interaction.success else {}
@@ -200,17 +222,23 @@ class Consumer:
         if honest and self.rating_noise > 0:
             noise = self._rng.normal(0.0, self.rating_noise, len(honest))
             honest = {
-                m: max(0.0, min(1.0, s + e))
+                m: (x if x > 0.0 else 0.0) if x < 1.0 else 1.0
                 for (m, s), e in zip(honest.items(), noise.tolist())
+                for x in (s + e,)
             }
         filed = self.rating_strategy(self, interaction, dict(honest))
-        filed = {m: max(0.0, min(1.0, v)) for m, v in filed.items()}
+        filed = {
+            m: (v if v > 0.0 else 0.0) if v < 1.0 else 1.0
+            for m, v in filed.items()
+        }
         overall = self.preferences.overall(filed)
         return Feedback(
             rater=self.consumer_id,
             target=interaction.service,
             time=interaction.time,
-            rating=max(0.0, min(1.0, overall)),
+            rating=(
+                (overall if overall > 0.0 else 0.0) if overall < 1.0 else 1.0
+            ),
             facet_ratings=filed,
             interaction=interaction,
         )

@@ -100,11 +100,13 @@ class InvocationEngine:
         observations: Dict[str, float] = {}
         if success:
             # ``sample`` returns a fresh dict, which the faults may edit
-            observations, success = self._apply_faults(
-                service,
-                time,
-                profile.sample(self.taxonomy, self._rng, segment=segment),
+            observations = profile.sample(
+                self.taxonomy, self._rng, segment=segment
             )
+            if self.fault_plan is not None or self.timeout is not None:
+                observations, success = self._apply_faults(
+                    service, time, observations
+                )
         return Interaction(
             consumer=invoker,
             service=service.service_id,

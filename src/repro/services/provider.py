@@ -208,7 +208,8 @@ class TruthTable:
         """``(best index, per-candidate quality)`` for one taste at *time*.
 
         *key* is :meth:`taste_key` of the taste; callers that rate the
-        same consumers every round pass it precomputed.
+        same consumers every round pass it precomputed
+        (:attr:`~repro.services.consumer.PreferenceProfile.taste_key`).
         """
         if time != self._time:
             self._rows = {}

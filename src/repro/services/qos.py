@@ -395,8 +395,9 @@ class QoSProfile:
 
         One vector draw of ``len(quality)`` normals consumes the stream
         exactly as one scalar draw per metric would, and the per-metric
-        arithmetic is :meth:`MetricDef.denormalize` inlined, so the
-        observations are bit-identical to the scalar loop.
+        arithmetic is :meth:`MetricDef.denormalize` inlined (its clamp
+        written as conditionals, DESIGN.md §8), so the observations are
+        bit-identical to the scalar loop.
         """
         noise = make_rng(rng).normal(0.0, self.noise, len(self.quality))
         scales = taxonomy.scales
@@ -410,7 +411,8 @@ class QoSProfile:
                 raise UnknownEntityError(
                     f"unknown QoS metric: {name!r}"
                 ) from None
-            noisy = max(0.0, min(1.0, q + e))
+            noisy = q + e
+            noisy = (noisy if noisy > 0.0 else 0.0) if noisy < 1.0 else 1.0
             if lower:
                 noisy = 1.0 - noisy
             observations[name] = low + noisy * span

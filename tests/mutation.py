@@ -1,6 +1,6 @@
 """Mutation check for the shard path, the model folds and memos, the
-store cursor protocol, the damped walk and the rank order: do the
-gates catch regressions?
+store cursor protocol, the damped walk, the rank order and the
+scenario's truth key: do the gates catch regressions?
 
 Each :class:`Mutant` is an exact source edit that breaks one rule the
 canonical output depends on, plus the one test that must catch it.
@@ -245,6 +245,33 @@ MUTANTS: List[Mutant] = [
         reason="a restarted scalar replay keeps the state it replayed "
         "before: after a store swap, score() adds the new store's rows "
         "on top of the old one's, while the kernel restarts clean",
+    ),
+    Mutant(
+        file="src/repro/models/subjective_logic.py",
+        old="if old is not None:  # a re-rate: take back the old comparison",
+        new="if False:  # a re-rate keeps the old comparison",
+        gate=f"{FOLDS}::test_subjective_logic_kept_agreement",
+        reason="a re-rate adds its comparison with every co-rater but never "
+        "takes back the replaced rating's, so kept agreement counts drift "
+        "above the recount over common targets",
+    ),
+    Mutant(
+        file="src/repro/models/yu_singh.py",
+        old="if feedback.target not in targets:",
+        new="if not targets:",
+        gate=f"{FOLDS}::test_yu_singh_witness_index",
+        reason="the witness index learns a rater only on its first target: "
+        "testimony about any later target of that rater goes missing",
+    ),
+    Mutant(
+        file="src/repro/services/consumer.py",
+        old="return TruthTable.taste_key(self.weights, self.segment)",
+        new="return TruthTable.taste_key(self.weights, 0)",
+        gate="tests/test_services/test_provider.py::TestTruthTable::"
+        "test_profile_taste_keys_pick_their_own_rows",
+        reason="the kept taste key drops the segment: consumers with equal "
+        "weights in different segments share one truth row, so the "
+        "optimum and regret of all but the first segment are wrong",
     ),
 ]
 

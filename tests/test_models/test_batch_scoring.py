@@ -784,6 +784,89 @@ class TestFoldInterleaving:
             self._record_ops(rng, stream), QUERIED, lambda i: [None], probe,
         )
 
+    def test_subjective_logic_kept_agreement(self, global_random_seed):
+        """Agreement counts kept by ``record`` equal the former recount
+        over the two raters' common targets after every step, while
+        re-rates on a 0.1 grid cross the 0.2 tolerance both ways (0.9 -
+        0.7 lands just above it, 0.3 - 0.1 just below), and score_many,
+        personalized or not, equals a fresh replay bitwise."""
+        from repro.models.subjective_logic import SubjectiveLogicModel
+        from repro.trustnet.opinion import Opinion
+
+        def recount(own, theirs, tolerance):
+            agree = 0.0
+            disagree = 0.0
+            for target in sorted(set(own) & set(theirs)):
+                if abs(own[target] - theirs[target]) <= tolerance:
+                    agree += 1.0
+                else:
+                    disagree += 1.0
+            return agree, disagree
+
+        rng = random.Random(global_random_seed)
+        grid = [round(0.1 * i, 1) for i in range(11)]
+        stream = [
+            Feedback(rater=rng.choice(RATERS), target=rng.choice(RATED[:3]),
+                     time=float(t), rating=rng.choice(grid))
+            for t in range(rng.randint(40, 90))
+        ]
+        agents = RATERS + ["never-seen"]
+        model = SubjectiveLogicModel(agreement_tolerance=0.2)
+        latest, seen = {}, []
+        for step in _steps(rng, stream):
+            model.record_many(step)
+            seen.extend(step)
+            for fb in step:
+                latest.setdefault(fb.rater, {})[fb.target] = fb.rating
+            for p in agents:
+                for r in agents:
+                    counts = recount(latest.get(p, {}), latest.get(r, {}), 0.2)
+                    assert model.referral_opinion(p, r) == (
+                        Opinion.from_evidence(*counts)
+                    ), (p, r)
+                    if p != r:
+                        kept = model._agreement.get((p, r), (0.0, 0.0))
+                        assert [x.hex() for x in kept] == (
+                            [x.hex() for x in counts]
+                        ), (p, r)
+            fresh = SubjectiveLogicModel(agreement_tolerance=0.2)
+            fresh.record_many(seen)
+            for persp in (None, "r0", "r3", "never-seen"):
+                assert model.score_many(QUERIED, persp) == (
+                    fresh.score_many(QUERIED, persp)
+                ), persp
+                assert [model.score(t, persp) for t in QUERIED] == (
+                    ReputationModel.score_many(fresh, QUERIED, persp)
+                ), persp
+
+    def test_yu_singh_witness_index(self, global_random_seed):
+        """The target -> witnesses index kept by ``record`` holds exactly
+        the agents the former scan over every agent's histories found,
+        and scores equal a fresh replay, after every step."""
+        from repro.models.yu_singh import YuSinghModel
+
+        rng = random.Random(global_random_seed)
+        stream = _random_stream(rng, rng.randint(30, 70), RATERS, RATED)
+        model = YuSinghModel(history=3, min_local=4)
+        seen = []
+        for step in _steps(rng, stream):
+            model.record_many(step)
+            seen.extend(step)
+            for target in QUERIED:
+                scanned = [
+                    agent for agent, targets in model._local.items()
+                    if target in targets
+                ]
+                assert sorted(model._witnesses.get(target, [])) == (
+                    sorted(scanned)
+                ), target
+            fresh = YuSinghModel(history=3, min_local=4)
+            fresh.record_many(seen)
+            for persp in (None, "r0", "r3", "never-seen"):
+                assert model.score_many(QUERIED, persp) == (
+                    fresh.score_many(QUERIED, persp)
+                ), persp
+
     def test_aberer_population_memo(self, global_random_seed):
         """Complaints filed out of band between records move the
         population average score_many computes once per call."""

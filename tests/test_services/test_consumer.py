@@ -1,5 +1,8 @@
 """Tests for consumers: preferences and rating behaviour."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,103 @@ class TestPreferenceProfile:
         profile = PreferenceProfile.uniform(["a", "b"], segment=2)
         assert profile.weight("a") == 0.5
         assert profile.segment == 2
+
+    @staticmethod
+    def _overall_by_intersection(profile, facet_scores):
+        """``overall`` before its fast path, kept verbatim as the oracle."""
+        common = {
+            m: w for m, w in profile.weights.items() if m in facet_scores
+        }
+        total = sum(common.values())
+        if total <= 0:
+            if not facet_scores:
+                return 0.0
+            return sum(facet_scores.values()) / len(facet_scores)
+        return sum(facet_scores[m] * w for m, w in common.items()) / total
+
+    def test_overall_fast_path_is_the_intersection_path_bitwise(self):
+        """Every weighted metric filed (the fast path) or not: full facet
+        dicts in either order, partial ones (an attack strategy that
+        files only ``overall``, or some facets), extra facets, weights
+        listed in another order than the taxonomy, and all-zero or no
+        weights."""
+        rng = random.Random(7)
+        metrics = list(DEFAULT_METRICS)
+        for trial in range(300):
+            order = rng.sample(metrics, len(metrics))
+            if trial % 10 == 0:
+                weights = {m: 0.0 for m in order}
+            elif trial % 10 == 1:
+                weights = {}
+            else:
+                weights = {
+                    m: rng.choice([0.0, rng.random(), rng.randint(1, 9)])
+                    for m in order
+                }
+            profile = PreferenceProfile(weights, segment=trial % 3)
+            scores = {m: rng.random() for m in metrics}
+            filings = [
+                scores,
+                dict(reversed(list(scores.items()))),
+                {m: scores[m] for m in rng.sample(metrics, 2)},
+                {"overall": 1.0},
+                {**scores, "overall": 0.25},
+                {},
+            ]
+            for filed in filings:
+                got = profile.overall(filed)
+                expected = self._overall_by_intersection(profile, filed)
+                assert got.hex() == float(expected).hex(), (weights, filed)
+
+    def test_taste_key_is_the_truth_table_key(self):
+        from repro.services.provider import TruthTable
+
+        profile = PreferenceProfile({"b": 1.0, "a": 3.0}, segment=2)
+        assert profile.taste_key == TruthTable.taste_key(
+            profile.weights, profile.segment
+        )
+        assert profile.taste_key != PreferenceProfile(
+            {"b": 1.0, "a": 3.0}, segment=1
+        ).taste_key
+
+
+def _clamp_as_conditionals(x):
+    """The clamp as ``quality_scores``, ``rate`` and ``QoSProfile.sample``
+    write it."""
+    return (x if x > 0.0 else 0.0) if x < 1.0 else 1.0
+
+
+class TestClamp:
+    TINY = 5e-324
+
+    @pytest.mark.parametrize("x", [
+        -0.0, 0.0, 1.0, math.nan, -math.nan, math.inf, -math.inf,
+        -TINY, TINY, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+        -1.0, 0.5, 2.0,
+    ])
+    def test_conditionals_equal_max_min(self, x):
+        """Same float, sign of zero included, for every edge value."""
+        expected = max(0.0, min(1.0, x))
+        got = _clamp_as_conditionals(x)
+        assert got.hex() == expected.hex()
+        assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+    @pytest.mark.parametrize("success", [True, False])
+    @pytest.mark.parametrize("x", [
+        -0.0, math.nan, math.inf, -math.inf, -TINY,
+        math.nextafter(1.0, 2.0), 2.0,
+    ])
+    def test_rate_clamps_filings_like_max_min(self, x, success):
+        """Whatever a strategy files, ``rate`` clamps it to the float
+        ``max(0.0, min(1.0, x))`` gives, on both branches."""
+        consumer = Consumer(
+            "c0", PreferenceProfile({"availability": 1.0}),
+            rating_strategy=lambda c, i, scores: {"availability": x},
+        )
+        feedback = consumer.rate(make_interaction(success), DEFAULT_METRICS)
+        expected = max(0.0, min(1.0, x))
+        assert feedback.facet_ratings["availability"].hex() == expected.hex()
+        assert feedback.rating.hex() == expected.hex()
 
 
 class TestQualityScores:

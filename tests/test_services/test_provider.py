@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.services.consumer import PreferenceProfile
 from repro.services.description import ServiceDescription
 from repro.services.provider import (
     DegradingBehavior,
@@ -162,6 +163,27 @@ class TestTruthTable:
         ids = [s.service_id for s in self.SERVICES]
         truth = dict(zip(ids, quals))
         assert ids[best] == max(ids, key=lambda sid: (truth[sid], sid))
+
+    def test_profile_taste_keys_pick_their_own_rows(self):
+        """Rows looked up by each profile's kept taste key: equal weights
+        in two segments (s1 is worse on ``b`` in segment 1) get two rows,
+        each equal to the uncached truth."""
+        table = TruthTable(self.SERVICES)
+        profiles = [
+            PreferenceProfile({"b": 1.0}, segment=segment)
+            for segment in (0, 1, 0)
+        ]
+        for profile in profiles:
+            best, quals = table.row(
+                0.0, profile.weights, profile.segment, profile.taste_key
+            )
+            assert quals == [
+                s.true_overall(0.0, profile.weights, profile.segment)
+                for s in self.SERVICES
+            ]
+            assert self.SERVICES[best].service_id == (
+                "s1" if profile.segment == 0 else "s2"
+            )
 
     def test_time_change_drops_rows(self):
         table = TruthTable(self.SERVICES)
