@@ -261,8 +261,8 @@ class SubjectiveLogicModel(ReputationModel):
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
     ) -> List[float]:
-        """The :meth:`score` loop with each rater's referral opinion
-        computed once per call rather than once per (target, rater)."""
+        """The :meth:`score` loop with each rater's referral belief read
+        once per call rather than once per (target, rater)."""
         trust: Dict[EntityId, float] = {}
         scores = []
         for target in targets:
