@@ -3,7 +3,10 @@
 Drives :func:`repro.serve.loadgen.run_loadgen` in two shapes:
 
 * **steady** — the default admission config, everything admitted; the
-  wall-clock p50/p99 rank latency numbers come from here;
+  wall-clock p50/p99 rank latency numbers come from here, from
+  ``STEADY_RUNS`` timed runs after the gates (one run holds only 180
+  rank samples, so its p99 is its second-slowest one and moves with a
+  single collector pass);
 * **pressure** — a deliberately tight admission config (low drain
   rate, shallow queue, small token buckets) so the shed/throttle path
   is exercised and the measured shed rate is non-trivial.
@@ -16,8 +19,9 @@ independent client-side tally.  Every number in ``BENCH_serve.json``
 therefore describes a run whose correctness was just proved.
 
 Results go to ``BENCH_serve.json`` at the repo root (tracked
-baseline).  Gates: the steady-state client-side p99 rank latency must
-stay under a generous absolute ceiling (``REPRO_BENCH_SERVE_P99_MS``),
+baseline): each steady run's p50 and p99, and their medians.  Gates:
+every steady run's client-side p99 rank latency must stay under a
+generous absolute ceiling (``REPRO_BENCH_SERVE_P99_MS``),
 the steady shed rate must be zero, and the pressure shed rate must not
 regress by more than five points against the tracked baseline.
 ``REPRO_BENCH_SERVE_REQUESTS`` scales the per-client request count.
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 from pathlib import Path
 from typing import Any, Dict
 
@@ -41,6 +46,8 @@ REQUESTS = int(os.environ.get("REPRO_BENCH_SERVE_REQUESTS", "30"))
 P99_CEILING_MS = float(os.environ.get("REPRO_BENCH_SERVE_P99_MS", "250"))
 #: shed-rate regression tolerance against the tracked baseline
 SHED_TOLERANCE = 0.05
+#: timed steady runs; each one's p99 must clear the ceiling
+STEADY_RUNS = 3
 
 STEADY = LoadSpec(
     tenants=2,
@@ -115,7 +122,16 @@ def test_serve_latency_regression(table_printer):
     assert pressure_replay.trace_sha256 == pressure.trace_sha256
 
     # -- measurements -------------------------------------------------
-    steady_wall = steady.wall_quantiles_ms()
+    steady_runs = []
+    for _ in range(STEADY_RUNS):
+        timed = run_loadgen(STEADY)
+        assert timed.identity() == steady.identity(), (
+            "a timed steady run diverged from the gated bytes"
+        )
+        steady_runs.append(timed.wall_quantiles_ms()["_all"])
+    steady_p50 = statistics.median(run["p50_ms"] for run in steady_runs)
+    steady_p99 = statistics.median(run["p99_ms"] for run in steady_runs)
+    steady_mean = statistics.median(run["mean_ms"] for run in steady_runs)
     pressure_wall = pressure.wall_quantiles_ms()
     steady_shed = _overall_shed_rate(steady)
     pressure_shed = _overall_shed_rate(pressure)
@@ -143,9 +159,16 @@ def test_serve_latency_regression(table_printer):
             "replay_checked": True,
         },
         "steady": {
-            "rank_p50_ms": round(steady_wall["_all"]["p50_ms"], 3),
-            "rank_p99_ms": round(steady_wall["_all"]["p99_ms"], 3),
-            "rank_mean_ms": round(steady_wall["_all"]["mean_ms"], 3),
+            "runs": [
+                {
+                    "rank_p50_ms": round(run["p50_ms"], 3),
+                    "rank_p99_ms": round(run["p99_ms"], 3),
+                }
+                for run in steady_runs
+            ],
+            "rank_p50_ms": round(steady_p50, 3),
+            "rank_p99_ms": round(steady_p99, 3),
+            "rank_mean_ms": round(steady_mean, 3),
             "shed_rate": round(steady_shed, 4),
             "sla": _sla_sim_rows(steady),
         },
@@ -166,9 +189,9 @@ def test_serve_latency_regression(table_printer):
         ["shape", "p50 ms", "p99 ms", "shed rate"],
         [
             [
-                "steady",
-                f"{steady_wall['_all']['p50_ms']:.3f}",
-                f"{steady_wall['_all']['p99_ms']:.3f}",
+                f"steady (median of {STEADY_RUNS})",
+                f"{steady_p50:.3f}",
+                f"{steady_p99:.3f}",
                 f"{steady_shed:.4f}",
             ],
             [
@@ -181,10 +204,11 @@ def test_serve_latency_regression(table_printer):
     )
 
     # -- gates --------------------------------------------------------
-    assert steady_wall["_all"]["p99_ms"] <= P99_CEILING_MS, (
-        f"steady p99 rank latency {steady_wall['_all']['p99_ms']:.1f}ms "
-        f"> ceiling {P99_CEILING_MS}ms"
-    )
+    for index, run in enumerate(steady_runs):
+        assert run["p99_ms"] <= P99_CEILING_MS, (
+            f"steady run {index} p99 rank latency {run['p99_ms']:.1f}ms "
+            f"> ceiling {P99_CEILING_MS}ms"
+        )
     assert steady_shed == 0.0, (
         f"steady-state shed rate {steady_shed} != 0 under the default "
         "admission config"

@@ -229,10 +229,17 @@ class YuSinghModel(ReputationModel):
         else:
             perspective = ""
             own = _VACUOUS
-        testimonies = [
-            self.testimony_from(w, target, chain_length=1)
-            for w in self._witnesses.get(target, ())
-            if w != perspective
-        ]
-        combined = self.combine_testimonies(own, testimonies)
+        # combine_testimonies over each witness's testimony at chain
+        # length 1, with the discount inlined and no Testimony built
+        factor = self.referral_discount ** 1
+        combined = own
+        for witness in sorted(self._witnesses.get(target, ())):
+            if witness == perspective:
+                continue
+            bt, bn, _ = self.local_mass(witness, target)
+            discounted = (bt * factor, bn * factor, 1.0 - factor * (bt + bn))
+            try:
+                combined = dempster_combine(combined, discounted)
+            except ConfigurationError:
+                continue  # total conflict: the witness is ignored
         return self.degree_of_trust(combined)

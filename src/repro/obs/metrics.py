@@ -74,7 +74,19 @@ class Metric:
         self.series: Dict[LabelValues, Any] = {}
 
     def _key(self, labels: Sequence[str]) -> LabelValues:
-        key = tuple(str(v) for v in labels)
+        # Fast path: a tuple of exact ``str`` is already its own key
+        # (``str()`` of an exact str is itself).  Anything else (ints,
+        # bools, numpy scalars, str subclasses, lists) is converted.
+        key: LabelValues
+        if type(labels) is tuple:
+            for value in labels:
+                if type(value) is not str:
+                    key = tuple(str(v) for v in labels)
+                    break
+            else:
+                key = labels
+        else:
+            key = tuple(str(v) for v in labels)
         if len(key) != len(self.label_names):
             raise ConfigurationError(
                 f"metric {self.name!r} expects labels {self.label_names}, "
@@ -219,6 +231,14 @@ class MetricsRegistry:
         if metric is None:
             metric = cls(name, help, labels, **kwargs)
             self._metrics[name] = metric
+            return metric
+        # Fast path: the registered metric is of the requested class and
+        # has these label names; a mismatch falls through to the checks.
+        if (
+            type(metric) is cls
+            and type(labels) is tuple
+            and metric.label_names == labels
+        ):
             return metric
         if not isinstance(metric, cls):
             raise ConfigurationError(

@@ -140,7 +140,7 @@ class Recorder(NoOpRecorder):
         labels: Sequence[str] = (),
         label_names: Sequence[str] = (),
     ) -> None:
-        self.registry.counter(name, labels=label_names).inc(amount, labels)
+        self.registry.counter(name, "", label_names).inc(amount, labels)
 
     def gauge(
         self,
@@ -149,7 +149,7 @@ class Recorder(NoOpRecorder):
         labels: Sequence[str] = (),
         label_names: Sequence[str] = (),
     ) -> None:
-        self.registry.gauge(name, labels=label_names).set(value, labels)
+        self.registry.gauge(name, "", label_names).set(value, labels)
 
     def observe(
         self,
@@ -159,9 +159,9 @@ class Recorder(NoOpRecorder):
         label_names: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> None:
-        self.registry.histogram(
-            name, labels=label_names, buckets=buckets
-        ).observe(value, labels)
+        self.registry.histogram(name, "", label_names, buckets).observe(
+            value, labels
+        )
 
     def event(
         self,
@@ -171,7 +171,7 @@ class Recorder(NoOpRecorder):
     ) -> Optional[TraceEvent]:
         at = self._now if time is None else float(time)
         self.advance(at)
-        return self.tracer.emit(name, time=at, kind="event", attrs=attrs)
+        return self.tracer.emit(name, at, "event", 0.0, attrs)
 
     def span(
         self,
@@ -182,9 +182,7 @@ class Recorder(NoOpRecorder):
     ) -> Optional[TraceEvent]:
         at = self._now if time is None else float(time)
         self.advance(at + duration)
-        return self.tracer.emit(
-            name, time=at, kind="span", duration=duration, attrs=attrs
-        )
+        return self.tracer.emit(name, at, "span", duration, attrs)
 
     def snapshot(
         self, meta: Optional[Mapping[str, Any]] = None

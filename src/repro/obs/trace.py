@@ -112,6 +112,17 @@ class TraceEvent:
         )
 
 
+#: attr value types that are canonical as they are (``bool`` is an
+#: ``int`` subclass and still goes through :func:`_coerce_attr`)
+_PLAIN = frozenset((str, int, float))
+#: what the frozen dataclass ``__init__`` does, without its keyword
+#: binding: :meth:`Tracer.emit` sets the fields in declaration order,
+#: so an event's state (and so its equality, repr and pickle) is the
+#: one ``TraceEvent(...)`` would build
+_new_event = object.__new__
+_set = object.__setattr__
+
+
 class Tracer:
     """Collects :class:`TraceEvent` records in ``(sim_time, seq)`` order.
 
@@ -124,6 +135,10 @@ class Tracer:
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
         self._seq = 0
+        #: one instance of each ``(str, str)`` attr pair: equal pairs of
+        #: exact strs have equal bytes, so events share them and the
+        #: collector has fewer new objects to count and scan
+        self._pairs: Dict[Tuple[str, str], Tuple[str, str]] = {}
 
     def emit(
         self,
@@ -139,17 +154,33 @@ class Tracer:
             )
         packed: Tuple[Tuple[str, AttrValue], ...] = ()
         if attrs:
-            packed = tuple(
-                sorted((str(k), _coerce_attr(v)) for k, v in attrs.items())
-            )
-        event = TraceEvent(
-            time=float(time),
-            seq=self._seq,
-            name=name,
-            kind=kind,
-            duration=float(duration),
-            attrs=packed,
-        )
+            shared = self._pairs
+            plain: List[Tuple[str, AttrValue]] = []
+            for pair in attrs.items():
+                key, value = pair
+                vtype = type(value)
+                if type(key) is not str or vtype not in _PLAIN:
+                    packed = tuple(
+                        sorted(
+                            (str(k), _coerce_attr(v)) for k, v in attrs.items()
+                        )
+                    )
+                    break
+                if vtype is str:
+                    pair = shared.setdefault(pair, pair)
+                plain.append(pair)
+            else:
+                # every pair is already canonical: str() and
+                # _coerce_attr() would return each key and value as is
+                plain.sort()
+                packed = tuple(plain)
+        event = _new_event(TraceEvent)
+        _set(event, "time", float(time))
+        _set(event, "seq", self._seq)
+        _set(event, "name", name)
+        _set(event, "kind", kind)
+        _set(event, "duration", float(duration))
+        _set(event, "attrs", packed)
         self._seq += 1
         self.events.append(event)
         return event
@@ -157,6 +188,7 @@ class Tracer:
     def reset(self) -> None:
         self.events = []
         self._seq = 0
+        self._pairs = {}
 
 
 @dataclass

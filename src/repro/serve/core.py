@@ -33,7 +33,8 @@ generator, and never enters this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, RegistryError, ReproError
 from repro.common.randomness import SeedSequenceFactory
@@ -41,7 +42,7 @@ from repro.common.records import Feedback
 from repro.common.simtime import from_ticks
 from repro.core.selection import SelectionEngine, SelectionPolicy
 from repro.faults.degradation import StaleRankingFallback
-from repro.faults.resilience import BreakerBoard, RetryPolicy
+from repro.faults.resilience import BreakerBoard, CircuitBreaker, RetryPolicy
 from repro.models.base import ReputationModel, ScoredTarget
 from repro.obs.recorder import get_recorder
 from repro.registry.uddi import UDDIRegistry
@@ -135,8 +136,7 @@ class ServeConfig:
         )
 
 
-@dataclass(frozen=True)
-class _Outcome:
+class _Outcome(NamedTuple):
     """Internal result of one admitted execution."""
 
     status: str
@@ -184,6 +184,9 @@ class ServiceCore:
         self.log = IngestLog()
         self._responses: Dict[int, ServeResponse] = {}
         self._catalog: Dict[str, None] = {}
+        #: service -> the last ``(service, score)`` pair a response kept
+        #: for it, shared by later responses while its score is unchanged
+        self._pairs: Dict[str, Tuple[str, float]] = {}
         self._batches = 0
         self._rebuilding = False
 
@@ -314,35 +317,21 @@ class ServiceCore:
             None if perspective_raw is None else str(perspective_raw)
         )
         key = (category, perspective)
-        registry_breaker = self.breakers.for_target(BACKEND_REGISTRY)
-        scoring_breaker = self.breakers.for_target(BACKEND_SCORING)
-
-        def fresh() -> List[ScoredTarget]:
-            if self._rebuilding:
-                raise RebuildInProgressError(
-                    "score table rebuild in progress"
-                )
-            registry_breaker.guard(now)
-            scoring_breaker.guard(now)
-            try:
-                ranking = self.engine.rank(category, perspective, now)
-            except RegistryError:
-                registry_breaker.record_failure(now)
-                raise
-            except ReproError:
-                scoring_breaker.record_failure(now)
-                raise
-            registry_breaker.record_success(now)
-            scoring_breaker.record_success(now)
-            return ranking
-
+        fresh = partial(
+            self._fresh_ranking,
+            category,
+            perspective,
+            now,
+            self.breakers.for_target(BACKEND_REGISTRY),
+            self.breakers.for_target(BACKEND_SCORING),
+        )
         outcome = self.retry.call(fresh)
         if outcome.succeeded:
             ranking: List[ScoredTarget] = outcome.value
             self.fallback.remember(key, ranking, now)
             return _Outcome(
                 status=STATUS_OK,
-                ranking=_as_pairs(ranking),
+                ranking=self._as_pairs(ranking),
                 backoff=outcome.backoff_delay,
             )
         error = _error_text(outcome.error) if outcome.error else "failed"
@@ -352,13 +341,63 @@ class ServiceCore:
                 status=STATUS_DEGRADED,
                 degraded=True,
                 error=error,
-                ranking=_as_pairs(stale),
+                ranking=self._as_pairs(stale),
                 detail=pairs({"source": "stale_fallback"}),
                 backoff=outcome.backoff_delay,
             )
         return _Outcome(
             status=STATUS_FAILED, error=error, backoff=outcome.backoff_delay
         )
+
+    def _fresh_ranking(
+        self,
+        category: str,
+        perspective: Optional[str],
+        now: float,
+        registry_breaker: CircuitBreaker,
+        scoring_breaker: CircuitBreaker,
+    ) -> List[ScoredTarget]:
+        """One attempt at a fresh ranking, through both breakers."""
+        if self._rebuilding:
+            raise RebuildInProgressError("score table rebuild in progress")
+        registry_breaker.guard(now)
+        scoring_breaker.guard(now)
+        try:
+            ranking = self.engine.rank(category, perspective, now)
+        except RegistryError:
+            registry_breaker.record_failure(now)
+            raise
+        except ReproError:
+            scoring_breaker.record_failure(now)
+            raise
+        registry_breaker.record_success(now)
+        scoring_breaker.record_success(now)
+        return ranking
+
+    def _as_pairs(
+        self, ranking: Sequence[ScoredTarget]
+    ) -> Tuple[Tuple[str, float], ...]:
+        """The ranking as plain ``(service, score)`` tuples.
+
+        Responses are kept for the whole run, so every pair they hold
+        counts towards the collector's next pass (and a
+        :class:`ScoredTarget` would never be untracked at all).  A
+        service's pair is shared with earlier responses while its score
+        is the same float: equal non-zero floats have equal bits, so a
+        shared pair serializes to the same bytes.  Zeros (``0.0`` equals
+        ``-0.0``) and non-float scores always get a pair of their own.
+        """
+        kept = self._pairs
+        out = []
+        for target, score in ranking:
+            if type(score) is not float or not score:
+                pair = (target, score)
+            else:
+                pair = kept.get(target)
+                if pair is None or pair[1] != score:
+                    pair = kept[target] = (target, score)
+            out.append(pair)
+        return tuple(out)
 
     def _exec_feedback(
         self, payload: Dict[str, object], now: float
@@ -374,9 +413,8 @@ class ServiceCore:
         except ReproError as exc:
             return _Outcome(status=STATUS_FAILED, error=_error_text(exc))
         self._catalog.setdefault(feedback.target, None)
-        return _Outcome(
-            status=STATUS_OK, detail=pairs({"target": feedback.target})
-        )
+        # ``pairs({"target": feedback.target})``, built directly
+        return _Outcome(status=STATUS_OK, detail=(("target", feedback.target),))
 
     def _exec_register(
         self, payload: Dict[str, object], now: float
@@ -532,12 +570,3 @@ class ServiceCore:
             )
         return response
 
-
-def _as_pairs(
-    ranking: Sequence[ScoredTarget],
-) -> Tuple[Tuple[str, float], ...]:
-    """The ranking as plain ``(service, score)`` tuples.  Responses are
-    kept for the whole run; the collector stops tracking an exact tuple
-    of a str and a float, but never a :class:`ScoredTarget`, so keeping
-    those would grow every full collection."""
-    return tuple(map(tuple, ranking))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.simtime import from_ticks, to_ticks
@@ -99,13 +100,16 @@ DEFAULT_TTL = 2.0
 
 Pairs = Tuple[Tuple[str, Any], ...]
 
+#: payload value types that are never a Mapping (spares the ABC check)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
 
 def pairs(mapping: Mapping[str, Any]) -> Pairs:
     """A mapping as a hashable, key-sorted tuple of pairs (recursive)."""
     out: List[Tuple[str, Any]] = []
     for key in sorted(mapping):
         value = mapping[key]
-        if isinstance(value, Mapping):
+        if type(value) not in _SCALARS and isinstance(value, Mapping):
             value = pairs(value)
         out.append((str(key), value))
     return tuple(out)
@@ -113,6 +117,10 @@ def pairs(mapping: Mapping[str, Any]) -> Pairs:
 
 def unpairs(payload: Pairs) -> Dict[str, Any]:
     """Inverse of :func:`pairs`: pair-tuples back to plain dicts."""
+    if type(payload) is tuple:
+        flat = dict(payload)
+        if not any(map(isinstance, flat.values(), repeat(tuple))):
+            return flat  # no value can be a nested pair-tuple
     out: Dict[str, Any] = {}
     for key, value in payload:
         if isinstance(value, tuple) and all(

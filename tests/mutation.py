@@ -1,6 +1,7 @@
 """Mutation check for the shard path, the model folds and memos, the
-store cursor protocol, the damped walk, the rank order and the
-scenario's truth key: do the gates catch regressions?
+store cursor protocol, the damped walk, the rank order, the scenario's
+truth key, the metrics fast paths and the serve token bucket: do the
+gates catch regressions?
 
 Each :class:`Mutant` is an exact source edit that breaks one rule the
 canonical output depends on, plus the one test that must catch it.
@@ -262,6 +263,34 @@ MUTANTS: List[Mutant] = [
         gate=f"{FOLDS}::test_yu_singh_witness_index",
         reason="the witness index learns a rater only on its first target: "
         "testimony about any later target of that rater goes missing",
+    ),
+    Mutant(
+        file="src/repro/obs/metrics.py",
+        old="if type(value) is not str:",
+        new="if False:",
+        gate="tests/test_obs/test_fast_paths.py::TestMetricFastPaths::"
+        "test_int_and_str_labels_share_one_series",
+        reason="the label fast path keeps any tuple as its key: labels "
+        "(3,) and ('3',) become two series, where str() makes them one",
+    ),
+    Mutant(
+        file="src/repro/obs/metrics.py",
+        old="and metric.label_names == labels",
+        new="and True",
+        gate="tests/test_obs/test_metrics.py::TestRegistry::"
+        "test_label_conflict_rejected",
+        reason="the registry fast path ignores the label names, so a "
+        "re-registration with other labels returns the old metric "
+        "instead of raising",
+    ),
+    Mutant(
+        file="src/repro/serve/ingest.py",
+        old="self._frac + elapsed, self.ticks_per_token",
+        new="elapsed, self.ticks_per_token",
+        gate="tests/test_serve/test_ingest.py::TestTokenBucket::"
+        "test_exact_refill_with_remainder_carry",
+        reason="the token bucket drops its carried remainder: two half "
+        "gaps never add up to a token, so a tenant is throttled early",
     ),
     Mutant(
         file="src/repro/services/consumer.py",
