@@ -1,6 +1,6 @@
 """The ``python -m repro.analysis`` command line.
 
-Exit codes: 0 clean (after suppressions and baseline), 1 findings,
+Exit codes: 0 clean (after suppressions), 1 findings,
 2 usage or configuration error — so CI can distinguish "contract
 violated" from "lint run itself broke".
 """
@@ -12,13 +12,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.baseline import Baseline, BaselineError
-from repro.analysis.config import (
-    DEFAULT_BASELINE_NAME,
-    AnalysisConfig,
-    load_pyproject_config,
-    resolve_baseline_path,
-)
+from repro.analysis.config import AnalysisConfig, load_pyproject_config
 from repro.analysis.core import Finding, iter_python_files, run_analysis
 from repro.analysis.reporters import render_json, render_sarif, render_text
 from repro.analysis.rules import DEFAULT_REGISTRY
@@ -72,30 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="baseline file of grandfathered findings "
-        "(default: nearest reprolint-baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the resolved baseline (default: "
-        f"./{DEFAULT_BASELINE_NAME}) from current findings and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -136,47 +106,12 @@ def run(config: AnalysisConfig) -> int:
     findings: List[Finding] = run_analysis(config.paths, rules)
     files_scanned = len(iter_python_files(config.paths))
 
-    if config.update_baseline:
-        target = config.baseline or Path.cwd() / DEFAULT_BASELINE_NAME
-        Baseline.empty().write(target, findings)
-        print(
-            f"reprolint: baseline updated with {len(findings)} "
-            f"finding(s) at {target}"
-        )
-        return EXIT_CLEAN
-
-    if config.write_baseline:
-        if config.baseline is None:
-            print(
-                "reprolint: --write-baseline needs --baseline FILE "
-                "(or a discoverable reprolint-baseline.json)",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        Baseline.empty().write(config.baseline, findings)
-        print(
-            f"reprolint: wrote {len(findings)} finding(s) to "
-            f"{config.baseline}"
-        )
-        return EXIT_CLEAN
-
-    grandfathered = 0
-    if config.baseline is not None and config.baseline.exists():
-        try:
-            baseline = Baseline.load(config.baseline)
-        except BaselineError as exc:
-            print(f"reprolint: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        findings, grandfathered = baseline.filter(findings)
-
     if config.output_format == "sarif":
-        report = render_sarif(
-            findings, files_scanned, grandfathered, rules=rules
-        )
+        report = render_sarif(findings, files_scanned, rules=rules)
     elif config.output_format == "json":
-        report = render_json(findings, files_scanned, grandfathered)
+        report = render_json(findings, files_scanned)
     else:
-        report = render_text(findings, files_scanned, grandfathered)
+        report = render_text(findings, files_scanned)
     if config.output_file is not None:
         config.output_file.write_text(report, encoding="utf-8")
     print(report, end="")
@@ -211,20 +146,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             else []
         )
 
-    baseline = resolve_baseline_path(
-        explicit=args.baseline,
-        no_baseline=args.no_baseline,
-        pyproject_value=pyproject.get("baseline"),
-        cwd=cwd,
-    )
     config = AnalysisConfig(
         paths=paths,
         select=select,
         ignore=ignore,
-        baseline=baseline,
         output_format=args.format,
         output_file=args.output,
-        write_baseline=args.write_baseline,
-        update_baseline=args.update_baseline,
     )
     return run(config)

@@ -18,9 +18,7 @@ try:  # Python 3.11+
 except ModuleNotFoundError:  # pragma: no cover - version-dependent
     tomllib = None  # type: ignore[assignment]
 
-__all__ = ["AnalysisConfig", "DEFAULT_BASELINE_NAME", "load_pyproject_config"]
-
-DEFAULT_BASELINE_NAME = "reprolint-baseline.json"
+__all__ = ["AnalysisConfig", "load_pyproject_config"]
 
 
 @dataclass
@@ -30,14 +28,8 @@ class AnalysisConfig:
     paths: List[Path] = field(default_factory=list)
     select: Optional[List[str]] = None
     ignore: List[str] = field(default_factory=list)
-    baseline: Optional[Path] = None
     output_format: str = "text"
     output_file: Optional[Path] = None
-    write_baseline: bool = False
-    #: rewrite the resolved baseline from current findings and exit 0
-    #: (unlike write_baseline, falls back to ./reprolint-baseline.json
-    #: when no baseline is configured anywhere)
-    update_baseline: bool = False
 
 
 def load_pyproject_config(start: Path) -> dict:
@@ -58,28 +50,3 @@ def load_pyproject_config(start: Path) -> dict:
             section = tool.get("reprolint", {})
             return section if isinstance(section, dict) else {}
     return {}
-
-
-def resolve_baseline_path(
-    explicit: Optional[Path],
-    no_baseline: bool,
-    pyproject_value: Optional[str],
-    cwd: Path,
-) -> Optional[Path]:
-    """The baseline file to use, or None to run without one.
-
-    Explicit CLI path wins; then pyproject; then the conventional
-    ``reprolint-baseline.json`` next to (or above) the working
-    directory, when present.
-    """
-    if no_baseline:
-        return None
-    if explicit is not None:
-        return explicit
-    if pyproject_value:
-        return cwd / pyproject_value
-    for candidate in [cwd, *cwd.parents]:
-        conventional = candidate / DEFAULT_BASELINE_NAME
-        if conventional.is_file():
-            return conventional
-    return None

@@ -6,15 +6,15 @@ at lint time instead of test time.  The moving parts:
 
 * :class:`Finding` — one diagnostic, anchored at (path, line, col).
 * :class:`Rule` — a named check over one parsed module, with access to
-  the whole :class:`Project` for cross-file contracts (e.g. "every
-  registered world builder is a module-level function").
+  the whole :class:`Project` for cross-file contracts (e.g. a taint
+  that crosses an import).
 * :class:`Project` — every scanned module parsed once, shared by all
   rules, so project-level rules stay O(files) not O(files²).
 * suppressions — ``# reprolint: disable=R001`` on the offending line
   (or on a comment line directly above it) silences a finding of
   any rule whose ``suppressible`` flag is set.
 * the driver — :func:`run_analysis` walks paths, parses, runs rules,
-  applies suppressions and the baseline, and returns findings sorted
+  applies suppressions, and returns findings sorted
   by ``(path, line, col, rule)`` so output is byte-stable across runs.
 """
 
@@ -50,7 +50,7 @@ class Finding:
     """One diagnostic.
 
     Ordering is (path, line, col, rule) — the canonical report order,
-    which keeps CI diffs and baseline files deterministic.
+    which keeps CI diffs deterministic.
     """
 
     path: str
@@ -58,7 +58,7 @@ class Finding:
     col: int
     rule: str
     message: str = field(compare=False)
-    #: the stripped source line, used for drift-tolerant baseline matching
+    #: the stripped source line (in the JSON report)
     content: str = field(compare=False, default="")
 
     def as_dict(self) -> Dict[str, object]:
@@ -111,7 +111,7 @@ class Project:
     modules: List[ModuleInfo]
     #: scratch space for cross-rule memoisation (e.g. the flow engine
     #: builds one symbol table + summary fixpoint per project, shared
-    #: by R009/R010/R011); keyed by a caller-chosen string
+    #: by R009/R011); keyed by a caller-chosen string
     caches: Dict[str, object] = field(default_factory=dict)
     _by_relpath: Dict[str, ModuleInfo] = field(default_factory=dict)
 
@@ -120,11 +120,6 @@ class Project:
 
     def module(self, relpath: str) -> Optional[ModuleInfo]:
         return self._by_relpath.get(relpath)
-
-    def modules_under(self, prefix: str) -> List[ModuleInfo]:
-        return [
-            m for m in self.modules if m.relpath.startswith(prefix)
-        ]
 
 
 class Rule:
@@ -311,7 +306,7 @@ def run_analysis(
 
     Findings are de-duplicated, suppression comments are honoured, and
     the result is sorted by ``(path, line, col, rule)`` — the stability
-    contract that keeps CI diffs and baseline files deterministic.
+    contract that keeps CI diffs deterministic.
     """
     project = build_project(paths)
     findings: set = set()

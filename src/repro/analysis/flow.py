@@ -1,11 +1,9 @@
 """Interprocedural dataflow over the shared :class:`Project`.
 
 The per-module rules (DESIGN.md §10) see one file at a time, so a helper
-that draws from an ambient RNG two calls away from a canonical sink —
-or that mutates an epoch-frozen snapshot view it received as a
-parameter — sails through untouched.  This module closes that gap with
-the classic *intraprocedural summaries composed interprocedurally*
-recipe:
+that draws from an ambient RNG two calls away from a canonical sink
+sails through untouched.  This module closes that gap with the classic
+*intraprocedural summaries composed interprocedurally* recipe:
 
 * :class:`SymbolTable` — every module-level function and class method
   in the project, indexed by a stable qualified name
@@ -14,30 +12,25 @@ recipe:
   files.
 * :class:`FunctionSummary` — one function's externally visible
   dataflow: which taint kinds its return value carries, which
-  parameters flow to its return value, which parameters reach a
-  canonical sink inside it (transitively), which parameters it
-  mutates, and whether it returns a frozen view.
+  parameters flow to its return value, and which parameters reach a
+  canonical sink inside it (transitively).
 * :class:`FlowAnalysis` — computes all summaries to a fixpoint over
   the call graph (the lattice is finite and monotone: summary sets
   only grow), then replays each function body once more against the
   final summaries to collect *events*: a tainted value meeting a sink
-  (:class:`TaintEvent`) or a frozen view being mutated
-  (:class:`MutationEvent`).  Rules turn events into findings.
+  (:class:`TaintEvent`).  Rules turn events into findings.
 
-What counts as a source, sink, frozen producer, or mutator is not
-hard-coded here: the engine takes a :class:`FlowPolicy` so the
-machinery stays reusable (and unit-testable) independent of the
-repro-specific vocabulary in ``rules/taint.py``.
+What counts as a source or a sink is not hard-coded here: the engine
+takes a :class:`FlowPolicy` so the machinery stays reusable (and
+unit-testable) independent of the repro-specific vocabulary in
+``rules/taint.py``.
 
 The analysis is deliberately conservative and branch-insensitive, like
 the set inference below (which R002 shares, so the rule and ``ORDER``
-taint give one answer to "is this a set?"): a name counts as
-tainted/frozen if *any* binding in the scope makes it one, calls that
-cannot be resolved propagate the union of their argument taints, and
-subscripts of frozen arrays are treated as fresh copies (numpy basic
-slices are views, but boolean/fancy indexing — the dominant idiom in
-the kernels — copies; flagging copies would drown the signal).
-Suppression comments handle the rare residual false positive.
+taint give one answer to "is this a set?"): a name counts as tainted
+if *any* binding in the scope makes it one, and calls that cannot be
+resolved propagate the union of their argument taints.  Suppression
+comments handle the rare residual false positive.
 """
 
 from __future__ import annotations
@@ -66,7 +59,6 @@ __all__ = [
     "FlowPolicy",
     "FunctionInfo",
     "FunctionSummary",
-    "MutationEvent",
     "SymbolTable",
     "TaintEvent",
 ]
@@ -347,25 +339,15 @@ class CallView:
     receiver: Optional[ast.expr]
     #: inferred class name of the receiver, if any
     receiver_type: Optional[str]
-    #: trailing identifier of the receiver chain (``_store`` for
-    #: ``self._store.append``), lowercased; empty when no receiver
-    receiver_name: str
 
 
 class FlowPolicy:
-    """What the engine should treat as sources, sinks, and frozen state.
+    """What the engine should treat as sources and sinks.
 
     The base policy is inert (no sources, no sinks); subclasses
     override the hooks they care about.  All hooks receive a
     :class:`CallView` so they never re-derive receiver types.
     """
-
-    #: method names that mutate their receiver in place
-    mutator_methods: FrozenSet[str] = frozenset()
-    #: annotation names whose parameters are frozen on entry
-    frozen_annotations: FrozenSet[str] = frozenset()
-    #: methods on a frozen receiver that return another frozen view
-    frozen_view_methods: FrozenSet[str] = frozenset()
 
     def source_kinds(self, cv: CallView) -> FrozenSet[str]:
         """Taint kinds produced by calling *cv* (empty = not a source)."""
@@ -380,10 +362,6 @@ class FlowPolicy:
     ) -> Optional[str]:
         """Sink label when assigning to ``base.attr`` must be clean."""
         return None
-
-    def is_frozen_producer(self, cv: CallView) -> bool:
-        """Whether calling *cv* returns an epoch-frozen view."""
-        return False
 
     def call_result_type(self, cv: CallView) -> Optional[str]:
         """Class name of *cv*'s result, for receiver typing (e.g. the
@@ -405,10 +383,6 @@ class FunctionSummary:
     returns: FrozenSet[str] = frozenset()
     #: parameter indices whose values reach a canonical sink inside
     sink_params: FrozenSet[int] = frozenset()
-    #: parameter indices the function mutates (directly or via callees)
-    mutated_params: FrozenSet[int] = frozenset()
-    #: whether the return value is a frozen view
-    returns_frozen: bool = False
 
     def returns_kinds(self) -> FrozenSet[str]:
         return self.returns & _KINDS
@@ -431,18 +405,6 @@ class TaintEvent:
     sink: str = ""
     kinds: FrozenSet[str] = frozenset()
     #: callee qname when the sink is inside a callee (else empty)
-    via: str = ""
-
-
-@dataclass(frozen=True)
-class MutationEvent:
-    """A frozen view being mutated."""
-
-    module: ModuleInfo = field(compare=False)
-    lineno: int = 0
-    col: int = 0
-    what: str = ""
-    #: callee qname when the mutation happens inside a callee
     via: str = ""
 
 
@@ -660,7 +622,7 @@ def _dict_view_call(
 
 
 class _ScopeFlow:
-    """Branch-insensitive taint/frozen propagation for one scope."""
+    """Branch-insensitive taint propagation for one scope."""
 
     def __init__(
         self,
@@ -686,23 +648,14 @@ class _ScopeFlow:
         self.class_name = fn.class_name if fn is not None else None
         #: name -> taint tokens
         self.taint: Dict[str, Set[str]] = {}
-        #: names bound to frozen views
-        self.frozen: Set[str] = set()
-        #: name -> parameter indices it aliases
-        self.aliases: Dict[str, Set[int]] = {}
         #: name -> inferred class name
         self.types: Dict[str, str] = {}
         # summary accumulators
         self.ret_tokens: Set[str] = set()
-        self.ret_frozen = False
         self.sink_params: Set[int] = set()
-        self.mutated_params: Set[int] = set()
         # events (deduplicated by site+label)
-        self._events: Set[Tuple[str, int, int, str, FrozenSet[str], str]] = (
-            set()
-        )
+        self._events: Set[Tuple[int, int, str, FrozenSet[str], str]] = set()
         self.taint_events: List[TaintEvent] = []
-        self.mutation_events: List[MutationEvent] = []
         self._seed_params()
         self._sets = _ScopeInference(
             self.body, {}, fn.node.args if fn is not None else None
@@ -719,11 +672,8 @@ class _ScopeFlow:
         )
         for index, arg in enumerate(self._all_args(self.fn.node.args)):
             self.taint[arg.arg] = {_param_token(index)}
-            self.aliases[arg.arg] = {index}
             ann = _annotation_name(arg.annotation)
             if ann is not None:
-                if ann in self.policy.frozen_annotations:
-                    self.frozen.add(arg.arg)
                 self.types[arg.arg] = ann
             if index == 0 and bound_method and self.fn.class_name:
                 self.types.setdefault(arg.arg, self.fn.class_name)
@@ -749,13 +699,9 @@ class _ScopeFlow:
     def _state_size(self) -> int:
         return (
             sum(len(v) for v in self.taint.values())
-            + len(self.frozen)
-            + sum(len(v) for v in self.aliases.values())
             + len(self.ret_tokens)
             + len(self.sink_params)
-            + len(self.mutated_params)
             + len(self._events)
-            + int(self.ret_frozen)
         )
 
     # -- statements ----------------------------------------------------
@@ -772,47 +718,34 @@ class _ScopeFlow:
                 self._aug_assign(node)
             elif isinstance(node, ast.Return) and node.value is not None:
                 self.ret_tokens |= self._taint_of(node.value)
-                if self._is_frozen(node.value):
-                    self.ret_frozen = True
             elif isinstance(node, (ast.For, ast.AsyncFor)):
                 self._loop_bind(node.target, node.iter)
             elif isinstance(node, ast.withitem):
                 if node.optional_vars is not None:
                     self._assign([node.optional_vars], node.context_expr)
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    self._check_mutation_target(target, "del")
             elif isinstance(node, ast.Call):
-                # Evaluate for sink/mutation side effects even when the
-                # result is discarded.
+                # Evaluate for sink side effects even when the result
+                # is discarded.
                 self._taint_of(node)
 
     def _assign(
         self, targets: Sequence[ast.expr], value: ast.expr
     ) -> None:
         tokens = self._taint_of(value)
-        frozen = self._is_frozen(value)
-        aliases = self._aliases_of(value)
         typed = self._type_of(value)
         for target in targets:
-            self._bind(target, value, tokens, frozen, aliases, typed)
+            self._bind(target, value, tokens, typed)
 
     def _bind(
         self,
         target: ast.expr,
         value: ast.expr,
         tokens: Set[str],
-        frozen: bool,
-        aliases: Set[int],
         typed: Optional[str],
     ) -> None:
         if isinstance(target, ast.Name):
             if tokens:
                 self.taint.setdefault(target.id, set()).update(tokens)
-            if frozen:
-                self.frozen.add(target.id)
-            if aliases:
-                self.aliases.setdefault(target.id, set()).update(aliases)
             if typed is not None:
                 self.types.setdefault(target.id, typed)
         elif isinstance(target, (ast.Tuple, ast.List)):
@@ -820,26 +753,16 @@ class _ScopeFlow:
                 value.elts
             ) == len(target.elts):
                 for t, v in zip(target.elts, value.elts):
-                    self._bind(
-                        t,
-                        v,
-                        self._taint_of(v),
-                        self._is_frozen(v),
-                        self._aliases_of(v),
-                        self._type_of(v),
-                    )
+                    self._bind(t, v, self._taint_of(v), self._type_of(v))
             else:
                 for t in target.elts:
-                    self._bind(t, value, tokens, False, aliases, None)
-        elif isinstance(target, (ast.Attribute, ast.Subscript)):
-            self._check_mutation_target(target, "assignment")
+                    self._bind(t, value, tokens, None)
+        elif isinstance(target, ast.Attribute):
             self._check_attr_store_sink(target, tokens)
 
     def _ann_assign(self, node: ast.AnnAssign) -> None:
         ann = _annotation_name(node.annotation)
         if isinstance(node.target, ast.Name) and ann is not None:
-            if ann in self.policy.frozen_annotations:
-                self.frozen.add(node.target.id)
             self.types.setdefault(node.target.id, ann)
         if node.value is not None:
             self._assign([node.target], node.value)
@@ -848,14 +771,9 @@ class _ScopeFlow:
         target = node.target
         tokens = self._taint_of(node.value)
         if isinstance(target, ast.Name):
-            if target.id in self.frozen:
-                self._mutation(node, f"augmented assignment to {target.id!r}")
-            for index in self.aliases.get(target.id, ()):
-                self.mutated_params.add(index)
             if tokens:
                 self.taint.setdefault(target.id, set()).update(tokens)
-        else:
-            self._check_mutation_target(target, "augmented assignment")
+        elif isinstance(target, ast.Attribute):
             self._check_attr_store_sink(target, tokens)
 
     def _loop_bind(self, target: ast.expr, source: ast.expr) -> None:
@@ -866,53 +784,17 @@ class _ScopeFlow:
             for name in _target_names(target):
                 self.taint.setdefault(name, set()).update(tokens)
 
-    # -- mutation checks -----------------------------------------------
-
-    def _check_mutation_target(self, target: ast.expr, how: str) -> None:
-        base: Optional[ast.expr] = None
-        if isinstance(target, (ast.Attribute, ast.Subscript)):
-            base = target.value
-        if base is None:
-            return
-        if self._is_frozen(base):
-            self._mutation(target, f"{how} through a frozen view")
-        for index in self._aliases_of(base):
-            self.mutated_params.add(index)
+    # -- sinks ---------------------------------------------------------
 
     def _check_attr_store_sink(
-        self, target: ast.expr, tokens: Set[str]
+        self, target: ast.Attribute, tokens: Set[str]
     ) -> None:
-        if not isinstance(target, ast.Attribute):
-            return
         label = self.policy.attr_store_sink(
             self._type_of(target.value), target.attr
         )
         if label is None:
             return
         self._record_sink(target, label, tokens, via="")
-
-    def _mutation(self, node: ast.AST, what: str, via: str = "") -> None:
-        key = (
-            "mut",
-            getattr(node, "lineno", 0),
-            getattr(node, "col_offset", 0),
-            what,
-            frozenset(),
-            via,
-        )
-        if key in self._events:
-            return
-        self._events.add(key)
-        if self.collect_events:
-            self.mutation_events.append(
-                MutationEvent(
-                    module=self.module,
-                    lineno=getattr(node, "lineno", 0),
-                    col=getattr(node, "col_offset", 0),
-                    what=what,
-                    via=via,
-                )
-            )
 
     def _record_sink(
         self, node: ast.AST, label: str, tokens: Set[str], via: str
@@ -925,7 +807,6 @@ class _ScopeFlow:
         if not kinds:
             return
         key = (
-            "taint",
             getattr(node, "lineno", 0),
             getattr(node, "col_offset", 0),
             label,
@@ -1004,18 +885,12 @@ class _ScopeFlow:
         receiver_type = (
             self._type_of(receiver) if receiver is not None else None
         )
-        receiver_name = ""
-        if isinstance(receiver, ast.Attribute):
-            receiver_name = receiver.attr.lower()
-        elif isinstance(receiver, ast.Name):
-            receiver_name = receiver.id.lower()
         return CallView(
             call=call,
             name=name,
             dotted=dotted,
             receiver=receiver,
             receiver_type=receiver_type,
-            receiver_name=receiver_name,
         )
 
     def _resolved_dotted(self, func: ast.expr) -> Optional[str]:
@@ -1069,13 +944,8 @@ class _ScopeFlow:
         if resolved is not None:
             return self._apply_summary(call, cv, resolved, bound)
 
-        # Unresolved call: mutator-method heuristic, then conservative
-        # taint union over receiver and arguments.
-        if cv.receiver is not None and cv.name in self.policy.mutator_methods:
-            if self._is_frozen(cv.receiver):
-                self._mutation(call, f"{cv.name}() on a frozen view")
-            for index in self._aliases_of(cv.receiver):
-                self.mutated_params.add(index)
+        # Unresolved call: conservative taint union over receiver and
+        # arguments.
         if cv.receiver is not None:
             all_tokens |= self._taint_of(cv.receiver)
         return all_tokens
@@ -1193,56 +1063,13 @@ class _ScopeFlow:
                     tokens,
                     via=callee.qname,
                 )
-            if index in summary.mutated_params:
-                if self._is_frozen(arg):
-                    self._mutation(
-                        call,
-                        f"passed to {callee.qname}, which mutates it",
-                        via=callee.qname,
-                    )
-                for alias in self._aliases_of(arg):
-                    self.mutated_params.add(alias)
 
         result: Set[str] = set(summary.returns_kinds())
         for index in summary.return_params():
             result |= taint_by_param.get(index, set())
         return result
 
-    # -- frozen / alias / type inference -------------------------------
-
-    def _is_frozen(self, node: ast.expr) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id in self.frozen
-        if isinstance(node, ast.Attribute):
-            # A field of a frozen view (ColumnSet columns, GroupIndex
-            # arrays, snapshot event lists) is part of the view.
-            return self._is_frozen(node.value)
-        if isinstance(node, ast.Call):
-            cv = self._call_view(node)
-            if self.policy.is_frozen_producer(cv):
-                return True
-            if (
-                cv.receiver is not None
-                and cv.name in self.policy.frozen_view_methods
-                and self._is_frozen(cv.receiver)
-            ):
-                return True
-            resolved, _ = self._resolve(cv)
-            if resolved is not None:
-                summary = self.analysis.summaries.get(
-                    resolved.qname, FunctionSummary()
-                )
-                return summary.returns_frozen
-        # Subscripts are deliberately NOT frozen: boolean/fancy
-        # indexing copies, and that is the dominant idiom in kernels.
-        return False
-
-    def _aliases_of(self, node: ast.expr) -> Set[int]:
-        if isinstance(node, ast.Name):
-            return set(self.aliases.get(node.id, ()))
-        if isinstance(node, (ast.Attribute, ast.Subscript)):
-            return self._aliases_of(node.value)
-        return set()
+    # -- type inference ------------------------------------------------
 
     def _type_of(self, node: Optional[ast.expr]) -> Optional[str]:
         if node is None:
@@ -1321,7 +1148,7 @@ def _annotation_name(ann: Optional[ast.expr]) -> Optional[str]:
 
 
 class FlowAnalysis:
-    """Summaries at fixpoint + per-module taint/mutation events."""
+    """Summaries at fixpoint + per-module taint events."""
 
     #: safety valve; real projects converge in a handful of rounds
     MAX_ROUNDS = 16
@@ -1334,7 +1161,6 @@ class FlowAnalysis:
         self.rounds = 0
         self._compute_summaries()
         self._taint_events: Dict[str, List[TaintEvent]] = {}
-        self._mutation_events: Dict[str, List[MutationEvent]] = {}
         self._collect_events()
 
     # -- summaries -----------------------------------------------------
@@ -1365,8 +1191,6 @@ class FlowAnalysis:
         return FunctionSummary(
             returns=frozenset(flow.ret_tokens),
             sink_params=frozenset(flow.sink_params),
-            mutated_params=frozenset(flow.mutated_params),
-            returns_frozen=flow.ret_frozen,
         )
 
     # -- events --------------------------------------------------------
@@ -1374,16 +1198,12 @@ class FlowAnalysis:
     def _collect_events(self) -> None:
         for module in self.project.modules:
             taint: List[TaintEvent] = []
-            mutations: List[MutationEvent] = []
-            scopes = self._module_scopes(module)
-            for body, info in scopes:
+            for body, info in self._module_scopes(module):
                 flow = _ScopeFlow(
                     self, module, body, info, collect_events=True
                 )
                 taint.extend(flow.taint_events)
-                mutations.extend(flow.mutation_events)
             self._taint_events[module.relpath] = taint
-            self._mutation_events[module.relpath] = mutations
 
     def _module_scopes(
         self, module: ModuleInfo
@@ -1413,9 +1233,6 @@ class FlowAnalysis:
 
     def taint_events(self, module: ModuleInfo) -> List[TaintEvent]:
         return self._taint_events.get(module.relpath, [])
-
-    def mutation_events(self, module: ModuleInfo) -> List[MutationEvent]:
-        return self._mutation_events.get(module.relpath, [])
 
 
 def _enclosing_class(

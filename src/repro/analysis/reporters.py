@@ -32,11 +32,7 @@ _SARIF_SCHEMA = (
 _SARIF_VERSION = "2.1.0"
 
 
-def render_text(
-    findings: List[Finding],
-    files_scanned: int,
-    grandfathered: int = 0,
-) -> str:
+def render_text(findings: List[Finding], files_scanned: int) -> str:
     lines = [
         f"{f.path}:{f.line}:{f.col + 1}: {f.rule} {f.message}"
         for f in findings
@@ -52,30 +48,16 @@ def render_text(
             f"({summary})"
         )
     else:
-        lines.append(
-            f"reprolint: clean ({files_scanned} file(s) scanned"
-            + (
-                f", {grandfathered} grandfathered by baseline)"
-                if grandfathered
-                else ")"
-            )
-        )
-    if grandfathered and findings:
-        lines.append(f"{grandfathered} finding(s) grandfathered by baseline")
+        lines.append(f"reprolint: clean ({files_scanned} file(s) scanned)")
     return "\n".join(lines) + "\n"
 
 
-def render_json(
-    findings: List[Finding],
-    files_scanned: int,
-    grandfathered: int = 0,
-) -> str:
+def render_json(findings: List[Finding], files_scanned: int) -> str:
     by_rule: Dict[str, int] = dict(
         sorted(Counter(f.rule for f in findings).items())
     )
     payload = {
         "files_scanned": files_scanned,
-        "grandfathered": grandfathered,
         "total": len(findings),
         "by_rule": by_rule,
         "findings": [f.as_dict() for f in findings],
@@ -86,7 +68,6 @@ def render_json(
 def render_sarif(
     findings: List[Finding],
     files_scanned: int,
-    grandfathered: int = 0,
     rules: Optional[Sequence[Rule]] = None,
 ) -> str:
     """SARIF 2.1.0 log with one run.
@@ -141,10 +122,7 @@ def render_sarif(
                     "PACKAGEROOT": {"uri": PACKAGE_ROOT_URI}
                 },
                 "results": results,
-                "properties": {
-                    "filesScanned": files_scanned,
-                    "grandfathered": grandfathered,
-                },
+                "properties": {"filesScanned": files_scanned},
             }
         ],
     }

@@ -10,17 +10,12 @@ from __future__ import annotations
 
 from repro.analysis.core import RuleRegistry
 from repro.analysis.rules.columnar import ColumnarLoopRule
-from repro.analysis.rules.contracts import PicklableWorldBuilderRule
 from repro.analysis.rules.determinism import (
     GlobalNondeterminismRule,
     UnorderedIterationRule,
 )
 from repro.analysis.rules.floatcmp import FloatEqualityRule
-from repro.analysis.rules.taint import (
-    AmbientTaintRule,
-    FrozenViewMutationRule,
-    SwallowedExceptionRule,
-)
+from repro.analysis.rules.taint import AmbientTaintRule, SwallowedExceptionRule
 
 __all__ = ["DEFAULT_REGISTRY", "default_registry"]
 
@@ -30,11 +25,9 @@ def default_registry() -> RuleRegistry:
     registry = RuleRegistry()
     registry.register(GlobalNondeterminismRule())
     registry.register(UnorderedIterationRule())
-    registry.register(PicklableWorldBuilderRule())
     registry.register(FloatEqualityRule())
     registry.register(ColumnarLoopRule())
     registry.register(AmbientTaintRule())
-    registry.register(FrozenViewMutationRule())
     registry.register(SwallowedExceptionRule())
     return registry
 

@@ -10,14 +10,6 @@ catches the *syntactically visible* uses of banned names in one file;
 R009 catches the laundered ones: a helper two calls away that returns
 ``time.time()`` into something a canonical-bytes path will hash.
 
-R010 — epoch-frozen views are immutable.  ``EventStore.snapshot()``
-columns, ``GroupIndex`` slices, and the epoch-start broadcast score
-tables are shared, cached, zero-copy state: mutating one corrupts
-every other reader *and* the canonical-bytes cache keyed on the store
-version.  The rule flags attribute stores, subscript assignment,
-augmented assignment, and mutating method calls on frozen values —
-including inside helpers that receive a frozen view as a parameter.
-
 R011 — no exception swallowing on resilience and merge paths.  A
 ``except: pass`` (or a broad handler whose body is inert) in shard
 merge, the process-pool fan-out, the store, or the observability layer
@@ -30,7 +22,7 @@ Grandfathering policy: anything intentionally nondeterministic
 (wall-time benchmarking that never feeds canonical bytes) or
 intentionally silent (best-effort error forwarding on an already-dying
 worker) carries an inline ``# reprolint: disable=...`` with a
-justification comment, not a baseline entry.
+justification comment.
 """
 
 from __future__ import annotations
@@ -58,7 +50,6 @@ from repro.analysis.rules.determinism import TIMER_NAMES, ambient_violation
 
 __all__ = [
     "AmbientTaintRule",
-    "FrozenViewMutationRule",
     "ReproFlowPolicy",
     "SwallowedExceptionRule",
     "shared_flow",
@@ -86,19 +77,7 @@ _RESULT_CLASSES = frozenset(
 #: IngestRecord IS a log line; wall-clock must never reach either
 _INGEST_CLASSES = frozenset({"Arrival", "IngestRecord"})
 
-#: EventStore accessors returning cached, shared, zero-copy views
-_FROZEN_PRODUCERS = frozenset(
-    {
-        "snapshot",
-        "by_target",
-        "by_rater",
-        "by_pair",
-        "by_target_time",
-        "by_target_facet",
-    }
-)
-
-#: receiver types owning the frozen producers / canonical sinks
+#: receiver types owning the canonical sinks
 _STORE_TYPES = frozenset({"EventStore"})
 _RECORDER_TYPES = frozenset({"Recorder", "NoOpRecorder"})
 _TRACER_TYPES = frozenset({"Tracer"})
@@ -106,31 +85,7 @@ _ADMISSION_TYPES = frozenset({"AdmissionController"})
 
 
 class ReproFlowPolicy(FlowPolicy):
-    """Sources, sinks, and frozen state of the repro codebase."""
-
-    mutator_methods = frozenset(
-        {
-            "append",
-            "extend",
-            "add",
-            "insert",
-            "remove",
-            "pop",
-            "clear",
-            "sort",
-            "reverse",
-            "update",
-            "setdefault",
-            "discard",
-            "fill",
-            "resize",
-            "setflags",
-            "itemset",
-        }
-    )
-    frozen_annotations = frozenset({"ColumnSet", "GroupIndex"})
-    #: GroupIndex.rows() returns a zero-copy slice of the index arrays
-    frozen_view_methods = frozenset({"rows"})
+    """Sources and sinks of the repro codebase."""
 
     def source_kinds(self, cv: CallView) -> FrozenSet[str]:
         # R001's table plus the timers it tolerates: their *values*
@@ -165,15 +120,6 @@ class ReproFlowPolicy(FlowPolicy):
             return f"{base_type}.{attr}"
         return None
 
-    def is_frozen_producer(self, cv: CallView) -> bool:
-        if cv.receiver_type in _STORE_TYPES and cv.name in _FROZEN_PRODUCERS:
-            return True
-        # Epoch-start broadcast score tables: one list, shared by every
-        # shard for the whole epoch (experiments/sharded.py).
-        if cv.receiver is not None and cv.name == "epoch_scores":
-            return True
-        return False
-
     def call_result_type(self, cv: CallView) -> Optional[str]:
         if cv.receiver is None and cv.name == "get_recorder":
             return "Recorder"
@@ -181,7 +127,7 @@ class ReproFlowPolicy(FlowPolicy):
 
 
 def shared_flow(project: Project) -> FlowAnalysis:
-    """One :class:`FlowAnalysis` per project, shared by R009/R010."""
+    """One :class:`FlowAnalysis` per project, shared by R009/R011."""
     cached = project.caches.get("taint.flow")
     if isinstance(cached, FlowAnalysis):
         return cached
@@ -219,36 +165,6 @@ class AmbientTaintRule(Rule):
                 "canonical state must be a pure function of seeds and "
                 "sim time — inject a seeded Generator / pass sim time "
                 "explicitly, or sort before iterating"
-            )
-            yield Finding(
-                path=module.relpath,
-                line=event.lineno,
-                col=event.col,
-                rule=self.rule_id,
-                message=message,
-                content=module.line_at(event.lineno).strip(),
-            )
-
-
-# ---------------------------------------------------------------------------
-# R010
-# ---------------------------------------------------------------------------
-
-
-class FrozenViewMutationRule(Rule):
-    rule_id = "R010"
-    title = "no mutation of frozen snapshot/index views"
-
-    def check(
-        self, module: ModuleInfo, project: Project
-    ) -> Iterator[Finding]:
-        flow = shared_flow(project)
-        for event in flow.mutation_events(module):
-            message = (
-                f"mutation of an epoch-frozen view: {event.what}; "
-                "snapshot()/GroupIndex/broadcast-score state is shared "
-                "zero-copy across readers and cached by store version — "
-                "copy first (np.array(view) / list(view))"
             )
             yield Finding(
                 path=module.relpath,

@@ -714,11 +714,13 @@ class _Coordinator:
         for s in range(shards):
             self.exchange_net.register_node(f"shard-{s}")
 
-    def epoch_scores(self, epoch: int) -> List[float]:
-        """Scores frozen for *epoch*, broadcast to every shard."""
-        scores = self.model.score_many(
+    def epoch_scores(self, epoch: int) -> Tuple[float, ...]:
+        """Scores frozen for *epoch*, broadcast to every shard.
+
+        A tuple: serial mode hands this one object to every shard."""
+        scores = tuple(self.model.score_many(
             self.service_ids, now=self.spec.epoch_start(epoch)
-        )
+        ))
         for s in range(self.shards):
             self.exchange_net.record_traffic(
                 "coordinator",

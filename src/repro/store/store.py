@@ -64,6 +64,8 @@ OVERALL_FACET = -1
 
 _EMPTY_I4 = np.empty(0, dtype=np.int32)
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
+_EMPTY_I4.flags.writeable = False
+_EMPTY_I8.flags.writeable = False
 
 
 def _check_lengths(method: str, n: int, **lengths: int) -> None:
@@ -77,13 +79,23 @@ def _check_lengths(method: str, n: int, **lengths: int) -> None:
 
 @dataclass(frozen=True)
 class ColumnSet:
-    """An immutable struct-of-arrays view of the store at one version."""
+    """An immutable struct-of-arrays view of the store at one version.
+
+    The columns are read-only: they may share memory with the store's
+    chunks and are cached per version, so every reader sees the same
+    arrays.  Write into a copy (``np.array(view)``).
+    """
 
     rater: np.ndarray
     target: np.ndarray
     facet: np.ndarray
     value: np.ndarray
     time: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.rater, self.target, self.facet, self.value,
+                       self.time):
+            column.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -108,7 +120,9 @@ class GroupIndex:
     ``order`` is a stable argsort of the codes, so within one group the
     rows keep their logical (append) order unless a *secondary* sort
     key was supplied at build time.  ``rows(code)`` returns the row ids
-    of one group as a slice of ``order`` — a view, not a copy.
+    of one group as a slice of ``order`` — a view, not a copy.  The
+    four arrays are read-only (the index is cached and shared), and so
+    is every slice of them.
     """
 
     __slots__ = ("order", "codes", "starts", "ends")
@@ -125,6 +139,8 @@ class GroupIndex:
         grouped = keys[self.order]
         self.codes, self.starts = np.unique(grouped, return_index=True)
         self.ends = np.append(self.starts[1:], len(grouped))
+        for array in (self.order, self.codes, self.starts, self.ends):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -137,7 +153,8 @@ class GroupIndex:
         return -1
 
     def rows(self, code: int) -> np.ndarray:
-        """Row ids of one group (empty array when absent) — a view."""
+        """Row ids of one group (empty array when absent) — a read-only
+        view."""
         i = self.slot(code)
         if i < 0:
             return _EMPTY_I8

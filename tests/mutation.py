@@ -1,7 +1,7 @@
 """Mutation check for the shard path, the model folds and memos, the
-store cursor protocol, the damped walk, the rank order, the scenario's
-truth key, the metrics fast paths and the serve token bucket: do the
-gates catch regressions?
+store cursor protocol and read-only views, the damped walk, the rank
+order, the scenario's truth key, the metrics fast paths, the serve
+token bucket and the zoo pin: do the gates catch regressions?
 
 Each :class:`Mutant` is an exact source edit that breaks one rule the
 canonical output depends on, plus the one test that must catch it.
@@ -301,6 +301,26 @@ MUTANTS: List[Mutant] = [
         reason="the kept taste key drops the segment: consumers with equal "
         "weights in different segments share one truth row, so the "
         "optimum and regret of all but the first segment are wrong",
+    ),
+    Mutant(
+        file="src/repro/store/store.py",
+        old="for array in (self.order, self.codes, self.starts, self.ends):",
+        new="for array in (self.codes, self.starts, self.ends):",
+        gate="tests/test_store/test_readonly_views.py::"
+        "test_every_store_view_is_read_only",
+        reason="a group index's order stays writable, and so does every "
+        "rows() slice of it: one reader's write reorders the cached "
+        "index under every other reader",
+    ),
+    Mutant(
+        file="src/repro/models/xrep.py",
+        old="return (positive + 1.0) / (positive + negative + 2.0)",
+        new='return __import__("math").nextafter(\n'
+        "            (positive + 1.0) / (positive + negative + 2.0), 2.0)",
+        gate="tests/test_zoo_pin.py::test_zoo_outcomes_match_committed_digests",
+        reason="XRep's resource reputation moves up by one ulp: xrep has "
+        "no batch kernel, so no parity test compares it, and only the "
+        "pinned outcome bytes see it",
     ),
 ]
 

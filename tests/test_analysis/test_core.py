@@ -126,7 +126,7 @@ class TestPathScoping:
         )
         assert (
             package_relpath(
-                Path("tests/fixtures/rules/R005/repro/core/selection.py")
+                Path("tests/fixtures/rules/R002/repro/core/selection.py")
             )
             == "core/selection.py"
         )
@@ -156,10 +156,10 @@ class TestPathScoping:
 
 
 class TestRegistry:
-    def test_eight_rules_shipped(self):
+    def test_six_rules_shipped(self):
         registry = default_registry()
         assert registry.ids() == [
-            "R001", "R002", "R005", "R006", "R007", "R009", "R010", "R011",
+            "R001", "R002", "R006", "R007", "R009", "R011",
         ]
 
     def test_duplicate_id_rejected(self):

@@ -1,5 +1,5 @@
 """Flow-engine unit tests: symbol resolution, summary fixpoints, and
-cross-module taint propagation — the machinery under R009/R010/R011.
+cross-module taint propagation — the machinery under R009/R011.
 
 The rule fixtures under ``fixtures/rules`` are single-module; these
 tests build tiny multi-module projects in ``tmp_path`` to check that
@@ -51,18 +51,6 @@ class TestSummaries:
         )
         summary = flow.summaries["services/h.py::relay"]
         assert summary.return_params() == frozenset({0})
-
-    def test_mutating_helper_summary(self, tmp_path):
-        flow = _analyze(
-            tmp_path,
-            {
-                "services/h.py": (
-                    "def clobber(rows):\n    rows.sort()\n"
-                ),
-            },
-        )
-        summary = flow.summaries["services/h.py::clobber"]
-        assert summary.mutated_params == frozenset({0})
 
     def test_fixpoint_converges_quickly(self, tmp_path):
         # Mutually recursive pair: the fixpoint must still terminate
@@ -155,26 +143,3 @@ class TestCrossModuleTaint:
         # one event at the forwarding call site, attributed via record
         assert any(e.via and "record" in e.via for e in events)
         assert 10 in lines
-
-
-class TestFrozenPropagation:
-    def test_snapshot_frozen_through_helper_return(self, tmp_path):
-        flow = _analyze(
-            tmp_path,
-            {
-                "sim/view.py": (
-                    "from repro.store import EventStore\n\n\n"
-                    "def grab(store: EventStore):\n"
-                    "    return store.snapshot()\n\n\n"
-                    "def clobber(store: EventStore) -> None:\n"
-                    "    snap = grab(store)\n"
-                    "    snap.value[0] = 1.0\n"
-                ),
-            },
-        )
-        summary = flow.summaries["sim/view.py::grab"]
-        assert summary.returns_frozen
-        module = flow.project.module("sim/view.py")
-        events = flow.mutation_events(module)
-        assert len(events) == 1
-        assert events[0].lineno == 10

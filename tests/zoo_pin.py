@@ -8,16 +8,22 @@ outcomes (never the whole result, whose ``elapsed_ns`` and ``pid``
 vary), so a change that moves one score, ranking or rating of any
 model changes its digest.
 
+One small sharded run is pinned beside them: the sha256 of its
+:meth:`~repro.experiments.sharded.ShardedRunReport.canonical_bytes` at
+two shards.  The shard tests check that 1, 2 and 8 shards agree; this
+digest catches a change that moves every shard count alike.
+
 The digests live in ``tests/zoo_digests.json``, keyed by Python minor
-version (``"3.11"``): float ``sum`` is compensated from 3.12 on, so
-another minor version may legitimately produce other bytes.
-``tests/test_zoo_pin.py`` asserts them.  A change that moves outcome
-bytes on purpose regenerates the file from the repository root::
+version (``"3.11"``), the shard digest under ``"sharded"``: float
+``sum`` is compensated from 3.12 on, so another minor version may
+legitimately produce other bytes.  ``tests/test_zoo_pin.py`` asserts
+them.  A change that moves outcome bytes on purpose regenerates the
+file from the repository root::
 
     PYTHONPATH=src python -m tests.zoo_pin
 
-The script runs every spec twice, through a two-worker process pool
-and serially, and refuses to write when the two disagree.
+The script runs every spec twice, through worker processes and
+serially, and refuses to write when the two disagree.
 """
 
 from __future__ import annotations
@@ -29,13 +35,20 @@ from pathlib import Path
 from typing import Dict, List, Sequence
 
 from repro.core.registry import default_registry
-from repro.experiments import parallel
+from repro.experiments import parallel, sharded
 
 DIGESTS = Path(__file__).resolve().parent / "zoo_digests.json"
 
 BASE_SEEDS = (1, 2)
 ROUNDS = 10
 WORLD = {"n_providers": 5, "services_per_provider": 2, "n_consumers": 25}
+
+SHARD_KEY = "sharded"
+SHARD_SPEC = sharded.ShardedRunSpec(
+    model="beta", seed=1, epochs=2, rounds_per_epoch=2,
+    world_params={"n_providers": 3, "services_per_provider": 2,
+                  "n_consumers": 11},
+)
 
 
 def python_version() -> str:
@@ -64,6 +77,14 @@ def digests(results: Sequence[parallel.TrialResult]) -> Dict[str, str]:
     }
 
 
+def shard_digest(mode: str) -> str:
+    """sha256 of :data:`SHARD_SPEC`'s canonical bytes at two shards."""
+    report = sharded.run_sharded_experiment(SHARD_SPEC, shards=2, mode=mode)
+    if report.dispatch.mode != mode:
+        raise RuntimeError(f"asked for {mode}, ran {report.dispatch.mode}")
+    return hashlib.sha256(report.canonical_bytes()).hexdigest()
+
+
 def committed() -> Dict[str, Dict[str, str]]:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))
 
@@ -80,13 +101,19 @@ def main() -> int:
         moved = sorted(m for m in serial if serial[m] != pooled.get(m))
         print(f"refusing to write: pooled != serial for {moved}")
         return 1
+    shard = shard_digest(sharded.SERIAL)
+    if shard_digest(sharded.PROCESS) != shard:
+        print("refusing to write: the sharded run's process != serial")
+        return 1
     table = committed() if DIGESTS.exists() else {}
     table[python_version()] = dict(sorted(serial.items()))
+    table.setdefault(SHARD_KEY, {})[python_version()] = shard
     DIGESTS.write_text(
         json.dumps(dict(sorted(table.items())), indent=2) + "\n",
         encoding="utf-8",
     )
-    print(f"wrote {len(serial)} digests for Python {python_version()}")
+    print(f"wrote {len(serial)} zoo digests and the shard digest for "
+          f"Python {python_version()}")
     return 0
 
 
