@@ -93,7 +93,9 @@ def register_world_builder(
 
     Builders must accept ``seed=<int>`` plus the spec's ``world_params``
     as keyword arguments and return a fresh :class:`World`.  Register
-    at module import time so forked/spawned workers see the same table.
+    at module import time so forked/spawned workers see the same table;
+    a builder registered inside a function reaches only workers forked
+    after it, and nothing checks that.
     """
     if not overwrite and name in _WORLD_BUILDERS:
         raise ConfigurationError(f"duplicate world builder: {name!r}")

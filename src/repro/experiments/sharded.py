@@ -200,8 +200,9 @@ def register_shard_world_builder(
     plus the spec's ``world_params`` as keyword arguments and build
     only the requested consumers (the catalog side must not depend on
     which consumers are built — see :func:`make_shard_world`).
-    Register at module import time so forked workers see the same
-    table.
+    Register at module import time so forked/spawned workers see the
+    same table; a builder registered inside a function reaches only
+    workers forked after it, and nothing checks that.
     """
     if not overwrite and name in _SHARD_WORLD_BUILDERS:
         raise ConfigurationError(f"duplicate shard world builder: {name!r}")

@@ -15,7 +15,10 @@ Run from the repository root::
     python -m tests.mutation 0 3        # mutants 0 and 3
 
 It prints one line per mutant and ``killed K/N``, and exits non-zero
-when a mutant survives or a gate fails on the unmutated copy.
+when a mutant survives or a gate fails or skips on the unmutated copy.
+The zoo-pin gate runs only on a Python version that
+``tests/zoo_digests.json`` holds a digest set for (3.11 today); on any
+other version its mutant reports ``ERROR: gate skips unmutated``.
 ``tests/test_mutation_list.py`` keeps every ``old`` snippet matching
 exactly once, so the list cannot silently go stale.
 """
@@ -29,7 +32,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -325,19 +328,20 @@ MUTANTS: List[Mutant] = [
 ]
 
 
-def _pytest(src: Path, gate: str) -> int:
+def _pytest(src: Path, gate: str) -> Tuple[int, bool]:
+    """Run *gate* against *src*: pytest's exit code, and whether any
+    test in the gate skipped (``-rs`` lists each skip as ``SKIPPED``)."""
     env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{ROOT}")
-    command = [sys.executable, "-m", "pytest", "-x", "-q",
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-rs",
                "-p", "no:cacheprovider", gate]
-    return subprocess.run(
-        command, cwd=ROOT, env=env, capture_output=True
-    ).returncode
+    done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True)
+    return done.returncode, b"SKIPPED" in done.stdout
 
 
 def run(indices: Sequence[int]) -> int:
     killed = 0
     errors = 0
-    baseline: Dict[str, int] = {}
+    baseline: Dict[str, Tuple[int, bool]] = {}
     with tempfile.TemporaryDirectory(prefix="mutation-") as tmp:
         clean = Path(tmp) / "clean" / "src"
         shutil.copytree(ROOT / "src", clean)
@@ -345,8 +349,15 @@ def run(indices: Sequence[int]) -> int:
             mutant = MUTANTS[index]
             if mutant.gate not in baseline:
                 baseline[mutant.gate] = _pytest(clean, mutant.gate)
-            if baseline[mutant.gate] != 0:
+            code, skipped = baseline[mutant.gate]
+            if code != 0:
                 print(f"[{index}] ERROR: gate fails unmutated: {mutant.gate}")
+                errors += 1
+                continue
+            # a gate that skips here (the zoo pin on a Python version
+            # with no digest set) checks nothing: neither kill nor survivor
+            if skipped:
+                print(f"[{index}] ERROR: gate skips unmutated: {mutant.gate}")
                 errors += 1
                 continue
             work = Path(tmp) / f"mutant-{index}" / "src"
@@ -361,7 +372,7 @@ def run(indices: Sequence[int]) -> int:
                             encoding="utf-8")
             # exit code 1 is "tests failed"; anything else (collection
             # or usage errors) does not count as a kill
-            code = _pytest(work, mutant.gate)
+            code, _ = _pytest(work, mutant.gate)
             status = "killed" if code == 1 else f"SURVIVED (exit {code})"
             killed += code == 1
             print(f"[{index}] {status}: {mutant.file}: {mutant.reason}")
