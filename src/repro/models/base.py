@@ -174,7 +174,7 @@ class ReputationModel(abc.ABC):
 
         :class:`StoreBackedModel` overrides this with a single columnar
         :meth:`~repro.store.EventStore.extend`, which interns ids and
-        seals chunks without a per-event Python frame; the resulting
+        writes the columns without a per-event Python frame; the resulting
         store is byte-identical to what looped appends produce.
         """
         for fb in feedbacks:

@@ -13,9 +13,10 @@ column                dtype    meaning
                       /int64   (int64 tick stores: ``repro.common.simtime``)
 ====================  =======  ==========================================
 
-Rows live in sealed fixed-size numpy chunks plus a mutable Python-list
-tail, so ``append`` is a few list appends (no numpy realloc per event)
-while kernels see contiguous arrays via :meth:`EventStore.snapshot`.
+Rows live in one set of five growable numpy columns plus a row count:
+``append`` writes row *n* in place, a full set moves to buffers of at
+least twice the capacity, and every read is a slice ``[start, n)`` of
+the columns, so :meth:`EventStore.snapshot` copies nothing.
 The implicit row number (append order) is the store's int64 sequence
 column — kernels that need "latest wins" tie-breaking get it from row
 position, which is why the logical row order is part of the canonical
@@ -23,9 +24,6 @@ encoding.
 
 Invariants the property suite pins:
 
-* **chunking is invisible** — the same event stream produces the same
-  :meth:`canonical_bytes` for any ``chunk_size``, because the encoding
-  covers logical row order and interner tables only;
 * **merge is concatenation + re-interning** — :meth:`merge_from`
   appends the other store's rows in their logical order, translating
   codes through this store's interners (the same canonical-merge
@@ -43,7 +41,6 @@ from typing import (
     Callable,
     Dict,
     Iterator,
-    List,
     Optional,
     Sequence,
     Tuple,
@@ -61,6 +58,9 @@ __all__ = ["ColumnSet", "EventStore", "GroupIndex", "OVERALL_FACET"]
 #: Facet code of the overall rating (facet column is -1 for rows that
 #: carry the feedback's overall rating rather than one facet's).
 OVERALL_FACET = -1
+
+#: rows a new store holds before its first growth
+_INITIAL_CAPACITY = 16
 
 _EMPTY_I4 = np.empty(0, dtype=np.int32)
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
@@ -81,8 +81,8 @@ def _check_lengths(method: str, n: int, **lengths: int) -> None:
 class ColumnSet:
     """An immutable struct-of-arrays view of the store at one version.
 
-    The columns are read-only: they may share memory with the store's
-    chunks and are cached per version, so every reader sees the same
+    The columns are read-only: they are slices of the store's columns
+    and are cached per version, so every reader sees the same
     arrays.  Write into a copy (``np.array(view)``).
     """
 
@@ -179,36 +179,10 @@ class GroupIndex:
         return ranks
 
 
-class _Chunk:
-    """One sealed, immutable block of rows."""
-
-    __slots__ = ("rater", "target", "facet", "value", "time")
-
-    def __init__(
-        self,
-        rater: np.ndarray,
-        target: np.ndarray,
-        facet: np.ndarray,
-        value: np.ndarray,
-        time: np.ndarray,
-    ) -> None:
-        self.rater = rater
-        self.target = target
-        self.facet = facet
-        self.value = value
-        self.time = time
-
-    def __len__(self) -> int:
-        return len(self.value)
-
-
 class EventStore:
     """Append-only columnar feedback log with interned id columns.
 
     Args:
-        chunk_size: rows per sealed chunk; purely a performance knob —
-            the canonical encoding (and every query result) is
-            independent of it.
         time_dtype: ``"float64"`` (default) or ``"int64"``.  An int64
             store keeps the time column as exact integer ticks
             (``repro.common.simtime``), the exchange format shard
@@ -221,16 +195,7 @@ class EventStore:
         np.dtype(np.int64): b"repro.store.v1:i64\x00",
     }
 
-    def __init__(
-        self,
-        chunk_size: int = 4096,
-        time_dtype: Union[str, np.dtype] = "float64",
-    ) -> None:
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        self.chunk_size = chunk_size
+    def __init__(self, time_dtype: Union[str, np.dtype] = "float64") -> None:
         self.time_dtype = np.dtype(time_dtype)
         if self.time_dtype not in self._HEADERS:
             raise ConfigurationError(
@@ -244,13 +209,14 @@ class EventStore:
         #: single code space.
         self.entities = Interner()
         self.facets = Interner()
-        self._chunks: List[_Chunk] = []
-        self._tail_rater: List[int] = []
-        self._tail_target: List[int] = []
-        self._tail_facet: List[int] = []
-        self._tail_value: List[float] = []
-        self._tail_time: List[float] = []
-        self._sealed_rows = 0
+        #: rows ``[0, _n)`` of the five columns hold the events; the
+        #: rest is spare capacity
+        self._n = 0
+        self._rater = np.zeros(_INITIAL_CAPACITY, dtype=np.int32)
+        self._target = np.zeros(_INITIAL_CAPACITY, dtype=np.int32)
+        self._facet = np.zeros(_INITIAL_CAPACITY, dtype=np.int32)
+        self._value = np.zeros(_INITIAL_CAPACITY, dtype=np.float64)
+        self._time = np.zeros(_INITIAL_CAPACITY, dtype=self.time_dtype)
         #: cached (version, ColumnSet) snapshot
         self._snapshot: Optional[Tuple[int, ColumnSet]] = None
         #: cached group indexes: name -> (version, GroupIndex)
@@ -262,7 +228,7 @@ class EventStore:
 
     # -- writing -------------------------------------------------------
     def __len__(self) -> int:
-        return self._sealed_rows + len(self._tail_value)
+        return self._n
 
     @property
     def version(self) -> int:
@@ -288,20 +254,22 @@ class EventStore:
             # Rejects floats outright: silent truncation of a float
             # timestamp is exactly the bug tick stores exist to prevent.
             time = operator.index(time)
-        self._tail_rater.append(self.entities.intern(rater))
-        self._tail_target.append(self.entities.intern(target))
-        self._tail_facet.append(
+        n = self._n
+        if n == len(self._value):
+            self._grow(n + 1)
+        self._rater[n] = self.entities.intern(rater)
+        self._target[n] = self.entities.intern(target)
+        self._facet[n] = (
             OVERALL_FACET if facet is None else self.facets.intern(facet)
         )
-        self._tail_value.append(value)
-        self._tail_time.append(time)
+        self._value[n] = value
+        self._time[n] = time
+        self._n = n + 1
         if self._times_sorted:
             last = self._last_time
             if last is not None and time < last:
                 self._times_sorted = False
         self._last_time = time
-        if len(self._tail_value) >= self.chunk_size:
-            self._seal_tail()
 
     def extend(
         self,
@@ -384,9 +352,7 @@ class EventStore:
         values: np.ndarray,
         times: np.ndarray,
     ) -> None:
-        """Append coded rows: top up the tail, seal whole chunks straight
-        from the arrays (copied, so chunks own their data), keep the
-        remainder as the new tail."""
+        """Append coded rows: one slice assignment per column."""
         n = len(values)
         if not n:
             return
@@ -397,24 +363,27 @@ class EventStore:
             ):
                 self._times_sorted = False
         self._last_time = self._py_time(times[n - 1])
-        columns = (raters, targets, facets, values, times)
-        tails = self._tails()
-        size = self.chunk_size
-        start = min(n, size - len(self._tail_value)) if self._tail_value else 0
-        if start:
-            for tail, column in zip(tails, columns):
-                tail.extend(column[:start].tolist())
-            if len(self._tail_value) >= size:
-                self._seal_tail()
-        while n - start >= size:
-            stop = start + size
-            self._chunks.append(
-                _Chunk(*(column[start:stop].copy() for column in columns))
-            )
-            self._sealed_rows += size
-            start = stop
-        for tail, column in zip(tails, columns):
-            tail.extend(column[start:].tolist())
+        start, stop = self._n, self._n + n
+        if stop > len(self._value):
+            self._grow(stop)
+        self._rater[start:stop] = raters
+        self._target[start:stop] = targets
+        self._facet[start:stop] = facets
+        self._value[start:stop] = values
+        self._time[start:stop] = times
+        self._n = stop
+
+    def _grow(self, rows: int) -> None:
+        """Move the columns to buffers of at least twice the capacity
+        and at least *rows* rows.  Views taken before keep the old
+        buffers, whose rows are never rewritten."""
+        n = self._n
+        capacity = max(2 * len(self._value), rows)
+        for name in ("_rater", "_target", "_facet", "_value", "_time"):
+            column = getattr(self, name)
+            grown = np.zeros(capacity, dtype=column.dtype)
+            grown[:n] = column[:n]
+            setattr(self, name, grown)
 
     def _as_time_array(self, times: ArrayLike) -> np.ndarray:
         arr = np.asarray(times)
@@ -431,37 +400,10 @@ class EventStore:
     def _py_time(self, value: Union[int, float, np.number]) -> Union[int, float]:
         return int(value) if self._time_is_int else float(value)
 
-    def _tails(
-        self,
-    ) -> Tuple[List[int], List[int], List[int], List[float], List[float]]:
-        """The five tail lists, in column order."""
-        return (
-            self._tail_rater,
-            self._tail_target,
-            self._tail_facet,
-            self._tail_value,
-            self._tail_time,
-        )
-
-    def _seal_tail(self) -> None:
-        """Seal the (full) tail into one immutable chunk."""
-        self._chunks.append(
-            _Chunk(
-                np.asarray(self._tail_rater, dtype=np.int32),
-                np.asarray(self._tail_target, dtype=np.int32),
-                np.asarray(self._tail_facet, dtype=np.int32),
-                np.asarray(self._tail_value, dtype=np.float64),
-                np.asarray(self._tail_time, dtype=self.time_dtype),
-            )
-        )
-        self._sealed_rows += len(self._tail_value)
-        for tail in self._tails():
-            tail.clear()
-
     # -- reading -------------------------------------------------------
     def snapshot(self) -> ColumnSet:
         """Contiguous column arrays covering every row (cached per
-        version; chunk boundaries are invisible in the result)."""
+        version)."""
         version = self.version
         cached = self._snapshot
         if cached is not None and cached[0] == version:
@@ -471,72 +413,32 @@ class EventStore:
         return columns
 
     def columns_from(self, start: int) -> ColumnSet:
-        """Contiguous columns of logical rows ``[start, len(self))``.
-
-        Slices only the sealed chunks that overlap *start*, plus the
-        tail, and caches nothing — the delta read of kernels that fold
-        new rows into kept state, so a one-row delta never concatenates
-        the whole store."""
-        parts: List[Tuple[np.ndarray, ...]] = []
-        base = self._sealed_rows
-        for chunk in reversed(self._chunks):
-            if base <= start:
-                break
-            base -= len(chunk)
-            lo = max(0, start - base)
-            parts.append(
-                (
-                    chunk.rater[lo:],
-                    chunk.target[lo:],
-                    chunk.facet[lo:],
-                    chunk.value[lo:],
-                    chunk.time[lo:],
-                )
-            )
-        parts.reverse()
-        lo = max(0, start - self._sealed_rows)
-        if lo < len(self._tail_value) or not parts:
-            dtypes = (np.int32, np.int32, np.int32, np.float64, self.time_dtype)
-            parts.append(
-                tuple(
-                    np.asarray(tail[lo:] if lo else tail, dtype=dtype)
-                    for tail, dtype in zip(self._tails(), dtypes)
-                )
-            )
-        if len(parts) == 1:
-            return ColumnSet(*parts[0])
+        """Contiguous columns of logical rows ``[start, len(self))``:
+        five slices of the store's columns, caching nothing — the delta
+        read of kernels that fold new rows into kept state."""
+        n = self._n
         return ColumnSet(
-            *(np.concatenate([p[i] for p in parts]) for i in range(5))
+            self._rater[start:n],
+            self._target[start:n],
+            self._facet[start:n],
+            self._value[start:n],
+            self._time[start:n],
         )
 
     def iter_rows(
         self, start: int = 0
     ) -> Iterator[Tuple[int, int, int, float, float]]:
         """Yield ``(rater, target, facet, value, time)`` per row from
-        logical row *start*, without materializing a snapshot — the
-        scalar reference replays consume this."""
-        base = 0
-        for chunk in self._chunks:
-            n = len(chunk)
-            if base + n > start:
-                lo = max(0, start - base)
-                yield from zip(
-                    chunk.rater[lo:].tolist(),
-                    chunk.target[lo:].tolist(),
-                    chunk.facet[lo:].tolist(),
-                    chunk.value[lo:].tolist(),
-                    chunk.time[lo:].tolist(),
-                )
-            base += n
-        lo = max(0, start - base)
-        if lo < len(self._tail_value):
-            yield from zip(
-                self._tail_rater[lo:],
-                self._tail_target[lo:],
-                self._tail_facet[lo:],
-                self._tail_value[lo:],
-                self._tail_time[lo:],
-            )
+        logical row *start*, as Python scalars, without materializing a
+        snapshot — the scalar reference replays consume this."""
+        columns = self.columns_from(start)
+        return zip(
+            columns.rater.tolist(),
+            columns.target.tolist(),
+            columns.facet.tolist(),
+            columns.value.tolist(),
+            columns.time.tolist(),
+        )
 
     def _index(
         self, name: str, build: Callable[[ColumnSet], GroupIndex]
@@ -552,16 +454,6 @@ class EventStore:
     def by_target(self) -> GroupIndex:
         """Rows grouped by target code, append order within groups."""
         return self._index("target", lambda c: GroupIndex(c.target))
-
-    def by_rater(self) -> GroupIndex:
-        """Rows grouped by rater code, append order within groups."""
-        return self._index("rater", lambda c: GroupIndex(c.rater))
-
-    def by_pair(self) -> GroupIndex:
-        """Rows grouped by (rater, target), append order within groups."""
-        return self._index(
-            "pair", lambda c: GroupIndex(c.pair_keys())
-        )
 
     def by_target_time(self) -> GroupIndex:
         """Rows grouped by target, time-ordered (ties keep append
@@ -584,10 +476,10 @@ class EventStore:
         """Deterministic byte encoding of the store's logical content.
 
         Covers the interner tables (insertion order) and the five
-        columns in logical row order; chunk boundaries and tail state
-        are invisible, so equal event streams encode equal regardless
-        of ``chunk_size`` — the merge/snapshot discipline the obs
-        registry established, applied to event data.
+        columns in logical row order; spare capacity is invisible, so
+        equal event streams encode equal however they were appended —
+        the merge/snapshot discipline the obs registry established,
+        applied to event data.
 
         The header tags the time dtype, so a float64 store and an
         int64 tick store can never encode equal (and existing float64

@@ -1,7 +1,7 @@
 """Mutation check for the shard path, the model folds and memos, the
-store cursor protocol and read-only views, the damped walk, the rank
-order, the scenario's truth key, the metrics fast paths, the serve
-token bucket and the zoo pin: do the gates catch regressions?
+store cursor protocol, growth and read-only views, the damped walk,
+the rank order, the scenario's truth key, the metrics fast paths, the
+serve token bucket and the zoo pin: do the gates catch regressions?
 
 Each :class:`Mutant` is an exact source edit that breaks one rule the
 canonical output depends on, plus the one test that must catch it.
@@ -314,6 +314,16 @@ MUTANTS: List[Mutant] = [
         reason="a group index's order stays writable, and so does every "
         "rows() slice of it: one reader's write reorders the cached "
         "index under every other reader",
+    ),
+    Mutant(
+        file="src/repro/store/store.py",
+        old="grown[:n] = column[:n]",
+        new="grown[:n - 1] = column[:n - 1]",
+        gate="tests/test_store/test_event_store.py::TestGrowth::"
+        "test_views_taken_before_a_growth_keep_their_rows",
+        reason="growth copies one row short: the last row kept before a "
+        "growth reads as zeros in the grown columns, while views taken "
+        "before the growth still show it",
     ),
     Mutant(
         file="src/repro/models/xrep.py",

@@ -228,6 +228,17 @@ class TestMergedOrder:
         assert rebuilt.canonical_bytes() == store.canonical_bytes()
 
 
+@pytest.fixture
+def register_builder(monkeypatch):
+    """:func:`register_shard_world_builder` for one test: the registry
+    is restored when the test ends, so no test-local builder (a lambda
+    or a crashing one) outlives it in the process-global table."""
+    monkeypatch.setattr(
+        sharded, "_SHARD_WORLD_BUILDERS", dict(sharded._SHARD_WORLD_BUILDERS)
+    )
+    return register_shard_world_builder
+
+
 def _badmouthing_world(seed, consumer_indices=None, **params):
     world = make_shard_world(
         seed=seed, consumer_indices=consumer_indices, **params
@@ -250,21 +261,17 @@ class TestUnsupportedShapes:
     """The vector rounds cover honest raters over full-taxonomy
     profiles; anything else fails at runtime construction, by name."""
 
-    def test_dishonest_rating_strategy_names_the_consumer(self):
-        register_shard_world_builder(
-            "badmouthing-shard-world", _badmouthing_world, overwrite=True
-        )
+    def test_dishonest_rating_strategy_names_the_consumer(self, register_builder):
+        register_builder("badmouthing-shard-world", _badmouthing_world)
         spec = _spec(3, world="badmouthing-shard-world")
         with pytest.raises(ConfigurationError, match="consumer-0000004"):
             ShardRuntime(spec, 0, 1)
         with pytest.raises(ConfigurationError, match="rates honestly"):
             run_sharded_experiment(spec, shards=2, mode=SERIAL)
 
-    def test_profile_off_the_taxonomy_names_the_service(self):
-        register_shard_world_builder(
-            "partial-profile-shard-world",
-            _partial_profile_world,
-            overwrite=True,
+    def test_profile_off_the_taxonomy_names_the_service(self, register_builder):
+        register_builder(
+            "partial-profile-shard-world", _partial_profile_world
         )
         spec = _spec(3, world="partial-profile-shard-world")
         with pytest.raises(ConfigurationError, match="svc-0002"):
@@ -289,13 +296,12 @@ class TestProcessMode:
             pooled.dispatch.rows_per_shard == serial.dispatch.rows_per_shard
         )
 
-    def test_unpicklable_builder_falls_back_to_serial(self):
-        register_shard_world_builder(
+    def test_unpicklable_builder_falls_back_to_serial(self, register_builder):
+        register_builder(
             "lambda-shard-world",  # reprolint only scans src/repro
             lambda seed, consumer_indices=None, **params: make_shard_world(
                 seed=seed, consumer_indices=consumer_indices, **params
             ),
-            overwrite=True,
         )
         spec = _spec(5, world="lambda-shard-world")
         report = run_sharded_experiment(spec, shards=2)
@@ -304,13 +310,12 @@ class TestProcessMode:
         assert report.canonical_bytes() == named.canonical_bytes()
         assert report.result == named.result
 
-    def test_forced_process_mode_rejects_unpicklable(self):
-        register_shard_world_builder(
+    def test_forced_process_mode_rejects_unpicklable(self, register_builder):
+        register_builder(
             "lambda-shard-world-2",
             lambda seed, consumer_indices=None, **params: make_shard_world(
                 seed=seed, consumer_indices=consumer_indices, **params
             ),
-            overwrite=True,
         )
         with pytest.raises(ConfigurationError):
             run_sharded_experiment(
@@ -335,10 +340,8 @@ def _dying_shard_world(seed, consumer_indices=None, **params):
 
 
 class TestWorkerFailure:
-    def test_dead_worker_names_its_shard(self):
-        register_shard_world_builder(
-            "dying-shard-world", _dying_shard_world, overwrite=True
-        )
+    def test_dead_worker_names_its_shard(self, register_builder):
+        register_builder("dying-shard-world", _dying_shard_world)
         spec = _spec(5, world="dying-shard-world")
         with pytest.raises(WorkerError, match="shard 1") as info:
             run_sharded_experiment(spec, shards=2, mode=PROCESS)

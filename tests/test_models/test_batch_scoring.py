@@ -194,21 +194,6 @@ class TestSeededColumnarParity:
         now = max(f.time for f in seen) + 1.0
         _assert_three_way_parity(name, model, seen, [None, "r0"], now)
 
-    @pytest.mark.parametrize("name", COLUMNAR)
-    def test_chunk_size_invariance(self, name, global_random_seed):
-        """Scores are bitwise independent of the store's chunking."""
-        from repro.store import EventStore
-
-        rng = random.Random(global_random_seed)
-        seen = _random_stream(rng, 60, RATERS, RATED, facets=True)
-        scores = []
-        for chunk_size in (1, 7, 64, 4096):
-            model = REGISTRY.create(name)
-            model._store = EventStore(chunk_size=chunk_size)
-            model.record_many(seen)
-            scores.append(model.score_many(QUERIED, "r0", 61.0))
-        assert all(s == scores[0] for s in scores[1:]), name
-
     def test_wang_recommendations_and_facet_weights(self, global_random_seed):
         from repro.models.wang_vassileva import WangVassilevaModel
 
@@ -407,22 +392,16 @@ def _steps(rng, stream: List[Feedback]) -> List[List[Feedback]]:
     return steps
 
 
-def _beta(chunk_size: int, lam: float = 1.0):
+def _beta(lam: float = 1.0):
     from repro.models.beta import BetaReputation
-    from repro.store import EventStore
 
-    model = BetaReputation(lam=lam)
-    model._store = EventStore(chunk_size=chunk_size)
-    return model
+    return BetaReputation(lam=lam)
 
 
-def _sporas(chunk_size: int):
+def _sporas():
     from repro.models.sporas import SporasModel
-    from repro.store import EventStore
 
-    model = SporasModel()
-    model._store = EventStore(chunk_size=chunk_size)
-    return model
+    return SporasModel()
 
 
 #: The damped-walk models and configurations the parity test covers.
@@ -470,7 +449,7 @@ class TestFoldInterleaving:
     def _assert_sporas_fold(model, seen):
         """Fold == cold clone's kernel bitwise, == base loop to 1e-9,
         and the coupling latch == the rater/target sets intersecting."""
-        cold = _sporas(4096)
+        cold = _sporas()
         cold.record_many(seen)
         fold, expected = model._kernel(), cold._kernel()
         coupled = bool({f.rater for f in seen} & {f.target for f in seen})
@@ -503,7 +482,7 @@ class TestFoldInterleaving:
                             time=float(len(prefix)), rating=0.9)
         rest = _random_stream(rng, rng.randint(0, 20), RATERS + RATED,
                               RATERS + RATED)
-        model = _sporas(rng.choice([1, 3, 7, 4096]))
+        model = _sporas()
         seen: List[Feedback] = []
         for step in _steps(rng, prefix) + [[coupling]] + _steps(rng, rest):
             model.record_many(step)
@@ -515,7 +494,7 @@ class TestFoldInterleaving:
         """Each model keeps its own fold position over a shared store;
         swapping in another store restarts the fold from row 0."""
         rng = random.Random(global_random_seed)
-        first, second = _sporas(rng.choice([1, 5, 4096])), _sporas(4096)
+        first, second = _sporas(), _sporas()
         second._store = first._store
         stream = _random_stream(rng, rng.randint(20, 60), RATERS, RATED)
         seen: List[Feedback] = []
@@ -527,7 +506,7 @@ class TestFoldInterleaving:
                 self._assert_sporas_fold(second, seen)
         self._assert_sporas_fold(second, seen)
         half = seen[: len(seen) // 2]
-        swapped = _sporas(4096)
+        swapped = _sporas()
         swapped.record_many(half)
         second._store = swapped._store
         assert second.score_many(QUERIED) == swapped.score_many(QUERIED)
@@ -539,7 +518,7 @@ class TestFoldInterleaving:
     def _assert_beta_fold(model, seen, queried):
         """Fold == a fresh model's cold kernel and == one bincount over
         the fresh store, bitwise; == the base score() loop to 1e-9."""
-        cold = _beta(4096)
+        cold = _beta()
         cold.record_many(seen)
         columns = cold._store.snapshot()
         n = len(cold._store.entities)
@@ -568,7 +547,7 @@ class TestFoldInterleaving:
                                    target=rng.choice(pool), time=float(t),
                                    rating=rng.random()))
         queried = QUERIED + RATERS + grown
-        model, forgetting = _beta(rng.choice([1, 3, 7, 4096])), _beta(5, 0.9)
+        model, forgetting = _beta(), _beta(0.9)
         seen: List[Feedback] = []
         for step in _steps(rng, stream):
             model.record_many(step)

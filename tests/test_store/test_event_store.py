@@ -1,10 +1,11 @@
-"""EventStore contracts: the ISSUE-pinned properties.
+"""EventStore contracts.
 
 The two invariants the columnar kernels stand on:
 
-* snapshot/merge **byte-identity across chunkings** — the canonical
-  encoding covers logical content only, so chunk_size ∈ {1, 7, 64,
-  4096} (and any append/extend interleaving) is invisible;
+* snapshot/merge **byte-identity across fills** — the canonical
+  encoding covers logical content only, so an append loop, one bulk
+  extend, split extends and merges of the same rows encode alike,
+  whatever capacity growths the fill goes through;
 * **interner insertion stability** — ``record_many``-style bulk extends
   assign the same codes a looped ``record`` would.
 """
@@ -18,8 +19,18 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.store import EventStore, OVERALL_FACET, latest_rows
+from repro.store.store import _INITIAL_CAPACITY
 
-CHUNK_SIZES = (1, 7, 64, 4096)
+#: row counts just below, at and just above the first three capacity
+#: growths, and the empty store
+GROWTH_SIZES = (0,) + tuple(
+    capacity + step
+    for capacity in (_INITIAL_CAPACITY, 2 * _INITIAL_CAPACITY,
+                     4 * _INITIAL_CAPACITY)
+    for step in (-1, 0, 1)
+)
+
+COLUMNS = ("rater", "target", "facet", "value", "time")
 
 RATERS = [f"r{i}" for i in range(5)]
 TARGETS = ["svc-a", "svc-b", "svc-c"]
@@ -43,16 +54,46 @@ def _fill(store, events):
     return store
 
 
-class TestCanonicalBytes:
-    @given(EVENTS)
-    @settings(max_examples=50)
-    def test_byte_identical_across_chunk_sizes(self, events):
-        encodings = {
-            _fill(EventStore(chunk_size=size), events).canonical_bytes()
-            for size in CHUNK_SIZES
-        }
-        assert len(encodings) == 1
+def _overall_rows(n, time_dtype):
+    """*n* overall rows, every column non-zero in every row."""
+    tick = int if time_dtype == "int64" else float
+    return [
+        (f"r{i % 5}", f"svc-{i % 7}", (i % 9 + 1) / 10.0, tick(i + 1))
+        for i in range(n)
+    ]
 
+
+def _extend(store, rows):
+    store.extend(*([row[k] for row in rows] for k in range(4)))
+
+
+def _growth_fills(rows, time_dtype):
+    """The same rows appended four ways: fill name -> store."""
+    looped = EventStore(time_dtype=time_dtype)
+    for row in rows:
+        looped.append(*row)
+    bulk = EventStore(time_dtype=time_dtype)
+    _extend(bulk, rows)
+    names = sorted({row[0] for row in rows} | {row[1] for row in rows})
+    position = {name: i for i, name in enumerate(names)}
+    coded = EventStore(time_dtype=time_dtype)
+    coded.extend_coded(
+        names,
+        [position[row[0]] for row in rows],
+        [position[row[1]] for row in rows],
+        [row[2] for row in rows],
+        [row[3] for row in rows],
+    )
+    split = EventStore(time_dtype=time_dtype)
+    start, size = 0, 1
+    while start < len(rows):  # pieces of 1, 2, 3, ... rows
+        _extend(split, rows[start:start + size])
+        start, size = start + size, size + 1
+    return {"append": looped, "extend": bulk, "coded": coded,
+            "split": split}
+
+
+class TestCanonicalBytes:
     @given(EVENTS, st.integers(0, 60))
     @settings(max_examples=50)
     def test_extend_matches_append_loop(self, events, split):
@@ -60,10 +101,10 @@ class TestCanonicalBytes:
         looped appends: same codes, same rows, same bytes."""
         overall = [e for e in events if e[2] is None]
         split = min(split, len(overall))
-        looped = EventStore(chunk_size=7)
+        looped = EventStore()
         for rater, target, _facet, value, time in overall:
             looped.append(rater, target, value, time)
-        bulk = EventStore(chunk_size=7)
+        bulk = EventStore()
         head = overall[:split]
         if head:
             bulk.extend(
@@ -78,7 +119,6 @@ class TestCanonicalBytes:
         assert looped.entities.values() == bulk.entities.values()
 
     @given(
-        st.sampled_from(CHUNK_SIZES),
         EVENTS,
         st.lists(st.sampled_from(RATERS + TARGETS), max_size=8),
         st.lists(st.sampled_from(RATERS + TARGETS), max_size=4),
@@ -86,15 +126,15 @@ class TestCanonicalBytes:
     )
     @settings(max_examples=100)
     def test_extend_coded_matches_append_loop(
-        self, chunk_size, events, interned, unused, rnd
+        self, events, interned, unused, rnd
     ):
         """The coded append interns only referenced names, in
         first-appearance order over the interleaved (rater, target)
         stream: byte-identical to an append loop over the decoded rows,
         whatever the names list's order, repeats or unused entries."""
         overall = [e for e in events if e[2] is None]
-        looped = EventStore(chunk_size=chunk_size)
-        coded = EventStore(chunk_size=chunk_size)
+        looped = EventStore()
+        coded = EventStore()
         for store in (looped, coded):
             for i, name in enumerate(interned):  # ids already interned
                 store.append(name, name, 0.5, float(i))
@@ -117,18 +157,19 @@ class TestCanonicalBytes:
 
     @given(EVENTS, st.integers(0, 60))
     @settings(max_examples=50)
-    def test_merge_is_chunking_invariant_concatenation(self, events, split):
+    def test_merge_is_concatenation(self, events, split):
+        """Merging the two halves of a stream, into the left half or
+        into an empty store, encodes like appending it whole."""
         split = min(split, len(events))
-        whole = _fill(EventStore(chunk_size=64), events)
-        merged = {}
-        for size in CHUNK_SIZES:
-            left = _fill(EventStore(chunk_size=size), events[:split])
-            right = _fill(
-                EventStore(chunk_size=CHUNK_SIZES[::-1][0]), events[split:]
-            )
-            left.merge_from(right)
-            merged[size] = left.canonical_bytes()
-        assert set(merged.values()) == {whole.canonical_bytes()}
+        whole = _fill(EventStore(), events).canonical_bytes()
+        left = _fill(EventStore(), events[:split])
+        right = _fill(EventStore(), events[split:])
+        empty = EventStore()
+        empty.merge_from(left)
+        empty.merge_from(right)
+        left.merge_from(right)
+        assert left.canonical_bytes() == whole
+        assert empty.canonical_bytes() == whole
 
     def test_merge_reinterns_through_own_tables(self):
         a = EventStore()
@@ -150,8 +191,10 @@ class TestCanonicalBytes:
 
 
 class TestRandomizedParityStreams:
-    def test_chunking_invariance_for_any_seed(self, global_random_seed):
-        """The rotating-seed sweep of the byte-identity property."""
+    def test_merged_pieces_for_any_seed(self, global_random_seed):
+        """The rotating-seed sweep of the byte-identity property: a
+        stream cut at random points and merged piece by piece encodes
+        like its append loop."""
         rng = random.Random(global_random_seed)
         events = [
             (
@@ -163,16 +206,17 @@ class TestRandomizedParityStreams:
             )
             for _ in range(rng.randrange(5, 120))
         ]
-        encodings = {
-            _fill(EventStore(chunk_size=size), events).canonical_bytes()
-            for size in CHUNK_SIZES
-        }
-        assert len(encodings) == 1
+        cuts = sorted(rng.randrange(len(events) + 1) for _ in range(3))
+        merged = EventStore()
+        for lo, hi in zip([0] + cuts, cuts + [len(events)]):
+            merged.merge_from(_fill(EventStore(), events[lo:hi]))
+        whole = _fill(EventStore(), events)
+        assert merged.canonical_bytes() == whole.canonical_bytes()
 
 
 class TestSnapshotAndIndexes:
     def test_snapshot_is_cached_per_version(self):
-        store = EventStore(chunk_size=4)
+        store = EventStore()
         store.append("r0", "a", 0.5, 0.0)
         first = store.snapshot()
         assert store.snapshot() is first
@@ -181,7 +225,7 @@ class TestSnapshotAndIndexes:
         assert store.snapshot().n == 2
 
     def test_group_rows_preserve_append_order(self):
-        store = EventStore(chunk_size=2)
+        store = EventStore()
         ratings = [("a", 0.1), ("b", 0.2), ("a", 0.3), ("a", 0.4), ("b", 0.5)]
         for i, (target, value) in enumerate(ratings):
             store.append("r0", target, value, float(i))
@@ -194,7 +238,7 @@ class TestSnapshotAndIndexes:
         assert index.group_sizes().tolist() in ([3, 2], [2, 3])
 
     def test_by_target_time_orders_out_of_order_streams(self):
-        store = EventStore(chunk_size=3)
+        store = EventStore()
         times = [5.0, 1.0, 3.0, 2.0, 4.0]
         for i, t in enumerate(times):
             store.append("r0", "svc", float(i) / 10.0, t)
@@ -203,31 +247,31 @@ class TestSnapshotAndIndexes:
         assert store.snapshot().time[rows].tolist() == sorted(times)
 
     def test_iter_rows_from_offset(self):
-        store = EventStore(chunk_size=3)
+        store = EventStore()
         for i in range(10):
             store.append(f"r{i % 2}", "svc", i / 10.0, float(i))
         tail = list(store.iter_rows(7))
         assert [row[3] for row in tail] == [0.7, 0.8, 0.9]
         assert len(list(store.iter_rows(0))) == 10
 
-    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+    @pytest.mark.parametrize("size", GROWTH_SIZES)
     @pytest.mark.parametrize("time_dtype", ["float64", "int64"])
-    def test_columns_from_is_the_snapshot_suffix(self, chunk_size, time_dtype):
-        store = EventStore(chunk_size=chunk_size, time_dtype=time_dtype)
-        for i in range(20):
+    def test_columns_from_is_the_snapshot_suffix(self, size, time_dtype):
+        store = EventStore(time_dtype=time_dtype)
+        for i in range(size):
             store.append(f"r{i % 3}", f"s{i % 4}", i / 20.0, i,
                          facet="latency" if i % 5 == 0 else None)
         full = store.snapshot()
         for start in range(len(store) + 2):
             part = store.columns_from(start)
-            for name in ("rater", "target", "facet", "value", "time"):
+            for name in COLUMNS:
                 column, expected = getattr(part, name), getattr(full, name)
                 assert column.tolist() == expected[start:].tolist()
                 assert column.dtype == expected.dtype
         assert store.snapshot() is full  # the delta read caches nothing
 
     def test_ranks_align_with_order(self):
-        store = EventStore(chunk_size=2)
+        store = EventStore()
         for i, target in enumerate(["a", "b", "a", "b", "a"]):
             store.append("r0", target, 0.5, float(i))
         index = store.by_target()
@@ -249,16 +293,70 @@ class TestSnapshotAndIndexes:
 
 
 class TestValidation:
-    def test_chunk_size_must_be_positive(self):
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            EventStore(chunk_size=0)
-
     def test_empty_store_shapes(self):
         store = EventStore()
         assert len(store) == 0
         assert store.version == 0
         assert store.snapshot().n == 0
         assert store.canonical_bytes() == EventStore().canonical_bytes()
+
+
+class TestGrowth:
+    """Fills whose sizes straddle capacity growths."""
+
+    @pytest.mark.parametrize("size", GROWTH_SIZES)
+    @pytest.mark.parametrize("time_dtype", ["float64", "int64"])
+    def test_fills_agree_across_growths(self, size, time_dtype):
+        """An append loop, one extend, one extend_coded and split
+        extends hold the same rows, as Python scalars from iter_rows,
+        and encode alike."""
+        rows = _overall_rows(size, time_dtype)
+        fills = _growth_fills(rows, time_dtype)
+        expected = fills["append"].canonical_bytes()
+        for name, store in fills.items():
+            assert len(store) == size, name
+            assert store.canonical_bytes() == expected, name
+            decoded = [
+                (store.entities.value(r), store.entities.value(t), v, time)
+                for r, t, facet, v, time in store.iter_rows()
+            ]
+            assert decoded == rows, name
+            time_type = int if time_dtype == "int64" else float
+            assert all(
+                type(row[4]) is time_type for row in store.iter_rows()
+            ), name
+            assert list(store.iter_rows(size // 2)) == list(
+                store.iter_rows()
+            )[size // 2:], name
+
+    @pytest.mark.parametrize("time_dtype", ["float64", "int64"])
+    def test_views_taken_before_a_growth_keep_their_rows(self, time_dtype):
+        """A view taken at full capacity keeps its length, values and
+        read-only flag through the appends that grow the columns, and
+        the grown store still starts with exactly those rows."""
+        rows = _overall_rows(3 * _INITIAL_CAPACITY, time_dtype)
+        store = EventStore(time_dtype=time_dtype)
+        for row in rows[:_INITIAL_CAPACITY]:
+            store.append(*row)
+        view = store.snapshot()
+        suffix = store.columns_from(_INITIAL_CAPACITY // 2)
+        kept = {name: getattr(view, name).tolist() for name in COLUMNS}
+        store.append(*rows[_INITIAL_CAPACITY])  # the first growth
+        _extend(store, rows[_INITIAL_CAPACITY + 1:])  # the second
+        assert view.n == _INITIAL_CAPACITY
+        assert suffix.n == _INITIAL_CAPACITY - _INITIAL_CAPACITY // 2
+        grown = store.snapshot()
+        for name in COLUMNS:
+            column = getattr(view, name)
+            assert column.tolist() == kept[name], name
+            assert getattr(suffix, name).tolist() == kept[name][
+                _INITIAL_CAPACITY // 2:
+            ], name
+            assert not column.flags.writeable, name
+            assert getattr(grown, name)[:view.n].tolist() == kept[name], name
+        assert store.canonical_bytes() == (
+            _growth_fills(rows, time_dtype)["append"].canonical_bytes()
+        )
 
 
 class TestMisalignedColumns:

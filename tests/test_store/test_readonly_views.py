@@ -14,16 +14,12 @@ import pytest
 from repro.experiments.sharded import ShardedRunSpec, _Coordinator
 from repro.store import EventStore
 
-N_ROWS = 10
-#: one sealed chunk and no tail, so whole-store reads are chunk views;
-#: and three sealed chunks plus a tail, so reads are concatenations
-CHUNKINGS = {"single-chunk": N_ROWS, "multi-chunk": 3}
-INDEXES = ("by_target", "by_rater", "by_pair", "by_target_time",
-           "by_target_facet")
+N_ROWS = 20
+INDEXES = ("by_target", "by_target_time", "by_target_facet")
 
 
-def _store(chunk_size: int) -> EventStore:
-    store = EventStore(chunk_size=chunk_size)
+def _store() -> EventStore:
+    store = EventStore()
     for i in range(N_ROWS):
         # out-of-order times give by_target_time its own lexsort index
         store.append(f"r{i % 3}", f"s{i % 4}", i / N_ROWS, float(i * 7 % 5),
@@ -68,10 +64,9 @@ WRITES = {
 
 
 @pytest.mark.parametrize("write", list(WRITES))
-@pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
 @pytest.mark.parametrize("producer", list(PRODUCERS))
-def test_every_store_view_is_read_only(producer, chunking, write):
-    store = _store(CHUNKINGS[chunking])
+def test_every_store_view_is_read_only(producer, write):
+    store = _store()
     before = store.canonical_bytes()
     for view in PRODUCERS[producer](store):
         assert isinstance(view, np.ndarray)
@@ -81,17 +76,6 @@ def test_every_store_view_is_read_only(producer, chunking, write):
         WRITES[write](copy)
         assert copy.flags.writeable
     assert store.canonical_bytes() == before
-
-
-def test_views_come_from_both_read_paths():
-    """The chunkings above reach both ``columns_from`` branches: the
-    single-chunk store's full read is one chunk's view, the multi-chunk
-    store's is a concatenation."""
-    single = _store(CHUNKINGS["single-chunk"])
-    assert single._chunks and not single._tail_value
-    assert np.shares_memory(single.snapshot().value, single._chunks[0].value)
-    multi = _store(CHUNKINGS["multi-chunk"])
-    assert len(multi._chunks) > 1 and multi._tail_value
 
 
 def test_epoch_start_scores_are_immutable():
@@ -109,7 +93,7 @@ def test_epoch_start_scores_are_immutable():
 
 
 def test_copies_and_masks_stay_writable():
-    snap = _store(CHUNKINGS["multi-chunk"]).snapshot()
+    snap = _store().snapshot()
     mine = list(snap.value)
     mine.sort()
     positive = snap.value[snap.value > 0]

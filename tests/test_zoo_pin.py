@@ -1,4 +1,5 @@
-"""Every registered model's zoo outcome bytes equal the committed digest.
+"""Every registered model's zoo outcome bytes, one sharded run and the
+Figure-2 trace equal their committed digests.
 
 See :mod:`tests.zoo_pin` for what is hashed and how to regenerate.
 """
@@ -7,9 +8,11 @@ import pytest
 
 from repro.experiments import parallel, sharded
 from tests.zoo_pin import (
+    FIG2_KEY,
     SHARD_KEY,
     committed,
     digests,
+    fig2_digest,
     python_version,
     shard_digest,
     specs,
@@ -32,3 +35,11 @@ def test_sharded_canonical_bytes_match_committed_digest():
     if version not in table:
         pytest.skip(f"no shard digest committed for Python {version}")
     assert shard_digest(sharded.SERIAL) == table[version]
+
+
+def test_fig2_trace_matches_committed_digest(tmp_path):
+    table = committed().get(FIG2_KEY, {})
+    version = python_version()
+    if version not in table:
+        pytest.skip(f"no Figure-2 digest committed for Python {version}")
+    assert fig2_digest(tmp_path / "traces") == table[version]

@@ -13,17 +13,22 @@ One small sharded run is pinned beside them: the sha256 of its
 two shards.  The shard tests check that 1, 2 and 8 shards agree; this
 digest catches a change that moves every shard count alike.
 
+So is the Figure-2 trace: the sha256 of the canonical JSONL that
+``run_activities_comparison(rounds=10)`` writes into its trace
+directory (``REPRO_TRACE_DIR`` in CI's traced run).
+
 The digests live in ``tests/zoo_digests.json``, keyed by Python minor
-version (``"3.11"``), the shard digest under ``"sharded"``: float
-``sum`` is compensated from 3.12 on, so another minor version may
-legitimately produce other bytes.  ``tests/test_zoo_pin.py`` asserts
+version (``"3.11"``), the shard digest under ``"sharded"`` and the
+trace digest under ``"fig2"``: float ``sum`` is compensated from 3.12
+on, so another minor version may legitimately produce other bytes.  ``tests/test_zoo_pin.py`` asserts
 them.  A change that moves outcome bytes on purpose regenerates the
 file from the repository root::
 
     PYTHONPATH=src python -m tests.zoo_pin
 
 The script runs every spec twice, through worker processes and
-serially, and refuses to write when the two disagree.
+serially, the sharded run in both modes and the Figure-2 run twice,
+and refuses to write when a pair disagrees.
 """
 
 from __future__ import annotations
@@ -31,11 +36,13 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 from typing import Dict, List, Sequence
 
 from repro.core.registry import default_registry
 from repro.experiments import parallel, sharded
+from repro.experiments.activities import run_activities_comparison
 
 DIGESTS = Path(__file__).resolve().parent / "zoo_digests.json"
 
@@ -49,6 +56,10 @@ SHARD_SPEC = sharded.ShardedRunSpec(
     world_params={"n_providers": 3, "services_per_provider": 2,
                   "n_consumers": 11},
 )
+
+
+FIG2_KEY = "fig2"
+FIG2_ROUNDS = 10
 
 
 def python_version() -> str:
@@ -85,6 +96,13 @@ def shard_digest(mode: str) -> str:
     return hashlib.sha256(report.canonical_bytes()).hexdigest()
 
 
+def fig2_digest(trace_dir: Path) -> str:
+    """sha256 of the Figure-2 trace written into the empty *trace_dir*."""
+    run_activities_comparison(rounds=FIG2_ROUNDS, trace_dir=str(trace_dir))
+    (trace,) = trace_dir.glob("*.jsonl")
+    return hashlib.sha256(trace.read_bytes()).hexdigest()
+
+
 def committed() -> Dict[str, Dict[str, str]]:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))
 
@@ -105,15 +123,21 @@ def main() -> int:
     if shard_digest(sharded.PROCESS) != shard:
         print("refusing to write: the sharded run's process != serial")
         return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        fig2, again = (fig2_digest(Path(tmp) / run) for run in ("a", "b"))
+    if fig2 != again:
+        print("refusing to write: two Figure-2 runs wrote different traces")
+        return 1
     table = committed() if DIGESTS.exists() else {}
     table[python_version()] = dict(sorted(serial.items()))
     table.setdefault(SHARD_KEY, {})[python_version()] = shard
+    table.setdefault(FIG2_KEY, {})[python_version()] = fig2
     DIGESTS.write_text(
         json.dumps(dict(sorted(table.items())), indent=2) + "\n",
         encoding="utf-8",
     )
-    print(f"wrote {len(serial)} zoo digests and the shard digest for "
-          f"Python {python_version()}")
+    print(f"wrote {len(serial)} zoo digests, the shard digest and the "
+          f"Figure-2 digest for Python {python_version()}")
     return 0
 
 
