@@ -194,6 +194,21 @@ class TestSeededColumnarParity:
         now = max(f.time for f in seen) + 1.0
         _assert_three_way_parity(name, model, seen, [None, "r0"], now)
 
+    @pytest.mark.parametrize("name", COLUMNAR)
+    def test_chunk_size_invariance(self, name, global_random_seed):
+        """Scores are bitwise independent of the chunks a stream is
+        recorded in, and so of where the store's columns grow: one row
+        per call grows them row by row, one 60-row call at once."""
+        rng = random.Random(global_random_seed)
+        seen = _random_stream(rng, 60, RATERS, RATED, facets=True)
+        scores = []
+        for chunk_size in (1, 7, 64):
+            model = REGISTRY.create(name)
+            for start in range(0, len(seen), chunk_size):
+                model.record_many(seen[start:start + chunk_size])
+            scores.append(model.score_many(QUERIED, "r0", 61.0))
+        assert all(s == scores[0] for s in scores[1:]), name
+
     def test_wang_recommendations_and_facet_weights(self, global_random_seed):
         from repro.models.wang_vassileva import WangVassilevaModel
 

@@ -13,16 +13,21 @@ import pytest
 
 from repro.experiments.sharded import ShardedRunSpec, _Coordinator
 from repro.store import EventStore
+from repro.store.store import _INITIAL_CAPACITY
 
-N_ROWS = 20
+#: row counts: all rows in the one chunk of column buffers the store
+#: was built with; and rows appended across three growths, so views
+#: slice buffers the columns were moved to
+CHUNKINGS = {"single-chunk": _INITIAL_CAPACITY,
+             "multi-chunk": 4 * _INITIAL_CAPACITY + 1}
 INDEXES = ("by_target", "by_target_time", "by_target_facet")
 
 
-def _store() -> EventStore:
+def _store(n_rows: int) -> EventStore:
     store = EventStore()
-    for i in range(N_ROWS):
+    for i in range(n_rows):
         # out-of-order times give by_target_time its own lexsort index
-        store.append(f"r{i % 3}", f"s{i % 4}", i / N_ROWS, float(i * 7 % 5),
+        store.append(f"r{i % 3}", f"s{i % 4}", i / n_rows, float(i * 7 % 5),
                      facet="latency" if i % 4 == 0 else None)
     return store
 
@@ -64,9 +69,10 @@ WRITES = {
 
 
 @pytest.mark.parametrize("write", list(WRITES))
+@pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
 @pytest.mark.parametrize("producer", list(PRODUCERS))
-def test_every_store_view_is_read_only(producer, write):
-    store = _store()
+def test_every_store_view_is_read_only(producer, chunking, write):
+    store = _store(CHUNKINGS[chunking])
     before = store.canonical_bytes()
     for view in PRODUCERS[producer](store):
         assert isinstance(view, np.ndarray)
@@ -76,6 +82,18 @@ def test_every_store_view_is_read_only(producer, write):
         WRITES[write](copy)
         assert copy.flags.writeable
     assert store.canonical_bytes() == before
+
+
+def test_views_come_from_both_read_paths():
+    """The chunkings above reach both kinds of buffer a view slices:
+    the single-chunk store's columns are the buffers it was built with,
+    the multi-chunk store's were moved by three growths."""
+    single = _store(CHUNKINGS["single-chunk"])
+    assert len(single._value) == _INITIAL_CAPACITY
+    assert np.shares_memory(single.snapshot().value, single._value)
+    multi = _store(CHUNKINGS["multi-chunk"])
+    assert len(multi._value) == 8 * _INITIAL_CAPACITY
+    assert np.shares_memory(multi.snapshot().value, multi._value)
 
 
 def test_epoch_start_scores_are_immutable():
@@ -93,7 +111,7 @@ def test_epoch_start_scores_are_immutable():
 
 
 def test_copies_and_masks_stay_writable():
-    snap = _store().snapshot()
+    snap = _store(CHUNKINGS["multi-chunk"]).snapshot()
     mine = list(snap.value)
     mine.sort()
     positive = snap.value[snap.value > 0]
