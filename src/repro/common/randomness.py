@@ -113,29 +113,32 @@ _WORD = 0xFFFFFFFF
 _U32 = np.uint64(32)
 _UNIT = 2.0**-53
 _TWO_PI = 2.0 * np.pi
+#: the multipliers and key increments of counter words 0 and 2
+_MULTIPLIERS = np.array([[PHILOX_M0], [PHILOX_M1]], dtype=np.uint64)
+_WEYL = np.array([[PHILOX_W0], [PHILOX_W1]], dtype=np.uint64)
 
 
-def _philox(
-    words: Sequence[np.ndarray], key: int, rounds: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Philox4x32 over four equal-length ``uint64`` word arrays."""
-    c0, c1, c2, c3 = words
-    m0, m1 = np.uint64(PHILOX_M0), np.uint64(PHILOX_M1)
+def _philox(words: ArrayLike, key: int, rounds: int) -> np.ndarray:
+    """Philox4x32 of a ``(4, n)`` block of 32-bit counter words, as
+    ``uint64``: in place on a copy of *words* (the caller's are never
+    written), five whole-block operations into buffers per round."""
+    state = np.array(words, dtype=np.uint64)
+    multiplied, other = state[0::2], state[1::2]
+    products = np.empty_like(multiplied)
+    swapped = products[::-1]
     mask = np.uint64(_WORD)
-    k0, k1 = key & _WORD, (key >> 32) & _WORD
+    keys = np.array([[key & _WORD], [(key >> 32) & _WORD]], dtype=np.uint64)
     for r in range(rounds):
         if r:
-            k0 = (k0 + PHILOX_W0) & _WORD
-            k1 = (k1 + PHILOX_W1) & _WORD
-        p0 = c0 * m0
-        p1 = c2 * m1
-        c0, c1, c2, c3 = (
-            (p1 >> _U32) ^ c1 ^ np.uint64(k0),
-            p1 & mask,
-            (p0 >> _U32) ^ c3 ^ np.uint64(k1),
-            p0 & mask,
-        )
-    return c0, c1, c2, c3
+            keys += _WEYL
+            keys &= mask
+        # (c0, c2) <- (hi(p1) ^ c1 ^ k0, hi(p0) ^ c3 ^ k1); (c1, c3) <- lo
+        np.multiply(multiplied, _MULTIPLIERS, out=products)
+        np.right_shift(swapped, _U32, out=multiplied)
+        multiplied ^= other
+        multiplied ^= keys
+        np.bitwise_and(swapped, mask, out=other)
+    return state
 
 
 def philox4x32(
@@ -149,8 +152,7 @@ def philox4x32(
     ordered never changes a row.
     """
     block = np.asarray(counters, dtype=np.uint64).reshape(-1, 4)
-    words = [np.ascontiguousarray(block[:, i]) for i in range(4)]
-    return np.stack(_philox(words, key, rounds), axis=1)
+    return np.ascontiguousarray(_philox(block.T, key, rounds).T)
 
 
 def _check_word(name: str, values: np.ndarray) -> None:
@@ -159,38 +161,28 @@ def _check_word(name: str, values: np.ndarray) -> None:
 
 
 def _block_words(
-    key: int, streams: ArrayLike, purpose: int, step: int, blocks: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four output words of every ``(stream, block)`` counter.
-
-    Row ``s * blocks + b`` comes from the block at counter
-    ``(streams[s], purpose, step, b)``.
+    key: int, streams: ArrayLike, step: int, parts: Sequence[Tuple[int, int]]
+) -> np.ndarray:
+    """The ``(4, n)`` output words of one Philox pass over the counters
+    of each ``(purpose, blocks)`` part in turn; within a part, column
+    ``s * blocks + b`` is the block at ``(streams[s], purpose, step, b)``.
     """
     ids = np.asarray(streams, dtype=np.int64).reshape(-1)
     _check_word("stream", ids)
-    _check_word("purpose/step", np.array([purpose, step], dtype=np.int64))
-    n = len(ids) * blocks
+    _check_word("purpose/step", np.array([*(p for p, _ in parts), step]))
+    ids = ids.astype(np.uint64)
+    n = len(ids) * sum(blocks for _, blocks in parts)
     words = (
-        np.repeat(ids.astype(np.uint64), blocks),
-        np.full(n, purpose, dtype=np.uint64),
+        np.concatenate([np.repeat(ids, b) for _, b in parts]),
+        np.concatenate(
+            [np.full(len(ids) * b, p, dtype=np.uint64) for p, b in parts]
+        ),
         np.full(n, step, dtype=np.uint64),
-        np.tile(np.arange(blocks, dtype=np.uint64), len(ids)),
+        np.concatenate(
+            [np.tile(np.arange(b, dtype=np.uint64), len(ids)) for _, b in parts]
+        ),
     )
     return _philox(words, key, PHILOX_ROUNDS)
-
-
-def _block_uniforms(
-    key: int, streams: ArrayLike, purpose: int, step: int, blocks: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The two 53-bit uniforms of every ``(stream, block)`` counter.
-
-    Rows are laid out as in :func:`_block_words`; the first uniform is
-    built from output words 0-1, the second from words 2-3.
-    """
-    w0, w1, w2, w3 = _block_words(key, streams, purpose, step, blocks)
-    first = ((w0 >> np.uint64(5)) << np.uint64(26)) | (w1 >> np.uint64(6))
-    second = ((w2 >> np.uint64(5)) << np.uint64(26)) | (w3 >> np.uint64(6))
-    return first.astype(np.float64) * _UNIT, second.astype(np.float64) * _UNIT
 
 
 def keyed_words(
@@ -201,8 +193,39 @@ def keyed_words(
     Entry ``s`` is output word 0 (high half) and word 1 (low half) of
     the block at counter ``(streams[s], purpose, step, 0)``.
     """
-    w0, w1, _, _ = _block_words(key, streams, purpose, step, 1)
-    return (w0 << _U32) | w1
+    words = _block_words(key, streams, step, [(purpose, 1)])
+    return (words[0] << _U32) | words[1]
+
+
+def keyed_draws(
+    key: int,
+    streams: ArrayLike,
+    step: int,
+    uniforms: Tuple[int, int],
+    normals: Tuple[int, int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`keyed_uniforms` and :func:`keyed_normals` of one step, each
+    asked for as ``(purpose, count)``, from one Philox pass over both
+    requests' counters; every draw is a pure function of its counter,
+    so the values are those of the two separate calls."""
+    (u_purpose, u_count), (z_purpose, z_count) = uniforms, normals
+    u_blocks, z_blocks = (u_count + 1) // 2, (z_count + 1) // 2
+    n, split = np.size(streams), np.size(streams) * u_blocks
+    words = _block_words(
+        key, streams, step, [(u_purpose, u_blocks), (z_purpose, z_blocks)]
+    )
+    # A block's 53-bit uniforms: row 0 from words 0-1, row 1 from 2-3.
+    high = (words[0::2] >> np.uint64(5)) << np.uint64(26)
+    units = (high | (words[1::2] >> np.uint64(6))).astype(np.float64) * _UNIT
+    # Block b fills columns 2b and 2b + 1; normals are Box-Muller.
+    uniform = units[:, :split].T.reshape(n, 2 * u_blocks)
+    radius = np.sqrt(-2.0 * np.log(1.0 - units[0, split:]))
+    theta = _TWO_PI * units[1, split:]
+    pairs = np.empty((len(theta), 2))
+    np.cos(theta, out=pairs[:, 0])
+    np.sin(theta, out=pairs[:, 1])
+    pairs *= radius[:, None]
+    return uniform[:, :u_count], pairs.reshape(n, 2 * z_blocks)[:, :z_count]
 
 
 def keyed_uniforms(
@@ -215,10 +238,7 @@ def keyed_uniforms(
     purpose, step, j // 2)`` and the two uniforms of a block fill
     columns ``2b`` and ``2b + 1``.
     """
-    blocks = (count + 1) // 2
-    first, second = _block_uniforms(key, streams, purpose, step, blocks)
-    pairs = np.stack((first, second), axis=1)
-    return pairs.reshape(-1, 2 * blocks)[:, :count]
+    return keyed_draws(key, streams, step, (purpose, count), (purpose, 0))[0]
 
 
 def keyed_normals(
@@ -230,9 +250,4 @@ def keyed_normals(
     ``2b + 1`` as ``r cos(2 pi u2)`` and ``r sin(2 pi u2)`` with
     ``r = sqrt(-2 log(1 - u1))``; ``1 - u1`` is exact and never 0.
     """
-    blocks = (count + 1) // 2
-    first, second = _block_uniforms(key, streams, purpose, step, blocks)
-    radius = np.sqrt(-2.0 * np.log(1.0 - first))
-    theta = _TWO_PI * second
-    pairs = np.stack((radius * np.cos(theta), radius * np.sin(theta)), axis=1)
-    return pairs.reshape(-1, 2 * blocks)[:, :count]
+    return keyed_draws(key, streams, step, (purpose, 0), (purpose, count))[1]

@@ -83,7 +83,7 @@ from repro.common.errors import (
     WorkerError,
 )
 from repro.common.ids import EntityId
-from repro.common.randomness import keyed_normals, keyed_uniforms
+from repro.common.randomness import keyed_draws
 from repro.common.simtime import times_array, to_ticks
 from repro.core.scenarios import ScenarioResult
 from repro.experiments.parallel import WorkerGroup, picklable
@@ -515,18 +515,15 @@ class ShardRuntime:
         the ``(n, n_metrics)`` QoS and rating normals, rows in
         :attr:`owned` order.
         """
+        m = self._n_metrics
         streams = self._streams  # global consumer indices
-        uniforms = keyed_uniforms(
-            self._key, streams, SELECT_DRAWS, global_round, 3
-        )
-        normals = keyed_normals(
+        uniforms, normals = keyed_draws(
             self._key,
             streams,
-            NOISE_DRAWS,
             global_round,
-            2 * self._n_metrics,
+            (SELECT_DRAWS, 3),
+            (NOISE_DRAWS, 2 * m),
         )
-        m = self._n_metrics
         return uniforms, normals[:, :m], normals[:, m:]
 
     def _round(
@@ -697,6 +694,8 @@ class _Coordinator:
         # The partition, hashed once per run and handed to every shard.
         self.homes = _consumer_homes(spec.n_consumers, shards)
         self.store = EventStore(time_dtype="int64")
+        # A model sharing the store's entity table skips interning.
+        self._shared = self.model.share_entities(self.store)
         self._accurate = np.zeros(spec.total_rounds, dtype=np.int64)
         self._regret_chunks: List[np.ndarray] = []
         self._selection_counts: Dict[EntityId, int] = {}
@@ -738,9 +737,10 @@ class _Coordinator:
         *deltas* arrive as a list in shard-index order; the concatenated
         rows are then re-sorted by the ``(round, consumer index)`` key
         so the global append order — and every interner code downstream
-        — matches the 1-shard run exactly.  The rows reach the global
-        store and the model as code columns, through one coded append
-        and one :meth:`~repro.models.base.ReputationModel.ingest_columns`.
+        — matches the 1-shard run exactly.  One coded append interns
+        the rows into the global store; a model sharing its entity table
+        takes the appended code columns as they are, any other one gets
+        :meth:`~repro.models.base.ReputationModel.ingest_columns`.
         """
         spec = self.spec
         self._check_deltas(epoch, deltas)
@@ -757,10 +757,14 @@ class _Coordinator:
         ratings = np.concatenate([d.rating for d in deltas])[order]
         ticks = np.concatenate([d.tick for d in deltas])[order]
         regrets = np.concatenate([d.regrets for d in deltas])[order]
+        first_row = len(self.store)
         self.store.extend_coded(names, raters, services, ratings, ticks)
-        self.model.ingest_columns(
-            names, raters, services, ratings, times_array(ticks)
-        )
+        if self._shared:
+            self.model.ingest_coded(self.store.columns_from(first_row))
+        else:
+            self.model.ingest_columns(
+                names, raters, services, ratings, times_array(ticks)
+            )
         n_rows = len(ratings)
         lo = epoch * spec.rounds_per_epoch
         for delta in deltas:

@@ -31,11 +31,12 @@ from numpy.typing import ArrayLike
 
 from repro.common.ids import EntityId
 from repro.common.records import Feedback, feedback_columns
+from repro.common.simtime import times_array
 from repro.obs.recorder import get_recorder
 
 if TYPE_CHECKING:  # imported lazily to avoid a core <-> models cycle
     from repro.core.typology import Typology
-    from repro.store import EventStore
+    from repro.store import ColumnSet, EventStore
 
 
 class ScoredTarget(NamedTuple):
@@ -210,6 +211,11 @@ class ReputationModel(abc.ABC):
             ]
         )
 
+    def share_entities(self, store: "EventStore") -> bool:
+        """Whether this model now codes entities in *store*'s table, so
+        ``ingest_coded`` can take its code columns; by default not."""
+        return False
+
     def score_many(
         self,
         targets: Sequence[EntityId],
@@ -276,9 +282,11 @@ class StoreBackedModel(ReputationModel):
     Ingest is then a plain store append whichever way rows arrive:
     :meth:`record` appends one overall row, :meth:`record_many` extends
     by the decoded columns and :meth:`ingest_columns` by the coded ones
-    (after :func:`check_unit_ratings`).  Subclasses set ``_store`` and
-    score from it; one whose reports also carry facet rows overrides
-    :meth:`record` and :meth:`record_many` to append them.
+    (after :func:`check_unit_ratings`), or :meth:`ingest_coded` by rows
+    of a store :meth:`share_entities` shared the entity table with.
+    Subclasses set ``_store`` and score from it; one whose reports also
+    carry facet rows overrides :meth:`record` and :meth:`record_many` to
+    append them.
 
     Every state derived from the store goes through one of two entry
     points, which own the cursor protocol once for every model:
@@ -369,3 +377,22 @@ class StoreBackedModel(ReputationModel):
     ) -> None:
         check_unit_ratings(ratings)
         self._store.extend_coded(names, raters, targets, ratings, times)
+
+    def share_entities(self, store: "EventStore") -> bool:
+        """Adopt *store*'s table while this model's is empty and ingest
+        is the plain coded append (not PeerTrust's decoding one)."""
+        if len(self._store.entities) or (
+            type(self).ingest_columns is not StoreBackedModel.ingest_columns
+        ):
+            return False
+        self._store.entities = store.entities
+        return True
+
+    def ingest_coded(self, columns: "ColumnSet") -> None:
+        """:meth:`ingest_columns` of rows of a shared-table store, with
+        int64 tick times: the codes append as they are."""
+        check_unit_ratings(columns.value)
+        self._store.append_coded(
+            columns.rater, columns.target, columns.value,
+            times_array(columns.time),
+        )

@@ -12,7 +12,7 @@ byte-identity) possible; the property suite pins it.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import count, filterfalse, repeat
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -51,16 +51,17 @@ class Interner:
     def intern_many(self, values: Iterable[str]) -> np.ndarray:
         """Codes for *values* (interning new ones), as an int32 array.
 
-        When every value is already interned the codes come from one
-        C-level ``dict.get`` pass; otherwise an :meth:`intern` loop
-        assigns new codes in first-appearance order.
+        Every pass is C-level: ``dict.fromkeys`` over the unseen values
+        keeps their first-appearance order, one ``update`` codes them as
+        an :meth:`intern` loop would, one ``extend`` adds them to the
+        table, and one :meth:`codes` lookup reads every code.
         """
         values = list(values)
-        known = list(map(self._index.get, values))
-        if None not in known:
-            return np.array(known, dtype=np.int32)
-        intern = self.intern
-        return np.array([intern(v) for v in values], dtype=np.int32)
+        fresh = dict.fromkeys(filterfalse(self._index.__contains__, values))
+        if fresh:
+            self._index.update(zip(fresh, count(len(self._values))))
+            self._values.extend(fresh)
+        return self.codes(values)
 
     def code(self, value: str, default: int = MISSING_CODE) -> int:
         """Code for *value* without interning; *default* if unseen."""

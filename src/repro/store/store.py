@@ -334,11 +334,36 @@ class EventStore:
         used = used[np.argsort(first[used])]
         lookup = np.empty(len(names), dtype=np.int32)
         lookup[used] = self.entities.intern_many(
-            [names[i] for i in used.tolist()]
+            map(names.__getitem__, used.tolist())
         )
+        self.append_coded(
+            lookup[rater_idx], lookup[target_idx], value_col, time_col
+        )
+
+    def append_coded(
+        self,
+        raters: ArrayLike,
+        targets: ArrayLike,
+        values: ArrayLike,
+        times: ArrayLike,
+    ) -> None:
+        """Bulk-append overall rows whose ids are already codes of
+        :attr:`entities` (another store's codes, when the two share the
+        table), interning nothing."""
+        codes = [np.asarray(ids, dtype=np.int32) for ids in (raters, targets)]
+        value_col = np.asarray(values, dtype=np.float64)
+        time_col = self._as_time_array(times)
+        n, size = len(value_col), len(self.entities)
+        _check_lengths(
+            "append_coded", n, raters=len(codes[0]), targets=len(codes[1]),
+            times=len(time_col),
+        )
+        if n and not all(0 <= c.min() and c.max() < size for c in codes):
+            raise ConfigurationError(
+                f"append_coded: a code outside the entity table (size {size})"
+            )
         self._append_columns(
-            lookup[rater_idx],
-            lookup[target_idx],
+            *codes,
             np.full(n, OVERALL_FACET, dtype=np.int32),
             value_col,
             time_col,

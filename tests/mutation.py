@@ -1,5 +1,5 @@
 """Mutation check for the shard path, the model folds and memos, the
-store cursor protocol, growth and read-only views, the damped walk,
+store cursor protocol, interning, growth and read-only views, the damped walk,
 the rank order, the scenario's truth key, the metrics fast paths, the
 serve token bucket and the zoo pin: do the gates catch regressions?
 
@@ -79,6 +79,27 @@ MUTANTS: List[Mutant] = [
         reason="coded append interns every rater before any target: every "
         "shard count interns alike and the scalar replay compares ids, "
         "so only the append-loop rebuild sees it",
+    ),
+    Mutant(
+        file="src/repro/store/interner.py",
+        old="fresh = dict.fromkeys(filterfalse(self._index.__contains__, "
+        "values))",
+        new="fresh = dict.fromkeys(sorted(filterfalse(self._index.__contains__, "
+        "values)))",
+        gate="tests/test_store/test_event_store.py::TestAppendCoded::"
+        "test_batch_codes_follow_first_appearance",
+        reason="new names coded in sorted, not first-appearance, order: "
+        "every shard count interns alike, so only a batch whose new "
+        "names arrive unsorted sees it",
+    ),
+    Mutant(
+        file="src/repro/experiments/sharded.py",
+        old="self.model.ingest_coded(self.store.columns_from(first_row))",
+        new="self.model.ingest_coded(self.store.columns_from(0))",
+        gate="tests/test_experiments/test_shard_ingest.py::"
+        "test_model_store_holds_the_global_rows",
+        reason="the model store is fed from row 0 instead of the epoch's "
+        "first row, so every epoch re-ingests the earlier ones",
     ),
     Mutant(
         file="src/repro/experiments/sharded.py",

@@ -23,6 +23,8 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.randomness import (
+    _philox,
+    keyed_draws,
     keyed_normals,
     keyed_uniforms,
     keyed_words,
@@ -63,6 +65,20 @@ class TestPhilox:
         rows = np.vstack([philox4x32(c[None, :], key) for c in counters])
         assert np.array_equal(batch, rows)
         assert int(batch.max()) <= 0xFFFFFFFF
+
+    def test_callers_words_are_never_written(self):
+        # _philox runs in place, but on a copy of its input words.
+        counters = np.array([c for c, _, _ in KNOWN_ANSWERS], dtype=np.uint64)
+        key = _key(0xA4093822, 0x299F31D0)
+        block = np.ascontiguousarray(counters.T)
+        rows = tuple(block.copy())
+        out = _philox(block, key, 10)
+        assert not np.shares_memory(out, block)
+        assert np.array_equal(block, counters.T)
+        assert np.array_equal(_philox(rows, key, 10), out)
+        assert all(np.array_equal(r, w) for r, w in zip(rows, counters.T))
+        assert np.array_equal(philox4x32(counters, key), out.T)
+        assert np.array_equal(counters, np.array([c for c, _, _ in KNOWN_ANSWERS]))
 
 
 KEY = 0x0123456789ABCDEF
@@ -127,6 +143,48 @@ class TestKeyedDraws:
         theta = 2.0 * np.pi * u[:, 1::2]
         assert np.array_equal(z[:, 0::2], radius * np.cos(theta))
         assert np.array_equal(z[:, 1::2], radius * np.sin(theta))
+
+    @pytest.mark.parametrize(
+        "uniforms, normals", [(3, 12), (1, 1), (4, 5), (2, 7), (0, 3), (3, 0)]
+    )
+    def test_one_pass_equals_separate_draws(self, uniforms, normals):
+        # keyed_draws' one Philox pass over both requests' counters gives
+        # the separate calls' values, odd counts and empty requests too.
+        u, z = keyed_draws(KEY, STREAMS, 5, (1, uniforms), (2, normals))
+        assert u.shape == (len(STREAMS), uniforms)
+        assert z.shape == (len(STREAMS), normals)
+        assert u.tobytes() == keyed_uniforms(KEY, STREAMS, 1, 5, uniforms).tobytes()
+        blocks = (normals + 1) // 2
+        pairs = keyed_uniforms(KEY, STREAMS, 2, 5, 2 * blocks)
+        radius = np.sqrt(-2.0 * np.log(1.0 - pairs[:, 0::2]))
+        theta = 2.0 * np.pi * pairs[:, 1::2]
+        box_muller = np.empty_like(pairs)
+        box_muller[:, 0::2] = radius * np.cos(theta)
+        box_muller[:, 1::2] = radius * np.sin(theta)
+        assert z.tobytes() == box_muller[:, :normals].tobytes()
+
+    def test_one_pass_over_no_streams(self):
+        u, z = keyed_draws(KEY, [], 5, (1, 3), (2, 7))
+        assert u.shape == (0, 3) and z.shape == (0, 7)
+
+    def test_round_draws_of_a_shard_without_consumers(self):
+        spec = ShardedRunSpec(
+            seed=2,
+            world_params=dict(
+                n_providers=2, services_per_provider=2, n_consumers=1
+            ),
+        )
+        runtimes = [ShardRuntime(spec, s, 8) for s in range(8)]
+        empty = [r for r in runtimes if not r.owned]
+        [owner] = [r for r in runtimes if r.owned]
+        assert len(empty) == 7
+        m = len(owner.world.taxonomy)
+        for step in (0, 3):
+            uniforms, qos, rating = empty[0].round_draws(step)
+            assert uniforms.shape == (0, 3)
+            assert qos.shape == rating.shape == (0, m)
+            shapes = [a.shape for a in owner.round_draws(step)]
+            assert shapes == [(1, 3), (1, m), (1, m)]
 
     def test_words_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError, match="stream"):

@@ -410,6 +410,52 @@ class TestMisalignedColumns:
         ).canonical_bytes()
 
 
+class TestAppendCoded:
+    """Rows already coded in the entity table append as they are; a
+    store sharing that table takes another store's code columns."""
+
+    def test_batch_codes_follow_first_appearance(self):
+        # New names take codes in first-appearance order over the
+        # interleaved (rater, target) stream, never sorted order.
+        store = EventStore()
+        store.extend_coded(["z", "b", "m"], [0, 2], [1, 1], [0.5, 0.6], [1, 2])
+        assert store.entities.values() == ("z", "b", "m")
+        assert store.snapshot().rater.tolist() == [0, 2]
+        store.extend_coded(["y", "z", "a"], [0, 2], [1, 1], [0.1, 0.2], [3, 4])
+        assert store.entities.values() == ("z", "b", "m", "y", "a")
+        assert store.snapshot().rater.tolist() == [0, 2, 3, 4]
+
+    def test_shared_table_copies_rows_code_for_code(self):
+        source = EventStore(time_dtype="int64")
+        copy = EventStore()
+        copy.entities = source.entities
+        source.extend_coded(["s", "c0", "c1"], [1, 2], [0, 0], [0.4, 0.9], [5, 6])
+        rows = source.snapshot()
+        copy.append_coded(rows.rater, rows.target, rows.value, [0.5, 0.6])
+        direct = EventStore()
+        direct.extend(["c0", "c1"], ["s", "s"], [0.4, 0.9], [0.5, 0.6])
+        assert copy.canonical_bytes() == direct.canonical_bytes()
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_rejects_codes_outside_the_table(self, bad):
+        store = EventStore()
+        store.extend(["a"], ["b"], [0.5], [1.0])
+        with pytest.raises(
+            ConfigurationError, match="a code outside the entity table"
+        ):
+            store.append_coded([0, 1], [1, bad], [0.5, 0.6], [2.0, 3.0])
+        assert len(store) == 1
+
+    def test_rejects_misaligned_columns(self):
+        store = EventStore()
+        store.extend(["a"], ["b"], [0.5], [1.0])
+        with pytest.raises(
+            ConfigurationError, match="times has 1 rows but values has 2"
+        ):
+            store.append_coded([0, 1], [1, 0], [0.5, 0.6], [2.0])
+        assert len(store) == 1
+
+
 class TestIntegerTimeColumns:
     def test_int64_round_trip_and_dtype(self):
         store = EventStore(time_dtype="int64")
