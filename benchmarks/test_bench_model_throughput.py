@@ -314,10 +314,12 @@ RANK_BURST = 50
 def _rank_uninstrumented(model, candidates, perspective, now):
     """The exact rank() body minus the recorder guard — the pre-obs
     baseline the instrumented path is gated against."""
-    from repro.models.base import ranked
+    from repro.models.base import ranked, scored_targets
 
     candidates = list(candidates)
-    return ranked(candidates, model.score_many(candidates, perspective, now))
+    return scored_targets(
+        ranked(candidates, model.score_many(candidates, perspective, now))
+    )
 
 
 def test_obs_disabled_recorder_overhead(table_printer, wide_stream):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 from pathlib import Path
 from typing import Dict, List
 
@@ -46,9 +47,9 @@ EPOCHS = 2
 ROUNDS_PER_EPOCH = 2
 AGENTS = int(os.environ.get("REPRO_BENCH_SHARD_AGENTS", "100000"))
 WORLD_PARAMS = dict(n_providers=5, services_per_provider=2)
-#: the big runs take tens of seconds; one sample per mode suffices
-#: (divergence, not noise, is the failure mode the gate guards).
-REPEATS = 1
+#: timed runs per mode; the speedup gate reads the medians, so one run
+#: slowed by a busy host does not flip the tier.
+REPEATS = 3
 
 GATE_WORLD = dict(n_providers=3, services_per_provider=2, n_consumers=97)
 
@@ -100,21 +101,34 @@ def test_shard_runtime_regression(table_printer):
     # -- timings on the big world -------------------------------------
     spec = _spec(AGENTS)
     total_rows = spec.total_rounds * AGENTS
-    reference = run_sharded_experiment(spec, shards=1, mode=SERIAL)
-    reference_bytes = reference.canonical_bytes()
-    serial_ns = reference.dispatch.wall_ns
+    # Modes alternate within each repeat, so a slow phase of the host
+    # lands on every mode rather than on one.
+    reference_bytes = None
+    samples: Dict[int, List[int]] = {1: [], **{s: [] for s in shard_counts}}
+    dispatches = {}
+    for _ in range(REPEATS):
+        for shards in samples:
+            mode = SERIAL if shards == 1 else PROCESS
+            report = run_sharded_experiment(spec, shards=shards, mode=mode)
+            if reference_bytes is None:
+                reference_bytes = report.canonical_bytes()
+            assert report.canonical_bytes() == reference_bytes, (
+                f"{shards}-shard {mode} run diverged from the 1-shard bytes"
+            )
+            samples[shards].append(report.dispatch.wall_ns)
+            dispatches[shards] = report.dispatch
+    medians = {s: round(statistics.median(v)) for s, v in samples.items()}
+    serial_ns = medians[1]
 
     shard_rows: Dict[int, Dict[str, object]] = {}
     for shards in shard_counts:
-        report = run_sharded_experiment(spec, shards=shards, mode=PROCESS)
-        assert report.canonical_bytes() == reference_bytes, (
-            f"{shards}-shard process run diverged from the 1-shard bytes"
-        )
-        dispatch = report.dispatch
+        wall_ns = medians[shards]
+        dispatch = dispatches[shards]
         shard_rows[shards] = {
-            "wall_ns": dispatch.wall_ns,
-            "ns_per_row": round(dispatch.wall_ns / total_rows),
-            "speedup_vs_serial": round(serial_ns / dispatch.wall_ns, 2),
+            "wall_ns": wall_ns,
+            "wall_ns_samples": samples[shards],
+            "ns_per_row": round(wall_ns / total_rows),
+            "speedup_vs_serial": round(serial_ns / wall_ns, 2),
             "load_imbalance": round(dispatch.load_imbalance, 3),
             "cross_shard_rows": dispatch.cross_shard_rows,
             "cross_shard_fraction": round(
@@ -134,11 +148,12 @@ def test_shard_runtime_regression(table_printer):
             "seed": SEED,
             "world_params": WORLD_PARAMS,
             "repeats": REPEATS,
-            "timer": "perf_counter_ns/min",
+            "timer": "perf_counter_ns/median",
             "cpu_count": cores,
         },
         "serial_1_shard": {
             "wall_ns": serial_ns,
+            "wall_ns_samples": samples[1],
             "ns_per_row": round(serial_ns / total_rows),
         },
         "sharded": {str(s): row for s, row in shard_rows.items()},

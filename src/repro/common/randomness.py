@@ -171,6 +171,8 @@ def _block_words(
     _check_word("stream", ids)
     _check_word("purpose/step", np.array([*(p for p, _ in parts), step]))
     ids = ids.astype(np.uint64)
+    # a part of no blocks adds no counters (one is kept if all are empty)
+    parts = [part for part in parts if part[1]] or parts[:1]
     n = len(ids) * sum(blocks for _, blocks in parts)
     words = (
         np.concatenate([np.repeat(ids, b) for _, b in parts]),
@@ -219,12 +221,13 @@ def keyed_draws(
     units = (high | (words[1::2] >> np.uint64(6))).astype(np.float64) * _UNIT
     # Block b fills columns 2b and 2b + 1; normals are Box-Muller.
     uniform = units[:, :split].T.reshape(n, 2 * u_blocks)
-    radius = np.sqrt(-2.0 * np.log(1.0 - units[0, split:]))
-    theta = _TWO_PI * units[1, split:]
-    pairs = np.empty((len(theta), 2))
-    np.cos(theta, out=pairs[:, 0])
-    np.sin(theta, out=pairs[:, 1])
-    pairs *= radius[:, None]
+    pairs = np.empty((n * z_blocks, 2))
+    if z_blocks:
+        radius = np.sqrt(-2.0 * np.log(1.0 - units[0, split:]))
+        theta = _TWO_PI * units[1, split:]
+        np.cos(theta, out=pairs[:, 0])
+        np.sin(theta, out=pairs[:, 1])
+        pairs *= radius[:, None]
     return uniform[:, :u_count], pairs.reshape(n, 2 * z_blocks)[:, :z_count]
 
 

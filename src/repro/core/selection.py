@@ -21,7 +21,7 @@ from repro.common.errors import ConfigurationError, ReproError
 from repro.common.ids import EntityId
 from repro.common.randomness import RngLike, make_rng
 from repro.faults.degradation import StaleRankingFallback
-from repro.models.base import ReputationModel, ScoredTarget
+from repro.models.base import ReputationModel, ScoredTarget, scored_targets
 from repro.obs.recorder import get_recorder
 from repro.registry.uddi import UDDIRegistry
 
@@ -161,14 +161,24 @@ class SelectionEngine:
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
     ) -> List[ScoredTarget]:
+        """:meth:`rank_pairs` as :class:`ScoredTarget`s."""
+        return scored_targets(self.rank_pairs(category, perspective, now))
+
+    def rank_pairs(
+        self,
+        category: str,
+        perspective: Optional[EntityId] = None,
+        now: Optional[float] = None,
+    ) -> List[Tuple[EntityId, float]]:
         """Batch-score the discovered candidates via the model's
-        :meth:`~repro.models.base.ReputationModel.rank` (one
-        ``score_many`` call, not one ``score`` per candidate)."""
+        :meth:`~repro.models.base.ReputationModel.rank_pairs` (one
+        ``score_many`` call, not one ``score`` per candidate), as plain
+        ``(target, score)`` pairs best first."""
         targets = self.candidates(category)
         rec = get_recorder()
         if rec.enabled:
             start = rec.now if now is None else float(now)
-            ranking = self.model.rank(targets, perspective, now)
+            ranking = self.model.rank_pairs(targets, perspective, now)
             # Rank latency in *sim* time: how stale the scores were when
             # the selection landed, not how long the CPU took.
             rec.span(
@@ -182,7 +192,7 @@ class SelectionEngine:
                 },
             )
             return ranking
-        return self.model.rank(targets, perspective, now)
+        return self.model.rank_pairs(targets, perspective, now)
 
     def select(
         self,

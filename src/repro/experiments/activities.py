@@ -27,7 +27,7 @@ from repro.common.ids import EntityId
 from repro.common.mathutils import safe_mean
 from repro.core.selection import EpsilonGreedyPolicy
 from repro.experiments.workloads import World, make_world
-from repro.models.base import ScoredTarget, ranked
+from repro.models.base import ScoredTarget, ranked, scored_targets
 from repro.models.beta import BetaReputation
 
 # The cost model lives in the obs ledger now (one source of truth for
@@ -126,7 +126,7 @@ def _run_loop(
 
 
 def _ranked(scores: Dict[EntityId, float]) -> List[ScoredTarget]:
-    return ranked(scores.keys(), scores.values())
+    return scored_targets(ranked(scores.keys(), scores.values()))
 
 
 def run_advertised(world: World, rounds: int) -> ApproachReport:

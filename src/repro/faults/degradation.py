@@ -134,7 +134,7 @@ class StaleRankingFallback(StaleCache):
     """
 
     def remember(
-        self, key: Hashable, ranking: "Sequence[ScoredTarget]", now: float
+        self, key: Hashable, ranking: Sequence[Tuple[str, float]], now: float
     ) -> None:
         self.put(key, tuple(ranking), now)
 
@@ -149,10 +149,8 @@ class StaleRankingFallback(StaleCache):
         rec = get_recorder()
         if rec.enabled:
             rec.count("degradation.fallback.activations")
+        # a remembered ranking holds ScoredTargets or plain pairs
         return [
-            ScoredTarget(
-                target=st.target,
-                score=discounted_score(st.score, stale.confidence, prior),
-            )
+            ScoredTarget(st[0], discounted_score(st[1], stale.confidence, prior))
             for st in stale.value
         ]

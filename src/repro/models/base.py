@@ -60,21 +60,27 @@ Row = Tuple[int, int, int, float, float]
 
 def ranked(
     candidates: Iterable[EntityId], scores: Iterable[float]
-) -> List[ScoredTarget]:
-    """*candidates* paired with their *scores*, best first, ties broken
-    by id: the order of sorting by ``(-score, target)``, the one
-    tie-break every ranking uses.
+) -> List[Tuple[EntityId, float]]:
+    """*candidates* paired with their *scores* as plain ``(target,
+    score)`` tuples, best first, ties broken by id: the order of sorting
+    by ``(-score, target)``, the one tie-break every ranking uses.
 
     Two stable sorts, by id and then by score descending, so equal
     scores (``0.0`` and ``-0.0`` included) keep id order.  The pairs
-    come from one C-level ``map`` and both keys are ``itemgetter``s,
+    come from one C-level ``zip`` and both keys are ``itemgetter``s,
     so no Python frame runs per candidate.
     """
-    pairs = zip(candidates, map(float, scores))
-    scored = list(map(_as_scored, repeat(ScoredTarget), pairs))
+    scored = list(zip(candidates, map(float, scores)))
     scored.sort(key=_TARGET)
     scored.sort(key=_SCORE, reverse=True)
     return scored
+
+
+def scored_targets(
+    pairs: Iterable[Tuple[EntityId, float]]
+) -> List[ScoredTarget]:
+    """*pairs* as :class:`ScoredTarget`s, in order."""
+    return list(map(_as_scored, repeat(ScoredTarget), pairs))
 
 
 def check_unit_ratings(ratings: ArrayLike) -> None:
@@ -238,6 +244,14 @@ class ReputationModel(abc.ABC):
         """
         return [self.score(t, perspective, now) for t in targets]
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "rank" in cls.__dict__:
+            raise TypeError(
+                f"{cls.__name__} overrides rank(); override rank_pairs(), "
+                "which rank() and the serve core both go through"
+            )
+
     def rank(
         self,
         candidates: Iterable[EntityId],
@@ -245,8 +259,20 @@ class ReputationModel(abc.ABC):
         now: Optional[float] = None,
     ) -> List[ScoredTarget]:
         """Candidates sorted best-first (ties broken by id for
-        determinism).  Scoring goes through :meth:`score_many` so
-        batched models pay their per-query overhead once per ranking."""
+        determinism): :meth:`rank_pairs` as :class:`ScoredTarget`s."""
+        return scored_targets(self.rank_pairs(candidates, perspective, now))
+
+    def rank_pairs(
+        self,
+        candidates: Iterable[EntityId],
+        perspective: Optional[EntityId] = None,
+        now: Optional[float] = None,
+    ) -> List[Tuple[EntityId, float]]:
+        """The ranking as plain ``(target, score)`` pairs, best first.
+        Scoring goes through :meth:`score_many` so batched models pay
+        their per-query overhead once per ranking.  A model with its own
+        ranking overrides this method; :meth:`rank` may not be
+        overridden, so both routes always agree."""
         batch: Sequence[EntityId] = (
             candidates if isinstance(candidates, tuple) else list(candidates)
         )
@@ -268,8 +294,8 @@ class ReputationModel(abc.ABC):
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
     ) -> Optional[EntityId]:
-        ranking = self.rank(candidates, perspective, now)
-        return ranking[0].target if ranking else None
+        ranking = self.rank_pairs(candidates, perspective, now)
+        return ranking[0][0] if ranking else None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -7,8 +7,8 @@ reports, **min-max normalize each metric column across the candidate
 set** (so a metric where everyone ties contributes nothing), then rank
 by the consumer's preference-weighted sum.  Because normalization is
 relative to the candidate set, scoring is done per *ranking* call —
-:meth:`rank` is the native operation and :meth:`score` degenerates to a
-single-candidate view.
+:meth:`rank_pairs` (behind :meth:`rank`) is the native operation and
+:meth:`score` degenerates to a single-candidate view.
 
 "Policing": reports older than a freshness window are dropped, and a
 candidate needs a minimum report count before its data is trusted at
@@ -24,7 +24,7 @@ from repro.common.ids import EntityId
 from repro.common.mathutils import safe_mean
 from repro.common.records import Feedback
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import ReputationModel, ScoredTarget, ranked
+from repro.models.base import ReputationModel, ranked
 
 
 class LiuNguZengModel(ReputationModel):
@@ -142,12 +142,12 @@ class LiuNguZengModel(ReputationModel):
         return normalized
 
     # -- ranking (native operation) -----------------------------------------------
-    def rank(
+    def rank_pairs(
         self,
         candidates: Iterable[EntityId],
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
-    ) -> List[ScoredTarget]:
+    ) -> List[Tuple[EntityId, float]]:
         candidates = list(candidates)
         matrix = self.quality_matrix(candidates, now)
         normalized = self._normalize_columns(matrix)

@@ -27,10 +27,17 @@ trial at a time, so a plain global is deterministic there.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+)
 from repro.obs.trace import TelemetrySnapshot, TraceEvent, Tracer
 
 __all__ = [
@@ -111,7 +118,20 @@ class NoOpRecorder:
 
 
 class Recorder(NoOpRecorder):
-    """A live recorder: a metrics registry plus a sim-time tracer."""
+    """A live recorder: a metrics registry plus a sim-time tracer.
+
+    ``count``, ``gauge`` and ``observe`` keep a handle per ``(kind,
+    name, label_names)``: the metric the registry's checked
+    get-or-create returned the first time.  Registrations outlive
+    :meth:`reset`, so a handle stays valid.  With a handle in hand and
+    labels that are a tuple of exact ``str`` of the right length (the
+    key :meth:`Metric._key` would return as is), the series is updated
+    in this one frame; anything else (list label names, int or numpy
+    labels, a kind or label-name conflict, a negative amount) takes
+    the metric's own checked path and converts or raises as it always
+    did.  ``tests/test_obs/test_fast_paths.py`` holds the former
+    bodies as the oracle.
+    """
 
     enabled = True
 
@@ -123,6 +143,7 @@ class Recorder(NoOpRecorder):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self._now = 0.0
+        self._handles: Dict[Tuple[str, str, Sequence[str]], Any] = {}
 
     @property
     def now(self) -> float:
@@ -133,6 +154,21 @@ class Recorder(NoOpRecorder):
         if time > self._now:
             self._now = float(time)
 
+    def _handle(
+        self, cls: type, name: str, label_names: Sequence[str], **kwargs: Any
+    ) -> Any:
+        """A handle-cache miss: the registry's checked get-or-create,
+        kept when the metric is exactly a *cls* and the key hashes."""
+        metric = self.registry._get_or_create(
+            cls, name, "", label_names, **kwargs
+        )
+        if type(metric) is cls:
+            try:
+                self._handles[cls.kind, name, label_names] = metric
+            except TypeError:  # list label names: the checked path each time
+                pass
+        return metric
+
     def count(
         self,
         name: str,
@@ -140,7 +176,20 @@ class Recorder(NoOpRecorder):
         labels: Sequence[str] = (),
         label_names: Sequence[str] = (),
     ) -> None:
-        self.registry.counter(name, "", label_names).inc(amount, labels)
+        try:
+            metric = self._handles["counter", name, label_names]
+        except (KeyError, TypeError):
+            metric = self._handle(Counter, name, label_names)
+        if type(labels) is tuple:
+            for label in labels:
+                if type(label) is not str:
+                    break
+            else:
+                if len(labels) == len(metric.label_names) and not amount < 0:
+                    series = metric.series
+                    series[labels] = series.get(labels, 0.0) + amount
+                    return
+        metric.inc(amount, labels)
 
     def gauge(
         self,
@@ -149,7 +198,19 @@ class Recorder(NoOpRecorder):
         labels: Sequence[str] = (),
         label_names: Sequence[str] = (),
     ) -> None:
-        self.registry.gauge(name, "", label_names).set(value, labels)
+        try:
+            metric = self._handles["gauge", name, label_names]
+        except (KeyError, TypeError):
+            metric = self._handle(Gauge, name, label_names)
+        if type(labels) is tuple:
+            for label in labels:
+                if type(label) is not str:
+                    break
+            else:
+                if len(labels) == len(metric.label_names):
+                    metric.series[labels] = float(value)
+                    return
+        metric.set(value, labels)
 
     def observe(
         self,
@@ -159,9 +220,30 @@ class Recorder(NoOpRecorder):
         label_names: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> None:
-        self.registry.histogram(name, "", label_names, buckets).observe(
-            value, labels
-        )
+        try:
+            metric = self._handles["histogram", name, label_names]
+        except (KeyError, TypeError):
+            metric = self._handle(Histogram, name, label_names, buckets=buckets)
+        if type(labels) is tuple:
+            for label in labels:
+                if type(label) is not str:
+                    break
+            else:
+                if len(labels) == len(metric.label_names):
+                    # Histogram.observe, with *labels* as its own key
+                    entry = metric.series.get(labels)
+                    if entry is None:
+                        entry = metric.series[labels] = {
+                            "counts": [0] * (len(metric.buckets) + 1),
+                            "count": 0,
+                            "sum": 0.0,
+                        }
+                    value = float(value)
+                    entry["counts"][bisect_left(metric.buckets, value)] += 1
+                    entry["count"] += 1
+                    entry["sum"] += value
+                    return
+        metric.observe(value, labels)
 
     def event(
         self,
@@ -181,7 +263,9 @@ class Recorder(NoOpRecorder):
         time: Optional[float] = None,
     ) -> Optional[TraceEvent]:
         at = self._now if time is None else float(time)
-        self.advance(at + duration)
+        end = at + duration  # advance(at + duration), inline
+        if end > self._now:
+            self._now = float(end)
         return self.tracer.emit(name, at, "span", duration, attrs)
 
     def snapshot(

@@ -43,7 +43,7 @@ from repro.common.simtime import from_ticks
 from repro.core.selection import SelectionEngine, SelectionPolicy
 from repro.faults.degradation import StaleRankingFallback
 from repro.faults.resilience import BreakerBoard, CircuitBreaker, RetryPolicy
-from repro.models.base import ReputationModel, ScoredTarget
+from repro.models.base import ReputationModel
 from repro.obs.recorder import get_recorder
 from repro.registry.uddi import UDDIRegistry
 from repro.serve.ingest import AdmissionConfig, AdmissionController
@@ -274,20 +274,21 @@ class ServiceCore:
         now = from_ticks(record.exec_tick)
         outcome = self._dispatch(arrival, now)
         base_latency = from_ticks(record.exec_tick - record.tick)
+        # positional, in field order: the keyword binding costs a request
         response = ServeResponse(
-            kind=arrival.kind,
-            tenant=arrival.tenant,
-            client_id=arrival.client_id,
-            client_seq=arrival.client_seq,
-            status=outcome.status,
-            tick=record.tick,
-            exec_tick=record.exec_tick,
-            queue_wait=queue_wait,
-            latency=base_latency + outcome.backoff,
-            degraded=outcome.degraded,
-            error=outcome.error,
-            ranking=outcome.ranking,
-            detail=outcome.detail,
+            arrival.kind,
+            arrival.tenant,
+            arrival.client_id,
+            arrival.client_seq,
+            outcome.status,
+            record.tick,
+            record.exec_tick,
+            queue_wait,
+            base_latency + outcome.backoff,
+            outcome.degraded,
+            outcome.error,
+            outcome.ranking,
+            outcome.detail,
         )
         return self._finish(record, response)
 
@@ -327,7 +328,7 @@ class ServiceCore:
         )
         outcome = self.retry.call(fresh)
         if outcome.succeeded:
-            ranking: List[ScoredTarget] = outcome.value
+            ranking: List[Tuple[str, float]] = outcome.value
             self.fallback.remember(key, ranking, now)
             return _Outcome(
                 status=STATUS_OK,
@@ -356,14 +357,14 @@ class ServiceCore:
         now: float,
         registry_breaker: CircuitBreaker,
         scoring_breaker: CircuitBreaker,
-    ) -> List[ScoredTarget]:
+    ) -> List[Tuple[str, float]]:
         """One attempt at a fresh ranking, through both breakers."""
         if self._rebuilding:
             raise RebuildInProgressError("score table rebuild in progress")
         registry_breaker.guard(now)
         scoring_breaker.guard(now)
         try:
-            ranking = self.engine.rank(category, perspective, now)
+            ranking = self.engine.rank_pairs(category, perspective, now)
         except RegistryError:
             registry_breaker.record_failure(now)
             raise
@@ -375,17 +376,19 @@ class ServiceCore:
         return ranking
 
     def _as_pairs(
-        self, ranking: Sequence[ScoredTarget]
+        self, ranking: Sequence[Tuple[str, float]]
     ) -> Tuple[Tuple[str, float], ...]:
-        """The ranking as plain ``(service, score)`` tuples.
+        """The ranking as plain ``(service, score)`` tuples that share
+        memory with earlier responses.
 
         Responses are kept for the whole run, so every pair they hold
         counts towards the collector's next pass (and a
-        :class:`ScoredTarget` would never be untracked at all).  A
-        service's pair is shared with earlier responses while its score
-        is the same float: equal non-zero floats have equal bits, so a
-        shared pair serializes to the same bytes.  Zeros (``0.0`` equals
-        ``-0.0``) and non-float scores always get a pair of their own.
+        :class:`~repro.models.base.ScoredTarget`, which a stale ranking
+        holds, would never be untracked at all).  A service's pair is
+        shared with earlier responses while its score is the same float:
+        equal non-zero floats have equal bits, so a shared pair
+        serializes to the same bytes.  Zeros (``0.0`` equals ``-0.0``)
+        and non-float scores always get a pair of their own.
         """
         kept = self._pairs
         out = []

@@ -159,30 +159,12 @@ class AdmissionController:
     def admit(self, arrival: Arrival, batch: int) -> IngestRecord:
         tick = max(arrival.client_tick, self.last_tick + 1)
         self.last_tick = tick
+        # IngestRecord(tick, batch, decision, wait_ticks, exec_tick,
+        # arrival), positional: the keyword binding costs a request
         if not self.bucket(arrival.tenant).take(tick):
-            return IngestRecord(
-                tick=tick,
-                batch=batch,
-                decision="throttled",
-                wait_ticks=0,
-                exec_tick=tick,
-                arrival=arrival,
-            )
+            return IngestRecord(tick, batch, "throttled", 0, tick, arrival)
         wait = self.queue.offer(tick)
         if wait is None:
-            return IngestRecord(
-                tick=tick,
-                batch=batch,
-                decision="shed",
-                wait_ticks=0,
-                exec_tick=tick,
-                arrival=arrival,
-            )
-        return IngestRecord(
-            tick=tick,
-            batch=batch,
-            decision=ADMITTED,
-            wait_ticks=wait,
-            exec_tick=tick + wait + self.queue.service_ticks,
-            arrival=arrival,
-        )
+            return IngestRecord(tick, batch, "shed", 0, tick, arrival)
+        exec_tick = tick + wait + self.queue.service_ticks
+        return IngestRecord(tick, batch, ADMITTED, wait, exec_tick, arrival)

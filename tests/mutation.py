@@ -1,7 +1,8 @@
 """Mutation check for the shard path, the model folds and memos, the
 store cursor protocol, interning, growth and read-only views, the damped walk,
-the rank order, the scenario's truth key, the metrics fast paths, the
-serve token bucket and the zoo pin: do the gates catch regressions?
+the rank order, the scenario's truth key, the metrics fast paths and
+the recorder's handles, the serve admission, fluid queue and replay
+check, and the zoo pin: do the gates catch regressions?
 
 Each :class:`Mutant` is an exact source edit that breaks one rule the
 canonical output depends on, plus the one test that must catch it.
@@ -315,6 +316,45 @@ MUTANTS: List[Mutant] = [
         "test_exact_refill_with_remainder_carry",
         reason="the token bucket drops its carried remainder: two half "
         "gaps never add up to a token, so a tenant is throttled early",
+    ),
+    Mutant(
+        file="src/repro/obs/recorder.py",
+        old="self._handles[cls.kind, name, label_names] = metric",
+        new="self._handles[cls.kind, name, ()] = metric",
+        gate="tests/test_obs/test_fast_paths.py::TestRecorderHandles::"
+        "test_conflicts_on_a_cached_name_raise_as_before",
+        reason="the recorder's handle key loses its label names: a metric "
+        "cached under one label-name tuple answers a call with none, "
+        "which then fails the label count instead of the registration",
+    ),
+    Mutant(
+        file="src/repro/serve/ingest.py",
+        old="IngestRecord(tick, batch, ADMITTED, wait, exec_tick, arrival)",
+        new="IngestRecord(tick, batch, ADMITTED, exec_tick, wait, arrival)",
+        gate="tests/test_serve/test_pinned_hashes.py::"
+        "test_steady_load_matches_committed_hashes",
+        reason="the positional IngestRecord swaps wait_ticks and "
+        "exec_tick: every admitted request waits past its TTL and "
+        "expires, which moves the pinned log and response hashes",
+    ),
+    Mutant(
+        file="src/repro/serve/ingest.py",
+        old="self.backlog_ticks = max(0, self.backlog_ticks - elapsed)",
+        new="self.backlog_ticks = max(0, self.backlog_ticks - elapsed + 1)",
+        gate="tests/test_serve/test_ingest.py::TestFluidQueue::"
+        "test_backlog_drains_with_ticks",
+        reason="the fluid queue drains one tick short per offer, so every "
+        "granted wait after a drain is one tick long",
+    ),
+    Mutant(
+        file="src/repro/serve/replay.py",
+        old="if derived != record:",
+        new="if False:",
+        gate="tests/test_serve/test_service.py::TestReplayDivergence::"
+        "test_tampered_log_raises",
+        reason="replay stops comparing re-derived admissions with the "
+        "recorded ones, so a tampered log replays without a "
+        "ReplayDivergenceError",
     ),
     Mutant(
         file="src/repro/services/consumer.py",

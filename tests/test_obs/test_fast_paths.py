@@ -2,9 +2,11 @@
 
 ``Metric._key``, ``MetricsRegistry._get_or_create`` and
 ``Tracer.emit`` each take a shortcut for the common case (exact ``str``
-labels, an already-registered metric, plain attrs); ``unpairs`` takes
-one for flat payloads.  The pre-shortcut bodies are kept below verbatim
-as the oracle: a seeded sequence of recorder operations over awkward
+labels, an already-registered metric, plain attrs); ``Recorder.count``,
+``gauge`` and ``observe`` keep a handle per ``(kind, name,
+label_names)`` and update the series themselves; ``unpairs`` takes one
+for flat payloads.  The pre-shortcut bodies are kept below verbatim as
+the oracle: a seeded sequence of recorder operations over awkward
 labels and attrs must give the same snapshot JSON, the same trace JSONL
 bytes and the same exceptions either way.
 """
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.obs.metrics import Counter, Metric, MetricsRegistry
+from repro.obs.metrics import DEFAULT_BUCKETS, Counter, Metric, MetricsRegistry
 from repro.obs.recorder import Recorder
 from repro.obs.trace import (
     TraceEvent,
@@ -96,6 +98,51 @@ def _old_emit(
     return event
 
 
+def _old_count(
+    self,
+    name: str,
+    amount: float = 1.0,
+    labels: Sequence[str] = (),
+    label_names: Sequence[str] = (),
+) -> None:
+    self.registry.counter(name, "", label_names).inc(amount, labels)
+
+
+def _old_gauge(
+    self,
+    name: str,
+    value: float,
+    labels: Sequence[str] = (),
+    label_names: Sequence[str] = (),
+) -> None:
+    self.registry.gauge(name, "", label_names).set(value, labels)
+
+
+def _old_observe(
+    self,
+    name: str,
+    value: float,
+    labels: Sequence[str] = (),
+    label_names: Sequence[str] = (),
+    buckets: Sequence[float] = DEFAULT_BUCKETS,
+) -> None:
+    self.registry.histogram(name, "", label_names, buckets).observe(
+        value, labels
+    )
+
+
+def _old_span(
+    self,
+    name: str,
+    duration: float = 0.0,
+    attrs: Optional[Mapping[str, Any]] = None,
+    time: Optional[float] = None,
+) -> Optional[TraceEvent]:
+    at = self._now if time is None else float(time)
+    self.advance(at + duration)
+    return self.tracer.emit(name, at, "span", duration, attrs)
+
+
 def _old_unpairs(payload) -> Dict[str, Any]:
     out: Dict[str, Any] = {}
     for key, value in payload:
@@ -137,6 +184,7 @@ ATTR_VALUES: List[Any] = [
     np.float64(0.5), np.bool_(True), Color.RED, Color.BLUE, None, (1, 2),
 ]
 AMOUNTS: List[Any] = [1.0, 2, 0.5, np.float64(1.5), np.int64(2), -1.0]
+BUCKETS: List[Any] = [DEFAULT_BUCKETS, (0.5, 5.0), (1.0, 2.0, 3.0)]
 
 
 def _labels(rng: random.Random, names: Any) -> Any:
@@ -159,10 +207,13 @@ def _attrs(rng: random.Random) -> Optional[Dict[Any, Any]]:
     }
 
 
-def _run(seed: int, ops: int = 160) -> List[Any]:
-    """Apply a seeded op sequence; return every observable output."""
+def _run(
+    seed: int, ops: int = 160, rec: Optional[Recorder] = None
+) -> List[Any]:
+    """Apply a seeded op sequence (to *rec*, or a new recorder); return
+    every observable output."""
     rng = random.Random(seed)
-    rec = Recorder()
+    rec = Recorder() if rec is None else rec
     outcomes: List[Any] = []
     for _ in range(ops):
         op = rng.choice(
@@ -178,7 +229,9 @@ def _run(seed: int, ops: int = 160) -> List[Any]:
             elif op == "gauge":
                 rec.gauge(name, rng.choice(AMOUNTS), labels, names)
             elif op == "observe":
-                rec.observe(name, rng.uniform(0, 30), labels, names)
+                rec.observe(
+                    name, rng.uniform(0, 30), labels, names, rng.choice(BUCKETS)
+                )
             elif op == "span":
                 rec.span(
                     rng.choice(NAMES),
@@ -219,6 +272,10 @@ def oracle(monkeypatch):
             patch.setattr(Metric, "_key", _old_key)
             patch.setattr(MetricsRegistry, "_get_or_create", _old_get_or_create)
             patch.setattr(Tracer, "emit", _old_emit)
+            patch.setattr(Recorder, "count", _old_count)
+            patch.setattr(Recorder, "gauge", _old_gauge)
+            patch.setattr(Recorder, "observe", _old_observe)
+            patch.setattr(Recorder, "span", _old_span)
             return fn(*args)
 
     return call
@@ -273,11 +330,93 @@ class TestMetricFastPaths:
         assert register() == oracle(register) == "Special"
 
 
+def _outcome(call: Any) -> Any:
+    try:
+        call()
+    except Exception as exc:  # compared with the oracle's, type and text
+        return (type(exc).__name__, str(exc))
+    return "ok"
+
+
+class TestRecorderHandles:
+    def test_conflicts_on_a_cached_name_raise_as_before(self, oracle):
+        def conflicts():
+            rec = Recorder()
+            rec.count("m", 1, ("a",), ("x",))  # fills the handle
+            rec.observe("h", 1.0, ("a",), ("x",))
+            calls = [
+                lambda: rec.count("m", 1, ("a",), ("x",)),  # a handle hit
+                lambda: rec.gauge("m", 1.0, ("a",), ("x",)),  # another kind
+                lambda: rec.observe("m", 1.0, ("a",), ("x",)),
+                lambda: rec.count("h", 1, ("a",), ("x",)),
+                lambda: rec.count("m", 1, ("a",), ("y",)),  # other names
+                lambda: rec.count("m", 1, (), ()),
+                lambda: rec.observe("h", 1.0, (), ()),
+                lambda: rec.count("m", 1, ("a", "b"), ("x", "y")),
+                lambda: rec.count("m", 1, ("a",), ["x"]),  # list names
+                lambda: rec.count("m", 1, ["a"], ("x",)),  # list labels
+                lambda: rec.count("m", 1, (3,), ("x",)),  # int label
+                lambda: rec.gauge("g", np.int64(2), (np.int64(3),), ("x",)),
+                lambda: rec.observe("h", 2.0, (np.float64(2.5),), ("x",)),
+                lambda: rec.count("m", 1, ("a", "b"), ("x",)),  # too many
+                lambda: rec.count("m", -1, ("a",), ("x",)),  # negative
+                lambda: rec.count("m", np.float64(0.5), ("a",), ("x",)),
+            ]
+            out = [_outcome(call) for call in calls]
+            return out + [canonical_json(rec.registry.snapshot())]
+
+        assert conflicts() == oracle(conflicts)
+
+    def test_histogram_keeps_its_first_buckets(self, oracle):
+        def observe():
+            rec = Recorder()
+            rec.observe("h", 0.7, buckets=(1.0, 2.0))
+            rec.observe("h", 0.7, buckets=(0.5,))  # ignored, as before
+            rec.observe("h", 3.0)
+            out = [_outcome(lambda: rec.observe("g", 1.0, buckets=(2.0, 1.0)))]
+            return out + [canonical_json(rec.registry.snapshot())]
+
+        assert observe() == oracle(observe)
+
+    def test_a_handle_skips_the_registry(self, monkeypatch):
+        rec = Recorder()
+        calls = []
+        slow = MetricsRegistry._get_or_create
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[1])
+            return slow(self, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "_get_or_create", counted)
+        for _ in range(3):
+            rec.count("c", 1, ("a",), ("x",))
+            rec.gauge("g", 1.0)
+            rec.observe("h", 1.0, ("a",), ("x",))
+            rec.count("l", 1, ("a",), ["x"])  # a list never hashes
+        rec.reset()  # registrations, and so handles, survive a reset
+        rec.count("c", 1, ("a",), ("x",))
+        assert calls == ["c", "g", "h", "l", "l", "l"]
+        assert rec.registry.snapshot()["c"]["series"] == [[["a"], 1]]
+
+
 class TestOracleEquivalence:
     def test_op_sequences_match_the_oracle(self, global_random_seed, oracle):
         for offset in range(12):
             seed = global_random_seed * 1000 + offset
             assert _run(seed) == oracle(_run, seed)
+
+    def test_sequences_after_reset_match_the_oracle(
+        self, global_random_seed, oracle
+    ):
+        def sequences():
+            rec = Recorder()
+            out: List[Any] = []
+            for offset in range(4):
+                out += _run(global_random_seed * 1000 + offset, 80, rec)
+                rec.reset()
+            return out
+
+        assert sequences() == oracle(sequences)
 
     def test_emitted_event_is_the_dataclass_built_one(self):
         tracer = Tracer()

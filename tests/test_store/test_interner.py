@@ -54,8 +54,9 @@ class TestInterner:
 
     @given(st.lists(IDS, max_size=10), st.lists(IDS, max_size=40))
     def test_intern_many_after_seen_ids_equals_looped_intern(self, seen, ids):
-        """All-seen batches take the lookup-only path, mixed ones the
-        loop; both give the loop's codes and table."""
+        """All-seen and mixed batches alike take the C-level passes
+        (unseen ids in first-appearance order, then one lookup) and give
+        an intern() loop's codes and table."""
         looped, bulk = Interner(), Interner()
         for interner in (looped, bulk):
             for v in seen:
