@@ -21,6 +21,7 @@ Two layers:
 from __future__ import annotations
 
 import json
+import statistics
 from pathlib import Path
 from typing import Dict, List
 
@@ -295,6 +296,71 @@ def test_regression_batch_vs_naive(table_printer, wide_stream):
             f"{headline}: expected >= 5x batch speedup, got "
             f"{report[headline]['speedup_vs_naive']}"
         )
+
+
+# ---------------------------------------------------------------------------
+# Zoo trial ratios: each mechanism's in-process trial against beta's,
+# tracked in BENCH_models.json and never gated.
+# ---------------------------------------------------------------------------
+
+#: the zoo trial of perfbench's model_zoo workload: 10 rounds over a
+#: world of 5 providers x 2 services and 25 consumers
+ZOO_ROUNDS = 10
+ZOO_WORLD = {"n_providers": 5, "services_per_provider": 2, "n_consumers": 25}
+#: rounds of one trial per mechanism; the rounds alternate, so host
+#: noise lands on every mechanism alike
+ZOO_REPEATS = 5
+
+
+def test_zoo_trial_ratios(table_printer):
+    """Median in-process wall time of one zoo trial per registered
+    mechanism and its ratio to beta's, written to the "zoo" section of
+    BENCH_models.json.  Report only: no threshold, so a noisy host
+    cannot fail it."""
+    from repro.experiments import parallel
+
+    specs = [
+        parallel.replication_specs(
+            name, 1, base_seed=1, rounds=ZOO_ROUNDS, world_params=ZOO_WORLD
+        )[0]
+        for name in REGISTRY.names()
+    ]
+    times: Dict[str, List[float]] = {spec.model: [] for spec in specs}
+    for _ in range(ZOO_REPEATS):
+        for spec in specs:
+            times[spec.model].append(
+                best_ns(lambda s=spec: parallel.run_trial(s), repeats=1)
+            )
+    medians = {name: statistics.median(ns) for name, ns in times.items()}
+    beta = medians["beta"]
+    zoo = {
+        name: {
+            "trial_ms": round(ns / 1e6, 2),
+            "ratio_to_beta": round(ns / beta, 2),
+        }
+        for name, ns in medians.items()
+    }
+    payload = (
+        json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
+    )
+    payload["zoo"] = {
+        "rounds": ZOO_ROUNDS,
+        "world": ZOO_WORLD,
+        "repeats": ZOO_REPEATS,
+        "timer": "perf_counter_ns/median",
+        "trials": zoo,
+    }
+    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    table_printer(
+        f"Zoo trial vs beta ({ZOO_ROUNDS} rounds, median of {ZOO_REPEATS})",
+        ["mechanism", "trial ms", "x beta"],
+        [
+            [name, row["trial_ms"], row["ratio_to_beta"]]
+            for name, row in sorted(
+                zoo.items(), key=lambda item: -item[1]["ratio_to_beta"]
+            )
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------

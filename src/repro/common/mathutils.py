@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+
+from repro.common.errors import ConfigurationError
 
 
 def clamp(value: float, low: float, high: float) -> float:
     """Restrict *value* to the closed interval ``[low, high]``."""
     if low > high:
-        raise ValueError(f"empty interval: [{low}, {high}]")
+        raise ConfigurationError(
+            f"clamp: low must be <= high, got the empty interval "
+            f"[{low}, {high}]"
+        )
     return max(low, min(high, value))
 
 
@@ -28,12 +34,16 @@ def weighted_mean(
 ) -> float:
     """Weighted arithmetic mean; *default* when total weight is zero.
 
-    Raises :class:`ValueError` on length mismatch or negative weights.
+    Raises :class:`~repro.common.errors.ConfigurationError` on length
+    mismatch or negative weights.
     """
     if len(values) != len(weights):
-        raise ValueError("values and weights must have equal length")
+        raise ConfigurationError(
+            f"weighted_mean: values and weights must have equal length, "
+            f"got {len(values)} and {len(weights)}"
+        )
     if any(w < 0 for w in weights):
-        raise ValueError("weights must be non-negative")
+        raise ConfigurationError("weighted_mean: weights must be non-negative")
     total = sum(weights)
     if total <= 0:
         return default
@@ -47,7 +57,9 @@ def normalize_weights(weights: Mapping[str, float]) -> Dict[str, float]:
     an empty mapping returns an empty dict.
     """
     if any(w < 0 for w in weights.values()):
-        raise ValueError("weights must be non-negative")
+        raise ConfigurationError(
+            "normalize_weights: weights must be non-negative"
+        )
     total = sum(weights.values())
     if not weights:
         return {}
@@ -64,7 +76,9 @@ def exponential_decay(age: float, half_life: float) -> float:
     non-positive age yields weight 1.0.
     """
     if half_life <= 0:
-        raise ValueError("half_life must be positive")
+        raise ConfigurationError(
+            f"exponential_decay: half_life must be positive, got {half_life}"
+        )
     if age <= 0:
         return 1.0
     return math.pow(0.5, age / half_life)
@@ -84,17 +98,22 @@ def pearson_correlation(
     sample has zero variance.
     """
     if len(xs) != len(ys):
-        raise ValueError("samples must have equal length")
+        raise ConfigurationError(
+            f"pearson_correlation: xs and ys must have equal length, "
+            f"got {len(xs)} and {len(ys)}"
+        )
     n = len(xs)
     if n < 2:
         return None
     cx, _ = _centered(xs)
     cy, _ = _centered(ys)
-    sxx = sum(v * v for v in cx)
-    syy = sum(v * v for v in cy)
+    # map(mul, ...) hands sum the products a generator would, in the
+    # same order, with no Python frame per item
+    sxx = sum(map(mul, cx, cx))
+    syy = sum(map(mul, cy, cy))
     if sxx <= 0 or syy <= 0:
         return None
-    sxy = sum(a * b for a, b in zip(cx, cy))
+    sxy = sum(map(mul, cx, cy))
     return clamp(sxy / math.sqrt(sxx * syy), -1.0, 1.0)
 
 
@@ -106,12 +125,15 @@ def cosine_similarity(
     Returns ``None`` when either vector is all-zero or empty.
     """
     if len(xs) != len(ys):
-        raise ValueError("vectors must have equal length")
+        raise ConfigurationError(
+            f"cosine_similarity: xs and ys must have equal length, "
+            f"got {len(xs)} and {len(ys)}"
+        )
     if not xs:
         return None
-    nx = math.sqrt(sum(v * v for v in xs))
-    ny = math.sqrt(sum(v * v for v in ys))
+    nx = math.sqrt(sum(map(mul, xs, xs)))
+    ny = math.sqrt(sum(map(mul, ys, ys)))
     if nx <= 0 or ny <= 0:
         return None
-    dot = sum(a * b for a, b in zip(xs, ys))
+    dot = sum(map(mul, xs, ys))
     return clamp(dot / (nx * ny), -1.0, 1.0)

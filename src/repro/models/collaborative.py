@@ -21,7 +21,8 @@ size cap.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence, Tuple
+import operator
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
@@ -34,6 +35,9 @@ from repro.common.mathutils import (
 from repro.common.records import Feedback
 from repro.core.typology import Architecture, Scope, Subject, Typology
 from repro.models.base import ReputationModel
+
+_USER = operator.itemgetter(0)
+_SIM = operator.itemgetter(1)
 
 
 class Similarity(enum.Enum):
@@ -88,6 +92,10 @@ class CollaborativeFilteringModel(ReputationModel):
         self.default_vote = default_vote
         #: user -> item -> (time, rating); latest rating wins
         self._ratings: Dict[EntityId, Dict[EntityId, Tuple[float, float]]] = {}
+        #: item -> the users who rated it (an index; order is not used)
+        self._raters: Dict[EntityId, Dict[EntityId, None]] = {}
+        #: item -> its batch mean, dropped when a rating of it changes
+        self._means: Dict[EntityId, float] = {}
 
     # -- data ------------------------------------------------------------
     def record(self, feedback: Feedback) -> None:
@@ -95,6 +103,8 @@ class CollaborativeFilteringModel(ReputationModel):
         existing = row.get(feedback.target)
         if existing is None or feedback.time >= existing[0]:
             row[feedback.target] = (feedback.time, feedback.rating)
+            self._raters.setdefault(feedback.target, {})[feedback.rater] = None
+            self._means.pop(feedback.target, None)
 
     def rating(self, user: EntityId, item: EntityId) -> Optional[float]:
         entry = self._ratings.get(user, {}).get(item)
@@ -123,12 +133,22 @@ class CollaborativeFilteringModel(ReputationModel):
         users' rated items and missing ratings take the default value.
         """
         row_a = self._ratings.get(user_a, {})
+        return self._similarity(row_a, set(row_a), user_b)
+
+    def _similarity(
+        self,
+        row_a: Dict[EntityId, Tuple[float, float]],
+        keys_a: Set[EntityId],
+        user_b: EntityId,
+    ) -> Optional[float]:
+        """:meth:`user_similarity` with the first user's row and its key
+        set given, so a batch builds them once."""
         row_b = self._ratings.get(user_b, {})
-        common = sorted(set(row_a) & set(row_b))
+        common = sorted(keys_a & row_b.keys())
         if len(common) < self.min_overlap:
             return None
         if self.default_vote is not None:
-            items = sorted(set(row_a) | set(row_b))
+            items = sorted(keys_a | row_b.keys())
             d = self.default_vote
             xs = [row_a[i][1] if i in row_a else d for i in items]
             ys = [row_b[i][1] if i in row_b else d for i in items]
@@ -198,19 +218,23 @@ class CollaborativeFilteringModel(ReputationModel):
 
     # -- batch prediction --------------------------------------------------
     def _item_means(self, items: Sequence[EntityId]) -> Dict[EntityId, float]:
-        """Means for several items in one pass over the rating matrix."""
-        wanted = set(items)
-        sums: Dict[EntityId, float] = {}
-        counts: Dict[EntityId, int] = {}
-        for row in self._ratings.values():
-            for tgt, entry in row.items():
-                if tgt in wanted:
-                    sums[tgt] = sums.get(tgt, 0.0) + entry[1]
-                    counts[tgt] = counts.get(tgt, 0) + 1
-        return {
-            item: (sums[item] / counts[item] if counts.get(item) else 0.5)
-            for item in sorted(wanted)
-        }
+        """Means for several items, each summed over the users in order.
+        A mean is kept until a rating of its item changes."""
+        means: Dict[EntityId, float] = {}
+        for item in items:
+            kept = self._means.get(item)
+            if kept is None:
+                total = 0.0
+                count = 0
+                for row in self._ratings.values():
+                    entry = row.get(item)
+                    if entry is not None:
+                        total = total + entry[1]
+                        count += 1
+                kept = total / count if count else 0.5
+                self._means[item] = kept
+            means[item] = kept
+        return means
 
     def score_many(
         self,
@@ -233,6 +257,7 @@ class CollaborativeFilteringModel(ReputationModel):
             return [item_means[t] for t in targets]
         user = perspective
         row_user = self._ratings[user]
+        keys_user = set(row_user)
         sim_cache: Dict[EntityId, Optional[float]] = {}
         mean_cache: Dict[EntityId, float] = {}
 
@@ -246,7 +271,7 @@ class CollaborativeFilteringModel(ReputationModel):
         def similarity_to(other: EntityId) -> Optional[float]:
             if other in sim_cache:
                 return sim_cache[other]
-            sim = self.user_similarity(user, other)
+            sim = self._similarity(row_user, keys_user, other)
             sim_cache[other] = sim
             return sim
 
@@ -256,15 +281,20 @@ class CollaborativeFilteringModel(ReputationModel):
             if own is not None:
                 results.append(own[1])
                 continue
+            # The raters of item, not every user: the sort below is by
+            # (-sim, id), so the order they come in does not matter.
             candidates: List[Tuple[EntityId, float]] = []
-            for other, row in self._ratings.items():
-                if other == user or item not in row:
+            for other in self._raters.get(item, ()):
+                if other == user:
                     continue
                 sim = similarity_to(other)
                 if sim is None or sim <= 0:
                     continue
                 candidates.append((other, sim))
-            candidates.sort(key=lambda pair: (-pair[1], pair[0]))
+            # Two stable sorts, by id and then by similarity descending:
+            # the order of sorting by (-sim, id), with no key tuple.
+            candidates.sort(key=_USER)
+            candidates.sort(key=_SIM, reverse=True)
             neighbours = candidates[: self.neighbourhood]
             if not neighbours:
                 results.append(item_means[item])

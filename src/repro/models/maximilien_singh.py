@@ -38,11 +38,9 @@ from repro.common.mathutils import safe_mean
 from repro.common.records import Feedback
 from repro.core.decay import DecayPolicy, ExponentialDecay
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import StoreBackedModel, fold_into
+from repro.models.base import StoreBackedModel
 from repro.store import EventStore, OVERALL_FACET
 
-_EMPTY = np.zeros(0)
-_EMPTY_I8 = np.zeros(0, dtype=np.int64)
 _F64 = np.float64
 
 
@@ -226,9 +224,11 @@ class MaximilienSinghModel(StoreBackedModel):
 
     # -- columnar kernel -----------------------------------------------
     def _fold(self, start: int, now: Optional[float]) -> "_KernelArrays":
-        """Decay-weighted sums for every service and every (service,
-        facet) group, with rows ``[start, n)`` folded in.  A moved *now*
-        reweighs every row, so it restarts the fold from row 0."""
+        """Decay-weighted sums for every (service, facet) cell, overall
+        rows in facet column 0, with rows ``[start, n)`` folded in.  A
+        moved *now* reweighs every row, so it restarts the fold from row
+        0.  The kept scores of the services these rows touch are
+        dropped."""
         store = self._store
         delta = store.columns_from(start)
         arrays = self._kernel_state if start else _KernelArrays()
@@ -236,60 +236,41 @@ class MaximilienSinghModel(StoreBackedModel):
             weights = self.decay.weights(np.maximum(now - delta.time, 0.0))
         else:
             weights = np.ones(delta.n)
-        overall = delta.facet == OVERALL_FACET
-        o_value = delta.value[overall]
-        o_weight = weights[overall]
-        arrays.overall = fold_into(
-            arrays.overall,
-            len(store.entities) + 1,
-            delta.target[overall],
-            o_weight * o_value,
-            o_weight,
-            o_value,
-            1,
+        sums = arrays.sums
+        size, width = len(store.entities), len(store.facets) + 1
+        if sums.shape[0] < size or sums.shape[1] < width:
+            grown = np.zeros((size, width, 4))
+            grown[: sums.shape[0], : sums.shape[1]] = sums
+            sums = arrays.sums = grown
+        value = delta.value
+        # One unbuffered add of the four sums per row, in row order.
+        np.add.at(
+            sums,
+            (delta.target, delta.facet + 1),
+            np.array((weights * value, weights, value, np.ones(delta.n))).T,
         )
-        facet_rows = ~overall
-        groups, inverse = np.unique(
-            delta.target_facet_keys()[facet_rows], return_inverse=True
-        )
-        slots = np.array(
-            [arrays.slot(group, store) for group in groups.tolist()],
-            dtype=np.int64,
-        )
-        f_value = delta.value[facet_rows]
-        f_weight = weights[facet_rows]
-        arrays.facet = fold_into(
-            arrays.facet,
-            len(arrays.slots),
-            slots[inverse],
-            f_weight * f_value,
-            f_weight,
-            f_value,
-            1,
-        )
+        if arrays.scores:
+            for code in dict.fromkeys(delta.target.tolist()):
+                arrays.scores.pop(code, None)
         return arrays
 
     def _facet_blend(
-        self,
-        facet_sums: Tuple[list, ...],
-        slot: Optional[int],
-        claim: Optional[float],
+        self, sums: Optional[List[float]], claim: Optional[float]
     ) -> float:
-        """:meth:`facet_reputation` over the precomputed group sums
-        (*facet_sums* as Python lists).  A community-backed value comes
-        back as a numpy float64, the type the array reads give it:
-        Python 3.12's ``sum`` compensates exact floats only, so a mean
-        over these values rounds by their type."""
-        if slot is None:
+        """:meth:`facet_reputation` over one cell's sums (a Python list,
+        ``None`` without evidence).  A community-backed value comes back
+        as a numpy float64, the type the array reads give it: Python
+        3.12's ``sum`` compensates exact floats only, so a mean over
+        these values rounds by their type."""
+        if sums is None:
             community = None
-            evidence = 0
+            evidence = 0.0
         else:
-            f_num, f_den, f_plain, f_cnt = facet_sums
-            evidence = f_cnt[slot]
-            if f_den[slot] > 0:
-                community = f_num[slot] / f_den[slot]
+            f_num, f_den, f_plain, evidence = sums
+            if f_den > 0:
+                community = f_num / f_den
             else:
-                community = f_plain[slot] / evidence
+                community = f_plain / evidence
         if community is None and claim is None:
             return 0.5
         if community is None:
@@ -303,98 +284,100 @@ class MaximilienSinghModel(StoreBackedModel):
         claim_weight *= max(0.0, 1.0 - abs(claim - community))
         return _F64(claim_weight * claim + (1.0 - claim_weight) * community)
 
+    def _kernel_score(
+        self,
+        arrays: "_KernelArrays",
+        target: EntityId,
+        code: int,
+        weights: Optional[Mapping[str, float]],
+    ) -> float:
+        """:meth:`score` of *target* over its folded cells, in its
+        control flow (same facet iteration order)."""
+        rows = (
+            arrays.sums[code].tolist() if 0 <= code < len(arrays.sums) else []
+        )
+        facet_name = self._store.facets.value
+        cells = {
+            facet_name(column - 1): sums
+            for column, sums in enumerate(rows)
+            if column and sums[3] > 0
+        }
+        claims = self._claims.get(target, {})
+        facets = set(cells) | set(claims)
+        if not facets:
+            if not rows or rows[0][3] == 0:
+                return 0.5
+            num, den, plain, count = rows[0]
+            return num / den if den > 0 else plain / count
+        if weights:
+            total = 0.0
+            weight_sum = 0.0
+            for facet in sorted(facets):
+                w = weights.get(facet, 0.0)
+                if w <= 0:
+                    continue
+                total += w * self._facet_blend(
+                    cells.get(facet), claims.get(facet)
+                )
+                weight_sum += w
+            if weight_sum > 0:
+                return float(total / weight_sum)
+        return float(
+            safe_mean(
+                (
+                    self._facet_blend(cells.get(f), claims.get(f))
+                    for f in sorted(facets)
+                ),
+                default=0.5,
+            )
+        )
+
     def score_many(
         self,
         targets: Sequence[EntityId],
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
     ) -> List[float]:
-        """Batch scores over precomputed per-(service, facet) means.
+        """Batch scores over the folded cell sums.
 
         The column pass replaces the per-history array building of
-        :meth:`score`; the claim/preference blending mirrors the scalar
-        control flow exactly (same facet iteration order), over the
-        sums read into Python lists once per call.
+        :meth:`score`.  A score without preferences depends only on the
+        service's cells and claims, so it is kept per service code until
+        a fold touches the service or its claims object is replaced.
         """
         arrays = self._kernel(now)
         weights = (
             self._preferences.get(perspective) if perspective else None
         )
-        o_num, o_den, o_plain, o_cnt = (a.tolist() for a in arrays.overall)
-        facet_sums = tuple(a.tolist() for a in arrays.facet)
-        codes = self._store.entities.codes(targets)
+        kept = arrays.scores
         results: List[float] = []
-        for target, code in zip(targets, codes.tolist()):
-            slots = dict(arrays.facet_groups.get(code, ()))
-            claims = self._claims.get(target, {})
-            facets = set(slots) | set(claims)
-            if not facets:
-                if o_cnt[code] == 0:
-                    results.append(0.5)
-                elif o_den[code] > 0:
-                    results.append(o_num[code] / o_den[code])
-                else:
-                    results.append(o_plain[code] / o_cnt[code])
-                continue
-            if weights:
-                total = 0.0
-                weight_sum = 0.0
-                for facet in sorted(facets):
-                    w = weights.get(facet, 0.0)
-                    if w <= 0:
-                        continue
-                    total += w * self._facet_blend(
-                        facet_sums, slots.get(facet), claims.get(facet)
-                    )
-                    weight_sum += w
-                if weight_sum > 0:
-                    results.append(float(total / weight_sum))
+        codes = self._store.entities.codes(targets).tolist()
+        for target, code in zip(targets, codes):
+            claims = self._claims.get(target)
+            if not weights:
+                hit = kept.get(code)
+                if hit is not None and hit[0] is claims:
+                    results.append(hit[1])
                     continue
-            results.append(
-                float(
-                    safe_mean(
-                        (
-                            self._facet_blend(
-                                facet_sums, slots.get(f), claims.get(f)
-                            )
-                            for f in sorted(facets)
-                        ),
-                        default=0.5,
-                    )
-                )
-            )
+            score = self._kernel_score(arrays, target, code, weights)
+            if not weights:
+                kept[code] = (claims, score)
+            results.append(score)
         return results
-
-
-_SUMS = (_EMPTY, _EMPTY, _EMPTY, _EMPTY_I8)
 
 
 @dataclass
 class _KernelArrays:
-    """Folded sums backing :meth:`MaximilienSinghModel.score_many`:
-    ``(weighted sum, weight sum, plain sum, count)``.
+    """Folded sums backing :meth:`MaximilienSinghModel.score_many`.
 
-    ``overall`` is indexed by service entity code, with one spare zero
-    slot that the code -1 of an unseen id reads; ``facet`` by the slot
-    of each (service, facet) group, numbered in order of first
-    appearance.  ``slots`` maps a group's target-facet key to its slot
-    and ``facet_groups`` a service code to its ``(facet name, slot)``
-    pairs.
+    ``sums[code, facet + 1]`` holds ``(weighted sum, weight sum, plain
+    sum, count)`` of one service's rows of one facet; column 0 is the
+    overall rows (facet code -1).  No float sum runs across cells, and
+    the array grows with both interners.  ``scores`` keeps each service
+    code's score without preferences, with the claims object it read.
     """
 
-    overall: Tuple[np.ndarray, ...] = _SUMS
-    facet: Tuple[np.ndarray, ...] = _SUMS
-    slots: Dict[int, int] = field(default_factory=dict)
-    facet_groups: Dict[int, List[Tuple[str, int]]] = field(
+    sums: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 4)))
+    scores: Dict[int, Tuple[Optional[Dict[str, float]], float]] = field(
         default_factory=dict
     )
-
-    def slot(self, group: int, store: EventStore) -> int:
-        """The slot of target-facet key *group*, numbered on first sight."""
-        slot = self.slots.get(group)
-        if slot is None:
-            slot = self.slots[group] = len(self.slots)
-            self.facet_groups.setdefault(group >> 32, []).append(
-                (store.facets.value((group & 0xFFFFFFFF) - 1), slot)
-            )
-        return slot

@@ -56,9 +56,9 @@ from repro.store import ColumnSet, EventStore, GroupIndex
 
 _EMPTY = np.zeros(0)
 _EMPTY_I8 = np.zeros(0, dtype=np.int64)
-#: an empty transaction window: (target, rater, satisfaction, context,
-#: rank of the row among its target's rows)
-_NO_WINDOW = (_EMPTY_I8, _EMPTY_I8, _EMPTY, _EMPTY, _EMPTY_I8)
+#: an empty transaction window: int64 rows (target, rater, rank of the
+#: row among its target's rows) and float64 rows (satisfaction, context)
+_NO_WINDOW = (np.zeros((3, 0), dtype=np.int64), np.zeros((2, 0)))
 
 
 class CredibilityMeasure(enum.Enum):
@@ -140,6 +140,10 @@ class PeerTrustModel(StoreBackedModel):
         self._pair_sums: Tuple[np.ndarray, ...] = (_EMPTY, _EMPTY)
         self._counts: Tuple[np.ndarray, ...] = (_EMPTY_I8, _EMPTY_I8)
         self._window: Tuple[np.ndarray, ...] = _NO_WINDOW
+        #: the pair universe and code count the pair codes below were
+        #: derived for, and those codes (see _pair_codes)
+        self._codes_key: Tuple[Optional[np.ndarray], int] = (None, 0)
+        self._codes: Tuple[np.ndarray, ...] = ()
         #: the trust arrays computed per perspective code from the
         #: perspective-independent kernel state
         self._kernel_scores: Dict[Optional[int], np.ndarray] = {}
@@ -304,7 +308,7 @@ class PeerTrustModel(StoreBackedModel):
     def _fold(self, start: int) -> Dict[str, np.ndarray]:
         """Perspective-independent arrays — windowed transaction rows,
         pair rating vectors, community reference vector and the CF
-        array — with rows ``[start, n)`` folded in."""
+        term — with rows ``[start, n)`` folded in."""
         store = self._store
         size = len(store.entities) + 1
         delta = store.columns_from(start)
@@ -333,16 +337,15 @@ class PeerTrustModel(StoreBackedModel):
             self._window = self._cold_window()
         pair_sum, pair_count = self._pair_sums
         pair_mean = pair_sum / np.maximum(pair_count, 1.0)
-        pair_rater = self._pairs >> 32
-        pair_subject = self._pairs & 0xFFFFFFFF
+        pair_rater, pair_subject, comm_cnt, rater_cnt = self._pair_codes(size)
         # Community reference: per subject, mean of the rater means.
-        comm_cnt = np.bincount(pair_subject, minlength=size)
         comm_sum = np.bincount(
             pair_subject, weights=pair_mean, minlength=size
         )
-        win_targets, win_raters, win_sat, win_ctx, _rank = self._window
+        (win_targets, win_raters, _rank), (win_sat, win_ctx) = self._window
         self._kernel_scores = {}
         return {
+            "pairs": self._pairs,
             "win_targets": win_targets,
             "win_raters": win_raters,
             "win_sat": win_sat,
@@ -350,9 +353,28 @@ class PeerTrustModel(StoreBackedModel):
             "pair_rater": pair_rater,
             "pair_subject": pair_subject,
             "pair_mean": pair_mean,
-            "comm_mean": comm_sum / np.maximum(comm_cnt, 1),
-            "cf": filed / (filed + 5.0),
+            "rater_cnt": rater_cnt,
+            "comm_mean": comm_sum / comm_cnt,
+            "cf_term": self.beta * (filed / (filed + 5.0)),
         }
+
+    def _pair_codes(self, size: int) -> Tuple[np.ndarray, ...]:
+        """The raters and subjects of the pair universe, and pairs per
+        subject and per rater floored at 1 (a zero count only divides a
+        zero sum): they change only with the universe (``sorted_union``
+        hands back the same array while no pair is new) or the code
+        count, which key them."""
+        pairs = self._pairs
+        if self._codes_key[0] is not pairs or self._codes_key[1] != size:
+            rater, subject = pairs >> 32, pairs & 0xFFFFFFFF
+            self._codes_key = (pairs, size)
+            self._codes = (
+                rater,
+                subject,
+                np.maximum(np.bincount(subject, minlength=size), 1),
+                np.bincount(rater, minlength=size).astype(np.float64),
+            )
+        return self._codes
 
     def _fold_window(
         self, start: int, delta: ColumnSet, per_target: np.ndarray
@@ -375,16 +397,18 @@ class PeerTrustModel(StoreBackedModel):
                 + index.ranks()
             )
         ctx = np.asarray(self._ctx[start:start + delta.n], dtype=np.float64)
-        new = (targets, delta.rater, delta.value, ctx, rank)
-        kept = self._window if start else _NO_WINDOW
-        window = tuple(
-            np.concatenate((old, part)) for old, part in zip(kept, new)
+        codes, floats = self._window if start else _NO_WINDOW
+        codes = np.concatenate(
+            (codes, np.array((targets, delta.rater, rank))), axis=1
         )
-        targets, ranks = window[0], window[4]
-        inside = ranks >= per_target[targets] - self.window
+        floats = np.concatenate(
+            (floats, np.array((delta.value, ctx))), axis=1
+        )
+        inside = codes[2] >= per_target[codes[0]] - self.window
         if not inside.all():
-            window = tuple(column[inside] for column in window)
-        self._window = window
+            codes = codes.compress(inside, axis=1)
+            floats = floats.compress(inside, axis=1)
+        self._window = (codes, floats)
 
     def _cold_window(self) -> Tuple[np.ndarray, ...]:
         """The last ``window`` rows per target in time order, from the
@@ -399,11 +423,8 @@ class PeerTrustModel(StoreBackedModel):
         rows = index.order[keep]
         ctx = np.asarray(self._ctx, dtype=np.float64)
         return (
-            columns.target[rows],
-            columns.rater[rows],
-            columns.value[rows],
-            ctx[rows] if len(ctx) else ctx,
-            ranks[keep],
+            np.array((columns.target[rows], columns.rater[rows], ranks[keep])),
+            np.array((columns.value[rows], ctx[rows] if len(ctx) else ctx)),
         )
 
     def _psm_credibility(
@@ -411,36 +432,53 @@ class PeerTrustModel(StoreBackedModel):
     ) -> np.ndarray:
         """Cr(v) for every entity code under PSM: similarity against
         the evaluator's vector over shared subjects, community-mean
-        fallback otherwise, floored at 0."""
-        size = len(base["cf"])
+        fallback otherwise, floored at 0.  The evaluator's pairs are
+        one run of the ascending keys, and it never compares with
+        itself."""
+        size = len(base["cf_term"])
         pair_rater = base["pair_rater"]
         pair_subject = base["pair_subject"]
         pair_mean = base["pair_mean"]
         reference = np.full(size, np.nan)
+        own = slice(0, 0)
         if perspective is not None and perspective >= 0:
-            own = pair_rater == perspective
+            lo, hi = np.searchsorted(
+                base["pairs"], (perspective << 32, (perspective + 1) << 32)
+            ).tolist()
+            own = slice(lo, hi)
             reference[pair_subject[own]] = pair_mean[own]
         ref_vals = reference[pair_subject]
-        # The evaluator compares others against itself, never itself.
-        valid = ~np.isnan(ref_vals)
-        if perspective is not None:
-            valid &= pair_rater != perspective
+        ref_vals[own] = np.nan
+        valid = ref_vals == ref_vals  # not NaN
         diff_sq = np.where(valid, (pair_mean - ref_vals) ** 2, 0.0)
-        cnt1 = np.bincount(
-            pair_rater, weights=valid.astype(np.float64), minlength=size
-        )
+        cnt1 = np.bincount(pair_rater, weights=valid, minlength=size)
         ssq1 = np.bincount(pair_rater, weights=diff_sq, minlength=size)
-        comm_vals = base["comm_mean"][pair_subject]
-        cnt2 = np.bincount(pair_rater, minlength=size).astype(np.float64)
-        ssq2 = np.bincount(
-            pair_rater, weights=(pair_mean - comm_vals) ** 2, minlength=size
-        )
         sim_eval = 1.0 - np.sqrt(ssq1 / np.maximum(cnt1, 1.0))
-        sim_comm = 1.0 - np.sqrt(ssq2 / np.maximum(cnt2, 1.0))
-        sim = np.where(
-            cnt1 > 0, sim_eval, np.where(cnt2 > 0, sim_comm, 0.5)
+        return np.where(
+            cnt1 > 0, np.maximum(0.0, sim_eval), self._community_credibility(base)
         )
-        return np.maximum(0.0, sim)
+
+    @staticmethod
+    def _community_credibility(base: Dict[str, np.ndarray]) -> np.ndarray:
+        """Cr(v) against the community mean vector, floored at 0 (0.5
+        for a code that filed nothing): the same for every evaluator,
+        so it is kept in *base* once computed."""
+        kept = base.get("community_cr")
+        if kept is None:
+            size = len(base["cf_term"])
+            pair_mean = base["pair_mean"]
+            comm_vals = base["comm_mean"][base["pair_subject"]]
+            cnt2 = base["rater_cnt"]
+            ssq2 = np.bincount(
+                base["pair_rater"],
+                weights=(pair_mean - comm_vals) ** 2,
+                minlength=size,
+            )
+            sim_comm = 1.0 - np.sqrt(ssq2 / np.maximum(cnt2, 1.0))
+            kept = base["community_cr"] = np.maximum(
+                0.0, np.where(cnt2 > 0, sim_comm, 0.5)
+            )
+        return kept
 
     def _trust_sweep(
         self, base: Dict[str, np.ndarray], cr_rows: np.ndarray
@@ -448,7 +486,7 @@ class PeerTrustModel(StoreBackedModel):
         """One application of eq. 3 over all entities at once, given
         per-windowed-row credibilities (bincount adds contributions in
         the scalar's time order — bit-identical accumulation)."""
-        size = len(base["cf"])
+        size = len(base["cf_term"])
         weights = cr_rows * base["win_ctx"]
         num = np.bincount(
             base["win_targets"],
@@ -460,8 +498,8 @@ class PeerTrustModel(StoreBackedModel):
         )
         metric = np.where(den > 0, num / np.maximum(den, 1e-300), 0.5)
         total = self.alpha + self.beta
-        value = (self.alpha * metric + self.beta * base["cf"]) / total
-        return np.clip(value, 0.0, 1.0)
+        value = (self.alpha * metric + base["cf_term"]) / total
+        return value.clip(0.0, 1.0)
 
     def _kernel_trust(self, perspective: Optional[int]) -> np.ndarray:
         base = self._kernel()
@@ -495,12 +533,9 @@ class PeerTrustModel(StoreBackedModel):
             if perspective is None
             else store.entities.code(perspective)
         )
-        trust = self._kernel_trust(persp)
-        codes = store.entities.codes(targets)
-        known = codes >= 0
-        safe = np.where(known, codes, 0)
-        total = self.alpha + self.beta
-        unknown = min(1.0, max(0.0, (self.alpha * 0.5) / total))
-        scores = np.where(known, trust[safe], unknown)
+        # The spare last slot, which the code -1 of an unseen id reads,
+        # holds no rows and files nothing: its trust is the unknown
+        # target's (alpha * 0.5) / (alpha + beta).
+        scores = self._kernel_trust(persp)[store.entities.codes(targets)]
         result: List[float] = scores.tolist()
         return result

@@ -194,6 +194,22 @@ class SporasModel(StoreBackedModel):
         fancy-gathers the state of every target receiving its k-th
         rating, applies the update, and scatters back.
         """
+        d = self.d
+        gain = (1.0 / self.theta) * (self.NEWCOMER_FLOOR * d)
+        inv_sigma = 1.0 / self.sigma
+        state = self._state
+        if len(targets) == 1:
+            # One row is one round of one target: the round's update on
+            # float64 scalars, the same ufunc and operations in the
+            # same order.  The clamp returns what np.clip returns.
+            target = targets[0]
+            current = state[target]
+            phi = 1.0 - 1.0 / (1.0 + np.exp(-(current - d) * inv_sigma))
+            updated = current + gain * phi * (values[0] - current / d)
+            state[target] = (
+                updated if 0.0 <= updated <= d else np.clip(updated, 0.0, d)
+            )
+            return
         index = GroupIndex(targets)
         ranks = index.ranks()
         # stable: equal ranks keep index order, i.e. ascending target
@@ -204,10 +220,6 @@ class SporasModel(StoreBackedModel):
         values_by_round = values[rows]
         max_rank = int(round_ranks[-1])
         bounds = np.searchsorted(round_ranks, np.arange(max_rank + 2))
-        d = self.d
-        gain = (1.0 / self.theta) * (self.NEWCOMER_FLOOR * d)
-        inv_sigma = 1.0 / self.sigma
-        state = self._state
         for k in range(max_rank + 1):
             lo, hi = int(bounds[k]), int(bounds[k + 1])
             tc = targets_by_round[lo:hi]

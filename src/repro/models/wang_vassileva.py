@@ -121,15 +121,19 @@ class WangVassilevaModel(StoreBackedModel):
         #: deterministic) + an epoch counter that restarts the kernel
         self._rec_pairs: Dict[Tuple[int, int], None] = {}
         self._rec_epoch = 0
-        #: eager credibility evidence per (agent, recommender) pair —
-        #: the recommendation channel has no store rows behind it
-        self._rater_cred: Dict[Tuple[int, int], _FacetCounts] = {}
+        #: eager credibility evidence, agent code -> recommender code ->
+        #: counts: the recommendation channel has no store rows behind it
+        self._rater_cred: Dict[int, Dict[int, _FacetCounts]] = {}
         #: columnar kernel state, kept by the _fold hook: the
-        #: ascending (rater, target) pair keys of the store rows and, per
+        #: ascending (rater, target) pair keys of the store rows; per
         #: pair, satisfied and total counts by facet column (0 is the
-        #: overall rating, facet code f is column f + 1)
+        #: overall rating, facet code f is column f + 1) and the
+        #: provider trust; and the rater and target codes of the pair
+        #: universe they were split from
         self._pairs = _EMPTY_I8
         self._counts: Tuple[np.ndarray, ...] = (_NO_COUNTS, _NO_COUNTS)
+        self._trust = np.zeros(0)
+        self._pair_codes: Tuple[np.ndarray, ...] = (_EMPTY_I8,) * 3
         #: the pooled score arrays computed per perspective code from
         #: the kernel's pair arrays
         self._kernel_scores: Dict[Optional[int], np.ndarray] = {}
@@ -197,7 +201,9 @@ class WangVassilevaModel(StoreBackedModel):
             abs(recommended_rating - experienced_rating)
             <= self.recommendation_tolerance
         )
-        self._rater_cred.setdefault(pair, _FacetCounts()).update(credible)
+        self._rater_cred.setdefault(pair[0], {}).setdefault(
+            pair[1], _FacetCounts()
+        ).update(credible)
         # Register the pair as an (empty) partner model so the scalar
         # paths pool over the same pair universe as the columnar kernel:
         # a recommendation-only pair contributes provider trust 0.5 with
@@ -209,7 +215,7 @@ class WangVassilevaModel(StoreBackedModel):
     def _rater_weight(self, agent: int, other: int) -> float:
         """How much *agent* trusts *other* as a rater (0.5 with no
         recommendation history)."""
-        cred = self._rater_cred.get((agent, other))
+        cred = self._rater_cred.get(agent, {}).get(other)
         return cred.probability() if cred is not None else 0.5
 
     # -- queries (scalar reference) -------------------------------------------
@@ -313,36 +319,48 @@ class WangVassilevaModel(StoreBackedModel):
         return own_weight * own + (1.0 - own_weight) * pooled
 
     # -- columnar kernel -------------------------------------------------------
-    def _fold(self, start: int, _rec_epoch: int) -> Dict[str, np.ndarray]:
+    def _fold(
+        self, start: int, _rec_epoch: int, _weights: Optional[tuple]
+    ) -> Dict[str, np.ndarray]:
         """Per-(rater, target) posteriors over the pair universe: the
         store pairs in ascending key order, then recommendation-created
         pairs without store rows in insertion order, with rows
-        ``[start, n)`` folded in; a recommendation restarts the fold."""
+        ``[start, n)`` folded in; a recommendation or new facet weights
+        restart the fold.  Only the pairs these rows touch get their
+        posterior recomputed: every other pair's counts are unchanged."""
         store = self._store
         delta = store.columns_from(start)
         if not start:
             self._pairs = _EMPTY_I8
             self._counts = (_NO_COUNTS, _NO_COUNTS)
+            self._trust = np.zeros(0)
         # Every report writes an overall row, so the pairs of all rows
         # are the pairs of the overall rows.
         keys = delta.pair_keys()
-        self._pairs, counts, at = sorted_union(self._pairs, keys, self._counts)
+        self._pairs, (sat, tot, trust), at = sorted_union(
+            self._pairs, keys, (*self._counts, self._trust)
+        )
         columns = len(store.facets) + 1
-        grow = columns - counts[0].shape[1]
+        grow = columns - sat.shape[1]
         if grow > 0:
-            counts = tuple(
+            sat, tot = (
                 np.concatenate((c, np.zeros((len(c), grow))), axis=1)
-                for c in counts
+                for c in (sat, tot)
             )
-        sat, tot = self._counts = counts
+        self._counts = (sat, tot)
         cells = at * columns + delta.facet + 1
-        satisfying = delta.value > self.satisfaction_threshold
-        np.add.at(sat.reshape(-1), cells, satisfying.astype(np.float64))
+        np.add.at(
+            sat.reshape(-1), cells, delta.value > self.satisfaction_threshold
+        )
         np.add.at(tot.reshape(-1), cells, 1.0)
-        trust = (sat[:, 0] + 1.0) / (tot[:, 0] + 2.0)
+        trust[at] = (sat[at, 0] + 1.0) / (tot[at, 0] + 2.0)
         if self.facet_weights:
-            trust = self._facet_weighted(trust, self.facet_weights)
+            trust[at] = self._facet_weighted(at, trust[at], self.facet_weights)
+        self._trust = trust
         pairs, own = self._pairs, tot[:, 0]
+        if self._pair_codes[0] is not pairs:
+            self._pair_codes = (pairs, pairs >> 32, pairs & 0xFFFFFFFF)
+        _pairs, pair_rater, pair_target = self._pair_codes
         # Recommendation-only pairs: a partner model with empty overall
         # counts — provider trust 0.5, zero own evidence.
         if self._rec_pairs:
@@ -356,23 +374,30 @@ class WangVassilevaModel(StoreBackedModel):
             )
             fresh = rec[~np.isin(rec, pairs)]
             if len(fresh):
-                pairs = np.concatenate([pairs, fresh])
+                pair_rater = np.concatenate([pair_rater, fresh >> 32])
+                pair_target = np.concatenate(
+                    [pair_target, fresh & 0xFFFFFFFF]
+                )
                 trust = np.concatenate([trust, np.full(len(fresh), 0.5)])
                 own = np.concatenate([own, np.zeros(len(fresh))])
         self._kernel_scores = {}
         return {
-            "pair_rater": pairs >> 32,
-            "pair_target": pairs & 0xFFFFFFFF,
+            "pair_rater": pair_rater,
+            "pair_target": pair_target,
             "trust": trust,
             "tot": own,
         }
 
     def _facet_weighted(
-        self, overall_trust: np.ndarray, weights: Mapping[str, float]
+        self,
+        rows: np.ndarray,
+        overall_trust: np.ndarray,
+        weights: Mapping[str, float],
     ) -> np.ndarray:
-        """Facet-weighted provider trust per pair, falling back to the
-        overall posterior for pairs without (weighted) facet evidence."""
-        sat, tot = (counts[:, 1:] for counts in self._counts)
+        """Facet-weighted provider trust of the pairs at *rows*, falling
+        back to the overall posterior for pairs without (weighted) facet
+        evidence."""
+        sat, tot = (counts[rows, 1:] for counts in self._counts)
         has_facet = (tot > 0).any(axis=1)
         wsum = np.zeros(len(tot))
         wtot = np.zeros(len(tot))
@@ -401,7 +426,10 @@ class WangVassilevaModel(StoreBackedModel):
         if not targets:
             return []
         store = self._store
-        base = self._kernel(self._rec_epoch)
+        weights = self.facet_weights
+        base = self._kernel(
+            self._rec_epoch, tuple(weights.items()) if weights else None
+        )
         persp = (
             None
             if perspective is None
@@ -434,23 +462,21 @@ class WangVassilevaModel(StoreBackedModel):
             return np.where(
                 counts > 0, sums / np.maximum(counts, 1), 0.5
             )
-        others = np.unique(pair_rater)
-        rater_weight = np.empty(len(others))
-        for i, other in enumerate(others.tolist()):
-            rater_weight[i] = self._rater_weight(persp, other)
-        row_weight = rater_weight[np.searchsorted(others, pair_rater)]
-        pooled_rows = pair_rater != persp
+        # Every rater weighs 0.5 but those persp has recommendation
+        # evidence on, and persp itself 0: its own pairs then add +0.0
+        # to the pooled sums, which leaves a sum of non-negative terms
+        # bitwise as it was.
+        rater_weight = np.full(size, 0.5)
+        for other, cred in self._rater_cred.get(persp, {}).items():
+            rater_weight[other] = cred.probability()
+        if persp >= 0:
+            rater_weight[persp] = 0.0
+        row_weight = rater_weight[pair_rater]
         pool_num = np.bincount(
-            pair_target[pooled_rows],
-            weights=(row_weight * trust)[pooled_rows],
-            minlength=size,
+            pair_target, weights=row_weight * trust, minlength=size
         )
-        pool_den = np.bincount(
-            pair_target[pooled_rows],
-            weights=row_weight[pooled_rows],
-            minlength=size,
-        )
-        own_rows = ~pooled_rows
+        pool_den = np.bincount(pair_target, weights=row_weight, minlength=size)
+        own_rows = pair_rater == persp
         own_trust = np.full(size, 0.5)
         own_trust[pair_target[own_rows]] = trust[own_rows]
         own_tot = np.zeros(size)

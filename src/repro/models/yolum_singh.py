@@ -9,15 +9,14 @@ issues a referral query from the perspective agent, combines the
 witnesses' opinions discounted by chain length, and reinforces the
 network toward useful witnesses.
 
-``score_many`` shares one memo of the visited agents' neighbour
-rankings across its queries: within a call only the asking agent's
-weights move (through reinforcement), so every other agent ranks its
-neighbours alike for each target.
+Scoring is the base ``score()`` loop: the network itself memoises each
+agent's neighbour ranking until reinforcement or a join moves it (see
+:meth:`~repro.p2p.referral.ReferralNetwork.query`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
@@ -78,25 +77,6 @@ class YolumSinghModel(ReputationModel):
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
     ) -> float:
-        return self._score(target, perspective, {})
-
-    def score_many(
-        self,
-        targets: Sequence[EntityId],
-        perspective: Optional[EntityId] = None,
-        now: Optional[float] = None,
-    ) -> List[float]:
-        """The :meth:`score` loop, with the referral rankings of every
-        agent but *perspective* memoised across its queries."""
-        rankings: Dict[EntityId, List[EntityId]] = {}
-        return [self._score(t, perspective, rankings) for t in targets]
-
-    def _score(
-        self,
-        target: EntityId,
-        perspective: Optional[EntityId],
-        rankings: Dict[EntityId, List[EntityId]],
-    ) -> float:
         if perspective is None:
             # Global view: average everyone's first-hand experience.
             ratings = [
@@ -105,34 +85,37 @@ class YolumSinghModel(ReputationModel):
                 for fb in agent.store.for_target(target)
             ]
             return safe_mean(ratings, default=0.5)
-        self.ensure_agent(perspective)
+        network = self.network
+        if perspective not in network:
+            network.join(perspective)
         own = [
             fb.rating
-            for fb in self.network.agent(perspective).store.for_target(target)
+            for fb in network.agent(perspective).store.for_target(target)
         ]
-        responses, messages = self.network.query(
-            perspective, target, depth_limit=self.depth_limit,
-            rankings=rankings,
+        responses, messages = network.query(
+            perspective, target, depth_limit=self.depth_limit
         )
         self.queries_issued += 1
         self.messages_used += messages
-        weighted: Dict[EntityId, float] = {}
-        weights: Dict[EntityId, float] = {}
+        # Witnesses are distinct, so these lists sum what the former
+        # per-witness dicts summed, in the same order.
+        weighted: List[float] = []
+        weights: List[float] = []
+        discount = self.chain_discount
         for response in responses:
-            opinion = safe_mean(
-                (fb.rating for fb in response.opinions), default=0.5
-            )
-            weight = self.chain_discount ** max(1, response.chain_length)
-            weighted[response.witness] = opinion * weight
-            weights[response.witness] = weight
+            ratings = [fb.rating for fb in response.opinions]
+            opinion = sum(ratings) / len(ratings) if ratings else 0.5
+            weight = discount ** max(1, len(response.chain) - 1)
+            weighted.append(opinion * weight)
+            weights.append(weight)
             if self.adapt:
                 # A useful witness is one that had a confident opinion
                 # (clearly good or clearly bad).
                 useful = abs(opinion - 0.5) > 0.2
-                self.network.reinforce(perspective, response.witness, useful)
-        total_weight = sum(weights.values()) + (1.0 if own else 0.0) * len(own)
+                network.reinforce(perspective, response.witness, useful)
+        total_weight = sum(weights) + (1.0 if own else 0.0) * len(own)
         if total_weight <= 0:
             return 0.5
         own_part = sum(own)  # weight 1 per first-hand experience
-        witness_part = sum(weighted.values())
+        witness_part = sum(weighted)
         return (own_part + witness_part) / total_weight

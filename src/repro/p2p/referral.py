@@ -14,8 +14,10 @@ querier's neighbour set.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError, UnknownEntityError
 from repro.common.ids import EntityId
@@ -23,6 +25,11 @@ from repro.common.randomness import RngLike, make_rng
 from repro.common.records import Feedback
 from repro.p2p.node import Peer
 from repro.sim.network import Network
+
+
+_WEIGHT = operator.itemgetter(0)
+_ID = operator.itemgetter(1)
+_NO_WITNESSES: FrozenSet[EntityId] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,14 @@ class ReferralNetwork:
         self._agents: Dict[EntityId, Peer] = {}
         #: querier -> (neighbour -> usefulness weight)
         self._weights: Dict[EntityId, Dict[EntityId, float]] = {}
+        #: agent -> (the neighbour set it ranked, its referral ranking);
+        #: see :meth:`_ranking`
+        self._ranked: Dict[
+            EntityId, Tuple[FrozenSet[EntityId], List[EntityId]]
+        ] = {}
+        #: target -> every agent that recorded it through
+        #: :meth:`record_experience`: a superset of its witnesses
+        self._witnesses: Dict[EntityId, Set[EntityId]] = {}
 
     # -- membership --------------------------------------------------------
     def join(self, agent_id: EntityId) -> Peer:
@@ -88,6 +103,7 @@ class ReferralNetwork:
                 self._agents[other].add_neighbor(agent_id)
                 self._weights[agent_id][other] = 0.5
                 self._weights[other][agent_id] = 0.5
+                self._ranked.pop(other, None)
         return agent
 
     def agent(self, agent_id: EntityId) -> Peer:
@@ -108,14 +124,32 @@ class ReferralNetwork:
     def record_experience(self, agent_id: EntityId, feedback: Feedback) -> None:
         """Store a first-hand experience at *agent_id*."""
         self.agent(agent_id).store.add(feedback)
+        self._witnesses.setdefault(feedback.target, set()).add(agent_id)
 
     # -- querying -----------------------------------------------------------
+    def _ranking(self, agent_id: EntityId, agent: Peer) -> List[EntityId]:
+        """*agent*'s neighbours in referral order, weight descending and
+        ties by id, memoised for :meth:`query`.
+
+        Two stable sorts, by id and then by weight descending, give the
+        order of sorting by ``(-weight, id)`` with no key tuple per
+        neighbour.  The memo keeps a copy of the neighbour set it
+        ranked, and :meth:`query` takes it only while the set is equal;
+        a neighbour's weight moves only in :meth:`join` and
+        :meth:`reinforce`, which drop the memo.
+        """
+        by_id = sorted(agent.neighbors)
+        weights = map(self._weights.get(agent_id, {}).get, by_id, repeat(0.5))
+        by_weight = sorted(zip(weights, by_id), key=_WEIGHT, reverse=True)
+        ranked = list(map(_ID, by_weight))
+        self._ranked[agent_id] = (frozenset(agent.neighbors), ranked)
+        return ranked
+
     def query(
         self,
         origin: EntityId,
         target: EntityId,
         depth_limit: int = 3,
-        rankings: Optional[Dict[EntityId, List[EntityId]]] = None,
     ) -> Tuple[List[ReferralResponse], int]:
         """Find witnesses with opinions about *target*.
 
@@ -124,17 +158,20 @@ class ReferralNetwork:
         its ``branching`` highest-weight neighbours.  Returns
         ``(responses, messages)``.
 
-        *rankings* memoises each visited agent's neighbours in referral
-        order.  A caller issuing several queries from one *origin* may
-        share one dict across them as long as only the origin's weights
-        and neighbours change in between (as :meth:`reinforce` does);
-        the origin's own ranking is never memoised.
+        An agent at the depth limit can only answer, so a referral to
+        one that never recorded *target* (through
+        :meth:`record_experience`) is counted and marked visited but
+        not queued.
         """
         if depth_limit < 0:
             raise ConfigurationError("depth_limit must be >= 0")
-        self.agent(origin)  # validate
-        if rankings is None:
-            rankings = {}
+        agents = self._agents
+        if origin not in agents:
+            self.agent(origin)  # raises UnknownEntityError
+        memo = self._ranked
+        network = self.network
+        branching = self.branching
+        witnesses = self._witnesses.get(target, _NO_WITNESSES)
         responses: List[ReferralResponse] = []
         messages = 0
         visited = {origin}
@@ -144,14 +181,19 @@ class ReferralNetwork:
         depth = 0
         while frontier and depth <= depth_limit:
             next_frontier: List[Tuple[EntityId, Tuple[EntityId, ...]]] = []
+            last = depth + 1 == depth_limit
             for agent_id, chain in frontier:
-                agent = self._agents[agent_id]
+                agent = agents[agent_id]
                 if not agent.online:
                     continue
-                if agent_id != origin and agent.store.count_for(target):
+                if (
+                    agent_id in witnesses
+                    and agent_id != origin
+                    and agent.store.count_for(target)
+                ):
                     messages += 1  # answer message back to origin
-                    if self.network is not None:
-                        self.network.send(agent_id, origin, kind="referral-answer")
+                    if network is not None:
+                        network.send(agent_id, origin, kind="referral-answer")
                     responses.append(
                         ReferralResponse(
                             witness=agent_id,
@@ -162,30 +204,29 @@ class ReferralNetwork:
                     continue  # witnesses answer instead of referring
                 if depth == depth_limit:
                     continue
-                ranked = rankings.get(agent_id)
-                if ranked is None:
-                    weights = self._weights.get(agent_id, {})
-                    ranked = sorted(
-                        agent.neighbor_list(),
-                        key=lambda n: (-weights.get(n, 0.5), n),
-                    )
-                    if agent_id != origin:  # reinforce moves the origin's
-                        rankings[agent_id] = ranked
+                hit = memo.get(agent_id)
+                ranked = (
+                    hit[1]
+                    if hit is not None and hit[0] == agent.neighbors
+                    else self._ranking(agent_id, agent)
+                )
                 referred = 0
                 for neighbor_id in ranked:
                     if neighbor_id in visited:
                         continue
-                    if referred >= self.branching:
+                    if referred >= branching:
                         break
                     visited.add(neighbor_id)
                     referred += 1
                     messages += 1
-                    if self.network is not None:
-                        delivered = self.network.send(
+                    if network is not None:
+                        delivered = network.send(
                             agent_id, neighbor_id, kind="referral-query"
                         )
                         if not delivered:
                             continue
+                    if last and neighbor_id not in witnesses:
+                        continue
                     next_frontier.append((neighbor_id, chain + (neighbor_id,)))
             frontier = next_frontier
             depth += 1
@@ -221,6 +262,8 @@ class ReferralNetwork:
             if weights.get(worst, 0.5) < weights[witness]:
                 agent.remove_neighbor(worst)
                 agent.add_neighbor(witness)
+        if witness in agent.neighbors:  # a ranked weight moved
+            self._ranked.pop(origin, None)
 
     def weight(self, origin: EntityId, other: EntityId) -> float:
         return self._weights.get(origin, {}).get(other, 0.5)

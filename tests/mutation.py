@@ -1,8 +1,9 @@
 """Mutation check for the shard path, the model folds and memos, the
-store cursor protocol, interning, growth and read-only views, the damped walk,
-the rank order, the scenario's truth key, the metrics fast paths and
-the recorder's handles, the serve admission, fluid queue and replay
-check, and the zoo pin: do the gates catch regressions?
+store cursor protocol, interning, growth and read-only views, the damped
+walk, the referral ranking memo, the rank order, the scenario's truth
+key, the metrics fast paths and the recorder's handles, the serve
+admission, fluid queue and replay check, and the zoo pin: do the gates
+catch regressions?
 
 Each :class:`Mutant` is an exact source edit that breaks one rule the
 canonical output depends on, plus the one test that must catch it.
@@ -40,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DETERMINISM = "tests/test_experiments/test_shard_determinism.py"
 PHILOX = "tests/test_common/test_philox.py"
 FOLDS = "tests/test_models/test_batch_scoring.py::TestFoldInterleaving"
+REFERRAL = "tests/test_p2p/test_referral.py::TestQueryMemo"
 
 
 @dataclass(frozen=True)
@@ -221,8 +223,8 @@ MUTANTS: List[Mutant] = [
     ),
     Mutant(
         file="src/repro/models/peertrust.py",
-        old="inside = ranks >= per_target[targets] - self.window",
-        new="inside = ranks >= 0",
+        old="inside = codes[2] >= per_target[codes[0]] - self.window",
+        new="inside = codes[2] >= 0",
         gate=f"{FOLDS}::test_peertrust_fold_interleaving",
         reason="the window fold keeps every row of a target, not its last "
         "window; a cold fold keeps them all too, so only the base score() "
@@ -230,12 +232,36 @@ MUTANTS: List[Mutant] = [
     ),
     Mutant(
         file="src/repro/p2p/referral.py",
-        old="if agent_id != origin:  # reinforce moves the origin's",
-        new="if True:  # the origin's ranking memoised too",
-        gate=f"{FOLDS}::test_yolum_singh_memo_matches_score_loop",
-        reason="the asker's neighbour ranking is memoised across one "
-        "score_many call although reinforcement moves its weights and "
-        "neighbours between queries; a score() loop re-ranks every query",
+        old="by_id = sorted(agent.neighbors)",
+        new="by_id = list(agent.neighbors)",
+        gate=f"{REFERRAL}::test_query_matches_reference_expansion",
+        reason="the referral ranking loses its id tie-break: neighbours of "
+        "equal weight keep the set's hash-salted order, not id order",
+    ),
+    Mutant(
+        file="src/repro/p2p/referral.py",
+        old="self._ranked.pop(origin, None)",
+        new="pass",
+        gate=f"{REFERRAL}::test_query_matches_reference_expansion",
+        reason="a memoised ranking outlives a reinforce that moved a "
+        "neighbour's weight, so the query refers in the old order",
+    ),
+    Mutant(
+        file="src/repro/p2p/referral.py",
+        old="self._ranked.pop(other, None)",
+        new="pass",
+        gate=f"{REFERRAL}::test_join_drops_the_ranking_of_a_neighbour_it_"
+        "reweighs",
+        reason="a join that resets a promoted neighbour's weight to 0.5 "
+        "without changing the neighbour set keeps the memoised ranking",
+    ),
+    Mutant(
+        file="src/repro/p2p/referral.py",
+        old="if last and neighbor_id not in witnesses:",
+        new="if last:",
+        gate=f"{REFERRAL}::test_query_matches_reference_expansion",
+        reason="no referral at the depth limit is queued, witnesses "
+        "included, so their answers go missing",
     ),
     Mutant(
         file="src/repro/models/yu_singh.py",
@@ -385,6 +411,80 @@ MUTANTS: List[Mutant] = [
         reason="growth copies one row short: the last row kept before a "
         "growth reads as zeros in the grown columns, while views taken "
         "before the growth still show it",
+    ),
+    Mutant(
+        file="src/repro/models/sporas.py",
+        old="if len(targets) == 1:",
+        new="if len(targets) >= 1:",
+        gate=f"{FOLDS}::test_sporas_models_sharing_a_store",
+        reason="the one-row step takes every delta, so a fold over several "
+        "rows applies only the first",
+    ),
+    Mutant(
+        file="src/repro/models/maximilien_singh.py",
+        old="if hit is not None and hit[0] is claims:",
+        new="if hit is not None:",
+        gate=f"{FOLDS}::test_maximilien_singh_fold_interleaving",
+        reason="a kept score outlives a replaced advertisement: a claim "
+        "filed after the service's last row never reaches its score",
+    ),
+    Mutant(
+        file="src/repro/models/maximilien_singh.py",
+        old="arrays.scores.pop(code, None)",
+        new="pass",
+        gate=f"{FOLDS}::test_maximilien_singh_kept_scores",
+        reason="a fold keeps the scores of the services its rows touch, so "
+        "new ratings reach a score only at the next moved now",
+    ),
+    Mutant(
+        file="src/repro/models/peertrust.py",
+        old="ref_vals[own] = np.nan",
+        new="pass",
+        gate=f"{FOLDS}::test_peertrust_fold_interleaving",
+        reason="the evaluator's slice of the pair keys is not blanked, so "
+        "it compares its vector with itself and trusts its own reports "
+        "fully",
+    ),
+    Mutant(
+        file="src/repro/models/peertrust.py",
+        old="if self._codes_key[0] is not pairs or self._codes_key[1] != size:",
+        new="if self._codes_key[1] != size:",
+        gate=f"{FOLDS}::test_peertrust_fold_interleaving",
+        reason="the pair codes are kept across a new pair, so the raters, "
+        "subjects and counts no longer line up with the pair sums",
+    ),
+    Mutant(
+        file="src/repro/models/wang_vassileva.py",
+        old="rater_weight[persp] = 0.0",
+        new="pass",
+        gate=f"{FOLDS}::test_wang_vassileva_fold_interleaving",
+        reason="the evaluator's own pairs join the pool at weight 0.5 "
+        "instead of adding +0.0",
+    ),
+    Mutant(
+        file="src/repro/models/wang_vassileva.py",
+        old="trust[at] = (sat[at, 0] + 1.0) / (tot[at, 0] + 2.0)",
+        new="trust[at[:1]] = (sat[at[:1], 0] + 1.0) / (tot[at[:1], 0] + 2.0)",
+        gate=f"{FOLDS}::test_wang_vassileva_fold_interleaving",
+        reason="a fold refreshes the posterior of its first touched pair "
+        "only, so a delta over several pairs leaves the rest stale",
+    ),
+    Mutant(
+        file="src/repro/models/collaborative.py",
+        old="self._means.pop(feedback.target, None)",
+        new="pass",
+        gate=f"{FOLDS}::test_collaborative_filtering_memo",
+        reason="a kept item mean outlives a new or replaced rating of its "
+        "item",
+    ),
+    Mutant(
+        file="src/repro/models/collaborative.py",
+        old="self._raters.setdefault(feedback.target, {})[feedback.rater] = "
+        "None",
+        new="pass",
+        gate=f"{FOLDS}::test_collaborative_filtering_memo",
+        reason="the item -> raters index stays empty, so every batch "
+        "prediction falls back to the item mean",
     ),
     Mutant(
         file="src/repro/models/xrep.py",

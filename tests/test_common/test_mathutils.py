@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.common.errors import ConfigurationError
 from repro.common.mathutils import (
     clamp,
     cosine_similarity,
@@ -28,7 +29,7 @@ class TestClamp:
         assert clamp(2.0, 0.0, 1.0) == 1.0
 
     def test_empty_interval_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=r"clamp: low must be <= high"):
             clamp(0.5, 1.0, 0.0)
 
     @given(
@@ -64,11 +65,17 @@ class TestWeightedMean:
         assert weighted_mean([1.0, 2.0], [0.0, 0.0], default=9.0) == 9.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"weighted_mean: values and weights .* got 1 and 2",
+        ):
             weighted_mean([1.0], [1.0, 2.0])
 
     def test_negative_weight_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"weighted_mean: weights must be non-negative",
+        ):
             weighted_mean([1.0], [-1.0])
 
 
@@ -85,7 +92,10 @@ class TestNormalizeWeights:
         assert normalize_weights({}) == {}
 
     def test_negative_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"normalize_weights: weights must be non-negative",
+        ):
             normalize_weights({"a": -1.0})
 
     @given(
@@ -116,7 +126,10 @@ class TestExponentialDecay:
         assert exponential_decay(-5.0, 10.0) == 1.0
 
     def test_bad_half_life(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"exponential_decay: half_life must be positive, got 0.0",
+        ):
             exponential_decay(1.0, 0.0)
 
     @given(st.floats(0, 1e4), st.floats(0.01, 1e4))
@@ -144,7 +157,10 @@ class TestPearson:
         assert pearson_correlation([1], [2]) is None
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"pearson_correlation: xs and ys .* got 2 and 1",
+        ):
             pearson_correlation([1, 2], [1])
 
     @given(
@@ -171,5 +187,8 @@ class TestCosine:
         assert cosine_similarity([], []) is None
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"cosine_similarity: xs and ys .* got 1 and 2",
+        ):
             cosine_similarity([1], [1, 2])

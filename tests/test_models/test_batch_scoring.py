@@ -925,10 +925,30 @@ class TestFoldInterleaving:
             lambda i: [None, float(i), float(i) + 6.0], probe,
         )
 
+    @pytest.mark.parametrize("similarity", ["pearson", "cosine"])
+    def test_collaborative_filtering_memo(self, similarity, global_random_seed):
+        """Kept item means and the item -> raters index: after every
+        record (re-rates and out-of-order times included), score_many
+        equals a fresh model's bitwise and the score() loop's."""
+        from repro.models.collaborative import (
+            CollaborativeFilteringModel,
+            Similarity,
+        )
+
+        rng = random.Random(global_random_seed)
+        stream = _random_stream(rng, rng.randint(30, 80), RATERS, RATED)
+        self._assert_replay(
+            partial(
+                CollaborativeFilteringModel,
+                similarity=Similarity(similarity),
+                min_overlap=1,
+            ),
+            self._record_ops(rng, stream), QUERIED, lambda i: [None],
+        )
+
     def test_yolum_singh_memo_matches_score_loop(self, global_random_seed):
-        """score_many (one neighbour-ranking memo per call, for every
-        agent but the asker) == a score() loop on a twin seeded alike:
-        the same scores, and the same weights and neighbours after."""
+        """score_many == a score() loop on a twin seeded alike: the
+        same scores, and the same weights and neighbours after."""
         from repro.models.yolum_singh import YolumSinghModel
 
         rng = random.Random(global_random_seed)
@@ -1035,9 +1055,30 @@ class TestFoldInterleaving:
 
         rng = random.Random(global_random_seed)
         stream = _growing_stream(rng, rng.randint(20, 60), facets=True)
+        ops = self._record_ops(rng, stream)
+        # Claims replaced mid-stream, on services whose rows do not move:
+        # a kept score must not outlive the claims it read.
+        for at in sorted(rng.sample(range(len(ops)), len(ops) // 4)):
+            service = rng.choice(QUERIED + GROWN)
+            claims = {"latency": rng.random(), "cost": rng.random()}
+            ops.insert(at + 1, lambda m, s=service, c=claims: (
+                m.register_advertisement(s, c)
+            ))
         self._assert_replay(
-            factory, self._record_ops(rng, stream), QUERIED + GROWN,
+            factory, ops, QUERIED + GROWN,
             lambda i: [None, i + 1.0, i + 1.0, i + 4.5], loop=1e-9,
+        )
+
+    def test_maximilien_singh_kept_scores(self, global_random_seed):
+        """At one ``now`` every query folds the new rows on, so the kept
+        score of each service a fold touches must go, and only that."""
+        from repro.models.maximilien_singh import MaximilienSinghModel
+
+        rng = random.Random(global_random_seed)
+        stream = _growing_stream(rng, rng.randint(20, 60), facets=True)
+        self._assert_replay(
+            MaximilienSinghModel, self._record_ops(rng, stream),
+            QUERIED + GROWN, lambda i: [50.0], loop=1e-9,
         )
 
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Tests for referral networks."""
 
+import random
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -96,3 +98,111 @@ class TestAdaptation:
         net = build(3)
         with pytest.raises(ConfigurationError):
             net.reinforce("agent-00", "agent-01", True, rate=0.0)
+
+
+def _reference_query(net, origin, target, depth_limit=3):
+    """The query with no memo and no witness index: every visited agent
+    re-ranks its neighbours by ``(-weight, id)`` and is asked through
+    its store, and every referral is queued."""
+    responses, messages = [], 0
+    visited = {origin}
+    frontier = [(origin, (origin,))]
+    depth = 0
+    while frontier and depth <= depth_limit:
+        next_frontier = []
+        for agent_id, chain in frontier:
+            agent = net.agent(agent_id)
+            if not agent.online:
+                continue
+            if agent_id != origin and agent.store.count_for(target):
+                messages += 1
+                responses.append(
+                    (agent_id, agent.store.for_target(target), chain)
+                )
+                continue
+            if depth == depth_limit:
+                continue
+            weights = net._weights.get(agent_id, {})
+            ranked = sorted(
+                agent.neighbor_list(), key=lambda n: (-weights.get(n, 0.5), n)
+            )
+            referred = 0
+            for neighbor_id in ranked:
+                if neighbor_id in visited:
+                    continue
+                if referred >= net.branching:
+                    break
+                visited.add(neighbor_id)
+                referred += 1
+                messages += 1
+                next_frontier.append((neighbor_id, chain + (neighbor_id,)))
+        frontier = next_frontier
+        depth += 1
+    return responses, messages
+
+
+class TestQueryMemo:
+    """The memoised neighbour rankings and the witness index answer
+    every query as the plain expansion does, through joins, records,
+    reinforcement (neighbour weights moving, promotions), neighbour
+    edits made on a peer directly, churn, and weight ties."""
+
+    def test_query_matches_reference_expansion(self, global_random_seed):
+        rng = random.Random(global_random_seed)
+        net = ReferralNetwork(
+            degree=3, branching=2, rng=global_random_seed
+        )
+        targets = ["svc-a", "svc-b", "svc-c"]
+        for step in range(160):
+            agents = [a.peer_id for a in net.agents()]
+            kind = rng.random()
+            if not agents or kind < 0.1:
+                net.join(f"agent-{len(agents):02d}")
+            elif kind < 0.35:
+                rater = rng.choice(agents)
+                net.record_experience(
+                    rater, fb(rater, rng.choice(targets), rng.random())
+                )
+            elif kind < 0.7:
+                net.reinforce(
+                    rng.choice(agents), rng.choice(agents),
+                    useful=rng.random() < 0.6,
+                )
+            elif kind < 0.75:
+                peer = net.agent(rng.choice(agents))
+                other = rng.choice(agents)
+                if other in peer.neighbors:
+                    peer.remove_neighbor(other)
+                else:
+                    peer.add_neighbor(other)
+            elif kind < 0.8:
+                peer = net.agent(rng.choice(agents))
+                peer.online = not peer.online
+            for origin in rng.sample(agents, min(3, len(agents))):
+                for target in targets:
+                    got, messages = net.query(origin, target, depth_limit=3)
+                    want = _reference_query(net, origin, target, 3)
+                    assert messages == want[1], (step, origin, target)
+                    assert [
+                        (r.witness, r.opinions, r.chain) for r in got
+                    ] == want[0], (step, origin, target)
+
+    def test_join_drops_the_ranking_of_a_neighbour_it_reweighs(self):
+        """An agent promoted into a neighbour set before it joined keeps
+        the set as it was when it joins, but its weight drops back to
+        0.5: the ranking must be redone."""
+        net = ReferralNetwork(degree=4, branching=1, rng=0)
+        for name in ("a0", "a1", "a2"):
+            net.join(name)
+        for _ in range(3):
+            net.reinforce("a0", "x", useful=True)
+        assert "x" in net.agent("a0").neighbors
+        # memoises a0's ranking, x first; x, at the depth limit and no
+        # witness, is not visited
+        net.query("a0", "svc", depth_limit=1)
+        net.join("x")
+        net.record_experience("a2", fb("a2"))
+        got, messages = net.query("a0", "svc", depth_limit=1)
+        want = _reference_query(net, "a0", "svc", 1)
+        assert messages == want[1]
+        assert [(r.witness, r.opinions, r.chain) for r in got] == want[0]
