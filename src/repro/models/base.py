@@ -153,6 +153,12 @@ class ReputationModel(abc.ABC):
     name: str = "abstract"
     typology: Optional["Typology"] = None
     paper_ref: str = ""
+    #: ``((scores token, candidates), ranking)`` of the last memoised
+    #: :meth:`rank_pairs` call
+    _rank_memo: Optional[
+        Tuple[Tuple[Hashable, Sequence[EntityId]],
+              List[Tuple[EntityId, float]]]
+    ] = None
 
     @abc.abstractmethod
     def record(self, feedback: Feedback) -> None:
@@ -272,9 +278,16 @@ class ReputationModel(abc.ABC):
         Scoring goes through :meth:`score_many` so batched models pay
         their per-query overhead once per ranking.  A model with its own
         ranking overrides this method; :meth:`rank` may not be
-        overridden, so both routes always agree."""
+        overridden, so both routes always agree.
+
+        A model whose :meth:`_scores_token` is not ``None`` keeps its
+        last ranking of a candidate tuple (a list could change after it
+        keyed the memo) and hands out a copy of it while the token and
+        the candidates are equal: a rank between two writes sorts
+        nothing."""
+        is_tuple = isinstance(candidates, tuple)
         batch: Sequence[EntityId] = (
-            candidates if isinstance(candidates, tuple) else list(candidates)
+            candidates if is_tuple else list(candidates)
         )
         rec = get_recorder()
         if rec.enabled:
@@ -286,7 +299,25 @@ class ReputationModel(abc.ABC):
                 labels=(self.name,),
                 label_names=("model",),
             )
-        return ranked(batch, self.score_many(batch, perspective, now))
+        token = self._scores_token() if is_tuple else None
+        if token is None:
+            return ranked(batch, self.score_many(batch, perspective, now))
+        key = (token, batch)
+        memo = self._rank_memo
+        if memo is None or memo[0] != key:
+            memo = self._rank_memo = (
+                key, ranked(batch, self.score_many(batch, perspective, now))
+            )
+        return list(memo[1])
+
+    def _scores_token(self) -> Hashable:
+        """Hook: a value equal between two calls only while
+        :meth:`score_many` returns the same scores for the same
+        candidates, whatever the *perspective* and *now*; ``None``
+        (the default) when there is no such value, which keeps
+        :meth:`rank_pairs` from memoising.  A subclass that makes the
+        scores depend on anything else overrides it again."""
+        return None
 
     def best(
         self,

@@ -151,11 +151,26 @@ class BetaReputation(StoreBackedModel):
         """Batch posterior means: a gather from the evidence arrays.  An
         unseen id's code is -1, which reads the spare zero slot."""
         alpha, beta = self._kernel()
-        codes = self._store.entities.codes(targets)
+        entities = self._store.entities
+        codes = entities.codes(targets)
+        if len(alpha) <= len(entities):
+            # a shared table grew with no row here since the fold: the
+            # codes past it have no evidence, like an unseen id
+            codes[codes >= len(alpha) - 1] = -1
         a = alpha[codes] + self.prior_alpha
         b = beta[codes] + self.prior_beta
         result: List[float] = (a / (a + b)).tolist()
         return result
+
+    def _scores_token(self) -> Tuple[object, ...]:
+        """The scores are a global function of the store's rows and the
+        three parameters (``lam < 1`` too: its closed form reads the
+        rows only).  The store is append-only, so its version proves
+        the rows unchanged; the entity count covers a table
+        :meth:`share_entities` grew with no row here."""
+        store = self._store
+        return (store, store.version, len(store.entities),
+                self.prior_alpha, self.prior_beta, self.lam)
 
     # -- accessors -----------------------------------------------------
     def evidence(self, target: EntityId) -> Tuple[float, float]:

@@ -241,7 +241,10 @@ class ReferralNetwork:
 
         Yolum & Singh: agents learn which acquaintances give good
         answers.  A consistently useful non-neighbour is promoted into
-        the neighbour set, evicting the lowest-weight neighbour.
+        the neighbour set, evicting the lowest-weight neighbour; only a
+        joined agent is promoted, since :meth:`query` visits neighbours
+        as agents.  A witness that never joined still has its weight
+        learned.
         """
         if not 0.0 < rate <= 1.0:
             raise ConfigurationError("rate must be in (0, 1]")
@@ -252,6 +255,7 @@ class ReferralNetwork:
         agent = self.agent(origin)
         if (
             useful
+            and witness in self._agents
             and witness not in agent.neighbors
             and weights[witness] > 0.7
             and agent.neighbors

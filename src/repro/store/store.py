@@ -61,6 +61,8 @@ OVERALL_FACET = -1
 
 #: rows a new store holds before its first growth
 _INITIAL_CAPACITY = 16
+#: the attributes holding the five columns, in :class:`ColumnSet` order
+_COLUMNS = ("_rater", "_target", "_facet", "_value", "_time")
 
 _EMPTY_I4 = np.empty(0, dtype=np.int32)
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
@@ -81,9 +83,9 @@ def _check_lengths(method: str, n: int, **lengths: int) -> None:
 class ColumnSet:
     """An immutable struct-of-arrays view of the store at one version.
 
-    The columns are read-only: they are slices of the store's columns
-    and are cached per version, so every reader sees the same
-    arrays.  Write into a copy (``np.array(view)``).
+    The columns are read-only: they are slices of the store's
+    read-only views of its columns and are cached per version, so every
+    reader sees the same arrays.  Write into a copy (``np.array(view)``).
     """
 
     rater: np.ndarray
@@ -95,7 +97,8 @@ class ColumnSet:
     def __post_init__(self) -> None:
         for column in (self.rater, self.target, self.facet, self.value,
                        self.time):
-            column.flags.writeable = False
+            if column.flags.writeable:
+                column.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -217,6 +220,7 @@ class EventStore:
         self._facet = np.zeros(_INITIAL_CAPACITY, dtype=np.int32)
         self._value = np.zeros(_INITIAL_CAPACITY, dtype=np.float64)
         self._time = np.zeros(_INITIAL_CAPACITY, dtype=self.time_dtype)
+        self._take_views()
         #: cached (version, ColumnSet) snapshot
         self._snapshot: Optional[Tuple[int, ColumnSet]] = None
         #: cached group indexes: name -> (version, GroupIndex)
@@ -404,11 +408,32 @@ class EventStore:
         buffers, whose rows are never rewritten."""
         n = self._n
         capacity = max(2 * len(self._value), rows)
-        for name in ("_rater", "_target", "_facet", "_value", "_time"):
+        for name in _COLUMNS:
             column = getattr(self, name)
             grown = np.zeros(capacity, dtype=column.dtype)
             grown[:n] = column[:n]
             setattr(self, name, grown)
+        self._take_views()
+
+    def _take_views(self) -> None:
+        """Keep read-only views of the five columns, which every read
+        slices, so a read sets no flag.  Only :meth:`_grow` moves the
+        columns, so only it (and a copy's :meth:`__setstate__`) takes
+        them again."""
+        views = tuple(getattr(self, name).view() for name in _COLUMNS)
+        for view in views:
+            view.flags.writeable = False
+        self._views = views
+
+    def __getstate__(self) -> Dict[str, object]:
+        # a copied view would not see the copied columns' later rows
+        state = self.__dict__.copy()
+        del state["_views"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._take_views()
 
     def _as_time_array(self, times: ArrayLike) -> np.ndarray:
         arr = np.asarray(times)
@@ -439,15 +464,17 @@ class EventStore:
 
     def columns_from(self, start: int) -> ColumnSet:
         """Contiguous columns of logical rows ``[start, len(self))``:
-        five slices of the store's columns, caching nothing — the delta
-        read of kernels that fold new rows into kept state."""
+        five slices of the store's read-only column views, caching
+        nothing — the delta read of kernels that fold new rows into kept
+        state."""
         n = self._n
+        rater, target, facet, value, time = self._views
         return ColumnSet(
-            self._rater[start:n],
-            self._target[start:n],
-            self._facet[start:n],
-            self._value[start:n],
-            self._time[start:n],
+            rater[start:n],
+            target[start:n],
+            facet[start:n],
+            value[start:n],
+            time[start:n],
         )
 
     def iter_rows(

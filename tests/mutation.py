@@ -1,9 +1,9 @@
 """Mutation check for the shard path, the model folds and memos, the
 store cursor protocol, interning, growth and read-only views, the damped
-walk, the referral ranking memo, the rank order, the scenario's truth
-key, the metrics fast paths and the recorder's handles, the serve
-admission, fluid queue and replay check, and the zoo pin: do the gates
-catch regressions?
+walk, the referral ranking memo, the rank order and its memo, the
+scenario's truth key, the metrics fast paths and the recorder's
+handles, the serve admission, fluid queue and replay check, and the zoo
+pin: do the gates catch regressions?
 
 Each :class:`Mutant` is an exact source edit that breaks one rule the
 canonical output depends on, plus the one test that must catch it.
@@ -204,6 +204,22 @@ MUTANTS: List[Mutant] = [
         "a cold kernel (one fold from row 0) cannot see it",
     ),
     Mutant(
+        file="src/repro/models/beta.py",
+        old="return (store, store.version, len(store.entities),",
+        new="return (store, len(store.entities),",
+        gate=f"{FOLDS}::test_beta_ranking_memo",
+        reason="beta's scores token drops the store's length, so a write "
+        "that names no new id leaves the kept ranking in place",
+    ),
+    Mutant(
+        file="src/repro/models/base.py",
+        old="key = (token, batch)",
+        new="key = (token,)",
+        gate=f"{FOLDS}::test_beta_ranking_memo",
+        reason="the ranking memo's hit check drops the candidates, so a "
+        "rank of another tuple between two writes gets the kept ranking",
+    ),
+    Mutant(
         file="src/repro/models/base.py",
         old="if kept is not None and kept[2] != key:",
         new="if False:",
@@ -252,8 +268,8 @@ MUTANTS: List[Mutant] = [
         new="pass",
         gate=f"{REFERRAL}::test_join_drops_the_ranking_of_a_neighbour_it_"
         "reweighs",
-        reason="a join that resets a promoted neighbour's weight to 0.5 "
-        "without changing the neighbour set keeps the memoised ranking",
+        reason="a join that resets a neighbour's weight to 0.5 without "
+        "changing the neighbour set keeps the memoised ranking",
     ),
     Mutant(
         file="src/repro/p2p/referral.py",

@@ -27,6 +27,7 @@ from repro.models.base import ReputationModel, StoreBackedModel
 from repro.models.eigentrust import EigenTrustModel
 from repro.models.pagerank import PageRankModel
 from repro.models.socialnetwork import SocialNetworkModel
+from repro.store import EventStore
 
 REGISTRY = default_registry(rng_seed=0)
 MODEL_NAMES = REGISTRY.names()
@@ -572,6 +573,83 @@ class TestFoldInterleaving:
             assert forgetting.score_many(queried) == pytest.approx(
                 ReputationModel.score_many(forgetting, queried), abs=1e-9
             )
+
+    @pytest.mark.parametrize("lam", [1.0, 0.9])
+    def test_beta_ranking_memo(self, lam, global_random_seed):
+        """Beta's memoised rankings equal a fresh model's bit for bit
+        through every write the memo must see: ``record``,
+        ``record_many``, ``ingest_coded``, a shared entity table growing
+        with no row in the model's store, and swaps to a store of the
+        same length.  Between writes it ranks the same tuple, an equal
+        but distinct tuple, another tuple and a list, and edits the
+        rankings it was handed; a tuple ranked again scores nothing."""
+        rng = random.Random(global_random_seed)
+        late = [f"svc-late-{i}" for i in range(4)]
+        names = RATERS + RATED + GROWN + late
+        candidates = tuple(QUERIED + RATERS + GROWN + late)
+        shared = EventStore(time_dtype="int64")
+        model = _beta(lam)
+        assert model.share_entities(shared)
+        calls = []
+        score_many = model.score_many
+
+        def counted(*args):
+            calls.append(args)
+            return score_many(*args)
+
+        model.score_many = counted
+        seen: List[Feedback] = []
+
+        def rank(queried, memoised):
+            before = len(calls)
+            ranking = model.rank_pairs(queried)
+            fresh = _beta(lam)
+            fresh.record_many(seen)
+            want = fresh.rank_pairs(list(queried))
+            assert [(t, s.hex()) for t, s in ranking] == [
+                (t, s.hex()) for t, s in want
+            ]
+            if memoised is not None:
+                assert len(calls) == before + (not memoised)
+            return ranking
+
+        for step in _steps(rng, _growing_stream(rng, rng.randint(30, 60))):
+            kind = rng.random()
+            if len(step) == 1 and kind < 0.3:
+                model.record(step[0])
+            elif kind < 0.6:
+                start = len(shared)
+                shared.extend_coded(
+                    names, [names.index(f.rater) for f in step],
+                    [names.index(f.target) for f in step],
+                    [f.rating for f in step], [int(f.time) for f in step],
+                )
+                model.ingest_coded(shared.columns_from(start))
+            else:
+                model.record_many(step)
+            seen.extend(step)
+            if rng.random() < 0.1:
+                seen = rng.choices(seen, k=len(seen))
+                donor = _beta(lam)
+                assert donor.share_entities(shared)
+                donor.record_many(seen)
+                model._store = donor._store
+            # a hit only when no row and no id arrived since the last
+            # rank, which kept this tuple's ranking
+            rank(candidates, memoised=None)
+            if rng.random() < 0.3:
+                # a row of another reader of the table between two late
+                # ids: the table may grow past the model's kept arrays
+                # with no row in its store
+                rater, target = map(names.index, rng.sample(late, 2))
+                shared.extend_coded(names, [rater], [target],
+                                    [rng.random()], [0])
+                rank(candidates, memoised=None)
+            rank(tuple(list(candidates)), memoised=True)[0] = ("edited", 2.0)
+            rank(tuple(rng.sample(candidates, 5)), memoised=False)
+            rank(list(candidates), memoised=False)
+            rank(candidates, memoised=False).reverse()
+            rank(candidates, memoised=True).clear()
 
     @staticmethod
     def _assert_recomputes_only_on_graph_change(cls, rng):

@@ -94,6 +94,23 @@ class TestAdaptation:
             net.reinforce("agent-00", outsider, useful=True)
         assert outsider in agent.neighbors
 
+    def test_witness_that_never_joined_is_not_promoted(self):
+        """A useful witness that is not an agent has its weight learned
+        but stays out of the neighbour set, so a query deep enough to
+        visit the set's members finds only agents."""
+        net = ReferralNetwork(degree=4, branching=2, rng=0)
+        for name in ("a0", "a1", "a2"):
+            net.join(name)
+        net.record_experience("a2", fb("a2"))
+        for _ in range(3):
+            net.reinforce("a0", "x", useful=True)
+        got, messages = net.query("a0", "svc", depth_limit=2)
+        want = _reference_query(net, "a0", "svc", 2)
+        assert messages == want[1]
+        assert [(r.witness, r.opinions, r.chain) for r in got] == want[0]
+        assert net.weight("a0", "x") > 0.7
+        assert "x" not in net.agent("a0").neighbors
+
     def test_invalid_rate(self):
         net = build(3)
         with pytest.raises(ConfigurationError):
@@ -188,15 +205,17 @@ class TestQueryMemo:
                     ] == want[0], (step, origin, target)
 
     def test_join_drops_the_ranking_of_a_neighbour_it_reweighs(self):
-        """An agent promoted into a neighbour set before it joined keeps
-        the set as it was when it joins, but its weight drops back to
-        0.5: the ranking must be redone."""
+        """An agent put in a neighbour set on the peer before it joined
+        keeps the set as it was when it joins, but its weight drops back
+        to 0.5: the ranking must be redone."""
         net = ReferralNetwork(degree=4, branching=1, rng=0)
         for name in ("a0", "a1", "a2"):
             net.join(name)
+        # the set a promotion of x would leave: a2 and x
+        net.agent("a0").remove_neighbor("a1")
+        net.agent("a0").add_neighbor("x")
         for _ in range(3):
             net.reinforce("a0", "x", useful=True)
-        assert "x" in net.agent("a0").neighbors
         # memoises a0's ranking, x first; x, at the depth limit and no
         # witness, is not visited
         net.query("a0", "svc", depth_limit=1)

@@ -10,7 +10,9 @@ The two invariants the columnar kernels stand on:
   assign the same codes a looped ``record`` would.
 """
 
+import pickle
 import random
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -357,6 +359,30 @@ class TestGrowth:
         assert store.canonical_bytes() == (
             _growth_fills(rows, time_dtype)["append"].canonical_bytes()
         )
+
+    @pytest.mark.parametrize("clone", ["deepcopy", "pickle"])
+    def test_a_copied_store_reads_its_later_rows(self, clone):
+        """Reads slice views the store keeps of its columns; a copy
+        reads its own columns, so rows appended to it before any growth
+        show in its reads, and the original keeps its own."""
+        rows = _overall_rows(_INITIAL_CAPACITY, "float64")
+        store = EventStore()
+        for row in rows[:2]:
+            store.append(*row)
+        copy = (
+            deepcopy(store) if clone == "deepcopy"
+            else pickle.loads(pickle.dumps(store))
+        )
+        for row in rows[2:]:
+            copy.append(*row)
+        assert copy.canonical_bytes() == (
+            _growth_fills(rows, "float64")["append"].canonical_bytes()
+        )
+        assert copy.columns_from(2).value.tolist() == [
+            row[2] for row in rows[2:]
+        ]
+        assert not copy.columns_from(0).value.flags.writeable
+        assert store.snapshot().n == 2
 
 
 class TestMisalignedColumns:
