@@ -116,8 +116,8 @@ class TestMultiFacetedTrust:
         model.set_preferences("steady", {"reliability": 1.0,
                                          "availability": 1.0})
         candidates = ["fast-svc", "steady-svc"]
-        assert model.rank(candidates, "racer")[0].target == "fast-svc"
-        assert model.rank(candidates, "steady")[0].target == "steady-svc"
+        assert model.rank(candidates, "racer")[0][0] == "fast-svc"
+        assert model.rank(candidates, "steady")[0][0] == "steady-svc"
 
     def test_report(self, evidence):
         trust, _ = evidence

@@ -21,26 +21,29 @@ from repro.common.errors import ConfigurationError, ReproError
 from repro.common.ids import EntityId
 from repro.common.randomness import RngLike, make_rng
 from repro.faults.degradation import StaleRankingFallback
-from repro.models.base import ReputationModel, ScoredTarget, scored_targets
+from repro.models.base import ReputationModel
 from repro.obs.recorder import get_recorder
 from repro.registry.uddi import UDDIRegistry
+
+#: ``(target, score)`` pairs, best first
+Ranking = Sequence[Tuple[EntityId, float]]
 
 
 class SelectionPolicy(abc.ABC):
     """Chooses one candidate from a scored ranking."""
 
     @abc.abstractmethod
-    def choose(self, ranking: Sequence[ScoredTarget]) -> EntityId:
+    def choose(self, ranking: Ranking) -> EntityId:
         """Pick one target from a non-empty, best-first ranking."""
 
 
 class GreedyPolicy(SelectionPolicy):
     """Always the top-scored candidate (deterministic)."""
 
-    def choose(self, ranking: Sequence[ScoredTarget]) -> EntityId:
+    def choose(self, ranking: Ranking) -> EntityId:
         if not ranking:
             raise ConfigurationError("empty ranking")
-        return ranking[0].target
+        return ranking[0][0]
 
 
 class EpsilonGreedyPolicy(SelectionPolicy):
@@ -57,18 +60,19 @@ class EpsilonGreedyPolicy(SelectionPolicy):
         self.epsilon = epsilon
         self._rng = make_rng(rng)
 
-    def choose(self, ranking: Sequence[ScoredTarget]) -> EntityId:
+    def choose(self, ranking: Ranking) -> EntityId:
         if not ranking:
             raise ConfigurationError("empty ranking")
         if len(ranking) > 1 and self._rng.random() < self.epsilon:
             index = int(self._rng.integers(0, len(ranking)))
-            return ranking[index].target
-        top_score = ranking[0].score
-        tied = [st for st in ranking if st.score >= top_score - 1e-12]
+            return ranking[index][0]
+        top_score = ranking[0][1]
+        tied = [target for target, score in ranking
+                if score >= top_score - 1e-12]
         if len(tied) == 1:
-            return tied[0].target
+            return tied[0]
         index = int(self._rng.integers(0, len(tied)))
-        return tied[index].target
+        return tied[index]
 
 
 class SoftmaxPolicy(SelectionPolicy):
@@ -80,21 +84,22 @@ class SoftmaxPolicy(SelectionPolicy):
         self.temperature = temperature
         self._rng = make_rng(rng)
 
-    def choose(self, ranking: Sequence[ScoredTarget]) -> EntityId:
+    def choose(self, ranking: Ranking) -> EntityId:
         if not ranking:
             raise ConfigurationError("empty ranking")
-        peak = max(st.score for st in ranking)
+        peak = max(score for _, score in ranking)
         weights = [
-            math.exp((st.score - peak) / self.temperature) for st in ranking
+            math.exp((score - peak) / self.temperature)
+            for _, score in ranking
         ]
         total = sum(weights)
         draw = float(self._rng.random()) * total
         cumulative = 0.0
-        for st, weight in zip(ranking, weights):
+        for (target, _), weight in zip(ranking, weights):
             cumulative += weight
             if draw <= cumulative:
-                return st.target
-        return ranking[-1].target
+                return target
+        return ranking[-1][0]
 
 
 class SelectionEngine:
@@ -160,25 +165,16 @@ class SelectionEngine:
         category: str,
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
-    ) -> List[ScoredTarget]:
-        """:meth:`rank_pairs` as :class:`ScoredTarget`s."""
-        return scored_targets(self.rank_pairs(category, perspective, now))
-
-    def rank_pairs(
-        self,
-        category: str,
-        perspective: Optional[EntityId] = None,
-        now: Optional[float] = None,
     ) -> List[Tuple[EntityId, float]]:
         """Batch-score the discovered candidates via the model's
-        :meth:`~repro.models.base.ReputationModel.rank_pairs` (one
+        :meth:`~repro.models.base.ReputationModel.rank` (one
         ``score_many`` call, not one ``score`` per candidate), as plain
         ``(target, score)`` pairs best first."""
         targets = self.candidates(category)
         rec = get_recorder()
         if rec.enabled:
             start = rec.now if now is None else float(now)
-            ranking = self.model.rank_pairs(targets, perspective, now)
+            ranking = self.model.rank(targets, perspective, now)
             # Rank latency in *sim* time: how stale the scores were when
             # the selection landed, not how long the CPU took.
             rec.span(
@@ -192,7 +188,7 @@ class SelectionEngine:
                 },
             )
             return ranking
-        return self.model.rank_pairs(targets, perspective, now)
+        return self.model.rank(targets, perspective, now)
 
     def select(
         self,

@@ -25,9 +25,9 @@ from typing import Callable, Dict, List, Optional
 
 from repro.common.ids import EntityId
 from repro.common.mathutils import safe_mean
-from repro.core.selection import EpsilonGreedyPolicy
+from repro.core.selection import EpsilonGreedyPolicy, Ranking
 from repro.experiments.workloads import World, make_world
-from repro.models.base import ScoredTarget, ranked, scored_targets
+from repro.models.base import ranked
 from repro.models.beta import BetaReputation
 
 # The cost model lives in the obs ledger now (one source of truth for
@@ -85,7 +85,7 @@ class ApproachReport:
 
 def _run_loop(
     world: World,
-    score_candidates: Callable[[EntityId, float], List[ScoredTarget]],
+    score_candidates: Callable[[EntityId, float], Ranking],
     on_interaction: Callable,
     rounds: int,
     tolerance: float = 0.02,
@@ -125,8 +125,8 @@ def _run_loop(
     }
 
 
-def _ranked(scores: Dict[EntityId, float]) -> List[ScoredTarget]:
-    return scored_targets(ranked(scores.keys(), scores.values()))
+def _ranked(scores: Dict[EntityId, float]) -> Ranking:
+    return ranked(scores.keys(), scores.values())
 
 
 def run_advertised(world: World, rounds: int) -> ApproachReport:
@@ -179,7 +179,7 @@ def run_sla(world: World, rounds: int) -> ApproachReport:
     violation_counts: Dict[EntityId, int] = {}
     check_counts: Dict[EntityId, int] = {}
 
-    def scores(consumer: EntityId, time: float) -> List[ScoredTarget]:
+    def scores(consumer: EntityId, time: float) -> Ranking:
         values = {}
         for sid, claimed in claims.items():
             base = safe_mean(claimed.values(), default=0.5)
@@ -220,7 +220,7 @@ def run_sensors(world: World, rounds: int) -> ApproachReport:
     for service in world.services:
         sensors.deploy(service)
 
-    def scores(consumer: EntityId, time: float) -> List[ScoredTarget]:
+    def scores(consumer: EntityId, time: float) -> Ranking:
         values = {}
         for service in world.services:
             report = sensors.report_for(service.service_id)
@@ -266,7 +266,7 @@ def run_central_monitor(world: World, rounds: int) -> ApproachReport:
     engine = InvocationEngine(world.taxonomy, rng=world.seeds.rng("monitor"))
     monitor = ThirdPartyMonitor(engine)
 
-    def scores(consumer: EntityId, time: float) -> List[ScoredTarget]:
+    def scores(consumer: EntityId, time: float) -> Ranking:
         values = {}
         for service in world.services:
             report = monitor.report_for(service.service_id)
@@ -300,7 +300,7 @@ def run_feedback(world: World, rounds: int) -> ApproachReport:
     model = BetaReputation()
     reports = 0
 
-    def scores(consumer: EntityId, time: float) -> List[ScoredTarget]:
+    def scores(consumer: EntityId, time: float) -> Ranking:
         return model.rank(
             [s.service_id for s in world.services], consumer, now=time
         )

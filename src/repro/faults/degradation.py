@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # runtime imports are lazy to avoid package cycles:
     # repro.core and repro.models both (transitively) import the modules
     # that use these caches.
     from repro.core.decay import DecayPolicy
-    from repro.models.base import ScoredTarget
 
 
 @dataclass(frozen=True)
@@ -140,17 +139,14 @@ class StaleRankingFallback(StaleCache):
 
     def recall(
         self, key: Hashable, now: float, prior: float = 0.5
-    ) -> "Optional[List[ScoredTarget]]":
-        from repro.models.base import ScoredTarget
-
+    ) -> Optional[List[Tuple[str, float]]]:
         stale = self.get(key, now)
         if stale is None:
             return None
         rec = get_recorder()
         if rec.enabled:
             rec.count("degradation.fallback.activations")
-        # a remembered ranking holds ScoredTargets or plain pairs
         return [
-            ScoredTarget(st[0], discounted_score(st[1], stale.confidence, prior))
-            for st in stale.value
+            (target, discounted_score(score, stale.confidence, prior))
+            for target, score in stale.value
         ]

@@ -7,7 +7,7 @@ position in the three-criterion typology.  The model registry in
 rebuilt programmatically.
 """
 
-from repro.models.base import ReputationModel, ScoredTarget
+from repro.models.base import ReputationModel
 from repro.models.beta import BetaReputation
 from repro.models.ebay import EbayModel
 from repro.models.sporas import SporasModel
@@ -54,7 +54,6 @@ __all__ = [
     "ProviderBackoffModel",
     "ReputationModel",
     "Rule",
-    "ScoredTarget",
     "Similarity",
     "SocialNetworkModel",
     "SporasModel",

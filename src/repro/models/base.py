@@ -11,19 +11,15 @@ from __future__ import annotations
 
 import abc
 import operator
-from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Hashable,
     Iterable,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
-    cast,
 )
 
 import numpy as np
@@ -39,18 +35,6 @@ if TYPE_CHECKING:  # imported lazily to avoid a core <-> models cycle
     from repro.store import ColumnSet, EventStore
 
 
-class ScoredTarget(NamedTuple):
-    """One ranked candidate."""
-
-    target: EntityId
-    score: float
-
-
-#: ``tuple.__new__`` builds a ScoredTarget from a ``(target, score)``
-#: pair in C, without the NamedTuple ``__new__``'s Python frame
-_as_scored = cast(
-    Callable[[type, Tuple[EntityId, float]], ScoredTarget], tuple.__new__
-)
 _TARGET = operator.itemgetter(0)
 _SCORE = operator.itemgetter(1)
 #: one store row as the scalar replays read it:
@@ -74,13 +58,6 @@ def ranked(
     scored.sort(key=_TARGET)
     scored.sort(key=_SCORE, reverse=True)
     return scored
-
-
-def scored_targets(
-    pairs: Iterable[Tuple[EntityId, float]]
-) -> List[ScoredTarget]:
-    """*pairs* as :class:`ScoredTarget`s, in order."""
-    return list(map(_as_scored, repeat(ScoredTarget), pairs))
 
 
 def check_unit_ratings(ratings: ArrayLike) -> None:
@@ -154,7 +131,7 @@ class ReputationModel(abc.ABC):
     typology: Optional["Typology"] = None
     paper_ref: str = ""
     #: ``((scores token, candidates), ranking)`` of the last memoised
-    #: :meth:`rank_pairs` call
+    #: :meth:`rank` call
     _rank_memo: Optional[
         Tuple[Tuple[Hashable, Sequence[EntityId]],
               List[Tuple[EntityId, float]]]
@@ -250,35 +227,16 @@ class ReputationModel(abc.ABC):
         """
         return [self.score(t, perspective, now) for t in targets]
 
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        if "rank" in cls.__dict__:
-            raise TypeError(
-                f"{cls.__name__} overrides rank(); override rank_pairs(), "
-                "which rank() and the serve core both go through"
-            )
-
     def rank(
         self,
         candidates: Iterable[EntityId],
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
-    ) -> List[ScoredTarget]:
-        """Candidates sorted best-first (ties broken by id for
-        determinism): :meth:`rank_pairs` as :class:`ScoredTarget`s."""
-        return scored_targets(self.rank_pairs(candidates, perspective, now))
-
-    def rank_pairs(
-        self,
-        candidates: Iterable[EntityId],
-        perspective: Optional[EntityId] = None,
-        now: Optional[float] = None,
     ) -> List[Tuple[EntityId, float]]:
-        """The ranking as plain ``(target, score)`` pairs, best first.
-        Scoring goes through :meth:`score_many` so batched models pay
-        their per-query overhead once per ranking.  A model with its own
-        ranking overrides this method; :meth:`rank` may not be
-        overridden, so both routes always agree.
+        """Candidates as plain ``(target, score)`` pairs, best first,
+        ties broken by id for determinism.  Scoring goes through
+        :meth:`score_many` so batched models pay their per-query
+        overhead once per ranking.
 
         A model whose :meth:`_scores_token` is not ``None`` keeps its
         last ranking of a candidate tuple (a list could change after it
@@ -315,7 +273,7 @@ class ReputationModel(abc.ABC):
         :meth:`score_many` returns the same scores for the same
         candidates, whatever the *perspective* and *now*; ``None``
         (the default) when there is no such value, which keeps
-        :meth:`rank_pairs` from memoising.  A subclass that makes the
+        :meth:`rank` from memoising.  A subclass that makes the
         scores depend on anything else overrides it again."""
         return None
 
@@ -325,7 +283,7 @@ class ReputationModel(abc.ABC):
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
     ) -> Optional[EntityId]:
-        ranking = self.rank_pairs(candidates, perspective, now)
+        ranking = self.rank(candidates, perspective, now)
         return ranking[0][0] if ranking else None
 
     def __repr__(self) -> str:

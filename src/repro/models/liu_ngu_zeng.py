@@ -7,7 +7,7 @@ reports, **min-max normalize each metric column across the candidate
 set** (so a metric where everyone ties contributes nothing), then rank
 by the consumer's preference-weighted sum.  Because normalization is
 relative to the candidate set, scoring is done per *ranking* call —
-:meth:`rank_pairs` (behind :meth:`rank`) is the native operation and
+:meth:`rank` is the native operation and
 :meth:`score` degenerates to a single-candidate view.
 
 "Policing": reports older than a freshness window are dropped, and a
@@ -142,7 +142,7 @@ class LiuNguZengModel(ReputationModel):
         return normalized
 
     # -- ranking (native operation) -----------------------------------------------
-    def rank_pairs(
+    def rank(
         self,
         candidates: Iterable[EntityId],
         perspective: Optional[EntityId] = None,

@@ -364,7 +364,7 @@ class ServiceCore:
         registry_breaker.guard(now)
         scoring_breaker.guard(now)
         try:
-            ranking = self.engine.rank_pairs(category, perspective, now)
+            ranking = self.engine.rank(category, perspective, now)
         except RegistryError:
             registry_breaker.record_failure(now)
             raise
@@ -382,9 +382,7 @@ class ServiceCore:
         memory with earlier responses.
 
         Responses are kept for the whole run, so every pair they hold
-        counts towards the collector's next pass (and a
-        :class:`~repro.models.base.ScoredTarget`, which a stale ranking
-        holds, would never be untracked at all).  A service's pair is
+        counts towards the collector's next pass.  A service's pair is
         shared with earlier responses while its score is the same float:
         equal non-zero floats have equal bits, so a shared pair
         serializes to the same bytes.  Zeros (``0.0`` equals ``-0.0``)

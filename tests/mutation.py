@@ -1,9 +1,9 @@
-"""Mutation check for the shard path, the model folds and memos, the
-store cursor protocol, interning, growth and read-only views, the damped
-walk, the referral ranking memo, the rank order and its memo, the
-scenario's truth key, the metrics fast paths and the recorder's
-handles, the serve admission, fluid queue and replay check, and the zoo
-pin: do the gates catch regressions?
+"""Mutation check for the shard path and its epoch score tables, the
+model folds and memos, the store cursor protocol, interning, growth and
+read-only views, the damped walk, the referral ranking memo, the rank
+order and its memo, the scenario's truth key, the metrics fast paths
+and the recorder's handles, the serve admission, fluid queue and replay
+check, and the zoo pin: do the gates catch regressions?
 
 Each :class:`Mutant` is an exact source edit that breaks one rule the
 canonical output depends on, plus the one test that must catch it.
@@ -511,6 +511,16 @@ MUTANTS: List[Mutant] = [
         reason="XRep's resource reputation moves up by one ulp: xrep has "
         "no batch kernel, so no parity test compares it, and only the "
         "pinned outcome bytes see it",
+    ),
+    Mutant(
+        file="src/repro/experiments/sharded.py",
+        old="now=self.spec.epoch_start(epoch)",
+        new="now=self.spec.epoch_start(epoch + 1)",
+        gate="tests/test_experiments/test_shard_ingest.py::"
+        "test_epoch_scores_are_taken_at_the_epoch_start",
+        reason="each epoch's score table is taken at the next epoch's "
+        "start: the default beta ignores now, so only a now-aware "
+        "model's epoch scores see it",
     ),
 ]
 

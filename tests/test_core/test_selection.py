@@ -9,7 +9,6 @@ from repro.core.selection import (
     SelectionEngine,
     SoftmaxPolicy,
 )
-from repro.models.base import ScoredTarget
 from repro.models.beta import BetaReputation
 from repro.registry.uddi import UDDIRegistry
 from repro.services.description import ServiceDescription
@@ -17,11 +16,7 @@ from repro.services.description import ServiceDescription
 from tests.conftest import feedback_series
 
 
-RANKING = [
-    ScoredTarget("best", 0.9),
-    ScoredTarget("mid", 0.5),
-    ScoredTarget("worst", 0.1),
-]
+RANKING = [("best", 0.9), ("mid", 0.5), ("worst", 0.1)]
 
 
 class TestGreedyPolicy:
@@ -44,7 +39,7 @@ class TestEpsilonGreedyPolicy:
         assert chosen == {"best", "mid", "worst"}
 
     def test_tied_top_randomized(self):
-        tied = [ScoredTarget("a", 0.5), ScoredTarget("b", 0.5)]
+        tied = [("a", 0.5), ("b", 0.5)]
         policy = EpsilonGreedyPolicy(epsilon=0.0, rng=0)
         chosen = {policy.choose(tied) for _ in range(50)}
         assert chosen == {"a", "b"}
@@ -102,8 +97,8 @@ class TestSelectionEngine:
     def test_rank_exposes_scores(self):
         engine = self.build()
         ranking = engine.rank("weather")
-        assert ranking[0].target == "good-svc"
-        assert ranking[0].score > ranking[1].score
+        assert ranking[0][0] == "good-svc"
+        assert ranking[0][1] > ranking[1][1]
 
 
 # ---------------------------------------------------------------------------

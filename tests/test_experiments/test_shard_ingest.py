@@ -125,6 +125,35 @@ def test_ingest_coded_equals_ingest_columns(name):
         assert coded._store.canonical_bytes() == plain._store.canonical_bytes()
 
 
+#: registered models whose scores move with ``now``
+NOW_AWARE = ["amazon", "maximilien_singh"]
+
+
+@pytest.mark.parametrize("model", NOW_AWARE)
+def test_epoch_scores_are_taken_at_the_epoch_start(monkeypatch, model):
+    """Each epoch's broadcast scores are a fresh model's scores, at the
+    epoch's start, over the rows the coordinator holds then."""
+    checked = []
+    epoch_scores = sharded._Coordinator.epoch_scores
+
+    def check(self, epoch):
+        scores = epoch_scores(self, epoch)
+        fresh = default_registry(rng_seed=self.spec.seed).create(model)
+        rows = self.store.snapshot()
+        fresh.ingest_columns(
+            self.store.entities.values(), rows.rater, rows.target,
+            rows.value, times_array(rows.time),
+        )
+        now = self.spec.epoch_start(epoch)
+        assert scores == tuple(fresh.score_many(self.service_ids, now=now))
+        checked.append(epoch)
+        return scores
+
+    monkeypatch.setattr(sharded._Coordinator, "epoch_scores", check)
+    run_sharded_experiment(_spec(model), shards=2, mode=SERIAL)
+    assert checked == [0, 1, 2]
+
+
 def test_only_an_empty_table_is_shared():
     store = EventStore(time_dtype="int64")
     store.append("x", "y", 0.5, 0)

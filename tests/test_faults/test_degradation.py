@@ -12,7 +12,6 @@ from repro.faults.degradation import (
     StaleValue,
     discounted_score,
 )
-from repro.models.base import ScoredTarget
 
 
 class TestStaleCache:
@@ -93,22 +92,19 @@ class TestStaleRankingFallback:
         fallback = StaleRankingFallback(
             decay=ExponentialDecay(half_life=10.0)
         )
-        ranking = [
-            ScoredTarget("svc-a", 0.9),
-            ScoredTarget("svc-b", 0.3),
-        ]
+        ranking = [("svc-a", 0.9), ("svc-b", 0.3)]
         fallback.remember("key", ranking, now=0.0)
         recalled = fallback.recall("key", now=10.0)  # confidence 0.5
-        assert [st.target for st in recalled] == ["svc-a", "svc-b"]
-        assert recalled[0].score == pytest.approx(0.7)
-        assert recalled[1].score == pytest.approx(0.4)
+        assert [target for target, _ in recalled] == ["svc-a", "svc-b"]
+        assert recalled[0][1] == pytest.approx(0.7)
+        assert recalled[1][1] == pytest.approx(0.4)
 
     def test_recall_preserves_ranking_order(self):
         fallback = StaleRankingFallback()
-        ranking = [ScoredTarget(f"s{i}", 1.0 - i * 0.1) for i in range(5)]
+        ranking = [(f"s{i}", 1.0 - i * 0.1) for i in range(5)]
         fallback.remember("k", ranking, now=0.0)
         recalled = fallback.recall("k", now=30.0)
-        scores = [st.score for st in recalled]
+        scores = [score for _, score in recalled]
         assert scores == sorted(scores, reverse=True)
 
     def test_recall_missing_key(self):

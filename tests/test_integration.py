@@ -54,7 +54,7 @@ class TestFullCentralizedPipeline:
         # ...and the model's final ranking matches ground truth.
         ranking = model.rank(list(by_id))
         truth_ranking = sorted(by_id, key=lambda s: -world.true_quality[s])
-        assert ranking[0].target == truth_ranking[0]
+        assert ranking[0][0] == truth_ranking[0]
 
     def test_sla_supervision_alongside_selection(self):
         world = make_world(n_providers=2, services_per_provider=1,

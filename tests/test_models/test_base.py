@@ -11,7 +11,7 @@ import repro
 from repro.common.ids import EntityId
 from repro.common.records import Feedback
 from repro.core.registry import default_registry
-from repro.models.base import ReputationModel, ScoredTarget
+from repro.models.base import ReputationModel
 from repro.models.liu_ngu_zeng import LiuNguZengModel
 
 from tests.conftest import feedback
@@ -43,11 +43,7 @@ class TestBaseDefaults:
     def test_rank_sorted_desc_with_deterministic_ties(self):
         model = FixedScores({"a": 0.5, "b": 0.9, "c": 0.5})
         ranking = model.rank(["c", "a", "b"])
-        assert ranking == [
-            ScoredTarget("b", 0.9),
-            ScoredTarget("a", 0.5),
-            ScoredTarget("c", 0.5),
-        ]
+        assert ranking == [("b", 0.9), ("a", 0.5), ("c", 0.5)]
 
     def test_best(self):
         model = FixedScores({"a": 0.2, "b": 0.7})
@@ -69,22 +65,17 @@ RANK_SCORES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
 
 def _by_negated_score_then_id(ranking):
     """The documented ranking order, as a plain sort of the objects."""
-    return sorted(ranking, key=lambda st: (-st.score, st.target))
+    return sorted(ranking, key=lambda entry: (-entry[1], entry[0]))
 
 
 def _exact(ranking):
     """Targets and score reprs, so 0.0 and -0.0 differ."""
-    return [(entry.target, repr(entry.score)) for entry in ranking]
+    return [(target, repr(score)) for target, score in ranking]
 
 
 class TestRankOrder:
     """Every ranking is (-score, target) order: ties by id, duplicates
     kept, signed zeros untouched."""
-
-    def test_scored_target_fields_and_repr(self):
-        entry = ScoredTarget("a", 0.5)
-        assert (entry.target, entry.score) == ("a", 0.5)
-        assert repr(entry) == "ScoredTarget(target='a', score=0.5)"
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -98,10 +89,10 @@ class TestRankOrder:
         model = FixedScores(scores)
         ranking = model.rank(tuple(picks) if as_tuple else iter(picks))
         expected = _by_negated_score_then_id(
-            [ScoredTarget(c, float(model.score(c))) for c in picks]
+            [(c, float(model.score(c))) for c in picks]
         )
         assert _exact(ranking) == _exact(expected)
-        assert all(type(entry) is ScoredTarget for entry in ranking)
+        assert all(type(entry) is tuple for entry in ranking)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -131,7 +122,7 @@ class TestRankOrder:
         if weighted:
             model.set_preferences("c0", {"latency": 2.0, "cost": 1.0})
         ranking = model.rank(picks, "c0" if weighted else None)
-        assert sorted(entry.target for entry in ranking) == sorted(picks)
+        assert sorted(target for target, _ in ranking) == sorted(picks)
         assert _exact(ranking) == _exact(_by_negated_score_then_id(ranking))
 
 

@@ -340,8 +340,8 @@ def test_score_many_empty_and_rank_shape(name):
         ]
     )
     ranking = model.rank(QUERIED, perspective="r0", now=21.0)
-    assert sorted(st_.target for st_ in ranking) == sorted(QUERIED)
-    scores = [st_.score for st_ in ranking]
+    assert sorted(target for target, _ in ranking) == sorted(QUERIED)
+    scores = [score for _, score in ranking]
     assert scores == sorted(scores, reverse=True)
 
 
@@ -602,10 +602,10 @@ class TestFoldInterleaving:
 
         def rank(queried, memoised):
             before = len(calls)
-            ranking = model.rank_pairs(queried)
+            ranking = model.rank(queried)
             fresh = _beta(lam)
             fresh.record_many(seen)
-            want = fresh.rank_pairs(list(queried))
+            want = fresh.rank(list(queried))
             assert [(t, s.hex()) for t, s in ranking] == [
                 (t, s.hex()) for t, s in want
             ]

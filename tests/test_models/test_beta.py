@@ -77,7 +77,7 @@ class TestBetaReputation:
         model.record_many(feedback_series("good", [0.9] * 5))
         model.record_many(feedback_series("bad", [0.1] * 5))
         ranking = model.rank(["bad", "good", "unknown"])
-        assert [st.target for st in ranking] == ["good", "unknown", "bad"]
+        assert [target for target, _ in ranking] == ["good", "unknown", "bad"]
 
     def test_best(self):
         model = BetaReputation()

@@ -210,7 +210,7 @@ class TestDistributedEigenTrust:
     def test_n_managers_validated(self):
         model = EigenTrustModel()
         dht = ChordDHT(["a"], bits=16)
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigurationError, match="n_managers"):
             DistributedEigenTrust(model, dht, n_managers=0)
 
 

@@ -34,8 +34,8 @@ class TestMatrixNormalization:
         model.set_preferences("saver", {"cost": 1.0})
         racer_rank = model.rank(candidates, perspective="racer")
         saver_rank = model.rank(candidates, perspective="saver")
-        assert racer_rank[0].target == "fast-pricey"
-        assert saver_rank[0].target == "slow-cheap"
+        assert racer_rank[0][0] == "fast-pricey"
+        assert saver_rank[0][0] == "slow-cheap"
 
     def test_normalization_is_relative_to_candidate_set(self):
         model = LiuNguZengModel()
@@ -44,8 +44,8 @@ class TestMatrixNormalization:
         # Within {slow-cheap, balanced}, balanced is the fastest and
         # must normalize to 1.0 on speed.
         ranking = model.rank(["slow-cheap", "balanced"], perspective="racer")
-        assert ranking[0].target == "balanced"
-        assert ranking[0].score == pytest.approx(1.0)
+        assert ranking[0][0] == "balanced"
+        assert ranking[0][1] == pytest.approx(1.0)
 
     def test_tied_column_contributes_half(self):
         model = LiuNguZengModel()
@@ -53,15 +53,14 @@ class TestMatrixNormalization:
             for i in range(2):
                 model.record(facet_fb(f"c{i}", svc, {"same": 0.7}))
         ranking = model.rank(["a", "b"])
-        assert ranking[0].score == pytest.approx(0.5)
-        assert ranking[1].score == pytest.approx(0.5)
+        assert ranking[0][1] == pytest.approx(0.5)
+        assert ranking[1][1] == pytest.approx(0.5)
 
     def test_unreported_candidate_scores_prior(self):
         model = LiuNguZengModel()
         build_candidates(model)
         ranking = model.rank(["fast-pricey", "unknown-svc"])
-        unknown = next(st for st in ranking if st.target == "unknown-svc")
-        assert unknown.score == 0.5
+        assert dict(ranking)["unknown-svc"] == 0.5
 
 
 class TestPolicing:

@@ -89,11 +89,11 @@ def test_property_rank_consistent_with_score(name, stream):
     model.record_many(stream)
     candidates = ["svc-a", "svc-b", "svc-c"]
     ranking = model.rank(candidates, perspective="r0")
-    scores = [st_.score for st_ in ranking]
+    scores = [score for _, score in ranking]
     assert scores == sorted(scores, reverse=True)
-    for entry in ranking:
-        assert entry.score == pytest.approx(
-            model.score(entry.target, perspective="r0"), abs=1e-6
+    for target, score in ranking:
+        assert score == pytest.approx(
+            model.score(target, perspective="r0"), abs=1e-6
         )
 
 

@@ -1,20 +1,23 @@
 """Every model's serve ranking is its public ranking, bit for bit.
 
-The serve core ranks through ``SelectionEngine.rank_pairs`` (plain
-``(target, score)`` pairs); policies, experiments and callers rank
-through ``SelectionEngine.rank`` (``ScoredTarget``s).  For every
-registered model, Liu–Ngu–Zeng's own ranking among them, a rank
-response must list the same targets with the same score bits as the
-public ranking taken at the same sim time on the same state.
+The serve core, policies, experiments and callers all rank through
+``SelectionEngine.rank``, which returns plain ``(target, score)``
+tuples.  For every registered model, Liu–Ngu–Zeng's own ranking among
+them, a rank response must list the same targets with the same score
+bits as the public ranking taken at the same sim time on the same
+state.  Each rank, served or selected, also goes through both public
+``rank`` methods once, so a tracer that wraps them sees every rank.
 """
 
+import collections
 import dataclasses
 import random
 
 import pytest
 
 from repro.core.registry import default_registry
-from repro.models.base import ReputationModel, ScoredTarget
+from repro.core.selection import SelectionEngine
+from repro.models.base import ReputationModel
 from repro.serve.core import ServeConfig
 from repro.serve.loadgen import LoadSpec, build_world, make_core
 from repro.serve.protocol import STATUS_OK, feedback_arrival, rank_arrival
@@ -66,22 +69,43 @@ def test_serve_ranking_is_the_engine_ranking(name):
         public = core.engine.rank(
             spec.category, perspective, response.executed_at
         )
-        assert all(type(entry) is ScoredTarget for entry in public)
+        assert all(type(entry) is tuple for entry in public)
         assert [(t, s.hex()) for t, s in response.ranking] == [
-            (entry.target, entry.score.hex()) for entry in public
+            (t, s.hex()) for t, s in public
         ]
         assert len(public) == len(services)
 
 
-def test_rank_is_not_overridable():
-    with pytest.raises(TypeError, match="override rank_pairs"):
+def _count_calls(monkeypatch, calls, cls):
+    original = cls.rank
 
-        class Own(ReputationModel):  # noqa: F841 - defining it raises
-            def record(self, feedback):
-                pass
+    def counted(self, *args, **kwargs):
+        calls[cls.__name__] += 1
+        return original(self, *args, **kwargs)
 
-            def score(self, target, perspective=None, now=None):
-                return 0.5
+    monkeypatch.setattr(cls, "rank", counted)
 
-            def rank(self, candidates, perspective=None, now=None):
-                return []
+
+@pytest.mark.parametrize("route", ["serve", "select"])
+def test_every_rank_goes_through_both_rank_methods(route, monkeypatch):
+    core = make_core(SPEC)
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, SelectionEngine)
+    _count_calls(monkeypatch, calls, ReputationModel)
+    if route == "serve":
+        (response,) = core.ingest(
+            [
+                rank_arrival(
+                    now=1.0,
+                    client_id="c0",
+                    client_seq=0,
+                    tenant="t0",
+                    category=SPEC.category,
+                    perspective="c0",
+                )
+            ]
+        )
+        assert response.status == STATUS_OK and response.ranking
+    else:
+        assert core.engine.select(SPEC.category, "c0", 1.0) is not None
+    assert calls == {"SelectionEngine": 1, "ReputationModel": 1}

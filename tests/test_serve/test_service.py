@@ -406,7 +406,7 @@ class TestReplayDivergence:
 
 class TestArrivalValidation:
     def test_rating_bounds_enforced(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match=r"rating must be in"):
             feedback_arrival(
                 now=1.0,
                 client_id="c0",
@@ -418,7 +418,7 @@ class TestArrivalValidation:
             )
 
     def test_unknown_admin_action_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match="unknown admin action"):
             admin_arrival(
                 now=1.0, client_id="a", client_seq=0, action="explode"
             )
