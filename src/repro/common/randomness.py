@@ -118,26 +118,39 @@ _MULTIPLIERS = np.array([[PHILOX_M0], [PHILOX_M1]], dtype=np.uint64)
 _WEYL = np.array([[PHILOX_W0], [PHILOX_W1]], dtype=np.uint64)
 
 
+#: counter columns per Philox tile: a tile's state and products (48
+#: bytes a column) stay in a core's L2 cache through all ten rounds
+_TILE_COLUMNS = 2**14
+
+
 def _philox(words: ArrayLike, key: int, rounds: int) -> np.ndarray:
     """Philox4x32 of a ``(4, n)`` block of 32-bit counter words, as
-    ``uint64``: in place on a copy of *words* (the caller's are never
-    written), five whole-block operations into buffers per round."""
-    state = np.array(words, dtype=np.uint64)
-    multiplied, other = state[0::2], state[1::2]
-    products = np.empty_like(multiplied)
-    swapped = products[::-1]
+    ``uint64``, on a copy of *words* (the caller's are never written)."""
+    return _philox_rounds(np.array(words, dtype=np.uint64), key, rounds)
+
+
+def _philox_rounds(state: np.ndarray, key: int, rounds: int) -> np.ndarray:
+    """:func:`_philox` in place on a ``(4, n)`` ``uint64`` *state*, one
+    cache-sized tile of columns at a time, five whole-tile operations
+    into a buffer per round."""
+    buffer = np.empty((2, min(state.shape[1], _TILE_COLUMNS)), np.uint64)
     mask = np.uint64(_WORD)
-    keys = np.array([[key & _WORD], [(key >> 32) & _WORD]], dtype=np.uint64)
-    for r in range(rounds):
-        if r:
-            keys += _WEYL
-            keys &= mask
-        # (c0, c2) <- (hi(p1) ^ c1 ^ k0, hi(p0) ^ c3 ^ k1); (c1, c3) <- lo
-        np.multiply(multiplied, _MULTIPLIERS, out=products)
-        np.right_shift(swapped, _U32, out=multiplied)
-        multiplied ^= other
-        multiplied ^= keys
-        np.bitwise_and(swapped, mask, out=other)
+    for start in range(0, state.shape[1], _TILE_COLUMNS):
+        tile = state[:, start : start + _TILE_COLUMNS]
+        multiplied, other = tile[0::2], tile[1::2]
+        products = buffer[:, : tile.shape[1]]
+        swapped = products[::-1]
+        keys = np.array([[key & _WORD], [(key >> 32) & _WORD]], dtype=np.uint64)
+        for r in range(rounds):
+            if r:
+                keys += _WEYL
+                keys &= mask
+            # (c0, c2) <- (hi(p1) ^ c1 ^ k0, hi(p0) ^ c3 ^ k1); (c1, c3) <- lo
+            np.multiply(multiplied, _MULTIPLIERS, out=products)
+            np.right_shift(swapped, _U32, out=multiplied)
+            multiplied ^= other
+            multiplied ^= keys
+            np.bitwise_and(swapped, mask, out=other)
     return state
 
 
@@ -170,21 +183,18 @@ def _block_words(
     ids = np.asarray(streams, dtype=np.int64).reshape(-1)
     _check_word("stream", ids)
     _check_word("purpose/step", np.array([*(p for p, _ in parts), step]))
-    ids = ids.astype(np.uint64)
     # a part of no blocks adds no counters (one is kept if all are empty)
     parts = [part for part in parts if part[1]] or parts[:1]
-    n = len(ids) * sum(blocks for _, blocks in parts)
-    words = (
-        np.concatenate([np.repeat(ids, b) for _, b in parts]),
-        np.concatenate(
-            [np.full(len(ids) * b, p, dtype=np.uint64) for p, b in parts]
-        ),
-        np.full(n, step, dtype=np.uint64),
-        np.concatenate(
-            [np.tile(np.arange(b, dtype=np.uint64), len(ids)) for _, b in parts]
-        ),
-    )
-    return _philox(words, key, PHILOX_ROUNDS)
+    m = len(ids)
+    counters = np.empty((4, m * sum(blocks for _, blocks in parts)), np.uint64)
+    end = 0
+    for purpose, blocks in parts:
+        start, end = end, end + m * blocks
+        counters[0, start:end].reshape(m, blocks)[...] = ids[:, None]
+        counters[1, start:end] = purpose
+        counters[3, start:end].reshape(m, blocks)[...] = np.arange(blocks)
+    counters[2] = step
+    return _philox_rounds(counters, key, PHILOX_ROUNDS)
 
 
 def keyed_words(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Sequence
 
+from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
 
 
@@ -47,7 +48,10 @@ def spearman_rho(
 ) -> Optional[float]:
     """Spearman rank correlation; None when undefined."""
     if len(xs) != len(ys):
-        raise ValueError("samples must have equal length")
+        raise ConfigurationError(
+            f"spearman_rho: xs and ys must have equal length, "
+            f"got {len(xs)} and {len(ys)}"
+        )
     n = len(xs)
     if n < 2:
         return None
@@ -67,7 +71,10 @@ def kendall_tau(
 ) -> Optional[float]:
     """Kendall's tau-a; None when undefined."""
     if len(xs) != len(ys):
-        raise ValueError("samples must have equal length")
+        raise ConfigurationError(
+            f"kendall_tau: xs and ys must have equal length, "
+            f"got {len(xs)} and {len(ys)}"
+        )
     n = len(xs)
     if n < 2:
         return None
@@ -95,7 +102,7 @@ def top_k_precision(
     misorder the tail freely as long as it surfaces the right leaders.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ConfigurationError(f"top_k_precision: k must be >= 1, got {k}")
     common = sorted(set(estimated) & set(truth))
     if not common:
         return 0.0

@@ -12,14 +12,17 @@ The hard contract mirrors the parallel layer's:
 
 Four design rules enforce it:
 
-* **Hash partitioning, not enumeration order.**  Consumer *i* lives on
-  ``shard_of(shard_consumer_id(i), N)`` — a pure function of the id
-  via :func:`repro.p2p.hashing.stable_hash`, so the owner of any agent
-  is computable by every process without coordination.  For a
-  power-of-two shard count the partition coincides with the P-Grid
-  key-space split: ``shard_of(e, 2**d) == int(shard_path(e, d), 2)``.
-  The coordinator hashes every consumer id once per run and hands the
-  resulting home-shard column to each shard.
+* **Keyed partitioning, not enumeration order.**  Consumer *i* lives
+  on the multiply-shift bucket of one Philox word of its global index
+  under the constant :data:`PARTITION_KEY` — a pure function of
+  ``(i, N)``, so the owner of any agent is computable by every process
+  without coordination, and adding consumers re-homes nobody.
+  Services and every other entity keep :func:`shard_of`, SHA-256 of
+  the id via :func:`repro.p2p.hashing.stable_hash`; for a power-of-two
+  shard count that partition coincides with the P-Grid key-space
+  split: ``shard_of(e, 2**d) == int(shard_path(e, d), 2)``.
+  The coordinator computes every consumer's home once per run and
+  hands the resulting column to each shard.
 * **Frozen-score epochs (BSP).**  Rankings inside an epoch use the
   reputation scores broadcast at the epoch start; new feedback is
   buffered in per-shard delta columns and applied only at the barrier.
@@ -83,7 +86,7 @@ from repro.common.errors import (
     WorkerError,
 )
 from repro.common.ids import EntityId
-from repro.common.randomness import keyed_draws
+from repro.common.randomness import keyed_draws, keyed_words
 from repro.common.simtime import times_array, to_ticks
 from repro.core.scenarios import ScenarioResult
 from repro.experiments.parallel import WorkerGroup, picklable
@@ -92,7 +95,6 @@ from repro.experiments.workloads import (
     SELECT_DRAWS,
     World,
     make_shard_world,
-    shard_consumer_id,
     shard_draw_key,
 )
 
@@ -156,28 +158,44 @@ def shard_of(entity_id: EntityId, shards: int) -> int:
 
 
 def shard_homes(entity_ids: Sequence[EntityId], shards: int) -> np.ndarray:
-    """:func:`shard_of` of every id in one pass, as an ``int64`` array.
+    """:func:`shard_of` of every id in one pass, as an ``int64`` array."""
+    if shards == 1:
+        return np.zeros(len(entity_ids), dtype=np.int64)
+    return _buckets(stable_hashes(entity_ids), shards)
+
+
+def _buckets(hashes: np.ndarray, shards: int) -> np.ndarray:
+    """``(hash * shards) >> 64`` of every ``uint64`` hash, as ``int64``.
 
     The multiply-shift runs on the two 32-bit halves of each hash, so
     every product fits in 64 bits (hence ``shards < 2**32``).
     """
     if not 1 <= shards < 2**32:
         raise ConfigurationError(f"shards must be in [1, 2**32), got {shards}")
-    if shards == 1:
-        return np.zeros(len(entity_ids), dtype=np.int64)
-    hashes = stable_hashes(entity_ids)
     n = np.uint64(shards)
     low = ((hashes & np.uint64(0xFFFFFFFF)) * n) >> np.uint64(32)
     high = (hashes >> np.uint64(32)) * n + low
     return (high >> np.uint64(32)).astype(np.int64)
 
 
+#: The Philox key of the consumer partition: the 64-bit golden-ratio
+#: constant, fixed and independent of the seed, so a consumer's home is
+#: a pure function of (index, shard count) that any process computes.
+PARTITION_KEY = 0x9E3779B97F4A7C15
+
+
 def _consumer_homes(n_consumers: int, shards: int) -> np.ndarray:
-    """Home shard of every consumer index ``0 .. n_consumers - 1``."""
+    """Home shard of every consumer index ``0 .. n_consumers - 1``.
+
+    Consumer *i* homes on the multiply-shift bucket of the Philox word
+    of counter ``(i, 0, 0, 0)`` under :data:`PARTITION_KEY`: no id is
+    formatted or hashed, and a home never depends on how many consumers
+    follow, so a growing world re-homes nobody.
+    """
     if shards == 1:
         return np.zeros(n_consumers, dtype=np.int64)
-    ids = [shard_consumer_id(i) for i in range(n_consumers)]
-    return shard_homes(ids, shards)
+    words = keyed_words(PARTITION_KEY, np.arange(n_consumers), 0, 0)
+    return _buckets(words, shards)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +411,8 @@ class ShardRuntime:
     the consumer or service.
 
     *homes* is the home shard of every consumer index (the run's
-    partition, hashed once by the coordinator); without it the runtime
-    hashes every consumer id itself.
+    partition, computed once by the coordinator); without it the
+    runtime computes the partition itself.
     """
 
     def __init__(
@@ -691,7 +709,7 @@ class _Coordinator:
         self.service_ids: List[EntityId] = [
             svc.service_id for svc in world.services
         ]
-        # The partition, hashed once per run and handed to every shard.
+        # The partition, computed once per run and handed to every shard.
         self.homes = _consumer_homes(spec.n_consumers, shards)
         self.store = EventStore(time_dtype="int64")
         # A model sharing the store's entity table skips interning.

@@ -230,9 +230,10 @@ def make_world(
 def shard_consumer_id(index: int, id_prefix: str = "consumer") -> str:
     """Consumer id as a pure function of the global consumer index.
 
-    The sharded runner partitions by hashing ids, so ids must be
-    computable without building the consumers (seven digits: room for
-    the 10^6-agent local target without changing widths).
+    Whichever shard builds consumer *i* names it alike; seven digits
+    leave room for the 10^6-agent local target without changing widths.
+    The sharded runner homes a consumer by a keyed Philox word of its
+    index, never by this id, so placing consumers formats no ids.
     """
     return f"{id_prefix}-{index:07d}"
 

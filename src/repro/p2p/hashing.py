@@ -12,11 +12,15 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.common.errors import ConfigurationError
+
 
 def stable_hash(key: str, bits: int = 64) -> int:
     """Deterministic integer hash of *key* in ``[0, 2**bits)``."""
     if bits <= 0 or bits > 256:
-        raise ValueError("bits must be in (0, 256]")
+        raise ConfigurationError(
+            f"stable_hash: bits must be in (0, 256], got {bits}"
+        )
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     value = int.from_bytes(digest, "big")
     return value >> (256 - bits)
@@ -37,6 +41,8 @@ def stable_hashes(keys: Iterable[str]) -> np.ndarray:
 def to_bits(key: str, length: int) -> str:
     """Deterministic binary-string key of *length* bits for *key*."""
     if length <= 0 or length > 64:
-        raise ValueError("length must be in (0, 64]")
+        raise ConfigurationError(
+            f"to_bits: length must be in (0, 64], got {length}"
+        )
     value = stable_hash(key, 64)
     return format(value, "064b")[:length]

@@ -23,6 +23,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.randomness import (
+    _TILE_COLUMNS,
     _philox,
     keyed_draws,
     keyed_normals,
@@ -65,6 +66,19 @@ class TestPhilox:
         rows = np.vstack([philox4x32(c[None, :], key) for c in counters])
         assert np.array_equal(batch, rows)
         assert int(batch.max()) <= 0xFFFFFFFF
+
+    def test_tiles_equal_small_batches(self):
+        """A batch wider than one cache-sized tile (two full tiles and a
+        partial one) equals the same counters drawn in small batches."""
+        n = 2 * _TILE_COLUMNS + 5
+        counters = np.zeros((n, 4), dtype=np.uint64)
+        counters[:, 0] = np.arange(n)
+        counters[:, 3] = 7
+        key = _key(0xA4093822, 0x299F31D0)
+        small = np.vstack(
+            [philox4x32(counters[i : i + 1000], key) for i in range(0, n, 1000)]
+        )
+        assert np.array_equal(philox4x32(counters, key), small)
 
     def test_callers_words_are_never_written(self):
         # _philox runs in place, but on a copy of its input words.

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.experiments.metrics import (
     kendall_tau,
     ranking_quality,
@@ -57,7 +58,7 @@ class TestSpearman:
         assert spearman_rho([1], [2]) is None
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="spearman_rho: xs.*2 and 1"):
             spearman_rho([1, 2], [1])
 
 
@@ -70,6 +71,10 @@ class TestKendall:
 
     def test_one_swap(self):
         assert kendall_tau([1, 2, 3], [2, 1, 3]) == pytest.approx(1 / 3)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ConfigurationError, match="kendall_tau: xs.*1 and 2"):
+            kendall_tau([1], [1, 2])
 
 
 class TestTopKPrecision:
@@ -93,7 +98,7 @@ class TestTopKPrecision:
         assert top_k_precision({}, {"a": 1.0}) == 0.0
 
     def test_invalid_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="top_k_precision: k.*0"):
             top_k_precision({"a": 0.5}, {"a": 0.5}, k=0)
 
 

@@ -109,10 +109,7 @@ class TestShardCountInvariance:
     def test_partition_covers_and_is_disjoint(self, global_random_seed):
         n_consumers = 40
         shards = 4
-        owners = [
-            shard_of(shard_consumer_id(i), shards)
-            for i in range(n_consumers)
-        ]
+        owners = sharded._consumer_homes(n_consumers, shards).tolist()
         assert all(0 <= s < shards for s in owners)
         runtime_owned = [
             ShardRuntime(
@@ -130,7 +127,7 @@ class TestShardCountInvariance:
 
     def test_runtime_takes_the_coordinators_partition(self):
         spec = _spec(3, world_params=dict(SMALL_WORLD, n_consumers=40))
-        homes = shard_homes([shard_consumer_id(i) for i in range(40)], 4)
+        homes = sharded._consumer_homes(40, 4)
         for s in range(4):
             own = ShardRuntime(spec, s, 4).owned
             assert ShardRuntime(spec, s, 4, homes=homes).owned == own
@@ -163,6 +160,38 @@ class TestShardCountInvariance:
     def test_shard_homes_rejects_out_of_range_counts(self, shards):
         with pytest.raises(ConfigurationError, match="shards"):
             shard_homes(["x"], shards)
+
+    @given(
+        st.integers(0, 300),
+        st.integers(1, 300),
+        st.one_of(st.integers(2, 9), st.just(2**32 - 1)),
+    )
+    def test_adding_consumers_rehomes_nobody(self, n, k, shards):
+        homes = sharded._consumer_homes(n, shards)
+        grown = sharded._consumer_homes(n + k, shards)
+        assert grown.dtype == np.int64
+        assert grown.min() >= 0 and grown.max() < shards
+        assert grown[:n].tolist() == homes.tolist()
+
+    def test_consumer_homes_format_and_hash_no_ids(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("consumer homes hashed an id")
+
+        monkeypatch.setattr(sharded, "shard_homes", forbidden)
+        monkeypatch.setattr(sharded, "stable_hashes", forbidden)
+        assert len(sharded._consumer_homes(50, 4)) == 50
+
+    def test_consumer_partition_is_pinned(self):
+        """The keyed partition is part of every N-dependent dispatch
+        statistic; 1 == 2 == 8 cannot see a change to it."""
+        assert np.bincount(sharded._consumer_homes(2500, 2)).tolist() == [
+            1263,
+            1237,
+        ]
+        homes = sharded._consumer_homes(10**4, 8)
+        assert hashlib.sha256(homes.tobytes()).hexdigest() == (
+            "62aa6be3b9b28aaf3be97ca24b6ca7d39177304aee21ddd91f6e5e671e6c4e89"
+        )
 
     def test_shard_of_matches_pgrid_prefix(self):
         for entity in ("consumer-0000003", "svc-0001", "provider-0002"):
@@ -331,7 +360,7 @@ def _dying_shard_world(seed, consumer_indices=None, **params):
     if (
         mp.parent_process() is not None
         and consumer_indices
-        and shard_of(shard_consumer_id(consumer_indices[0]), 2) == 1
+        and sharded._consumer_homes(consumer_indices[0] + 1, 2)[-1] == 1
     ):
         os._exit(3)
     return make_shard_world(

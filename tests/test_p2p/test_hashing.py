@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.common.errors import ConfigurationError
 from repro.p2p.hashing import stable_hash, stable_hashes, to_bits
 
 
@@ -22,9 +23,9 @@ class TestStableHash:
             assert 0 <= stable_hash("x", bits) < 2 ** bits
 
     def test_invalid_bits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="stable_hash: bits.*0"):
             stable_hash("x", 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="bits.*300"):
             stable_hash("x", 300)
 
     @given(st.text(max_size=50), st.integers(1, 64))
@@ -52,5 +53,5 @@ class TestToBits:
         assert to_bits("x", 16).startswith(to_bits("x", 8))
 
     def test_invalid_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="to_bits: length.*0"):
             to_bits("x", 0)
