@@ -3,18 +3,19 @@ reputation stack.
 
 The parallel runtime (DESIGN.md §9) and the incremental scoring engine
 (§8) rest on invariants no type checker sees: no ambient randomness or
-wall-clock reads, no hash-salted iteration feeding a ranking, no
-per-row loops over store columns, no swallowed exceptions on merge
-paths, and no bare float equality on scores.  This package checks them
-statically:
+wall-clock reads outside the modules that time themselves, no
+hash-salted iteration feeding a ranking, no per-row loops over store
+columns, no swallowed exceptions on merge paths, and no bare float
+equality on scores.  This package checks them statically:
 
     python -m repro.analysis src/repro
 
 The rules are catalogued in DESIGN.md §10 (and by ``--list-rules``),
-along with the ``# reprolint: disable=R00x`` suppression.  R009 and
-R011 run on the interprocedural dataflow engine in
-:mod:`repro.analysis.flow` (per-function summaries composed over the
-project call graph to a fixpoint).
+along with the ``# reprolint: disable=R00x`` suppression.  R011
+resolves helpers across imports through the project-wide
+:class:`~repro.analysis.flow.SymbolTable`.  That an ambient value never
+reaches canonical bytes is checked at run time, by
+``tests/test_ambient_oracle.py``.
 """
 
 from repro.analysis.cli import main
@@ -27,7 +28,7 @@ from repro.analysis.core import (
     RuleRegistry,
     run_analysis,
 )
-from repro.analysis.flow import FlowAnalysis, FlowPolicy, SymbolTable
+from repro.analysis.flow import SymbolTable
 from repro.analysis.reporters import render_json, render_sarif, render_text
 from repro.analysis.rules import DEFAULT_REGISTRY, default_registry
 
@@ -35,8 +36,6 @@ __all__ = [
     "AnalysisConfig",
     "DEFAULT_REGISTRY",
     "Finding",
-    "FlowAnalysis",
-    "FlowPolicy",
     "ModuleInfo",
     "Project",
     "Rule",

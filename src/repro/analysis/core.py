@@ -6,8 +6,8 @@ at lint time instead of test time.  The moving parts:
 
 * :class:`Finding` — one diagnostic, anchored at (path, line, col).
 * :class:`Rule` — a named check over one parsed module, with access to
-  the whole :class:`Project` for cross-file contracts (e.g. a taint
-  that crosses an import).
+  the whole :class:`Project` for cross-file contracts (e.g. an inert
+  helper imported from another module).
 * :class:`Project` — every scanned module parsed once, shared by all
   rules, so project-level rules stay O(files) not O(files²).
 * suppressions — ``# reprolint: disable=R001`` on the offending line
@@ -109,9 +109,9 @@ class Project:
     """Every scanned module, parsed once and shared by all rules."""
 
     modules: List[ModuleInfo]
-    #: scratch space for cross-rule memoisation (e.g. the flow engine
-    #: builds one symbol table + summary fixpoint per project, shared
-    #: by R009/R011); keyed by a caller-chosen string
+    #: scratch space for per-project memoisation (e.g. R011 builds one
+    #: symbol table and inert-function set per project); keyed by a
+    #: caller-chosen string
     caches: Dict[str, object] = field(default_factory=dict)
     _by_relpath: Dict[str, ModuleInfo] = field(default_factory=dict)
 

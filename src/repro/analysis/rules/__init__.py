@@ -15,7 +15,7 @@ from repro.analysis.rules.determinism import (
     UnorderedIterationRule,
 )
 from repro.analysis.rules.floatcmp import FloatEqualityRule
-from repro.analysis.rules.taint import AmbientTaintRule, SwallowedExceptionRule
+from repro.analysis.rules.exceptions import SwallowedExceptionRule
 
 __all__ = ["DEFAULT_REGISTRY", "default_registry"]
 
@@ -27,7 +27,6 @@ def default_registry() -> RuleRegistry:
     registry.register(UnorderedIterationRule())
     registry.register(FloatEqualityRule())
     registry.register(ColumnarLoopRule())
-    registry.register(AmbientTaintRule())
     registry.register(SwallowedExceptionRule())
     return registry
 

@@ -5,7 +5,11 @@ must draw from an injected ``numpy.random.Generator`` (see
 ``repro/common/randomness.py``, the one blessed module).  Global
 ``random`` state, the ``numpy.random`` legacy singleton, wall-clock
 reads, uuid4, and ``os.urandom`` all make ``parallel == serial``
-unprovable, so they are banned at lint time.
+unprovable, so they are banned at lint time.  The process-local timers
+are the wall-clock channel's: only the modules in
+:data:`TIMER_MODULES` may read one, which keeps the two channels apart
+syntactically.  Whether an ambient value reaches canonical bytes
+anyway is ``tests/test_ambient_oracle.py``'s question, not a rule's.
 
 R002 — no iteration over unordered collections on scoring, ranking, or
 parallel merge paths.  ``set``/``frozenset`` iteration order depends on
@@ -35,6 +39,8 @@ from repro.analysis.core import (
 from repro.analysis.flow import _AttrTypes, _ScopeInference
 
 __all__ = [
+    "BANNED_NAMES",
+    "TIMER_MODULES",
     "TIMER_NAMES",
     "GlobalNondeterminismRule",
     "UnorderedIterationRule",
@@ -47,7 +53,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 #: exact dotted names that read ambient nondeterministic state
-_BANNED_EXACT = {
+BANNED_NAMES = {
     "time.time": "wall-clock read",
     "time.time_ns": "wall-clock read",
     "datetime.datetime.now": "wall-clock read",
@@ -59,9 +65,9 @@ _BANNED_EXACT = {
     "os.urandom": "OS entropy",
 }
 
-#: process-local timers and the pid: R001 tolerates them (benchmark
-#: timing reads them legitimately), but R009 still treats their values
-#: as ambient sources that must not reach a canonical sink
+#: process-local timers and the pid: benchmark timing reads them
+#: legitimately, so R001 allows them in :data:`TIMER_MODULES`, and only
+#: there
 TIMER_NAMES = frozenset(
     {
         "time.perf_counter",
@@ -72,6 +78,13 @@ TIMER_NAMES = frozenset(
         "time.process_time_ns",
         "os.getpid",
     }
+)
+
+#: the modules that time themselves, the only ones R001 lets read a timer
+TIMER_MODULES = (
+    "serve/loadgen.py",
+    "experiments/sharded.py",
+    "experiments/parallel.py",
 )
 
 #: members of numpy.random that are seeded constructors, not the
@@ -114,12 +127,17 @@ def _import_aliases(tree: ast.Module) -> Dict[str, str]:
 
 def ambient_violation(full: str) -> Optional[str]:
     """Why the canonical dotted name *full* reads ambient nondeterministic
-    state, or None when it does not (the one table R001 and R009 share)."""
+    state, or None when it does not (timers included)."""
     parts = full.split(".")
-    if full in _BANNED_EXACT:
+    if full in BANNED_NAMES:
         return (
-            f"{full} is a {_BANNED_EXACT[full]}; inject time/ids "
+            f"{full} is a {BANNED_NAMES[full]}; inject time/ids "
             "through the simulation clock or a seeded generator"
+        )
+    if full in TIMER_NAMES:
+        return (
+            f"{full} is a process-local timer; only "
+            f"{', '.join(TIMER_MODULES)} may read one"
         )
     if parts[0] == "secrets" and len(parts) > 1:
         return (
@@ -166,6 +184,8 @@ class GlobalNondeterminismRule(Rule):
             if canonical is None:
                 continue
             full = canonical + ("." + rest if rest else "")
+            if full in TIMER_NAMES and module.relpath in TIMER_MODULES:
+                continue
             message = ambient_violation(full)
             if message is not None:
                 yield module.finding(node, self.rule_id, message)

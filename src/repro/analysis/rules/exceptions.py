@@ -1,34 +1,22 @@
-"""Interprocedural taint rules, built on :mod:`repro.analysis.flow`.
+"""R011 — no exception swallowing on resilience and merge paths.
 
-R009 — ambient nondeterminism must not reach canonical state.  A value
-derived from the global RNGs, a wall-clock read, ``os.urandom``, uuid,
-or the iteration order of a ``set`` may not flow into an
-``EventStore.append/extend/extend_coded``, a tracer record, a
-telemetry snapshot, or a ``ScenarioResult`` field — through any
-number of calls.  R001
-catches the *syntactically visible* uses of banned names in one file;
-R009 catches the laundered ones: a helper two calls away that returns
-``time.time()`` into something a canonical-bytes path will hash.
-
-R011 — no exception swallowing on resilience and merge paths.  A
-``except: pass`` (or a broad handler whose body is inert) in shard
+A ``except: pass`` (or a broad handler whose body is inert) in shard
 merge, the process-pool fan-out, the store, or the observability layer
 turns a crash into silent shard divergence — the one failure mode the
 1 == 2 == 8 equality gate cannot localise.  Handlers that re-raise,
 return a sentinel, assign state, or call a recorder are fine; handlers
-that do nothing (even via an inert helper function) are not.
+that do nothing (even via an inert helper function, resolved across
+imports by :class:`~repro.analysis.flow.SymbolTable`) are not.
 
-Grandfathering policy: anything intentionally nondeterministic
-(wall-time benchmarking that never feeds canonical bytes) or
-intentionally silent (best-effort error forwarding on an already-dying
-worker) carries an inline ``# reprolint: disable=...`` with a
-justification comment.
+Grandfathering policy: anything intentionally silent (best-effort
+error forwarding on an already-dying worker) carries an inline
+``# reprolint: disable=R011`` with a justification comment.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.core import (
     Finding,
@@ -37,148 +25,10 @@ from repro.analysis.core import (
     Rule,
     dotted_name,
 )
-from repro.analysis.flow import (
-    ORDER,
-    RNG,
-    CallView,
-    FlowAnalysis,
-    FlowPolicy,
-    FunctionInfo,
-    SymbolTable,
-)
-from repro.analysis.rules.determinism import TIMER_NAMES, ambient_violation
+from repro.analysis.flow import FunctionInfo, SymbolTable
 
-__all__ = [
-    "AmbientTaintRule",
-    "ReproFlowPolicy",
-    "SwallowedExceptionRule",
-    "shared_flow",
-]
+__all__ = ["SwallowedExceptionRule"]
 
-
-# ---------------------------------------------------------------------------
-# The repro-specific policy
-# ---------------------------------------------------------------------------
-
-#: EventStore methods that ingest feedback into canonical state
-_STORE_SINKS = frozenset({"append", "extend", "extend_coded"})
-
-#: recorder facade methods — everything they take lands in a metrics
-#: snapshot or the sim-time trace, both canonical-bytes surfaces
-_RECORDER_SINKS = frozenset({"count", "gauge", "observe", "event", "span"})
-
-#: classes whose constructed fields are canonical result/telemetry state
-_RESULT_CLASSES = frozenset(
-    {"ScenarioResult", "TelemetrySnapshot", "TraceEvent"}
-)
-
-#: serve-layer classes whose constructed fields enter the ingest log —
-#: an Arrival's client tick seeds ingest tick assignment, and an
-#: IngestRecord IS a log line; wall-clock must never reach either
-_INGEST_CLASSES = frozenset({"Arrival", "IngestRecord"})
-
-#: receiver types owning the canonical sinks
-_STORE_TYPES = frozenset({"EventStore"})
-_RECORDER_TYPES = frozenset({"Recorder", "NoOpRecorder"})
-_TRACER_TYPES = frozenset({"Tracer"})
-_ADMISSION_TYPES = frozenset({"AdmissionController"})
-
-
-class ReproFlowPolicy(FlowPolicy):
-    """Sources and sinks of the repro codebase."""
-
-    def source_kinds(self, cv: CallView) -> FrozenSet[str]:
-        # R001's table plus the timers it tolerates: their *values*
-        # must not reach canonical sinks either.
-        dotted = cv.dotted
-        if dotted is not None and (
-            dotted in TIMER_NAMES or ambient_violation(dotted) is not None
-        ):
-            return frozenset({RNG})
-        return frozenset()
-
-    def sink_label(self, cv: CallView) -> Optional[str]:
-        rtype = cv.receiver_type
-        if rtype in _STORE_TYPES and cv.name in _STORE_SINKS:
-            return f"EventStore.{cv.name}"
-        if rtype in _TRACER_TYPES and cv.name == "emit":
-            return "a tracer record"
-        if rtype in _RECORDER_TYPES and cv.name in _RECORDER_SINKS:
-            return f"a telemetry record (recorder.{cv.name})"
-        if rtype in _ADMISSION_TYPES and cv.name == "admit":
-            return "ingest tick assignment (AdmissionController.admit)"
-        if cv.receiver is None and cv.name in _RESULT_CLASSES:
-            return f"{cv.name} fields"
-        if cv.receiver is None and cv.name in _INGEST_CLASSES:
-            return f"the ingest log ({cv.name} fields)"
-        return None
-
-    def attr_store_sink(
-        self, base_type: Optional[str], attr: str
-    ) -> Optional[str]:
-        if base_type in _RESULT_CLASSES:
-            return f"{base_type}.{attr}"
-        return None
-
-    def call_result_type(self, cv: CallView) -> Optional[str]:
-        if cv.receiver is None and cv.name == "get_recorder":
-            return "Recorder"
-        return None
-
-
-def shared_flow(project: Project) -> FlowAnalysis:
-    """One :class:`FlowAnalysis` per project, shared by R009/R011."""
-    cached = project.caches.get("taint.flow")
-    if isinstance(cached, FlowAnalysis):
-        return cached
-    flow = FlowAnalysis(project, ReproFlowPolicy())
-    project.caches["taint.flow"] = flow
-    return flow
-
-
-# ---------------------------------------------------------------------------
-# R009
-# ---------------------------------------------------------------------------
-
-_KIND_LABEL = {
-    RNG: "ambient nondeterminism (RNG/wall-clock/entropy)",
-    ORDER: "hash-salted set iteration order",
-}
-
-
-class AmbientTaintRule(Rule):
-    rule_id = "R009"
-    title = "no nondeterministic taint into canonical sinks"
-    exempt = ("common/randomness.py",)
-
-    def check(
-        self, module: ModuleInfo, project: Project
-    ) -> Iterator[Finding]:
-        flow = shared_flow(project)
-        for event in flow.taint_events(module):
-            kinds = " + ".join(
-                _KIND_LABEL[k] for k in sorted(event.kinds)
-            )
-            where = f" (inside {event.via})" if event.via else ""
-            message = (
-                f"value tainted by {kinds} reaches {event.sink}{where}; "
-                "canonical state must be a pure function of seeds and "
-                "sim time — inject a seeded Generator / pass sim time "
-                "explicitly, or sort before iterating"
-            )
-            yield Finding(
-                path=module.relpath,
-                line=event.lineno,
-                col=event.col,
-                rule=self.rule_id,
-                message=message,
-                content=module.line_at(event.lineno).strip(),
-            )
-
-
-# ---------------------------------------------------------------------------
-# R011
-# ---------------------------------------------------------------------------
 
 #: method names that count as "the handler recorded the failure" even
 #: when the callee cannot be resolved (recorder facade, stdlib logging)
@@ -304,12 +154,13 @@ class SwallowedExceptionRule(Rule):
     def check(
         self, module: ModuleInfo, project: Project
     ) -> Iterator[Finding]:
-        flow = shared_flow(project)
-        table = flow.table
-        inert = project.caches.get("taint.inert")
-        if not isinstance(inert, set):
-            inert = _inert_functions(table)
-            project.caches["taint.inert"] = inert
+        cached = project.caches.get(self.rule_id)
+        if not isinstance(cached, tuple):
+            table = SymbolTable(project)
+            cached = project.caches[self.rule_id] = (
+                table, _inert_functions(table)
+            )
+        table, inert = cached
         for handler, class_name in _handlers(module):
             if not self._is_broad(handler):
                 continue

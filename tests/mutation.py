@@ -3,7 +3,8 @@ model folds and memos, the store cursor protocol, interning, growth and
 read-only views, the damped walk, the referral ranking memo, the rank
 order and its memo, the scenario's truth key, the metrics fast paths
 and the recorder's handles, the serve admission, fluid queue and replay
-check, and the zoo pin: do the gates catch regressions?
+check, the zoo pin and the ambient oracle: do the gates catch
+regressions?
 
 Each :class:`Mutant` is an exact source edit that breaks one rule the
 canonical output depends on, plus the one test that must catch it.
@@ -42,6 +43,13 @@ DETERMINISM = "tests/test_experiments/test_shard_determinism.py"
 PHILOX = "tests/test_common/test_philox.py"
 FOLDS = "tests/test_models/test_batch_scoring.py::TestFoldInterleaving"
 REFERRAL = "tests/test_p2p/test_referral.py::TestQueryMemo"
+AMBIENT = "tests/test_ambient_oracle.py::test_perturbed_runs_write_equal_bytes"
+#: a wall-clock read behind a helper, the shape every ambient mutant
+#: launders into a canonical sink: 0 or 1 depending on the clock
+CLOCK_HELPER = (
+    "def {name}():  # a wall-clock read behind a helper\n"
+    '            return int(__import__("time").time()) % 2\n\n'
+)
 
 
 @dataclass(frozen=True)
@@ -530,6 +538,47 @@ MUTANTS: List[Mutant] = [
         reason="XRep's resource reputation moves up by one ulp: xrep has "
         "no batch kernel, so no parity test compares it, and only the "
         "pinned outcome bytes see it",
+    ),
+    Mutant(
+        file="src/repro/serve/ingest.py",
+        old="tick = max(arrival.client_tick, self.last_tick + 1)",
+        new=CLOCK_HELPER.format(name="_skew")
+        + "        tick = max(arrival.client_tick, self.last_tick + 1) + _skew()",
+        gate=AMBIENT,
+        reason="the ingest tick takes a wall-clock bit through a helper, "
+        "so every IngestRecord after it moves with the clock; no static "
+        "rule sees a clock read behind a call",
+    ),
+    Mutant(
+        file="src/repro/experiments/sharded.py",
+        old="self.store.extend_coded(names, raters, services, ratings, ticks)",
+        new=CLOCK_HELPER.format(name="_stamp")
+        + "        self.store.extend_coded(names, raters, services, ratings, "
+        "ticks + _stamp())",
+        gate=AMBIENT,
+        reason="the coded append's time column takes a wall-clock bit "
+        "through a helper: every shard count shifts alike, so only two "
+        "runs under different clocks see it",
+    ),
+    Mutant(
+        file="src/repro/experiments/sharded.py",
+        old="names.extend(delta.raters)",
+        new="names.extend(set(delta.raters))",
+        gate=AMBIENT,
+        reason="rater names gathered in set order, so which name each "
+        "appended row's rater code decodes to depends on the hash seed",
+    ),
+    Mutant(
+        file="src/repro/serve/core.py",
+        old='if record.admitted:\n            rec.observe(\n'
+        '                "serve.queue_wait",\n',
+        new=CLOCK_HELPER.format(name="_lag")
+        + '        if record.admitted:\n            rec.observe(\n'
+        '                "serve.queue_wait",\n                _lag() +\n',
+        gate=AMBIENT,
+        reason="the traced queue-wait histogram observes a wall-clock bit "
+        "through a helper, so the serve telemetry snapshot moves with "
+        "the clock while every ranking stays put",
     ),
     Mutant(
         file="src/repro/experiments/sharded.py",

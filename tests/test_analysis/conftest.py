@@ -36,8 +36,8 @@ def fixture_findings() -> List[Finding]:
 
 @pytest.fixture(scope="session")
 def rule_findings() -> Callable[[str], List[Finding]]:
-    """Per-rule analysis runs: ``rule_findings("R009")`` scans only
-    ``fixtures/rules/R009`` (with the full registry, so unexpected
+    """Per-rule analysis runs: ``rule_findings("R011")`` scans only
+    ``fixtures/rules/R011`` (with the full registry, so unexpected
     cross-rule hits in a fixture are visible)."""
     cache: Dict[str, List[Finding]] = {}
 

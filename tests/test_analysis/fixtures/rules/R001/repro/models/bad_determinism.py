@@ -28,5 +28,4 @@ def blessed_constructions(seed):
     rng = np.random.default_rng(seed)
     seq = np.random.SeedSequence(seed)
     instance = random.Random(seed)
-    stamp = time.perf_counter()
-    return rng, seq, instance, stamp
+    return rng, seq, instance

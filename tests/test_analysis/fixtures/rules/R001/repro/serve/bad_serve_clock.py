@@ -2,10 +2,8 @@
 
 The serve ingest path stamps arrivals with *caller-supplied* sim time;
 reading the wall clock here is exactly the bug the deterministic-replay
-gate exists to prevent.  Parsed, never imported.
-
-Values never flow into a canonical sink, so every finding in this file
-belongs to R001 alone (R009 stays quiet).
+gate exists to prevent.  Parsed, never imported.  Timing a client
+belongs in ``serve/loadgen.py`` (see that fixture).
 """
 
 import time
@@ -29,9 +27,3 @@ def log_line() -> str:
 
 def suppressed_stamp() -> float:
     return time.time()  # reprolint: disable=R001 - ops-only log banner
-
-
-def bench_ok() -> float:
-    # perf counters are tolerated by R001 (benchmarking only).
-    started = time.perf_counter()
-    return time.perf_counter() - started

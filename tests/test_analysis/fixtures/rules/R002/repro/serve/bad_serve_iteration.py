@@ -2,8 +2,7 @@
 
 ``serve/`` is in R002's scope: a set iterated while building a batch
 or a per-tenant table puts hash-salted order into the ingest log.
-Parsed, never imported.  No canonical sinks are called, so R009 stays
-quiet and every finding here belongs to R002 alone.
+Parsed, never imported.  Every finding here belongs to R002 alone.
 """
 
 from typing import Dict, List, Set

@@ -45,15 +45,14 @@ class TestExitCodes:
         )
 
     def test_select_narrows_rules(self, capsys):
-        assert run(_config(select=["R009"])) == EXIT_FINDINGS
+        assert run(_config(select=["R011"])) == EXIT_FINDINGS
         out = capsys.readouterr().out
-        assert "R009" in out
+        assert "R011" in out
         assert "R001" not in out
 
     def test_ignore_drops_rules(self, capsys):
         code = run(
-            _config(ignore=["R001", "R002", "R006", "R007", "R009",
-                            "R011"])
+            _config(ignore=["R001", "R002", "R006", "R007", "R011"])
         )
         assert code == EXIT_CLEAN
         capsys.readouterr()
@@ -68,7 +67,7 @@ class TestJsonReport:
         assert code == EXIT_FINDINGS
         payload = json.loads(out_file.read_text())
         assert payload["total"] == len(payload["findings"])
-        assert payload["by_rule"]["R001"] == 10
+        assert payload["by_rule"]["R001"] == 12
         assert set(payload["findings"][0]) == {
             "path", "line", "col", "rule", "message", "content",
         }
@@ -100,7 +99,7 @@ class TestSarifReport:
         assert driver["name"] == "reprolint"
         rule_ids = [r["id"] for r in driver["rules"]]
         assert rule_ids == sorted(rule_ids)
-        assert rule_ids == ["R001", "R002", "R006", "R007", "R009", "R011"]
+        assert rule_ids == ["R001", "R002", "R006", "R007", "R011"]
         assert sarif_run["originalUriBaseIds"]["PACKAGEROOT"] == {
             "uri": "src/repro/"
         }

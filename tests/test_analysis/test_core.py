@@ -156,11 +156,9 @@ class TestPathScoping:
 
 
 class TestRegistry:
-    def test_six_rules_shipped(self):
+    def test_five_rules_shipped(self):
         registry = default_registry()
-        assert registry.ids() == [
-            "R001", "R002", "R006", "R007", "R009", "R011",
-        ]
+        assert registry.ids() == ["R001", "R002", "R006", "R007", "R011"]
 
     def test_duplicate_id_rejected(self):
         registry = RuleRegistry()

@@ -61,4 +61,4 @@ def test_list_rules_names_the_catalogue():
     )
     assert result.returncode == 0
     listed = [line.split()[0] for line in result.stdout.splitlines()]
-    assert listed == ["R001", "R002", "R006", "R007", "R009", "R011"]
+    assert listed == ["R001", "R002", "R006", "R007", "R011"]

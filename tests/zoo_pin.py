@@ -88,9 +88,11 @@ def digests(results: Sequence[parallel.TrialResult]) -> Dict[str, str]:
     }
 
 
-def shard_digest(mode: str) -> str:
-    """sha256 of :data:`SHARD_SPEC`'s canonical bytes at two shards."""
-    report = sharded.run_sharded_experiment(SHARD_SPEC, shards=2, mode=mode)
+def shard_digest(
+    mode: str, spec: sharded.ShardedRunSpec = SHARD_SPEC
+) -> str:
+    """sha256 of *spec*'s canonical bytes at two shards."""
+    report = sharded.run_sharded_experiment(spec, shards=2, mode=mode)
     if report.dispatch.mode != mode:
         raise RuntimeError(f"asked for {mode}, ran {report.dispatch.mode}")
     return hashlib.sha256(report.canonical_bytes()).hexdigest()
