@@ -250,6 +250,13 @@ class UnorderedIterationRule(Rule):
         yield from self._check_scope(
             module, module.tree.body, empty_attrs, None, toplevel=True
         )
+        # every class-body statement, collected once per module
+        methods = {
+            item
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef):
                 attrs = _AttrTypes(node).kinds
@@ -263,18 +270,11 @@ class UnorderedIterationRule(Rule):
                         )
             elif isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) and not self._is_method(node, module.tree):
+            ) and node not in methods:
                 yield from self._check_scope(
                     module, node.body, empty_attrs, node.args,
                     seed=module_sets,
                 )
-
-    @staticmethod
-    def _is_method(fn: ast.AST, tree: ast.Module) -> bool:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and fn in node.body:
-                return True
-        return False
 
     @staticmethod
     def _toplevel_stmts(body: List[ast.stmt]) -> List[ast.stmt]:

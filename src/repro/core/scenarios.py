@@ -147,9 +147,15 @@ class DirectSelectionScenario:
                 self.category, consumer.consumer_id, now=self.time
             )
             assert chosen is not None
-            optimal = self.optimal_for(consumer)
-            chosen_quality = self.true_quality(chosen, consumer)
-            optimal_quality = self.true_quality(optimal, consumer)
+            # one truth row per selection: what optimal_for and
+            # true_quality would each read
+            taste = consumer.preferences
+            best, quals = self._truth.row(
+                self.time, taste.weights, taste.segment, taste.taste_key
+            )
+            optimal = self._truth.ids[best]
+            chosen_quality = quals[self._index[chosen]]
+            optimal_quality = quals[best]
             result.selections += 1
             result.selection_counts[chosen] = (
                 result.selection_counts.get(chosen, 0) + 1

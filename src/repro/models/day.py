@@ -35,6 +35,10 @@ class _FacetSubstrate:
         #: service -> facet -> list of ratings
         self._facets: Dict[EntityId, Dict[str, List[float]]] = {}
         self._overall: Dict[EntityId, List[float]] = {}
+        #: service -> (its report count, facet vector).  Every report
+        #: appends one overall rating, so an unchanged count means
+        #: unchanged facet lists
+        self._vectors: Dict[EntityId, Tuple[int, Dict[str, float]]] = {}
 
     def add(self, feedback: Feedback) -> None:
         self._overall.setdefault(feedback.target, []).append(feedback.rating)
@@ -47,11 +51,18 @@ class _FacetSubstrate:
         return safe_mean(ratings) if ratings else None
 
     def facet_vector(self, service: EntityId) -> Dict[str, float]:
-        return {
-            facet: safe_mean(vals)
-            for facet, vals in self._facets.get(service, {}).items()
-            if vals
-        }
+        count = len(self._overall.get(service, ()))
+        if not count:
+            return {}
+        hit = self._vectors.get(service)
+        if hit is None or hit[0] != count:
+            hit = (count, {
+                facet: safe_mean(vals)
+                for facet, vals in self._facets[service].items()
+                if vals
+            })
+            self._vectors[service] = hit
+        return dict(hit[1])  # rule conditions receive it; the memo's stays
 
     def overall(self, service: EntityId) -> Optional[float]:
         ratings = self._overall.get(service)

@@ -55,13 +55,16 @@ class LiuNguZengModel(ReputationModel):
         self._reports: Dict[EntityId, List[Feedback]] = {}
         #: consumer -> metric weights
         self._preferences: Dict[EntityId, Dict[str, float]] = {}
-        #: target -> (the report list read, its length, facet means).  A
-        #: target's list is only appended to (policing replaces it), so
-        #: the same list at the same length has the same means; a read
-        #: through a freshness window is a new list each call and never
-        #: hits
+        #: target -> (the report list read, its length, per-facet
+        #: ratings, facet means).  A target's list is only appended to
+        #: (policing replaces it), so a longer read of the same list folds
+        #: just its new reports onto the kept ratings; a read through a
+        #: freshness window is a new list each call and starts from 0
         self._rows: Dict[
-            EntityId, Tuple[List[Feedback], int, Dict[str, float]]
+            EntityId,
+            Tuple[
+                List[Feedback], int, Dict[str, List[float]], Dict[str, float]
+            ],
         ] = {}
 
     def set_preferences(
@@ -91,19 +94,18 @@ class LiuNguZengModel(ReputationModel):
         if len(reports) < self.min_reports:
             return None
         hit = self._rows.get(target)
-        if hit is None or hit[0] is not reports or hit[1] != len(reports):
-            hit = (reports, len(reports), self._facet_means(reports))
+        if hit is None or hit[0] is not reports:
+            hit = (reports, 0, {}, {})
+        if hit[1] != len(reports):
+            facets = hit[2]
+            for fb in reports[hit[1]:]:
+                source = fb.facet_ratings or {"overall": fb.rating}
+                for facet, rating in source.items():
+                    facets.setdefault(facet, []).append(rating)
+            means = {f: safe_mean(vals) for f, vals in facets.items()}
+            hit = (reports, len(reports), facets, means)
             self._rows[target] = hit
-        return dict(hit[2])  # callers may mutate the row; the memo's stays
-
-    @staticmethod
-    def _facet_means(reports: List[Feedback]) -> Dict[str, float]:
-        facets: Dict[str, List[float]] = {}
-        for fb in reports:
-            source = fb.facet_ratings or {"overall": fb.rating}
-            for facet, rating in source.items():
-                facets.setdefault(facet, []).append(rating)
-        return {f: safe_mean(vals) for f, vals in facets.items()}
+        return dict(hit[3])  # callers may mutate the row; the memo's stays
 
     def quality_matrix(
         self, candidates: Iterable[EntityId], now: Optional[float] = None

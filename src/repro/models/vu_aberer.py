@@ -72,6 +72,12 @@ class VuAbererModel(ReputationModel):
         self._rater_record: Dict[EntityId, Tuple[int, int]] = {}
         #: consumer -> metric weights
         self._preferences: Dict[EntityId, Dict[str, float]] = {}
+        #: (service, metric) -> (report count, predicted quality).  A
+        #: service's reports are only appended to; a rater record or
+        #: monitor data that changes drops every entry
+        self._predicted: Dict[
+            Tuple[EntityId, Optional[str]], Tuple[int, float]
+        ] = {}
 
     # -- inputs ------------------------------------------------------------
     def set_preferences(
@@ -85,6 +91,7 @@ class VuAbererModel(ReputationModel):
         """Trusted monitoring-agent measurements for *service*."""
         store = self._monitor_data.setdefault(service, {})
         store.update(facets)
+        self._predicted.clear()
         # Re-screen raters that already reported on this service.
         for fb in self._reports.get(service, ()):
             self._screen(fb)
@@ -116,6 +123,7 @@ class VuAbererModel(ReputationModel):
         else:
             caught += 1
         self._rater_record[feedback.rater] = (honest, caught)
+        self._predicted.clear()  # every credibility-weighted mean may move
 
     # -- credibility --------------------------------------------------------
     def credibility(self, rater: EntityId) -> float:
@@ -134,6 +142,16 @@ class VuAbererModel(ReputationModel):
         rating.  Monitor data is blended in when present.
         """
         reports = self._reports.get(service, [])
+        key = (service, metric)
+        hit = self._predicted.get(key)
+        if hit is None or hit[0] != len(reports):
+            hit = (len(reports), self._predict(service, metric, reports))
+            self._predicted[key] = hit
+        return hit[1]
+
+    def _predict(
+        self, service: EntityId, metric: Optional[str], reports: List[Feedback]
+    ) -> float:
         total = 0.0
         weight_sum = 0.0
         for fb in reports:

@@ -17,7 +17,6 @@ Runs standalone on recorded feedback, or live over an
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -65,11 +64,18 @@ class XRepModel(ReputationModel):
         self._clusters: Dict[EntityId, str] = {}
         #: resource -> servents offering it
         self._offered_by: Dict[EntityId, List[EntityId]] = {}
+        #: target -> (votes read, the threshold they were read at,
+        #: cluster -> [votes, positive votes]); exact counts in the
+        #: clusters' first-appearance order, dropped when a cluster moves
+        self._tallies: Dict[
+            EntityId, Tuple[int, float, Dict[str, List[int]]]
+        ] = {}
 
     # -- wiring ------------------------------------------------------------
     def assign_cluster(self, rater: EntityId, cluster: str) -> None:
         """Declare *rater*'s network locality (IP-prefix analogue)."""
         self._clusters[rater] = cluster
+        self._tallies.clear()
 
     def register_offer(self, resource: EntityId, servent: EntityId) -> None:
         """Record that *servent* offers *resource*."""
@@ -84,21 +90,26 @@ class XRepModel(ReputationModel):
 
     # -- scoring -------------------------------------------------------------
     def _clustered_tally(
-        self, votes: "list[tuple[EntityId, float]]"
+        self, target: EntityId, votes: "list[tuple[EntityId, float]]"
     ) -> Tuple[float, float]:
         """(positive_weight, negative_weight) after cluster deflation."""
-        by_cluster: Dict[str, List[float]] = defaultdict(list)
-        for rater, rating in votes:
+        threshold = self.positive_threshold
+        read, kept_at, by_cluster = self._tallies.get(
+            target, (0, threshold, {})
+        )
+        if kept_at != threshold:
+            read, by_cluster = 0, {}
+        for rater, rating in votes[read:]:
             cluster = self._clusters.get(rater, rater)
-            by_cluster[cluster].append(rating)
+            tally = by_cluster.setdefault(cluster, [0, 0])
+            tally[0] += 1
+            tally[1] += rating > threshold
+        self._tallies[target] = (len(votes), threshold, by_cluster)
         positive = 0.0
         negative = 0.0
-        for ratings in by_cluster.values():
-            k = len(ratings)
+        for k, positives in by_cluster.values():
             weight = 1.0 + self.cluster_weight * (k - 1)
-            pos_share = sum(
-                1 for r in ratings if r > self.positive_threshold
-            ) / k
+            pos_share = positives / k
             positive += weight * pos_share
             negative += weight * (1.0 - pos_share)
         return positive, negative
@@ -107,7 +118,7 @@ class XRepModel(ReputationModel):
         votes = self._votes.get(resource, [])
         if not votes:
             return 0.5
-        positive, negative = self._clustered_tally(votes)
+        positive, negative = self._clustered_tally(resource, votes)
         return (positive + 1.0) / (positive + negative + 2.0)
 
     def servent_reputation(self, servent: EntityId) -> float:

@@ -211,8 +211,10 @@ class Consumer:
         A failed invocation is rated 0 overall with no facet detail —
         there is nothing to differentiate when the call never returned.
         Whatever the strategy files, on either branch, is clamped to
-        ``[0, 1]``.  The rating noise is one vector draw, which consumes
-        the stream exactly as one scalar draw per facet would.  Each
+        ``[0, 1]``; honest scores are clamped where they are made, so the
+        honest strategy's filing skips the copy and the second clamp.  The
+        rating noise is one vector draw, which consumes the stream
+        exactly as one scalar draw per facet would.  Each
         clamp is ``max(0.0, min(1.0, x))`` written as conditionals, which
         returns the same float (DESIGN.md §8).
         """
@@ -226,11 +228,16 @@ class Consumer:
                 for (m, s), e in zip(honest.items(), noise.tolist())
                 for x in (s + e,)
             }
-        filed = self.rating_strategy(self, interaction, dict(honest))
-        filed = {
-            m: (v if v > 0.0 else 0.0) if v < 1.0 else 1.0
-            for m, v in filed.items()
-        }
+        if self.rating_strategy is honest_rating_strategy:
+            # clamped where made, never -0.0 or NaN: the clamp would
+            # return each value as it is
+            filed = honest
+        else:
+            filed = self.rating_strategy(self, interaction, dict(honest))
+            filed = {
+                m: (v if v > 0.0 else 0.0) if v < 1.0 else 1.0
+                for m, v in filed.items()
+            }
         overall = self.preferences.overall(filed)
         return Feedback(
             rater=self.consumer_id,

@@ -1,7 +1,8 @@
 """Mutation check for the shard path and its epoch score tables, the
 model folds and memos, the store cursor protocol, interning, growth and
 read-only views, the damped walk, the referral ranking memo, the rank
-order and its memo, the scenario's truth key, the metrics fast paths
+order and its memo, the scalar models' memos, the scenario's truth
+key, the metrics fast paths
 and the recorder's handles, the serve admission, fluid queue and replay
 check, the zoo pin and the ambient oracle: do the gates catch
 regressions?
@@ -589,6 +590,40 @@ MUTANTS: List[Mutant] = [
         reason="each epoch's score table is taken at the next epoch's "
         "start: the default beta ignores now, so only a now-aware "
         "model's epoch scores see it",
+    ),
+    Mutant(
+        file="src/repro/models/day.py",
+        old="if hit is None or hit[0] != count:",
+        new="if hit is None:",
+        gate=f"{FOLDS}::test_scalar_model_memos",
+        reason="Day's facet vector is kept past the service's next "
+        "report, so every later rule and posterior reads stale means",
+    ),
+    Mutant(
+        file="src/repro/models/liu_ngu_zeng.py",
+        old="for fb in reports[hit[1]:]:",
+        new="for fb in reports:",
+        gate=f"{FOLDS}::test_scalar_model_memos",
+        reason="a longer read folds every report, not just the new ones, "
+        "onto the kept per-facet ratings, so earlier reports count twice",
+    ),
+    Mutant(
+        file="src/repro/models/vu_aberer.py",
+        old="self._predicted.clear()  # every credibility-weighted mean "
+        "may move",
+        new="pass",
+        gate=f"{FOLDS}::test_scalar_model_memos",
+        reason="a rater screened against monitor data keeps its old "
+        "credibility in the kept predictions of services whose report "
+        "count did not change",
+    ),
+    Mutant(
+        file="src/repro/models/xrep.py",
+        old="self._tallies.clear()",
+        new="pass",
+        gate=f"{FOLDS}::test_scalar_model_memos",
+        reason="a rater moved to another cluster keeps its folded votes "
+        "in its old cluster's tally",
     ),
 ]
 

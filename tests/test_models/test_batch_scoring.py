@@ -1003,6 +1003,102 @@ class TestFoldInterleaving:
             lambda i: [None, float(i), float(i) + 6.0], probe,
         )
 
+    @pytest.mark.parametrize(
+        "name", ["day", "day_naive_bayes", "liu_ngu_zeng", "vu_aberer", "xrep"]
+    )
+    def test_scalar_model_memos(self, name, global_random_seed):
+        """The scalar models' kept per-target state (Day's facet vectors,
+        Liu–Ngu–Zeng's per-facet ratings, Vu–Aberer's predictions,
+        XRep's cluster tallies) equals a fresh model's, bitwise, after
+        every record and every write the memo must see: a freshness
+        window and policing, monitor data, cluster moves and a new vote
+        threshold; callers editing a handed-out row or vector do not
+        reach the memo."""
+        from repro.models.day import DayExpertSystem, DayNaiveBayes
+        from repro.models.liu_ngu_zeng import LiuNguZengModel
+        from repro.models.vu_aberer import VuAbererModel
+        from repro.models.xrep import XRepModel
+
+        rng = random.Random(global_random_seed)
+        stream = _random_stream(
+            rng, rng.randint(30, 60), RATERS, RATED, facets=True
+        )
+        ops = self._record_ops(rng, stream)
+
+        def mid_stream(share, make):
+            # from the back, so the writes spread over the whole stream
+            picks = rng.sample(range(len(ops)), len(ops) // share)
+            for at in sorted(picks, reverse=True):
+                ops.insert(at + 1, make())
+
+        def handed_out(read):
+            def probe(model, cold, now):
+                for target in QUERIED:
+                    got = read(model, target, now)
+                    assert got == read(cold, target, now), (target, now)
+                    if got:
+                        got.clear()  # must not reach the memo
+            return probe
+
+        def hexes(read):
+            def probe(model, cold, now):
+                for target in QUERIED:
+                    assert [x.hex() for x in read(model, target)] == [
+                        x.hex() for x in read(cold, target)
+                    ], target
+            return probe
+
+        def police():
+            now = float(rng.randint(0, len(stream)))
+            return lambda m: m.police(now)
+
+        def monitor():
+            service = rng.choice(RATED)
+            facets = {
+                m: rng.random()
+                for m in rng.sample(FACET_NAMES + ["overall"], rng.randint(1, 2))
+            }
+            return lambda m: m.record_monitor_data(service, facets)
+
+        def move():
+            rater = rng.choice(RATERS)
+            cluster = rng.choice(["net-0", "net-1"])
+            return lambda m: m.assign_cluster(rater, cluster)
+
+        def prefer(m):
+            m.set_preferences("r0", {"latency": 2.0, "accuracy": 1.0})
+
+        nows = lambda i: [None]  # noqa: E731
+        if name in ("day", "day_naive_bayes"):
+            factory = DayExpertSystem if name == "day" else DayNaiveBayes
+            probe = handed_out(lambda m, t, now: m._substrate.facet_vector(t))
+        elif name == "liu_ngu_zeng":
+            factory = partial(LiuNguZengModel, freshness_window=5.0)
+            mid_stream(4, police)
+            ops.insert(0, prefer)
+            probe = handed_out(lambda m, t, now: m.quality_row(t, now))
+            # a windowed read replaces the kept row, so every other step
+            # reads only the kept list, whose next read folds its delta
+            nows = lambda i: [None] + (  # noqa: E731
+                [float(i), float(i) + 6.0] if i % 2 else []
+            )
+        elif name == "vu_aberer":
+            factory = VuAbererModel
+            mid_stream(3, monitor)
+            ops.insert(0, prefer)
+            probe = hexes(lambda m, t: [
+                m.predicted_quality(t, metric) for metric in [None] + FACET_NAMES
+            ])
+        else:
+            factory = XRepModel
+            mid_stream(3, move)
+            ops.insert(rng.randrange(len(ops)), lambda m: setattr(
+                m, "positive_threshold", 0.7
+            ))
+            ops.insert(0, lambda m: m.register_offer("svc-a", "svc-b"))
+            probe = hexes(lambda m, t: [m.resource_reputation(t)])
+        self._assert_replay(factory, ops, QUERIED, nows, probe)
+
     @pytest.mark.parametrize("similarity", ["pearson", "cosine"])
     def test_collaborative_filtering_memo(self, similarity, global_random_seed):
         """Kept item means and the item -> raters index: after every

@@ -1,5 +1,6 @@
 """Tests for consumers: preferences and rating behaviour."""
 
+import copy
 import math
 import random
 
@@ -11,6 +12,7 @@ from repro.common.records import Interaction
 from repro.services.consumer import (
     Consumer,
     PreferenceProfile,
+    honest_rating_strategy,
     quality_scores,
 )
 from repro.services.qos import DEFAULT_METRICS
@@ -154,6 +156,60 @@ class TestClamp:
         expected = max(0.0, min(1.0, x))
         assert feedback.facet_ratings["availability"].hex() == expected.hex()
         assert feedback.rating.hex() == expected.hex()
+
+
+class TestHonestFiling:
+    """An honest ``rate`` files its scores with no copy and no second
+    clamp: it must file what the copy-and-clamp path (any other
+    strategy's) files, bit for bit, signed zeros included."""
+
+    @staticmethod
+    def _edges(low, span):
+        """A metric's observation edges: its scale's ends and their
+        neighbours, signed zeros, NaN and both infinities."""
+        high = low + span
+        return [
+            low, high, math.nextafter(low, -math.inf),
+            math.nextafter(low, math.inf), math.nextafter(high, math.inf),
+            -0.0, 0.0, math.nan, math.inf, -math.inf, low + span / 2,
+        ]
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("zero_span", [False, True], ids=["span", "zero"])
+    def test_honest_filing_equals_copy_and_clamp(self, noise, zero_span):
+        taxonomy = copy.copy(DEFAULT_METRICS)
+        if zero_span:
+            # a scale of zero width: float64 division by it gives +-inf
+            # or NaN, which quality_scores' clamp must still bound
+            taxonomy.scales = {
+                name: (low, 0.0, lower)
+                for name, (low, _, lower) in DEFAULT_METRICS.scales.items()
+            }
+        edges = {
+            name: self._edges(low, span)
+            for name, (low, span, _) in DEFAULT_METRICS.scales.items()
+        }
+        profile = PreferenceProfile({"availability": 2.0, "cost": 1.0})
+        copying = lambda c, i, scores: honest_rating_strategy(c, i, scores)  # noqa: E731
+        for turn in range(40):
+            # float64 observations divide by a zero span without raising
+            observations = {
+                name: np.float64(values[(turn * 7 + j) % len(values)])
+                for j, (name, values) in enumerate(edges.items())
+            }
+            interaction = make_interaction(observations=observations)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fast, slow = (
+                    Consumer("c0", profile, strategy, noise, rng=turn).rate(
+                        interaction, taxonomy
+                    )
+                    for strategy in (honest_rating_strategy, copying)
+                )
+            assert list(fast.facet_ratings) == list(slow.facet_ratings)
+            for name, value in fast.facet_ratings.items():
+                want = slow.facet_ratings[name]
+                assert float(value).hex() == float(want).hex(), (turn, name)
+            assert fast.rating.hex() == slow.rating.hex(), turn
 
 
 class TestQualityScores:
